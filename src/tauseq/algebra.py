@@ -107,6 +107,8 @@ class StructAlgebra:
         dim: vector-space dimension.
         labels: basis element names.
         mult: (dim, dim, dim) tensor; mult[i, j] = coordinates of b_i * b_j.
+        terms: (i, j, k, c) int64 arrays listing the nonzero structure
+            constants c = mult[i, j, k]; the products below read these.
         idempotents: (n, dim) rows, a complete set of orthogonal idempotents.
         unit: coordinates of 1.
         vertex_labels: display labels aligned with the idempotents.
@@ -120,6 +122,8 @@ class StructAlgebra:
         self.dim = len(self.labels)
         if self.mult.shape != (self.dim, self.dim, self.dim):
             raise DomainError("multiplication tensor shape mismatch")
+        i, j, k = np.nonzero(self.mult)
+        self.terms = (i, j, k, self.mult[i, j, k])
         self.idempotents = linalg.asmod(idempotents, p)
         if unit is None:
             unit = self.idempotents.sum(axis=0) % p
@@ -142,42 +146,61 @@ class StructAlgebra:
     # -- construction checks ------------------------------------------------
 
     def _validate(self):
-        p, mult = self.p, self.mult
-        lhs = np.einsum("ijl,lkm->ijkm", mult, mult) % p
-        rhs = np.einsum("jkl,ilm->ijkm", mult, mult) % p
-        if not np.array_equal(lhs, rhs):
-            raise DomainError("multiplication is not associative")
+        p, mult, d = self.p, self.mult, self.dim
+        # (b_i b_j) b_k = b_i (b_j b_k) for a block of i at a time, so that
+        # no product holds more than about 2^18 entries (all i at once is
+        # d^4); the sums over l skip the l where the block is zero
+        step = max(1, (1 << 18) // d ** 3)
+        for i0 in range(0, d, step):
+            blk = mult[i0 : i0 + step]
+            out_l = np.flatnonzero(blk.any(axis=(0, 1)))  # l in a b_i b_j
+            in_l = np.flatnonzero(blk.any(axis=(0, 2)))   # l with b_i b_l != 0
+            lhs = (blk[:, :, out_l] @ mult[out_l].reshape(-1, d * d)) % p
+            rhs = (mult.reshape(d * d, d)[:, in_l] @ blk[:, in_l]) % p
+            if (lhs.reshape(-1) != rhs.reshape(-1)).any():
+                raise DomainError("multiplication is not associative")
         ident = np.eye(self.dim, dtype=np.int64)
         left = np.einsum("i,ijk->jk", self.unit, mult) % p
         right = np.einsum("j,ijk->ik", self.unit, mult) % p
         if not np.array_equal(left, ident) or not np.array_equal(right, ident):
             raise DomainError("unit law fails")
-        n = self.idempotents.shape[0]
-        for i in range(n):
-            for j in range(n):
-                prod = self.multiply(self.idempotents[i], self.idempotents[j])
-                want = self.idempotents[i] if i == j else np.zeros(self.dim, dtype=np.int64)
-                if not np.array_equal(prod, want):
-                    raise DomainError("distinguished idempotents are not orthogonal")
+        idem = self.idempotents
+        # prods[i, j] = e_i * e_j, which must be e_i when i = j and 0 otherwise
+        ei_times = (idem @ mult.reshape(d, d * d)) % p  # e_i * b_j
+        prods = (idem @ ei_times.reshape(-1, d, d)) % p
+        want = np.zeros_like(prods)
+        want[np.arange(len(idem)), np.arange(len(idem))] = idem
+        if not np.array_equal(prods, want):
+            raise DomainError("distinguished idempotents are not orthogonal")
         if not np.array_equal(self.idempotents.sum(axis=0) % p, self.unit):
             raise DomainError("idempotents do not sum to the unit")
 
     # -- arithmetic ----------------------------------------------------------
 
     def multiply(self, x, y):
-        x = linalg.asmod(x, self.p)
-        y = linalg.asmod(y, self.p)
-        return np.einsum("i,j,ijk->k", x, y, self.mult) % self.p
+        p = self.p
+        x = linalg.asmod(x, p)
+        y = linalg.asmod(y, p)
+        i, j, k, c = self.terms
+        out = np.zeros(self.dim, dtype=np.int64)
+        np.add.at(out, k, (x[i] * y[j]) % p * c % p)
+        return out % p
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x*y on coordinates."""
-        x = linalg.asmod(x, self.p)
-        return np.einsum("i,ijk->kj", x, self.mult) % self.p
+        i, j, k, c = self.terms
+        return self._scatter(k, j, linalg.asmod(x, self.p)[i] * c)
 
     def right_mult_matrix(self, y):
         """Matrix of x -> x*y on coordinates."""
-        y = linalg.asmod(y, self.p)
-        return np.einsum("j,ijk->ki", y, self.mult) % self.p
+        i, j, k, c = self.terms
+        return self._scatter(k, i, linalg.asmod(y, self.p)[j] * c)
+
+    def _scatter(self, rows, cols, vals):
+        """(dim, dim) matrix summing vals mod p into the (rows, cols) cells."""
+        out = np.zeros((self.dim, self.dim), dtype=np.int64)
+        np.add.at(out, (rows, cols), vals % self.p)
+        return out % self.p
 
     def power(self, x, e):
         result = self.unit.copy()
@@ -210,21 +233,23 @@ class StructAlgebra:
     def radical_rows(self):
         """RREF basis of the Jacobson radical (trace-form kernel)."""
         if self._radical is None:
-            lall = np.stack([self.left_mult_matrix(np.eye(self.dim, dtype=np.int64)[i])
-                             for i in range(self.dim)])
-            gram = np.einsum("iab,jba->ij", lall, lall) % self.p
+            # trace form: tr(L_i L_j) with L_i[k, j] = mult[i, j, k]
+            gram = np.einsum("iba,jab->ij", self.mult, self.mult) % self.p
             self._radical = linalg.row_space(linalg.kernel_basis(gram, self.p), self.p)
         return self._radical
 
     def radical_square_dim(self):
         if self._rad_sq_dim is None:
-            rad = self.radical_rows()
-            prods = [self.multiply(r, s) for r in rad for s in rad]
-            if prods:
-                self._rad_sq_dim = linalg.rank(np.array(prods), self.p)
-            else:
-                self._rad_sq_dim = 0
+            prods = self._radical_products()
+            self._rad_sq_dim = linalg.rank(prods, self.p) if prods.size else 0
         return self._rad_sq_dim
+
+    def _radical_products(self):
+        """Rows spanning rad^2: every product r*s of radical basis rows."""
+        rad = self.radical_rows()
+        blocks = [(self.left_mult_matrix(r) @ rad.T).T % self.p for r in rad]
+        return np.vstack(blocks) if blocks else np.zeros((0, self.dim),
+                                                          dtype=np.int64)
 
     def arrow_count(self):
         return self.radical_rows().shape[0] - self.radical_square_dim()
@@ -237,7 +262,7 @@ class StructAlgebra:
         """Idempotents plus a lift of rad/rad^2; they generate the algebra."""
         if self._gens is None:
             rad = self.radical_rows()
-            rows = [self.multiply(r, s) for r in rad for s in rad]
+            rows = list(self._radical_products())
             gens = []
             cur_rank = linalg.rank(np.array(rows), self.p) if rows else 0
             for r in rad:
@@ -253,17 +278,13 @@ class StructAlgebra:
         return self._gens
 
     def corner(self, a, b):
-        """Span data for e_a * A * e_b as a subspace of A."""
+        """(RREF basis, pivot columns) of e_a * A * e_b as a subspace of A."""
         key = (a, b)
         if key not in self._corners:
-            ea = self.idempotents[a]
-            eb = self.idempotents[b]
-            rows = []
-            for i in range(self.dim):
-                v = self.multiply(self.multiply(ea, np.eye(self.dim, dtype=np.int64)[i]), eb)
-                rows.append(v)
-            basis = linalg.row_space(np.array(rows), self.p)
-            self._corners[key] = (basis, linalg.SpanSolver(basis, self.p))
+            flank = (self.left_mult_matrix(self.idempotents[a]) @
+                     self.right_mult_matrix(self.idempotents[b])) % self.p
+            basis = linalg.row_space(flank.T, self.p)
+            self._corners[key] = (basis, np.argmax(basis != 0, axis=1))
         return self._corners[key]
 
 
@@ -360,13 +381,11 @@ def parse_algebra(text):
 def two_sided_ideal_rows(alg, generator_vectors):
     """Row basis of the two-sided ideal generated by the given elements."""
     rows = linalg.row_space(np.array(generator_vectors), alg.p)
-    eye = np.eye(alg.dim, dtype=np.int64)
     while True:
         new_rows = [rows]
         for g in rows:
-            for i in range(alg.dim):
-                new_rows.append(alg.multiply(eye[i], g).reshape(1, -1))
-                new_rows.append(alg.multiply(g, eye[i]).reshape(1, -1))
+            new_rows.append(alg.right_mult_matrix(g).T)  # b_i * g
+            new_rows.append(alg.left_mult_matrix(g).T)   # g * b_i
         stacked = np.vstack(new_rows)
         closed = linalg.row_space(stacked, alg.p)
         if closed.shape[0] == rows.shape[0]:
@@ -407,11 +426,8 @@ def quotient_by_ideal(alg, ideal_rows, check=True):
     for k, c in enumerate(nonpiv):
         lift[c, k] = 1
 
-    mult = np.zeros((q, q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            prod = alg.multiply(lift[:, i], lift[:, j])
-            mult[i, j] = (proj @ prod) % p
+    # lift sends basis element k to b_{nonpiv[k]}
+    mult = (alg.mult[np.ix_(nonpiv, nonpiv)] @ proj.T) % p
     idem = []
     vlabels = []
     for i in range(alg.idempotents.shape[0]):
@@ -433,18 +449,13 @@ def quotient_by_idempotent_ideal(alg, k):
     n = alg.idempotents.shape[0]
     if not 0 <= k < n:
         raise DomainError(f"idempotent index {k} out of range")
-    e = alg.idempotents[k]
-    eye = np.eye(alg.dim, dtype=np.int64)
-    rows = []
-    for i in range(alg.dim):
-        bie = alg.multiply(eye[i], e)
-        if not np.any(bie):
-            continue
-        for j in range(alg.dim):
-            rows.append(alg.multiply(bie, eye[j]))
+    # the ideal is spanned by the products b_i * e * b_j
+    rows = [alg.left_mult_matrix(bie).T
+            for bie in alg.right_mult_matrix(alg.idempotents[k]).T
+            if np.any(bie)]
     if not rows:
-        rows = [np.zeros(alg.dim, dtype=np.int64)]
-    return quotient_by_ideal(alg, np.array(rows))
+        rows = [np.zeros((1, alg.dim), dtype=np.int64)]
+    return quotient_by_ideal(alg, np.vstack(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ import numpy as np
 from . import linalg
 from .algebra import StructAlgebra
 from .errors import DomainError
-from .modules import (FdModule, ModuleMap, direct_sum, hom_basis,
-                      projective_module, quotient_module, submodule,
-                      top_quotient, zero_module)
+from .modules import (ModuleMap, direct_sum, hom_basis, projective_module,
+                      quotient_module, submodule, top_quotient, zero_module)
 
 
 def proj_list(alg):
@@ -104,17 +103,25 @@ def tensor_zeros(alg, nrows, ncols):
 
 
 def entry_compose(alg, first, then):
-    """Entry tensor of (then . first); first: A->B, then: B->C."""
-    nr = then.shape[0]
-    nc = first.shape[1]
-    out = tensor_zeros(alg, nr, nc)
-    for s in range(nr):
-        for c in range(nc):
-            acc = np.zeros(alg.dim, dtype=np.int64)
-            for r in range(first.shape[0]):
-                acc = (acc + alg.multiply(first[r, c], then[s, r])) % alg.p
-            out[s, c] = acc
-    return out
+    """Entry tensor of (then . first); first: A->B, then: B->C.
+
+    Entry (s, c) is sum_r first[r, c] * then[s, r]: contract first with the
+    structure constants, then with `then` over (r, j).  Each sum has at
+    most (inner length) * p^2 in it.  Leading axes of either operand are
+    batch axes and broadcast against each other.
+    """
+    p, d = alg.p, alg.dim
+    *fb, nr, nc, _ = first.shape
+    *tb, ns, _, _ = then.shape
+    fb, tb = tuple(fb), tuple(tb)
+    if first.size == 0 or then.size == 0:
+        return np.zeros(np.broadcast_shapes(fb, tb) + (ns, nc, d),
+                        dtype=np.int64)
+    left = (first.reshape(fb + (nr * nc, d)) @ alg.mult.reshape(d, d * d)) % p
+    left = np.swapaxes(left.reshape(fb + (nr, nc, d, d)), -3, -2)  # r, j, c, k
+    out = (then.reshape(tb + (ns, nr * d)) @
+           left.reshape(fb + (nr * d, nc * d))) % p
+    return out.reshape(out.shape[:-2] + (ns, nc, d))
 
 
 def shift_cx(cx, s):
@@ -180,41 +187,45 @@ def cx_concrete(cx, k):
 
 class EntrySpace:
     """Coordinates for block tensors whose (r, c) entry lives in the corner
-    e_{src[c]} A e_{tgt[r]}."""
+    e_{src[c]} A e_{tgt[r]}.
+
+    Corner bases are in RREF, so an entry's coordinates are its values at
+    the pivot columns: to_vec gathers them, from_vec multiplies by the
+    stacked block basis.  Both take leading batch axes; `basis` holds the
+    tensor of every basis vector.
+    """
 
     def __init__(self, alg, src_verts, tgt_verts):
         self.alg = alg
         self.src = list(src_verts)
         self.tgt = list(tgt_verts)
-        self.slots = []
-        self.offsets = np.zeros((len(self.tgt), len(self.src)), dtype=np.int64)
-        total = 0
-        for r, b in enumerate(self.tgt):
-            for c, a in enumerate(self.src):
-                basis, solver = alg.corner(a, b)
-                self.offsets[r, c] = total
-                self.slots.append((r, c, basis, solver))
-                total += basis.shape[0]
-        self.dim = total
+        nt, ns, d = len(self.tgt), len(self.src), alg.dim
+        slots = [(r * ns + c, alg.corner(a, b))
+                 for r, b in enumerate(self.tgt) for c, a in enumerate(self.src)]
+        self.dim = sum(len(pivots) for _, (_, pivots) in slots)
+        block = np.zeros((self.dim, nt * ns, d), dtype=np.int64)
+        gather = [np.zeros(0, dtype=np.int64)]
+        off = 0
+        for slot, (basis, pivots) in slots:
+            block[off : off + len(pivots), slot] = basis
+            gather.append(slot * d + pivots)
+            off += len(pivots)
+        self.shape = (nt, ns, d)
+        self.basis = block.reshape((self.dim,) + self.shape)
+        self.block = block.reshape(self.dim, nt * ns * d)
+        self.gather = np.concatenate(gather)
 
     def to_vec(self, tensor):
-        out = np.zeros(self.dim, dtype=np.int64)
-        for r, c, basis, solver in self.slots:
-            coords = solver.coords(tensor[r, c])
-            if coords is None:
-                raise DomainError("tensor entry lies outside its corner")
-            off = int(self.offsets[r, c])
-            out[off : off + basis.shape[0]] = coords
-        return out
+        tensor = linalg.asmod(tensor, self.alg.p)
+        flat = tensor.reshape(tensor.shape[:-3] + (self.block.shape[1],))
+        vec = flat[..., self.gather]
+        if ((vec @ self.block) % self.alg.p != flat).any():
+            raise DomainError("tensor entry lies outside its corner")
+        return vec
 
     def from_vec(self, vec):
-        t = tensor_zeros(self.alg, len(self.tgt), len(self.src))
-        for r, c, basis, _ in self.slots:
-            off = int(self.offsets[r, c])
-            k = basis.shape[0]
-            if k:
-                t[r, c] = (vec[off : off + k] @ basis) % self.alg.p
-        return t
+        out = (vec @ self.block) % self.alg.p
+        return out.reshape(out.shape[:-1] + self.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +288,10 @@ def reduce_cx(cx):
         nr, nc = t.shape[0], t.shape[1]
         keep_r = [r for r in range(nr) if r != r0]
         keep_c = [c for c in range(nc) if c != c0]
-        new = tensor_zeros(alg, len(keep_r), len(keep_c))
-        for ri, r in enumerate(keep_r):
-            for ci, c in enumerate(keep_c):
-                corr = alg.multiply(alg.multiply(t[r0, c], ainv), t[r, c0])
-                new[ri, ci] = (t[r, c] - corr) % alg.p
+        # entry (r, c) loses t[r0, c] * ainv * t[r, c0]
+        via = entry_compose(alg, t[[r0]][:, keep_c], ainv.reshape(1, 1, -1))
+        corr = entry_compose(alg, via, t[keep_r][:, [c0]])
+        new = (t[keep_r][:, keep_c] - corr) % alg.p
         if new.size:
             diffs[k] = new
         else:
@@ -354,10 +364,6 @@ def cone(src, tgt, cmap):
 # ---------------------------------------------------------------------------
 
 
-def _verts(alg, cx, k):
-    return cx.at(k)
-
-
 class HomK:
     """Hom of two-term complexes in the homotopy category.
 
@@ -379,29 +385,23 @@ class HomK:
         total = n0 + nm
         dX = X.diff(-1)
         dY = Y.diff(-1)
-        cols = []
-        eye = np.eye(total, dtype=np.int64)
-        for i in range(total):
-            f0 = self.es0.from_vec(eye[i][:n0])
-            fm = self.esm.from_vec(eye[i][n0:])
-            cond = (entry_compose(alg, dX, f0)
-                    - entry_compose(alg, fm, dY)) % p
-            cols.append(self.escross.to_vec(cond))
         if total == 0:
             zrows = np.zeros((0, 0), dtype=np.int64)
         elif self.escross.dim == 0:
             zrows = np.eye(total, dtype=np.int64)
         else:
-            zrows = linalg.kernel_basis(np.array(cols).T, p)
-        h_rows = []
-        for i in range(self.eshtp.dim):
-            h = self.eshtp.from_vec(np.eye(self.eshtp.dim, dtype=np.int64)[i])
-            f0 = entry_compose(alg, h, dY)
-            fm = entry_compose(alg, dX, h)
-            h_rows.append(np.concatenate([self.es0.to_vec(f0),
-                                          self.esm.to_vec(fm)]))
-        hstack = np.array(h_rows, dtype=np.int64) if h_rows else \
-            np.zeros((0, total), dtype=np.int64)
+            # chain maps: the pairs (f0, fm) with f0 . dX = dY . fm
+            cond = np.concatenate([
+                self.escross.to_vec(entry_compose(alg, dX, self.es0.basis)),
+                self.escross.to_vec(-entry_compose(alg, self.esm.basis, dY))])
+            zrows = linalg.kernel_basis(cond.T, p)
+        hstack = np.zeros((0, total), dtype=np.int64)
+        if total and self.eshtp.dim:
+            # null-homotopic ones: (dY . h, h . dX) for h: X^0 -> Y^{-1}
+            h = self.eshtp.basis
+            hstack = np.concatenate(
+                [self.es0.to_vec(entry_compose(alg, h, dY)),
+                 self.esm.to_vec(entry_compose(alg, dX, h))], axis=1)
         hspan = linalg.row_space(hstack, p)
         cur = hspan
         cur_rank = cur.shape[0]
@@ -423,12 +423,13 @@ class HomK:
         self.total = total
 
     def rep_tensor(self, i):
-        v = self.rep_vecs[i]
-        return self._split(v)
+        return self._split(self.rep_vecs[i])
 
     def _split(self, v):
+        """Chain map(s) of coordinate vector(s) v over es0 ++ esm."""
         n0 = self.es0.dim
-        return {0: self.es0.from_vec(v[:n0]), -1: self.esm.from_vec(v[n0:])}
+        return {0: self.es0.from_vec(v[..., :n0]),
+                -1: self.esm.from_vec(v[..., n0:])}
 
     def vec_of(self, cmap):
         f0 = cmap.get(0)
@@ -437,15 +438,19 @@ class HomK:
             f0 = tensor_zeros(self.alg, len(self.Y.at(0)), len(self.X.at(0)))
         if fm is None:
             fm = tensor_zeros(self.alg, len(self.Y.at(-1)), len(self.X.at(-1)))
-        return np.concatenate([self.es0.to_vec(f0), self.esm.to_vec(fm)])
+        return np.concatenate([self.es0.to_vec(f0), self.esm.to_vec(fm)],
+                              axis=-1)
 
     def coords(self, cmap):
+        """Coordinates of chain map(s) modulo homotopy; leading axes of the
+        tensors are batch axes."""
+        vec = self.vec_of(cmap)
         if self.total == 0:
-            return np.zeros(0, dtype=np.int64)
-        c = self._solver.coords(self.vec_of(cmap))
+            return np.zeros(vec.shape[:-1] + (0,), dtype=np.int64)
+        c = self._solver.coords(vec)
         if c is None:
             raise DomainError("not a chain map modulo homotopy")
-        return c[self.h_count :]
+        return c[..., self.h_count :]
 
 
 def hom_K_dim(X, Y, shift=0):
@@ -464,17 +469,11 @@ def hom_K_dim(X, Y, shift=0):
             return 0
         dX = X.diff(-1)
         dY = Y.diff(-1)
-        rows = []
         esm = EntrySpace(alg, X.at(-1), Y.at(-1))
-        for i in range(esm.dim):
-            h = esm.from_vec(np.eye(esm.dim, dtype=np.int64)[i])
-            rows.append(es.to_vec(entry_compose(alg, h, dY)))
         es0 = EntrySpace(alg, X.at(0), Y.at(0))
-        for i in range(es0.dim):
-            h = es0.from_vec(np.eye(es0.dim, dtype=np.int64)[i])
-            rows.append(es.to_vec(entry_compose(alg, dX, h)))
-        sub = linalg.rank(np.array(rows), p) if rows else 0
-        return es.dim - sub
+        rows = np.concatenate([es.to_vec(entry_compose(alg, esm.basis, dY)),
+                               es.to_vec(entry_compose(alg, dX, es0.basis))])
+        return es.dim - linalg.rank(rows, p)
     # shift == -1: maps X^0 -> Y^{-1} commuting on both sides, no homotopies
     es = EntrySpace(alg, X.at(0), Y.at(-1))
     if es.dim == 0:
@@ -483,13 +482,10 @@ def hom_K_dim(X, Y, shift=0):
     dY = Y.diff(-1)
     esa = EntrySpace(alg, X.at(-1), Y.at(-1))
     esb = EntrySpace(alg, X.at(0), Y.at(0))
-    cols = []
-    for i in range(es.dim):
-        g = es.from_vec(np.eye(es.dim, dtype=np.int64)[i])
-        va = esa.to_vec(entry_compose(alg, dX, g))
-        vb = esb.to_vec(entry_compose(alg, g, dY))
-        cols.append(np.concatenate([va, vb]))
-    return linalg.kernel_basis(np.array(cols), p).shape[0]
+    cols = np.concatenate([esa.to_vec(entry_compose(alg, dX, es.basis)),
+                           esb.to_vec(entry_compose(alg, es.basis, dY))],
+                          axis=1)
+    return linalg.kernel_basis(cols, p).shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +540,11 @@ def min_presentation(m):
     diff = tensor_zeros(alg, len(zer), len(neg))
     for c, (kg, i) in enumerate(kgens):
         inside = (ker_incl.matrix @ kg) % p
+        left_ei = alg.left_mult_matrix(alg.idempotents[i])
         for r, (emb, vert) in enumerate(zip(embs, zer)):
             comp = (embs[r].T @ inside) % p
             v = (projs[vert].amb_basis.T @ comp) % p
-            diff[r, c] = alg.multiply(alg.idempotents[i], v)
+            diff[r, c] = (left_ei @ v) % p
     cx = Cx(alg, {-1: neg, 0: zer}, {-1: diff} if neg and zer else {},
             check=False)
     cx.conc0 = p0
@@ -572,10 +569,6 @@ def h0(cx):
     return quo, proj, tgt
 
 
-def h0_module(cx):
-    return h0(cx)[0]
-
-
 def hminus1(cx):
     """H^{-1} as a submodule of the concrete degree -1 module."""
     if not cx.is_two_term():
@@ -595,12 +588,10 @@ def inj_list(alg):
 
     if not hasattr(alg, "_tauseq_injs"):
         injs = []
-        eye = np.eye(alg.dim, dtype=np.int64)
         for j in range(alg.idempotents.shape[0]):
             inj = injective_module(alg, j)
-            rows = [alg.multiply(alg.idempotents[j], eye[k])
-                    for k in range(alg.dim)]
-            inj.amb_rows = linalg.row_space(np.array(rows), alg.p)
+            rows = alg.left_mult_matrix(alg.idempotents[j]).T  # e_j * b_k
+            inj.amb_rows = linalg.row_space(rows, alg.p)
             injs.append(inj)
         alg._tauseq_injs = injs
     return alg._tauseq_injs
@@ -612,15 +603,11 @@ def _nakayama_entry(alg, a, b, x):
     rows_a = injs[a].amb_rows
     rows_b = injs[b].amb_rows
     p = alg.p
-    cols = []
-    for w in rows_b:
-        xw = alg.multiply(x, w)
-        c = linalg.solve(rows_a.T, xw, p)
-        if c is None:
-            raise DomainError("Nakayama image left the expected corner")
-        cols.append(c)
-    lmat = np.array(cols).T if cols else np.zeros(
-        (rows_a.shape[0], 0), dtype=np.int64)
+    # column w holds the coordinates of x * rows_b[w] in rows_a
+    imgs = (alg.left_mult_matrix(x) @ rows_b.T) % p
+    lmat = linalg.solve_matrix(rows_a.T, imgs, p)
+    if lmat is None:
+        raise DomainError("Nakayama image left the expected corner")
     return lmat.T % p
 
 
@@ -715,12 +702,8 @@ def lift_map(X, Y, g, h0X=None, h0Y=None):
             raise DomainError("no room to lift in degree -1")
         fm = tensor_zeros(alg, len(Y.at(-1)), len(X.at(-1)))
         return {0: f0, -1: fm}
-    cols = []
-    eye = np.eye(esm.dim, dtype=np.int64)
-    for i in range(esm.dim):
-        fm = esm.from_vec(eye[i])
-        cols.append(escross.to_vec(entry_compose(alg, fm, Y.diff(-1))))
-    sol = linalg.solve(np.array(cols).T, rhs, p)
+    cols = escross.to_vec(entry_compose(alg, esm.basis, Y.diff(-1)))
+    sol = linalg.solve(cols.T, rhs, p)
     if sol is None:
         raise DomainError("degree -1 lift does not exist")
     return {0: f0, -1: esm.from_vec(sol)}
@@ -772,12 +755,12 @@ def end_K(cxs):
     d = homk.dim
     if d == 0:
         raise DomainError("End ring of a zero object")
+    reps = homk._split(homk.rep_vecs)
     mult = np.zeros((d, d, d), dtype=np.int64)
-    reps = [homk.rep_tensor(i) for i in range(d)]
     for i in range(d):
-        for j in range(d):
-            comp = compose_chain(alg, reps[i], reps[j])  # reps[i] first
-            mult[i, j] = homk.coords(comp)
+        # mult[i, j]: reps[i] first, then reps[j], for every j at once
+        first = {k: t[i] for k, t in reps.items()}
+        mult[i] = homk.coords(compose_chain(alg, first, reps))
     unit = homk.coords(_identity_cmap(alg, total))
     idem = []
     for j in range(len(cxs)):
@@ -788,15 +771,13 @@ def end_K(cxs):
 
 
 def _cmap_from_coords(homk, coords):
-    alg = homk.alg
-    out0 = tensor_zeros(alg, len(homk.Y.at(0)), len(homk.X.at(0)))
-    outm = tensor_zeros(alg, len(homk.Y.at(-1)), len(homk.X.at(-1)))
-    for c, i in zip(coords, range(homk.dim)):
-        if c:
-            t = homk.rep_tensor(i)
-            out0 = (out0 + int(c) * t[0]) % alg.p
-            outm = (outm + int(c) * t[-1]) % alg.p
-    return {0: out0, -1: outm}
+    """Chain map(s) with the given coordinates on homk's representatives."""
+    return homk._split((coords @ homk.rep_vecs) % homk.alg.p)
+
+
+def _outer(cmaps, axis):
+    """A batch of chain maps as axis 0 or 1 of a two-axis outer batch."""
+    return {k: (t[:, None] if axis == 0 else t[None]) for k, t in cmaps.items()}
 
 
 def _restrict_cmap(alg, cmap, total, offsets, cxs, j, X):
@@ -831,30 +812,25 @@ def min_right_approx_K(cxs, X):
     if homk.dim == 0:
         src = Cx(alg, {}, {}, check=False)
         return src, {}, []
-    rad_rows = end.struct.radical_rows()
-    rad_maps = [_cmap_from_coords(end.homk, r) for r in rad_rows]
-    hom_maps = [homk._split(homk.rep_vecs[i]) for i in range(homk.dim)]
-    w = []
-    for f in hom_maps:
-        for r in rad_maps:
-            comp = compose_chain(alg, r, f)  # f after r
-            w.append(homk.coords(comp))
-    cur = np.array(w, dtype=np.int64) if w else np.zeros(
-        (0, homk.dim), dtype=np.int64)
+    rad = _cmap_from_coords(end.homk, end.struct.radical_rows())
+    idem = _cmap_from_coords(end.homk, end.struct.idempotents)
+    hom = homk._split(homk.rep_vecs)
+    # f after r for every (f, r), and f after each block idempotent
+    cur = homk.coords(compose_chain(alg, _outer(rad, 1), _outer(hom, 0)))
+    cur = cur.reshape(-1, homk.dim)
     cur_rank = linalg.rank(cur, p) if cur.size else 0
+    cands = compose_chain(alg, _outer(idem, 0), _outer(hom, 1))
+    vecs = homk.coords(cands)
     kept = []
-    idem_maps = [_cmap_from_coords(end.homk, ic) for ic in end.struct.idempotents]
-    for j in range(len(cxs)):
-        for f in hom_maps:
-            cand = compose_chain(alg, idem_maps[j], f)
-            vec = homk.coords(cand)
-            stacked = np.vstack([cur, vec.reshape(1, -1)])
-            r = linalg.rank(stacked, p)
-            if r > cur_rank:
-                cur = stacked
-                cur_rank = r
-                kept.append((j, _restrict_cmap(alg, cand, total, offsets,
-                                               cxs, j, X)))
+    for j, f in np.ndindex(vecs.shape[:2]):
+        stacked = np.vstack([cur, vecs[j, f].reshape(1, -1)])
+        r = linalg.rank(stacked, p)
+        if r > cur_rank:
+            cur = stacked
+            cur_rank = r
+            cand = {k: t[j, f] for k, t in cands.items()}
+            kept.append((j, _restrict_cmap(alg, cand, total, offsets,
+                                           cxs, j, X)))
     used = [j for j, _ in kept]
     src, s_offsets = direct_sum_cx([cxs[j] for j in used]) if used else (
         Cx(alg, {}, {}, check=False), [])
@@ -903,30 +879,25 @@ def min_left_approx_K(X, cxs):
     if homk.dim == 0:
         tgt = Cx(alg, {}, {}, check=False)
         return tgt, {}, []
-    rad_rows = end.struct.radical_rows()
-    rad_maps = [_cmap_from_coords(end.homk, r) for r in rad_rows]
-    hom_maps = [homk._split(homk.rep_vecs[i]) for i in range(homk.dim)]
-    w = []
-    for f in hom_maps:
-        for r in rad_maps:
-            comp = compose_chain(alg, f, r)  # r after f
-            w.append(homk.coords(comp))
-    cur = np.array(w, dtype=np.int64) if w else np.zeros(
-        (0, homk.dim), dtype=np.int64)
+    rad = _cmap_from_coords(end.homk, end.struct.radical_rows())
+    idem = _cmap_from_coords(end.homk, end.struct.idempotents)
+    hom = homk._split(homk.rep_vecs)
+    # r after f for every (f, r), and each block idempotent after f
+    cur = homk.coords(compose_chain(alg, _outer(hom, 0), _outer(rad, 1)))
+    cur = cur.reshape(-1, homk.dim)
     cur_rank = linalg.rank(cur, p) if cur.size else 0
+    cands = compose_chain(alg, _outer(hom, 1), _outer(idem, 0))
+    vecs = homk.coords(cands)
     kept = []
-    idem_maps = [_cmap_from_coords(end.homk, ic) for ic in end.struct.idempotents]
-    for j in range(len(cxs)):
-        for f in hom_maps:
-            cand = compose_chain(alg, f, idem_maps[j])
-            vec = homk.coords(cand)
-            stacked = np.vstack([cur, vec.reshape(1, -1)])
-            r = linalg.rank(stacked, p)
-            if r > cur_rank:
-                cur = stacked
-                cur_rank = r
-                kept.append((j, _restrict_cmap_rows(alg, cand, total, offsets,
-                                                    cxs, j, X)))
+    for j, f in np.ndindex(vecs.shape[:2]):
+        stacked = np.vstack([cur, vecs[j, f].reshape(1, -1)])
+        r = linalg.rank(stacked, p)
+        if r > cur_rank:
+            cur = stacked
+            cur_rank = r
+            cand = {k: t[j, f] for k, t in cands.items()}
+            kept.append((j, _restrict_cmap_rows(alg, cand, total, offsets,
+                                                cxs, j, X)))
     used = [j for j, _ in kept]
     tgt, s_offsets = direct_sum_cx([cxs[j] for j in used]) if used else (
         Cx(alg, {}, {}, check=False), [])

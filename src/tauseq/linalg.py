@@ -138,7 +138,8 @@ class SpanSolver:
     """Repeated membership/coordinate queries against a fixed row span.
 
     coords(v) returns c with c @ rows = v (coefficients in the original
-    generating rows), or None when v lies outside the span.
+    generating rows), or None when v lies outside the span.  Leading axes
+    of v are batch axes; then None means some vector lies outside.
     """
 
     def __init__(self, rows, p):
@@ -156,16 +157,13 @@ class SpanSolver:
         self.dim = len(piv_in)
 
     def coords(self, v):
-        v = asmod(v, self.p).copy()
-        p = self.p
-        y = np.zeros(self.dim, dtype=np.int64)
-        for i, c in enumerate(self.pivots):
-            if v[c]:
-                y[i] = v[c]
-                v = (v - v[c] * self.red[i]) % p
-        if np.any(v):
+        # red is in RREF, so the coefficients on its rows are v's values at
+        # the pivot columns
+        v = asmod(v, self.p)
+        y = v[..., self.pivots]
+        if ((y @ self.red) % self.p != v).any():
             return None
-        return (y @ self.tr) % p
+        return (y @ self.tr) % self.p
 
     def contains(self, v):
         return self.coords(v) is not None

@@ -211,14 +211,6 @@ def top_quotient(m):
     return quotient_module(m, radical_rows(m))
 
 
-def socle_rows(m):
-    rad = m.algebra.radical_rows()
-    if rad.shape[0] == 0 or m.dim == 0:
-        return np.eye(m.dim, dtype=np.int64)
-    stacked = np.vstack([m.act(r) for r in rad])
-    return linalg.kernel_basis(stacked, m.algebra.p)
-
-
 # ---------------------------------------------------------------------------
 # projectives, simples, injectives
 # ---------------------------------------------------------------------------
@@ -227,12 +219,9 @@ def socle_rows(m):
 def projective_module(algebra, i):
     """P_i = A e_i with left multiplication; remembers its basis inside A."""
     p = algebra.p
-    e = algebra.idempotents[i]
-    rows = []
     eye = np.eye(algebra.dim, dtype=np.int64)
-    for k in range(algebra.dim):
-        rows.append(algebra.multiply(eye[k], e))
-    basis = linalg.row_space(np.array(rows), p)
+    rows = algebra.right_mult_matrix(algebra.idempotents[i]).T  # b_k * e_i
+    basis = linalg.row_space(rows, p)
     k = basis.shape[0]
     bt = basis.T
     action = np.zeros((algebra.dim, k, k), dtype=np.int64)
@@ -260,38 +249,28 @@ def right_mult_module_map(pa, pb, x):
     """
     alg = pa.algebra
     p = alg.p
-    cols = []
-    for v in pa.amb_basis:
-        w = alg.multiply(v, x)
-        c = linalg.solve(pb.amb_basis.T, w, p)
-        if c is None:
-            raise DomainError("right multiplication leaves the target projective")
-        cols.append(c)
-    if cols:
-        mat = np.array(cols).T
-    else:
-        mat = np.zeros((pb.dim, 0), dtype=np.int64)
+    # column v holds the coordinates of amb_basis[v] * x in pb
+    imgs = (alg.right_mult_matrix(x) @ pa.amb_basis.T) % p
+    mat = linalg.solve_matrix(pb.amb_basis.T, imgs, p)
+    if mat is None:
+        raise DomainError("right multiplication leaves the target projective")
     return ModuleMap(pa, pb, mat)
 
 
 def injective_module(algebra, j):
     """I_j = dual of the right module e_j A, with the transpose action."""
     p = algebra.p
-    e = algebra.idempotents[j]
     eye = np.eye(algebra.dim, dtype=np.int64)
-    rows = [algebra.multiply(e, eye[k]) for k in range(algebra.dim)]
-    basis = linalg.row_space(np.array(rows), p)
+    rows = algebra.left_mult_matrix(algebra.idempotents[j]).T  # e_j * b_k
+    basis = linalg.row_space(rows, p)
     k = basis.shape[0]
     action = np.zeros((algebra.dim, k, k), dtype=np.int64)
     for i in range(algebra.dim):
-        cols = []
-        for w in basis:
-            img = algebra.multiply(w, eye[i])
-            c = linalg.solve(basis.T, img, p)
-            if c is None:
-                raise DomainError("e_j A is not closed under right multiplication")
-            cols.append(c)
-        r = np.array(cols).T if cols else np.zeros((k, k), dtype=np.int64)
+        # column w holds the coordinates of basis[w] * b_i
+        imgs = (algebra.right_mult_matrix(eye[i]) @ basis.T) % p
+        r = linalg.solve_matrix(basis.T, imgs, p)
+        if r is None:
+            raise DomainError("e_j A is not closed under right multiplication")
         action[i] = r.T % p
     return FdModule(algebra, action, check=False)
 
@@ -892,7 +871,13 @@ def parse_modules(text, qp, alg):
                 v, d = tok.rsplit(":", 1)
                 if v not in qp.vertices:
                     raise InputError(f"line {lineno}: unknown vertex {v!r}")
-                cur_dims[v] = int(d)
+                try:
+                    cur_dims[v] = int(d)
+                except ValueError:
+                    raise InputError(f"line {lineno}: dimension {d!r} is not "
+                                     f"an integer")
+                if cur_dims[v] < 0:
+                    raise InputError(f"line {lineno}: negative dimension {d}")
         elif kind == "arrow":
             if cur_name is None:
                 raise InputError(f"line {lineno}: arrow outside a module block")
@@ -907,8 +892,14 @@ def parse_modules(text, qp, alg):
                 mat = ast.literal_eval(mat_text.strip())
             except (ValueError, SyntaxError):
                 raise InputError(f"line {lineno}: cannot parse matrix")
-            cur_arrows[aname] = np.array(mat, dtype=np.int64) \
-                if mat else np.zeros((0, 0), dtype=np.int64)
+            try:
+                arr = np.array(mat) if mat else np.zeros((0, 0), dtype=np.int64)
+            except ValueError:  # ragged rows
+                arr = None
+            if arr is None or arr.dtype.kind != "i":
+                raise InputError(f"line {lineno}: matrix is not a "
+                                 f"rectangular array of 64-bit integers")
+            cur_arrows[aname] = arr.astype(np.int64)
         else:
             raise InputError(f"line {lineno}: unknown directive {kind!r}")
     flush()

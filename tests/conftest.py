@@ -3,9 +3,11 @@ files, and session-scoped root contexts (enumeration is the slow part)."""
 
 import pathlib
 
+import numpy as np
 import pytest
 
-from tauseq.algebra import parse_algebra
+from tauseq import linalg
+from tauseq.algebra import StructAlgebra, parse_algebra
 from tauseq.modules import parse_modules
 from tauseq.reduction import root_context
 
@@ -70,3 +72,20 @@ def item_of(root, mods, name):
     idx = root.registry.find(mods[name])
     assert idx is not None, name
     return ("m", idx)
+
+
+def rebased_algebra(alg, seed):
+    """alg in a random basis: dense structure constants, so many terms
+    share each pair (i, j) and each bin k."""
+    p = alg.p
+    rng = np.random.default_rng(seed)
+    ginv = None
+    while ginv is None:
+        g = rng.integers(0, p, (alg.dim, alg.dim))
+        ginv = linalg.inverse(g, p)
+    g, ginv = g.astype(object), ginv.astype(object)
+    mult = np.einsum("ia,jb,abk->ijk", g, g, alg.mult.astype(object)) % p
+    mult = np.einsum("ijk,kl->ijl", mult, ginv) % p
+    idem = (alg.idempotents.astype(object) @ ginv) % p
+    return StructAlgebra(p, alg.labels, mult.astype(np.int64),
+                         idem.astype(np.int64))

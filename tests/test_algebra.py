@@ -3,11 +3,23 @@
 import numpy as np
 import pytest
 
-from tauseq.algebra import (algebra_invariants, parse_algebra, parse_quiver,
-                            path_algebra, quotient_by_ideal,
+from conftest import rebased_algebra
+from tauseq.algebra import (StructAlgebra, algebra_invariants, parse_algebra,
+                            parse_quiver, path_algebra, quotient_by_ideal,
                             quotient_by_idempotent_ideal,
                             two_sided_ideal_rows)
+from tauseq.complexes import end_K, min_presentation
 from tauseq.errors import DomainError, InputError
+from tauseq.reduction import root_context
+
+
+def linear_quiver_text(n, rad_square_zero=False):
+    """Linear A_n, 1 -> 2 -> ... -> n, optionally with rad^2 = 0."""
+    lines = ["field 32003"] + [f"vertex {v}" for v in range(1, n + 1)]
+    lines += [f"arrow a{v} {v} {v + 1}" for v in range(1, n)]
+    if rad_square_zero:
+        lines += [f"rel a{v} a{v + 1}" for v in range(1, n - 1)]
+    return "\n".join(lines) + "\n"
 
 
 def test_invariants_of_the_three_examples(ex1, ex2, ex3):
@@ -105,3 +117,58 @@ def test_quotient_of_everything_is_rejected(ex1):
     rows = np.eye(alg.dim, dtype=np.int64)
     with pytest.raises(DomainError):
         quotient_by_ideal(alg, rows)
+
+
+# -- sparse structure constants against the dense einsum formulas ----------
+
+
+def _oracle_algebras(ex1, ex2, ex3):
+    _, alg3, mods3 = ex3
+    parts = [min_presentation(mods3[n]) for n in ("M", "N", "I2", "S2")]
+    return [ex1[1], ex2[1], alg3, rebased_algebra(alg3, 3),
+            parse_algebra(linear_quiver_text(5))[1],
+            parse_algebra(linear_quiver_text(4, rad_square_zero=True))[1],
+            end_K(parts)[0].struct]
+
+
+def test_products_match_the_dense_formulas(ex1, ex2, ex3):
+    rng = np.random.default_rng(11)
+    for alg in _oracle_algebras(ex1, ex2, ex3):
+        p, mult = alg.p, alg.mult
+        for _ in range(5):
+            x = rng.integers(0, p, alg.dim)
+            y = rng.integers(0, p, alg.dim)
+            xy = np.einsum("i,j,ijk->k", x, y, mult.astype(object)) % p
+            assert np.array_equal(alg.multiply(x, y), xy.astype(np.int64))
+            left = np.einsum("i,ijk->kj", x, mult) % p
+            right = np.einsum("j,ijk->ki", y, mult) % p
+            assert np.array_equal(alg.left_mult_matrix(x), left)
+            assert np.array_equal(alg.right_mult_matrix(y), right)
+
+
+def test_validation_rejects_a_non_associative_table():
+    # b0 = 1, b1 * b1 = b1 + b2, b2 * b1 = b2 and nothing else:
+    # (b1 b1) b1 = b1 + 2 b2 but b1 (b1 b1) = b1 + b2
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    for a in range(3):
+        mult[0, a, a] = mult[a, 0, a] = 1
+    mult[1, 1, 1] = mult[1, 1, 2] = 1
+    mult[2, 1, 2] = 1
+    with pytest.raises(DomainError, match="associative"):
+        StructAlgebra(7, ["b0", "b1", "b2"], mult, np.eye(3, dtype=np.int64)[:1])
+
+
+def test_root_context_multiplies_in_bulk(monkeypatch):
+    # a return to per-pair multiplication loops shows as thousands of calls
+    _, alg = parse_algebra(linear_quiver_text(3))
+    calls = [0]
+    dense = StructAlgebra.multiply
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return dense(self, x, y)
+
+    monkeypatch.setattr(StructAlgebra, "multiply", counted)
+    root = root_context(alg)
+    assert len(root.stt_objects) == 14
+    assert calls[0] <= 2000

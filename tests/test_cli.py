@@ -52,6 +52,21 @@ def test_exit_code_usage(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("body", [
+    "module S1\ndims 1:x\n",
+    "module S1\ndims 1:-1\n",
+    "module P1\ndims 1:2 2:1\narrow a = [[1, 2], [1]]\n",
+    "module P1\ndims 1:1 2:1\narrow a = [[1.5]]\n",
+], ids=["dims-not-integer", "dims-negative", "ragged-arrow-matrix",
+        "float-arrow-entry"])
+def test_exit_code_malformed_module_file(capsys, tmp_path, body):
+    path = tmp_path / "bad.mods"
+    path.write_text(body, encoding="utf-8")
+    code, out, err = run(capsys, ["tau", "--algebra", str(DATA / "ex1.alg"),
+                                  "--fixtures", str(path), "--module", "S1"])
+    assert code == 1 and out == "" and err.startswith("error: line ")
+
+
 def test_exit_code_unknown_name(capsys):
     code, out, err = run(capsys, ["tau", *_args("1"), "--module", "Z9"])
     assert code == 2 and err.startswith("error:")

@@ -6,13 +6,16 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import rebased_algebra
 from tauseq import linalg
-from tauseq.complexes import (Cx, HomK, compose_chain, cone, cx_to_pair,
-                              direct_sum_cx, ext1_dim, h0, hminus1,
+from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain, cone,
+                              cx_to_pair, direct_sum_cx, entry_compose,
+                              ext1_dim, h0, hminus1,
                               hom_K_dim, lift_map, min_left_approx_K,
                               min_presentation, min_right_approx_K,
                               pair_to_cx, proj_list, reduce_cx, shift_cx,
                               stalk_cx, tau, tensor_zeros)
+from tauseq.errors import DomainError
 from tauseq.modules import hom_dim, identity_map, is_iso
 
 TAU_TABLE = {
@@ -194,3 +197,66 @@ def test_exchange_triangle_for_a_generated_module(ex3):
     b, _, _ = h0(y)
     assert is_iso(b, mods["P2"])
     assert hminus1(y).dim == 0
+
+
+# -- batched kernels against the per-entry formulas -------------------------
+
+
+def _dense_multiply(alg, x, y):
+    return (np.einsum("i,j,ijk->k", x, y, alg.mult.astype(object))
+            % alg.p).astype(np.int64)
+
+
+def _random_corner_tensor(alg, src, tgt, rng):
+    """Entry (r, c) is e_{src[c]} * x * e_{tgt[r]} for a random x."""
+    t = tensor_zeros(alg, len(tgt), len(src))
+    for r, b in enumerate(tgt):
+        for c, a in enumerate(src):
+            x = rng.integers(0, alg.p, alg.dim)
+            ax = _dense_multiply(alg, alg.idempotents[a], x)
+            t[r, c] = _dense_multiply(alg, ax, alg.idempotents[b])
+    return t
+
+
+def _oracle_algebras(ex2, ex3):
+    return [ex2[1], ex3[1], rebased_algebra(ex3[1], 5)]
+
+
+VERTS = ([0, 1, 1], [1, 0], [0, 1, 0, 1])  # source, middle, target
+
+
+def test_entry_compose_matches_the_triple_loop(ex2, ex3):
+    rng = np.random.default_rng(17)
+    for alg in _oracle_algebras(ex2, ex3):
+        src, mid, tgt = VERTS
+        first = _random_corner_tensor(alg, src, mid, rng)
+        then = _random_corner_tensor(alg, mid, tgt, rng)
+        want = tensor_zeros(alg, len(tgt), len(src))
+        for s, c in itertools.product(range(len(tgt)), range(len(src))):
+            for r in range(len(mid)):
+                want[s, c] += _dense_multiply(alg, first[r, c], then[s, r])
+        assert np.any(want)
+        assert np.array_equal(entry_compose(alg, first, then), want % alg.p)
+
+
+def test_entry_space_coordinates_solve_each_corner(ex2, ex3):
+    rng = np.random.default_rng(19)
+    for alg in _oracle_algebras(ex2, ex3):
+        src, _, tgt = VERTS
+        es = EntrySpace(alg, src, tgt)
+        t = _random_corner_tensor(alg, src, tgt, rng)
+        vec = es.to_vec(t)
+        assert vec.shape == (es.dim,) and np.any(vec)
+        want = [linalg.solve(alg.corner(a, b)[0].T, t[r, c], alg.p)
+                for r, b in enumerate(tgt) for c, a in enumerate(src)]
+        assert np.array_equal(vec, np.concatenate(want))
+        assert np.array_equal(es.from_vec(vec), t)
+
+
+def test_entry_space_rejects_an_entry_outside_its_corner(ex3):
+    _, alg, _ = ex3
+    es = EntrySpace(alg, [0, 2], [1])
+    t = tensor_zeros(alg, 1, 2)
+    t[0, 1] = alg.idempotents[2]  # e_2 is not in e_2 A e_1
+    with pytest.raises(DomainError):
+        es.to_vec(t)

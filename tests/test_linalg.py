@@ -77,12 +77,17 @@ def test_span_solver_matches_membership(rows, coeffs):
     assert solver.contains(v)
     c = solver.coords(v)
     assert np.array_equal((np.asarray(c) @ rows) % P, v)
+    # a batch of vectors gives each vector's coordinates
+    w = (3 * v + rows[0]) % P
+    assert np.array_equal(solver.coords(np.stack([v, w])),
+                          np.stack([c, solver.coords(w)]))
 
 
 def test_span_solver_rejects_outside_vector():
     rows = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
     solver = linalg.SpanSolver(rows, P)
     assert solver.coords(np.array([0, 0, 1])) is None
+    assert solver.coords(np.array([[1, 0, 0], [0, 0, 1]])) is None
 
 
 def polys():
