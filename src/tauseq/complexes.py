@@ -9,8 +9,8 @@ first-applied entry on the left: phi_y . phi_x = phi_{x*y}.
 
 Provides Gaussian reduction to minimal complexes, cones and shifts, Hom
 spaces in the homotopy category (including shifted ones), endomorphism rings
-of two-term objects, minimal right approximations in the homotopy category,
-minimal projective presentations, the AR translate, and Ext^1.
+of two-term objects, minimal left and right approximations in the homotopy
+category, minimal projective presentations, the AR translate, and Ext^1.
 """
 
 import numpy as np
@@ -710,7 +710,8 @@ def lift_map(X, Y, g, h0X=None, h0Y=None):
 
 
 # ---------------------------------------------------------------------------
-# End rings and minimal right approximations in the homotopy category
+# End rings and minimal left and right approximations in the homotopy
+# category
 # ---------------------------------------------------------------------------
 
 
@@ -720,16 +721,6 @@ class EndKData:
         self.homk = homk
         self.struct = struct
         self.idem_coords = idem_coords
-
-
-def _identity_cmap(alg, cx):
-    out = {}
-    for k, verts in cx.comps.items():
-        t = tensor_zeros(alg, len(verts), len(verts))
-        for i, v in enumerate(verts):
-            t[i, i] = alg.idempotents[v]
-        out[k] = t
-    return out
 
 
 def _block_cmap(alg, total, offsets, cxs, j):
@@ -761,10 +752,11 @@ def end_K(cxs):
         # mult[i, j]: reps[i] first, then reps[j], for every j at once
         first = {k: t[i] for k, t in reps.items()}
         mult[i] = homk.coords(compose_chain(alg, first, reps))
-    unit = homk.coords(_identity_cmap(alg, total))
     idem = []
     for j in range(len(cxs)):
         idem.append(homk.coords(_block_cmap(alg, total, offsets, cxs, j)))
+    # the identity of the sum is the sum of its block idempotents
+    unit = np.sum(idem, axis=0) % p
     struct = StructAlgebra(p, [f"k{i}" for i in range(d)], mult,
                            np.array(idem), unit=unit, check=False)
     return EndKData(total, homk, struct, idem), offsets
@@ -780,138 +772,76 @@ def _outer(cmaps, axis):
     return {k: (t[:, None] if axis == 0 else t[None]) for k, t in cmaps.items()}
 
 
-def _restrict_cmap(alg, cmap, total, offsets, cxs, j, X):
-    """Restrict a chain map total -> X to block j."""
-    out = {}
+def _min_approx_K(X, cxs, right):
+    """Minimal right (sum -> X) or left (X -> sum) approximation of X by
+    sums of the given two-term complexes, inside the homotopy category.
+
+    Blocks are cut from tensors oriented as X <- sum; a left map's tensors
+    are transposed for that and transposed back at the end.
+    Returns (the sum, chain map dict, list of indices used).
+    """
+    alg = X.algebra
+    p = alg.p
+    empty = Cx(alg, {}, {}, check=False), {}, []
+    cxs = [c for c in cxs if c.total_summands()]
+    if not cxs:
+        return empty
+    (end, offsets) = end_K(cxs)
+    homk = HomK(end.total, X) if right else HomK(X, end.total)
+    if homk.dim == 0:
+        return empty
+
+    def compose(e, f):
+        # f after the End(sum) element e on the right side, e after f on
+        # the left side
+        return compose_chain(alg, e, f) if right else compose_chain(alg, f, e)
+
+    def turn(t):
+        return t if right else t.swapaxes(0, 1)
+
+    rad = _cmap_from_coords(end.homk, end.struct.radical_rows())
+    idem = _cmap_from_coords(end.homk, end.struct.idempotents)
+    hom = homk._split(homk.rep_vecs)
+    # every f composed with every r, and with each block idempotent
+    cur = homk.coords(compose(_outer(rad, 1), _outer(hom, 0)))
+    cur = cur.reshape(-1, homk.dim)
+    cur_rank = linalg.rank(cur, p) if cur.size else 0
+    cands = compose(_outer(idem, 0), _outer(hom, 1))
+    vecs = homk.coords(cands)
+    kept = []
+    for j, f in np.ndindex(vecs.shape[:2]):
+        stacked = np.vstack([cur, vecs[j, f].reshape(1, -1)])
+        r = linalg.rank(stacked, p)
+        if r > cur_rank:
+            cur = stacked
+            cur_rank = r
+            kept.append((j, f))
+    # kept is nonempty: Hom = Hom.rad would force Hom = 0 (Nakayama)
+    used = [j for j, _ in kept]
+    summ, s_offsets = direct_sum_cx([cxs[j] for j in used])
+    cmap = {}
     for k in (-1, 0):
-        rows = len(X.at(k))
-        cols = len(cxs[j].at(k))
-        t = tensor_zeros(alg, rows, cols)
-        if k in cxs[j].comps and k in cmap:
-            off = offsets[j][k]
-            t = cmap[k][:, off : off + cols].copy()
-        out[k] = t
-    return out
+        t = tensor_zeros(alg, len(X.at(k)), len(summ.at(k)))
+        for idx, (j, f) in enumerate(kept):
+            if k in cxs[j].comps:
+                n = len(cxs[j].at(k))
+                off, s_off = offsets[j][k], s_offsets[idx][k]
+                part = turn(cands[k][j, f])
+                t[:, s_off : s_off + n] = part[:, off : off + n]
+        cmap[k] = turn(t)
+    return summ, cmap, used
 
 
 def min_right_approx_K(cxs, X):
     """Minimal right approximation of X by sums of the given two-term
-    complexes, inside the homotopy category.
-
-    Returns (source complex, chain map dict, list of indices used).
-    """
-    alg = X.algebra
-    p = alg.p
-    cxs = [c for c in cxs if c.total_summands()]
-    if not cxs:
-        src = Cx(alg, {}, {}, check=False)
-        return src, {}, []
-    (end, offsets) = end_K(cxs)
-    total = end.total
-    homk = HomK(total, X)
-    if homk.dim == 0:
-        src = Cx(alg, {}, {}, check=False)
-        return src, {}, []
-    rad = _cmap_from_coords(end.homk, end.struct.radical_rows())
-    idem = _cmap_from_coords(end.homk, end.struct.idempotents)
-    hom = homk._split(homk.rep_vecs)
-    # f after r for every (f, r), and f after each block idempotent
-    cur = homk.coords(compose_chain(alg, _outer(rad, 1), _outer(hom, 0)))
-    cur = cur.reshape(-1, homk.dim)
-    cur_rank = linalg.rank(cur, p) if cur.size else 0
-    cands = compose_chain(alg, _outer(idem, 0), _outer(hom, 1))
-    vecs = homk.coords(cands)
-    kept = []
-    for j, f in np.ndindex(vecs.shape[:2]):
-        stacked = np.vstack([cur, vecs[j, f].reshape(1, -1)])
-        r = linalg.rank(stacked, p)
-        if r > cur_rank:
-            cur = stacked
-            cur_rank = r
-            cand = {k: t[j, f] for k, t in cands.items()}
-            kept.append((j, _restrict_cmap(alg, cand, total, offsets,
-                                           cxs, j, X)))
-    used = [j for j, _ in kept]
-    src, s_offsets = direct_sum_cx([cxs[j] for j in used]) if used else (
-        Cx(alg, {}, {}, check=False), [])
-    cmap = {}
-    for k in (-1, 0):
-        rows = len(X.at(k))
-        cols = len(src.at(k))
-        t = tensor_zeros(alg, rows, cols)
-        for idx, (j, part) in enumerate(kept):
-            if k in cxs[j].comps:
-                off = s_offsets[idx][k]
-                t[:, off : off + len(cxs[j].at(k))] = part[k]
-        cmap[k] = t
-    return src, cmap, used
-
-
-def _restrict_cmap_rows(alg, cmap, total, offsets, cxs, j, X):
-    """Restrict a chain map X -> total to block j of the target."""
-    out = {}
-    for k in (-1, 0):
-        rows = len(cxs[j].at(k))
-        cols = len(X.at(k))
-        t = tensor_zeros(alg, rows, cols)
-        if k in cxs[j].comps and k in cmap:
-            off = offsets[j][k]
-            t = cmap[k][off : off + rows, :].copy()
-        out[k] = t
-    return out
+    complexes: (source complex, chain map to X, list of indices used)."""
+    return _min_approx_K(X, cxs, right=True)
 
 
 def min_left_approx_K(X, cxs):
     """Minimal left approximation of X by sums of the given two-term
-    complexes, inside the homotopy category.
-
-    Returns (target complex, chain map dict, list of indices used).
-    """
-    alg = X.algebra
-    p = alg.p
-    cxs = [c for c in cxs if c.total_summands()]
-    if not cxs:
-        tgt = Cx(alg, {}, {}, check=False)
-        return tgt, {}, []
-    (end, offsets) = end_K(cxs)
-    total = end.total
-    homk = HomK(X, total)
-    if homk.dim == 0:
-        tgt = Cx(alg, {}, {}, check=False)
-        return tgt, {}, []
-    rad = _cmap_from_coords(end.homk, end.struct.radical_rows())
-    idem = _cmap_from_coords(end.homk, end.struct.idempotents)
-    hom = homk._split(homk.rep_vecs)
-    # r after f for every (f, r), and each block idempotent after f
-    cur = homk.coords(compose_chain(alg, _outer(hom, 0), _outer(rad, 1)))
-    cur = cur.reshape(-1, homk.dim)
-    cur_rank = linalg.rank(cur, p) if cur.size else 0
-    cands = compose_chain(alg, _outer(hom, 1), _outer(idem, 0))
-    vecs = homk.coords(cands)
-    kept = []
-    for j, f in np.ndindex(vecs.shape[:2]):
-        stacked = np.vstack([cur, vecs[j, f].reshape(1, -1)])
-        r = linalg.rank(stacked, p)
-        if r > cur_rank:
-            cur = stacked
-            cur_rank = r
-            cand = {k: t[j, f] for k, t in cands.items()}
-            kept.append((j, _restrict_cmap_rows(alg, cand, total, offsets,
-                                                cxs, j, X)))
-    used = [j for j, _ in kept]
-    tgt, s_offsets = direct_sum_cx([cxs[j] for j in used]) if used else (
-        Cx(alg, {}, {}, check=False), [])
-    cmap = {}
-    for k in (-1, 0):
-        rows = len(tgt.at(k))
-        cols = len(X.at(k))
-        t = tensor_zeros(alg, rows, cols)
-        for idx, (j, part) in enumerate(kept):
-            if k in cxs[j].comps:
-                off = s_offsets[idx][k]
-                t[off : off + len(cxs[j].at(k)), :] = part[k]
-        cmap[k] = t
-    return tgt, cmap, used
+    complexes: (target complex, chain map from X, list of indices used)."""
+    return _min_approx_K(X, cxs, right=False)
 
 
 # ---------------------------------------------------------------------------

@@ -383,14 +383,26 @@ def end_algebra(summands, vertex_labels=None):
     return EndData(total, mats, struct, solver, summands, embs, prs, idem_mats)
 
 
-def _frobenius_kernel_dim(struct):
-    p = struct.p
-    eye = np.eye(struct.dim, dtype=np.int64)
-    cols = []
-    for i in range(struct.dim):
-        cols.append(struct.power(eye[i], p))
+def _semisimple_top(struct):
+    """(struct / rad, the lift of its coordinates into struct or None when
+    the radical is zero, whether the quotient is commutative)."""
+    rad = struct.radical_rows()
+    if rad.shape[0]:
+        quo = quotient_by_ideal(struct, rad, check=False)
+        bar, lift = quo.algebra, quo.lift
+    else:
+        bar, lift = struct, None
+    return bar, lift, np.array_equal(bar.mult, bar.mult.transpose(1, 0, 2))
+
+
+def _frobenius_kernel(bar):
+    """Kernel of x -> x^p - x on a commutative semisimple algebra: its
+    dimension is the number of simple factors (Berlekamp)."""
+    p = bar.p
+    eye = np.eye(bar.dim, dtype=np.int64)
+    cols = [bar.power(eye[i], p) for i in range(bar.dim)]
     frob = np.array(cols).T % p
-    return linalg.kernel_basis((frob - eye) % p, p).shape[0]
+    return linalg.kernel_basis((frob - eye) % p, p)
 
 
 def is_local_endo(m):
@@ -403,15 +415,10 @@ def is_local_endo(m):
 
 
 def _struct_is_local(struct):
-    rad = struct.radical_rows()
-    if rad.shape[0]:
-        quo = quotient_by_ideal(struct, rad, check=False)
-        bar = quo.algebra
-    else:
-        bar = struct
-    if not np.array_equal(bar.mult, bar.mult.transpose(1, 0, 2)):
+    bar, _, commutative = _semisimple_top(struct)
+    if not commutative:
         return False  # noncommutative semisimple quotient: not a division ring
-    return _frobenius_kernel_dim(bar) == 1
+    return _frobenius_kernel(bar).shape[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +426,10 @@ def _struct_is_local(struct):
 # ---------------------------------------------------------------------------
 
 
-def _berlekamp_split_commutative(bar):
-    """A nontrivial idempotent of a commutative semisimple algebra."""
+def _berlekamp_split_commutative(bar, ker):
+    """A nontrivial idempotent of a commutative semisimple algebra, given
+    its Frobenius kernel."""
     p = bar.p
-    eye = np.eye(bar.dim, dtype=np.int64)
-    cols = [bar.power(eye[i], p) for i in range(bar.dim)]
-    frob = np.array(cols).T % p
-    ker = linalg.kernel_basis((frob - eye) % p, p)
     unit_solver = linalg.SpanSolver(bar.unit.reshape(1, -1), p)
     z = None
     for row in ker:
@@ -576,22 +580,15 @@ def _decompose_inner(m, rng):
     p = m.algebra.p
     mats = hom_basis(m, m)
     struct, solver = algebra_from_matrices(mats, p, opposite=True)
-    rad = struct.radical_rows()
-    if rad.shape[0]:
-        quo = quotient_by_ideal(struct, rad, check=False)
-        bar = quo.algebra
-        lift_to_struct = lambda v: (quo.lift @ v) % p
-    else:
-        bar = struct
-        lift_to_struct = lambda v: v
-    commutative = np.array_equal(bar.mult, bar.mult.transpose(1, 0, 2))
-    if commutative and _frobenius_kernel_dim(bar) == 1:
-        return [(m, identity_map(m))]
+    bar, lift, commutative = _semisimple_top(struct)
     if commutative:
-        ebar = _berlekamp_split_commutative(bar)
+        ker = _frobenius_kernel(bar)
+        if ker.shape[0] == 1:
+            return [(m, identity_map(m))]
+        ebar = _berlekamp_split_commutative(bar, ker)
     else:
         ebar = _find_idempotent_noncommutative(bar, rng)
-    e = _lift_idempotent(struct, lift_to_struct(ebar))
+    e = _lift_idempotent(struct, ebar if lift is None else (lift @ ebar) % p)
     emat = np.zeros_like(mats[0])
     for c, b in zip(e, mats):
         if c:
@@ -688,84 +685,56 @@ def in_gen(u, x):
 # ---------------------------------------------------------------------------
 
 
-def min_right_approx(u_summands, x):
-    """Minimal right add(⊕u_summands)-approximation of x.
+def _min_approx(x, u_summands, right):
+    """Minimal right (sum -> x) or left (x -> sum) add(⊕u_summands)-
+    approximation of x.
 
-    Returns (source module, ModuleMap alpha, list of summand indices used).
+    Maps are handled as matrices x <- sum: a left map is transposed, which
+    permutes the flattened entries of every candidate in the same way and
+    so changes no rank test, and the result is transposed back.
+    Returns (the sum, ModuleMap, list of summand indices used).
     """
     alg = x.algebra
     p = alg.p
     u_summands = [u for u in u_summands if u.dim]
-    if not u_summands:
-        src = zero_module(alg)
-        return src, ModuleMap(src, x, np.zeros((x.dim, 0), dtype=np.int64)), []
-    end = end_algebra(u_summands)
-    homs = hom_basis(end.module, x)
-    if not homs:
-        src = zero_module(alg)
-        return src, ModuleMap(src, x, np.zeros((x.dim, 0), dtype=np.int64)), []
-    rad_mats = end.radical_mats()
-    w_rows = [(h @ r).reshape(1, -1) % p for h in homs for r in rad_mats]
-    cur = np.vstack(w_rows) if w_rows else np.zeros((0, homs[0].size), dtype=np.int64)
-    cur_rank = linalg.rank(cur, p) if cur.size else 0
-    kept = []  # (summand index, map u_j -> x)
-    for j in range(len(u_summands)):
-        pj = end.idem_mats[j]
-        for h in homs:
-            cand = (h @ pj) % p
-            stacked = np.vstack([cur, cand.reshape(1, -1)])
-            r = linalg.rank(stacked, p)
-            if r > cur_rank:
-                cur = stacked
-                cur_rank = r
-                kept.append((j, (h @ end.embs[j]) % p))
+    kept = []  # (summand index, map x <- u_j)
+    if u_summands:
+        end = end_algebra(u_summands)
+        homs = hom_basis(end.module, x) if right else \
+            [h.T for h in hom_basis(x, end.module)]
+        rad_mats = [r if right else r.T for r in end.radical_mats()]
+        w_rows = [(h @ r).reshape(1, -1) % p for h in homs for r in rad_mats]
+        cur = np.vstack(w_rows) if w_rows else \
+            np.zeros((0, x.dim * end.module.dim), dtype=np.int64)
+        cur_rank = linalg.rank(cur, p) if cur.size else 0
+        for j in range(len(u_summands)):
+            pj = end.idem_mats[j]
+            for h in homs:
+                cand = (h @ pj) % p
+                stacked = np.vstack([cur, cand.reshape(1, -1)])
+                r = linalg.rank(stacked, p)
+                if r > cur_rank:
+                    cur = stacked
+                    cur_rank = r
+                    kept.append((j, (h @ end.embs[j]) % p))
     used = [j for j, _ in kept]
-    src, _, _ = direct_sum(alg, [u_summands[j] for j in used])
-    if kept:
-        mat = np.hstack([mp for _, mp in kept]) % p
-    else:
-        mat = np.zeros((x.dim, 0), dtype=np.int64)
-    return src, ModuleMap(src, x, mat), used
+    summ, _, _ = direct_sum(alg, [u_summands[j] for j in used])
+    mat = np.hstack([np.zeros((x.dim, 0), dtype=np.int64)] +
+                    [mp for _, mp in kept]) % p
+    return summ, (ModuleMap(summ, x, mat) if right else
+                  ModuleMap(x, summ, mat.T)), used
+
+
+def min_right_approx(u_summands, x):
+    """Minimal right add(⊕u_summands)-approximation of x: (source module,
+    ModuleMap alpha to x, list of summand indices used)."""
+    return _min_approx(x, u_summands, right=True)
 
 
 def min_left_approx(x, u_summands):
-    """Minimal left add(⊕u_summands)-approximation of x.
-
-    Returns (target module, ModuleMap beta, list of summand indices used).
-    """
-    alg = x.algebra
-    p = alg.p
-    u_summands = [u for u in u_summands if u.dim]
-    if not u_summands:
-        tgt = zero_module(alg)
-        return tgt, ModuleMap(x, tgt, np.zeros((0, x.dim), dtype=np.int64)), []
-    end = end_algebra(u_summands)
-    homs = hom_basis(x, end.module)
-    if not homs:
-        tgt = zero_module(alg)
-        return tgt, ModuleMap(x, tgt, np.zeros((0, x.dim), dtype=np.int64)), []
-    rad_mats = end.radical_mats()
-    w_rows = [(r @ h).reshape(1, -1) % p for h in homs for r in rad_mats]
-    cur = np.vstack(w_rows) if w_rows else np.zeros((0, homs[0].size), dtype=np.int64)
-    cur_rank = linalg.rank(cur, p) if cur.size else 0
-    kept = []
-    for j in range(len(u_summands)):
-        pj = end.idem_mats[j]
-        for h in homs:
-            cand = (pj @ h) % p
-            stacked = np.vstack([cur, cand.reshape(1, -1)])
-            r = linalg.rank(stacked, p)
-            if r > cur_rank:
-                cur = stacked
-                cur_rank = r
-                kept.append((j, (end.prs[j] @ h) % p))
-    used = [j for j, _ in kept]
-    tgt, _, _ = direct_sum(alg, [u_summands[j] for j in used])
-    if kept:
-        mat = np.vstack([mp for _, mp in kept]) % p
-    else:
-        mat = np.zeros((0, x.dim), dtype=np.int64)
-    return tgt, ModuleMap(x, tgt, mat), used
+    """Minimal left add(⊕u_summands)-approximation of x: (target module,
+    ModuleMap beta from x, list of summand indices used)."""
+    return _min_approx(x, u_summands, right=False)
 
 
 # ---------------------------------------------------------------------------

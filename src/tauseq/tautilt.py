@@ -175,30 +175,24 @@ def is_support_tau_rigid(objs):
         for j in range(i + 1, len(mods)):
             if is_iso(mods[i], mods[j]):
                 return False
-    if mods:
-        alg = mods[0].algebra
-        total, _, _ = direct_sum(alg, mods)
-        if hom_dim(total, cxs.tau(total)) != 0:
-            return False
-        for v in verts:
-            if hom_dim(cxs.proj_list(alg)[v], total) != 0:
-                return False
-    return True
+    return _sum_tau_rigid(mods, verts)
 
 
 def _items_support_tau_rigid(reg, items):
-    mods = [reg.module(i) for k, i in items if k == "m"]
-    verts = [v for k, v in items if k == "p"]
+    return _sum_tau_rigid([reg.module(i) for k, i in items if k == "m"],
+                          [v for k, v in items if k == "p"])
+
+
+def _sum_tau_rigid(mods, verts):
+    """Hom(M, tau M) = 0 and Hom(P_v, M) = 0 for each v, M the direct sum of
+    mods; true when there are no modules."""
     if not mods:
         return True
-    alg = reg.alg
+    alg = mods[0].algebra
     total, _, _ = direct_sum(alg, mods)
     if hom_dim(total, cxs.tau(total)) != 0:
         return False
-    for v in verts:
-        if hom_dim(cxs.proj_list(alg)[v], total) != 0:
-            return False
-    return True
+    return all(hom_dim(cxs.proj_list(alg)[v], total) == 0 for v in verts)
 
 
 # ---------------------------------------------------------------------------

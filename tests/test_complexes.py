@@ -158,32 +158,54 @@ def test_pair_complex_round_trip(ex3):
 
 
 def test_min_right_approx_K_covers_all_homs(ex3):
-    # every map from a summand of u to x factors through the approximation
+    # every map from a summand of u to x factors through the approximation;
+    # for N by S1 + P2 it uses block 1 twice, placed after block 0 is dropped
     _, alg, mods = ex3
-    u_parts = [min_presentation(mods["P1"]), min_presentation(mods["P2"])]
-    x = min_presentation(mods["N"])
-    src, alpha, _ = min_right_approx_K(u_parts, x)
-    for u in u_parts:
-        homk = HomK(u, x)
-        gs = HomK(u, src)
-        rows = [homk.coords(compose_chain(alg, gs.rep_tensor(i), alpha))
-                for i in range(gs.dim)]
-        got = linalg.rank(np.array(rows), alg.p) if rows else 0
-        assert got == homk.dim
+    for x_name, u_names, want in (("N", ["P1", "P2"], [0, 1]),
+                                  ("N", ["S1", "P2"], [1, 1])):
+        u_parts = [min_presentation(mods[n]) for n in u_names]
+        x = min_presentation(mods[x_name])
+        src, alpha, used = min_right_approx_K(u_parts, x)
+        assert used == want
+        for u in u_parts:
+            homk = HomK(u, x)
+            gs = HomK(u, src)
+            rows = [homk.coords(compose_chain(alg, gs.rep_tensor(i), alpha))
+                    for i in range(gs.dim)]
+            got = linalg.rank(np.array(rows), alg.p) if rows else 0
+            assert got == homk.dim
 
 
 def test_min_left_approx_K_covers_all_homs(ex3):
     _, alg, mods = ex3
-    x = min_presentation(mods["S2"])
-    u_parts = [min_presentation(mods["P1"]), min_presentation(mods["M"])]
-    tgt, beta, _ = min_left_approx_K(x, u_parts)
-    for u in u_parts:
-        homk = HomK(x, u)
-        gs = HomK(tgt, u)
-        rows = [homk.coords(compose_chain(alg, beta, gs.rep_tensor(i)))
-                for i in range(gs.dim)]
-        got = linalg.rank(np.array(rows), alg.p) if rows else 0
-        assert got == homk.dim
+    for x_name, u_names, want in (("S2", ["P1", "M"], [0]),
+                                  ("S3", ["P1", "P2"], [0, 1]),
+                                  ("N", ["S1", "I2"], [1, 1])):
+        x = min_presentation(mods[x_name])
+        u_parts = [min_presentation(mods[n]) for n in u_names]
+        tgt, beta, used = min_left_approx_K(x, u_parts)
+        assert used == want
+        for u in u_parts:
+            homk = HomK(x, u)
+            gs = HomK(tgt, u)
+            rows = [homk.coords(compose_chain(alg, beta, gs.rep_tensor(i)))
+                    for i in range(gs.dim)]
+            got = linalg.rank(np.array(rows), alg.p) if rows else 0
+            assert got == homk.dim
+
+
+def test_min_approx_K_by_nothing_is_empty(ex3):
+    # no nonzero summand, or no chain map either way (P1 in degree 0, the
+    # shift of P1 in degree -1): both sides give the empty approximation
+    _, alg, mods = ex3
+    x = stalk_cx(alg, [0], degree=-1)
+    p1 = min_presentation(mods["P1"])
+    assert HomK(p1, x).dim == 0 and HomK(x, p1).dim == 0
+    for u_parts in ([], [Cx(alg, {}, {})], [p1]):
+        for summ, cmap, used in (min_right_approx_K(u_parts, x),
+                                 min_left_approx_K(x, u_parts)):
+            assert summ.comps == {} and summ.diffs == {}
+            assert cmap == {} and used == []
 
 
 def test_exchange_triangle_for_a_generated_module(ex3):

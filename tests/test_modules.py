@@ -185,6 +185,20 @@ def test_min_left_approx_oracles(ex1):
     assert is_iso(tgt, mods["P1"])
 
 
+def test_min_approx_by_nothing_is_the_zero_map(ex3):
+    # no nonzero summand, or no map either way between S1 and S2
+    alg, mods = ex3[1], ex3[2]
+    x = mods["S1"]
+    assert hom_dim(mods["S2"], x) == 0 and hom_dim(x, mods["S2"]) == 0
+    for us in ([], [zero_module(alg)], [mods["S2"]]):
+        src, alpha, used = min_right_approx(us, x)
+        assert (src.dim, alpha.source, alpha.target) == (0, src, x)
+        assert alpha.matrix.shape == (x.dim, 0) and used == []
+        tgt, beta, used = min_left_approx(x, us)
+        assert (tgt.dim, beta.source, beta.target) == (0, x, tgt)
+        assert beta.matrix.shape == (0, x.dim) and used == []
+
+
 def test_min_right_approx_is_epi_onto_trace(ex3):
     mods = ex3[2]
     u, x = mods["P1"], mods["M"]
