@@ -262,17 +262,8 @@ class StructAlgebra:
         """Idempotents plus a lift of rad/rad^2; they generate the algebra."""
         if self._gens is None:
             rad = self.radical_rows()
-            rows = list(self._radical_products())
-            gens = []
-            cur_rank = linalg.rank(np.array(rows), self.p) if rows else 0
-            for r in rad:
-                rows.append(r)
-                new_rank = linalg.rank(np.array(rows), self.p)
-                if new_rank > cur_rank:
-                    gens.append(r)
-                    cur_rank = new_rank
-                else:
-                    rows.pop()
+            keep = linalg.extend_basis(self._radical_products(), rad, self.p)
+            gens = [rad[i] for i in keep]
             self._gens = [self.idempotents[i]
                           for i in range(self.idempotents.shape[0])] + gens
         return self._gens

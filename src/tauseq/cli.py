@@ -17,8 +17,7 @@ from . import reduction as red
 from . import sequences as seqs
 from .algebra import algebra_invariants, parse_algebra
 from .errors import DomainError, InputError, TauseqError
-from .modules import (decompose_grouped, injective_module, parse_modules,
-                      simple_module)
+from .modules import decompose_grouped, parse_modules, simple_module
 from .tautilt import (Registry, bongartz, cobongartz,
                       complement_correspondence, item_sort_key)
 
@@ -207,21 +206,11 @@ def cmd_indec_tau_rigid(ws, args):
 
 
 def cmd_st_pairs(ws, args):
-    import itertools
-
     root = ws.root
     n = ws.alg.idempotents.shape[0]
     t = args.length if args.length is not None else n
-    if args.ordered:
-        tuples = seqs.enumerate_ordered(root, t)
-    else:
-        if not 1 <= t <= n:
-            raise DomainError(f"length {t} is outside 1..{n}")
-        subsets = set()
-        for obj in root.stt_objects:
-            subsets.update(itertools.combinations(obj, t))
-        tuples = sorted(subsets,
-                        key=lambda s: [item_sort_key(i) for i in s])
+    enum = seqs.enumerate_ordered if args.ordered else seqs.enumerate_unordered
+    tuples = enum(root, t)
     reg = root.registry
     rows = [(",".join(reg.display_item(i) for i in tup),) for tup in tuples]
     payload = {"length": t, "ordered": bool(args.ordered),

@@ -74,9 +74,6 @@ class Cx:
     def is_two_term(self):
         return all(k in (-1, 0) for k in self.support())
 
-    def is_stalk(self, degree):
-        return all(k == degree for k in self.support())
-
     def total_summands(self):
         return sum(len(v) for v in self.comps.values())
 
@@ -403,19 +400,8 @@ class HomK:
                 [self.es0.to_vec(entry_compose(alg, h, dY)),
                  self.esm.to_vec(entry_compose(alg, dX, h))], axis=1)
         hspan = linalg.row_space(hstack, p)
-        cur = hspan
-        cur_rank = cur.shape[0]
-        reps = []
-        for row in zrows:
-            stacked = np.vstack([cur, row.reshape(1, -1)])
-            r = linalg.rank(stacked, p)
-            if r > cur_rank:
-                cur = stacked
-                cur_rank = r
-                reps.append(row)
         self.h_count = hspan.shape[0]
-        self.rep_vecs = np.array(reps, dtype=np.int64) if reps else \
-            np.zeros((0, total), dtype=np.int64)
+        self.rep_vecs = zrows[linalg.extend_basis(hspan, zrows, p)]
         self._solver = linalg.SpanSolver(
             np.vstack([hspan, self.rep_vecs]) if total else
             np.zeros((0, 0), dtype=np.int64), p)
@@ -803,19 +789,11 @@ def _min_approx_K(X, cxs, right):
     idem = _cmap_from_coords(end.homk, end.struct.idempotents)
     hom = homk._split(homk.rep_vecs)
     # every f composed with every r, and with each block idempotent
-    cur = homk.coords(compose(_outer(rad, 1), _outer(hom, 0)))
-    cur = cur.reshape(-1, homk.dim)
-    cur_rank = linalg.rank(cur, p) if cur.size else 0
+    rad_vecs = homk.coords(compose(_outer(rad, 1), _outer(hom, 0)))
     cands = compose(_outer(idem, 0), _outer(hom, 1))
     vecs = homk.coords(cands)
-    kept = []
-    for j, f in np.ndindex(vecs.shape[:2]):
-        stacked = np.vstack([cur, vecs[j, f].reshape(1, -1)])
-        r = linalg.rank(stacked, p)
-        if r > cur_rank:
-            cur = stacked
-            cur_rank = r
-            kept.append((j, f))
+    kept = [np.unravel_index(i, vecs.shape[:2]) for i in linalg.extend_basis(
+        rad_vecs.reshape(-1, homk.dim), vecs.reshape(-1, homk.dim), p)]
     # kept is nonempty: Hom = Hom.rad would force Hom = 0 (Nakayama)
     used = [j for j, _ in kept]
     summ, s_offsets = direct_sum_cx([cxs[j] for j in used])

@@ -73,6 +73,21 @@ def rank(a, p):
     return len(rref(a, p)[1])
 
 
+def extend_basis(base, cands, p):
+    """Indices of the candidate rows outside the span of the base rows and
+    of the candidates before them (a greedy basis extension).
+
+    Column c of an RREF is a pivot exactly when it lies outside the span of
+    the columns before it, so these are the pivots of the stacked rows'
+    transpose that fall among the candidates.
+    """
+    nb = base.shape[0]
+    if not len(cands):
+        return []
+    _, piv = rref(np.vstack([base, cands]).T, p)
+    return [c - nb for c in piv if c >= nb]
+
+
 def row_space(a, p):
     """Canonical (RREF) basis of the row space, as rows."""
     a = asmod(a, p)
@@ -210,6 +225,14 @@ def poly_mul(f, g, p):
     return poly_trim(out)
 
 
+def poly_sub(f, g, p):
+    n = max(f.shape[0], g.shape[0])
+    out = np.zeros(n, dtype=np.int64)
+    out[: f.shape[0]] = f
+    out[: g.shape[0]] = (out[: g.shape[0]] - g) % p
+    return out % p
+
+
 def poly_divmod(f, g, p):
     f = poly_trim(asmod(f, p))
     g = poly_trim(asmod(g, p))
@@ -249,20 +272,12 @@ def poly_ext_gcd(f, g, p):
     while not poly_is_zero(r1):
         q, r = poly_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, poly_trim((_poly_sub(s0, poly_mul(q, s1, p), p)))
-        t0, t1 = t1, poly_trim((_poly_sub(t0, poly_mul(q, t1, p), p)))
+        s0, s1 = s1, poly_trim((poly_sub(s0, poly_mul(q, s1, p), p)))
+        t0, t1 = t1, poly_trim((poly_sub(t0, poly_mul(q, t1, p), p)))
     if poly_is_zero(r0):
         return r0, s0, t0
     lead_inv = pow(int(r0[-1]), -1, p)
     return (r0 * lead_inv) % p, (s0 * lead_inv) % p, (t0 * lead_inv) % p
-
-
-def _poly_sub(f, g, p):
-    n = max(f.shape[0], g.shape[0])
-    out = np.zeros(n, dtype=np.int64)
-    out[: f.shape[0]] = f
-    out[: g.shape[0]] = (out[: g.shape[0]] - g) % p
-    return out % p
 
 
 def poly_pow_mod(f, e, g, p):

@@ -61,9 +61,6 @@ class FdModule:
             self._vdims = tuple(dims)
         return self._vdims
 
-    def is_zero(self):
-        return self.dim == 0
-
 
 class ModuleMap:
     """A homomorphism of modules; matrix is (target.dim, source.dim)."""
@@ -103,9 +100,6 @@ class ModuleMap:
 
     def is_injective(self):
         return self.rank() == self.source.dim
-
-    def is_surjective(self):
-        return self.rank() == self.target.dim
 
 
 def zero_module(algebra):
@@ -232,7 +226,6 @@ def projective_module(algebra, i):
             raise DomainError("A e_i is not closed under left multiplication")
         action[j] = sol
     out = FdModule(algebra, action, check=False)
-    out.proj_index = i
     out.amb_basis = basis
     return out
 
@@ -517,7 +510,7 @@ def _ddf_smallest_factor(s, p, rng):
         if linalg.poly_deg(rem) == d:
             return rem
         t = linalg.poly_pow_mod(t, p, rem, p)
-        diff = linalg.poly_trim((_sub_poly(t, x, p)))
+        diff = linalg.poly_trim((linalg.poly_sub(t, x, p)))
         g = linalg.poly_gcd(diff, rem, p)
         if linalg.poly_deg(g) >= 1:
             if linalg.poly_deg(g) == d:
@@ -525,14 +518,6 @@ def _ddf_smallest_factor(s, p, rng):
             return _equal_degree_split(g, d, p, rng)
         # no factor of this degree; continue with rem unchanged
     return None
-
-
-def _sub_poly(f, g, p):
-    n = max(f.shape[0], g.shape[0])
-    out = np.zeros(n, dtype=np.int64)
-    out[: f.shape[0]] = f
-    out[: g.shape[0]] = (out[: g.shape[0]] - g) % p
-    return out % p
 
 
 def _equal_degree_split(h, d, p, rng):
@@ -547,7 +532,7 @@ def _equal_degree_split(h, d, p, rng):
         if linalg.poly_deg(a) < 1:
             continue
         b = linalg.poly_pow_mod(a, e, h, p)
-        b = _sub_poly(b, np.array([1], dtype=np.int64), p)
+        b = linalg.poly_sub(b, np.array([1], dtype=np.int64), p)
         g = linalg.poly_gcd(b, h, p)
         if 0 < linalg.poly_deg(g) < linalg.poly_deg(h):
             part = g if linalg.poly_deg(g) <= linalg.poly_deg(h) - linalg.poly_deg(g) \
@@ -703,20 +688,14 @@ def _min_approx(x, u_summands, right):
         homs = hom_basis(end.module, x) if right else \
             [h.T for h in hom_basis(x, end.module)]
         rad_mats = [r if right else r.T for r in end.radical_mats()]
-        w_rows = [(h @ r).reshape(1, -1) % p for h in homs for r in rad_mats]
-        cur = np.vstack(w_rows) if w_rows else \
-            np.zeros((0, x.dim * end.module.dim), dtype=np.int64)
-        cur_rank = linalg.rank(cur, p) if cur.size else 0
-        for j in range(len(u_summands)):
-            pj = end.idem_mats[j]
-            for h in homs:
-                cand = (h @ pj) % p
-                stacked = np.vstack([cur, cand.reshape(1, -1)])
-                r = linalg.rank(stacked, p)
-                if r > cur_rank:
-                    cur = stacked
-                    cur_rank = r
-                    kept.append((j, (h @ end.embs[j]) % p))
+        width = x.dim * end.module.dim
+        w_rows = [(h @ r) % p for h in homs for r in rad_mats]
+        cands = [(h @ pj) % p for pj in end.idem_mats for h in homs]
+        new = linalg.extend_basis(
+            np.array(w_rows, dtype=np.int64).reshape(len(w_rows), width),
+            np.array(cands, dtype=np.int64).reshape(len(cands), width), p)
+        for j, f in (divmod(i, len(homs)) for i in new):
+            kept.append((j, (homs[f] @ end.embs[j]) % p))
     used = [j for j, _ in kept]
     summ, _, _ = direct_sum(alg, [u_summands[j] for j in used])
     mat = np.hstack([np.zeros((x.dim, 0), dtype=np.int64)] +

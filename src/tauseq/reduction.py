@@ -19,8 +19,7 @@ from .errors import DomainError
 from .modules import (FdModule, decompose_grouped, end_algebra, hom_basis,
                       hom_dim, in_gen, is_iso, min_left_approx,
                       torsion_free_quotient, zero_module)
-from .tautilt import (Registry, SignedObject, _items_support_tau_rigid,
-                      bongartz, indec_tau_rigid_items, item_sort_key)
+from .tautilt import Registry, SignedObject, bongartz, indec_tau_rigid_items
 
 
 def j_membership(u, x):
@@ -57,9 +56,6 @@ class ReducedObject:
         self.gamma_item = gamma_item
         self.root_module = root_module
 
-    def gamma_signed(self, ctx):
-        return ctx.registry.item_signed(self.gamma_item)
-
 
 class WideContext:
     """One node of a reduction chain.
@@ -88,9 +84,6 @@ class WideContext:
     @property
     def is_root(self):
         return self.reducer_item is None
-
-    def parent_registry(self):
-        return self.parent.registry if self.parent is not None else None
 
     def child(self, reducer_item):
         if reducer_item not in self._children:
@@ -149,12 +142,6 @@ def _find_proj_vertex(alg, m):
                       "projective")
 
 
-def _compatible(ctx, x_item, u_item):
-    if x_item == u_item:
-        return False
-    return _items_support_tau_rigid(ctx.registry, [x_item, u_item])
-
-
 def _build_context(parent, reducer_item):
     a = parent.gamma
     preg = parent.registry
@@ -190,10 +177,9 @@ def _build_context(parent, reducer_item):
     if gamma.idempotents.shape[0] != n_parent - 1:
         raise DomainError("reduction did not drop exactly one vertex")
     for x_item in parent.level_items:
-        if not _compatible(parent, x_item, reducer_item):
-            continue
-        red = _reduce_item(ctx, x_item)
-        ctx.records.append({"parent": x_item, "reduced": red})
+        if x_item != reducer_item and preg.compatible(x_item, reducer_item):
+            ctx.records.append({"parent": x_item,
+                                "reduced": _reduce_item(ctx, x_item)})
     ctx.level_items = [r["reduced"].gamma_item for r in ctx.records]
     if len(set(ctx.level_items)) != len(ctx.level_items):
         raise DomainError("reduction produced a repeated level item")

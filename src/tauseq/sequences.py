@@ -151,9 +151,13 @@ def _validate(ctx, pairs, total):
     return _validate(child, lifted, total)
 
 
-def enumerate_ordered(root, t):
-    """All ordered support tau-rigid objects of length t, as item tuples in
-    lexicographic registry order."""
+def _tuple_key(tup):
+    return [item_sort_key(it) for it in tup]
+
+
+def enumerate_unordered(root, t):
+    """All support tau-rigid objects with t summands, as sorted item tuples
+    in lexicographic registry order."""
     root = _as_root(root)
     n = root.gamma.idempotents.shape[0]
     if not 1 <= t <= n:
@@ -161,10 +165,15 @@ def enumerate_ordered(root, t):
     subsets = set()
     for obj in root.stt_objects:
         subsets.update(itertools.combinations(obj, t))
-    out = []
-    for sub in subsets:
-        out.extend(itertools.permutations(sub))
-    out.sort(key=lambda tup: [item_sort_key(it) for it in tup])
+    return sorted(subsets, key=_tuple_key)
+
+
+def enumerate_ordered(root, t):
+    """All ordered support tau-rigid objects of length t, as item tuples in
+    lexicographic registry order."""
+    out = [perm for sub in enumerate_unordered(root, t)
+           for perm in itertools.permutations(sub)]
+    out.sort(key=_tuple_key)
     return out
 
 

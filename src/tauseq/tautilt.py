@@ -7,13 +7,11 @@ a summand is an item ('m', registry id) or ('p', vertex index), and an object
 is a tuple of items (sorted for the unordered form).
 """
 
-import numpy as np
-
 from . import complexes as cxs
 from .errors import CapExceededError, DomainError
-from .modules import (decompose_grouped, direct_sum, hom_basis, hom_dim,
-                      in_gen, is_iso, is_local_endo, min_left_approx,
-                      quotient_module, simple_module, zero_module)
+from .modules import (decompose_grouped, hom_dim, in_gen, is_iso,
+                      is_local_endo, min_left_approx, quotient_module,
+                      simple_module, zero_module)
 
 
 class SignedObject:
@@ -42,7 +40,7 @@ class Registry:
         self._buckets = {}
         self._tau = {}
         self._pres = {}
-        self._named_eponyms = False
+        self._compat = {}
 
     def __len__(self):
         return len(self.mods)
@@ -93,6 +91,22 @@ class Registry:
         if idx not in self._tau:
             self._tau[idx] = cxs.tau(self.mods[idx])
         return self._tau[idx]
+
+    def compatible(self, a, b):
+        """Is the sum of items a and b support tau-rigid?  For a == b: is a
+        alone.  Cached per unordered pair; registers nothing."""
+        key = canonical((a, b))
+        if key not in self._compat:
+            (ka, va), (kb, vb) = key
+            if ka == "p":
+                ok = True
+            elif kb == "p":
+                ok = hom_dim(cxs.proj_list(self.alg)[vb], self.mods[va]) == 0
+            else:
+                ok = hom_dim(self.mods[va], self.tau(vb)) == 0 and (
+                    va == vb or hom_dim(self.mods[vb], self.tau(va)) == 0)
+            self._compat[key] = ok
+        return self._compat[key]
 
     def pres(self, idx):
         if idx not in self._pres:
@@ -163,6 +177,8 @@ def is_support_tau_rigid(objs):
 
     Modules M must satisfy Hom(M, tau M') = 0 for all module summands M'
     (including themselves); shifted projectives P[1] need Hom(P, M') = 0.
+    Both conditions are pairwise (tau and Hom are additive), so they are
+    asked of a throwaway registry.
     """
     mods = [o.module for o in objs if not o.is_shift]
     verts = [o.vertex for o in objs if o.is_shift]
@@ -175,24 +191,18 @@ def is_support_tau_rigid(objs):
         for j in range(i + 1, len(mods)):
             if is_iso(mods[i], mods[j]):
                 return False
-    return _sum_tau_rigid(mods, verts)
+    if not mods:
+        return True
+    reg = Registry(mods[0].algebra)
+    items = [("m", reg.add(m, name="")) for m in mods]
+    return _items_support_tau_rigid(reg, items + [("p", v) for v in verts])
 
 
 def _items_support_tau_rigid(reg, items):
-    return _sum_tau_rigid([reg.module(i) for k, i in items if k == "m"],
-                          [v for k, v in items if k == "p"])
-
-
-def _sum_tau_rigid(mods, verts):
-    """Hom(M, tau M) = 0 and Hom(P_v, M) = 0 for each v, M the direct sum of
-    mods; true when there are no modules."""
-    if not mods:
-        return True
-    alg = mods[0].algebra
-    total, _, _ = direct_sum(alg, mods)
-    if hom_dim(total, cxs.tau(total)) != 0:
-        return False
-    return all(hom_dim(cxs.proj_list(alg)[v], total) == 0 for v in verts)
+    """Every pair of items, each item with itself included, is
+    compatible."""
+    return all(reg.compatible(a, b)
+               for i, a in enumerate(items) for b in items[i:])
 
 
 # ---------------------------------------------------------------------------
@@ -305,32 +315,20 @@ def cobongartz(reg, u):
     """(C ids, Q vertex list) for a tau-rigid module u.
 
     C collects the registry indecomposables X outside add(u) with X in
-    Gen u and X + u tau-rigid; Q the projectives with Hom(P, u) = 0.
-    The registry must already hold every tau-rigid indecomposable (run
-    enumerate_support_tau_tilting first).
+    Gen u and X + u tau-rigid; Q the vertices v with P_v[1] compatible with
+    every summand of u, i.e. Hom(P_v, u) = 0.  The registry must already
+    hold every tau-rigid indecomposable (run enumerate_support_tau_tilting
+    first).
     """
-    alg = reg.alg
     if not is_tau_rigid(u):
         raise DomainError("cobongartz requires a tau-rigid module")
-    u_ids = set(_u_indec_ids(reg, u))
-    tau_u = cxs.tau(u) if u.dim else zero_module(alg)
-    c_ids = []
-    for idx in range(len(reg)):
-        if idx in u_ids:
-            continue
-        x = reg.module(idx)
-        if not in_gen(u, x):
-            continue
-        if hom_dim(x, tau_u) != 0:
-            continue
-        if u.dim and hom_dim(u, reg.tau(idx)) != 0:
-            continue
-        if hom_dim(x, reg.tau(idx)) != 0:
-            continue
-        c_ids.append(idx)
-    n = alg.idempotents.shape[0]
+    u_items = [("m", i) for i in _u_indec_ids(reg, u)]
+    c_ids = [idx for idx in range(len(reg))
+             if ("m", idx) not in u_items and in_gen(u, reg.module(idx))
+             and _items_support_tau_rigid(reg, u_items + [("m", idx)])]
+    n = reg.alg.idempotents.shape[0]
     q = [v for v in range(n)
-         if u.dim == 0 or hom_dim(cxs.proj_list(alg)[v], u) == 0]
+         if all(reg.compatible(("p", v), it) for it in u_items)]
     return c_ids, q
 
 

@@ -113,6 +113,12 @@ def test_st_pairs_counts(capsys):
     code, out, _ = run(capsys, ["st-pairs", *_args("2"), "--ordered",
                                 "--format", "json"])
     assert json.loads(out)["total"] == 12
+    for length in ("0", "4"):
+        for ordered in ([], ["--ordered"]):
+            code, out, err = run(capsys, ["st-pairs", *_args("3"), *ordered,
+                                          "--length", length])
+            assert code == 2 and out == ""
+            assert err == f"error: length {length} is outside 1..3\n"
 
 
 def test_bongartz_and_correspond(capsys):

@@ -37,6 +37,39 @@ def test_rref_pivots_match_rank_and_row_space_is_stable(a):
     assert np.array_equal(linalg.row_space(rs, P), rs)
 
 
+def _extend_by_rank(base, cands):
+    """Keep each candidate that raises the rank of everything kept so far."""
+    cur, kept = base, []
+    for i, row in enumerate(cands):
+        stacked = np.vstack([cur, row[None]])
+        if linalg.rank(stacked, P) > linalg.rank(cur, P):
+            cur = stacked
+            kept.append(i)
+    return kept
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 3), st.integers(0, 5), st.integers(0, 4), st.data())
+def test_extend_basis_matches_rank_per_candidate(nb, nc, width, data):
+    elems = st.sampled_from([0, 1, 2, P - 1])
+    base = data.draw(arrays(np.int64, (nb, width), elements=elems))
+    cands = data.draw(arrays(np.int64, (nc, width), elements=elems))
+    assert linalg.extend_basis(base, cands, P) == _extend_by_rank(base, cands)
+
+
+@pytest.mark.parametrize("base,cands,want", [
+    (np.zeros((0, 2)), [[1, 2], [2, 4], [0, 1]], [0, 2]),  # empty base
+    ([[1, 0, 0]], np.zeros((0, 3)), []),                   # no candidates
+    ([[1, 0]], [[0, 0], [2, 0], [0, 5]], [2]),             # zero rows
+    (np.zeros((2, 0)), np.zeros((3, 0)), []),              # width 0
+])
+def test_extend_basis_edge_shapes(base, cands, want):
+    base = np.array(base, dtype=np.int64)
+    cands = np.array(cands, dtype=np.int64)
+    assert linalg.extend_basis(base, cands, P) == want
+    assert _extend_by_rank(base, cands) == want
+
+
 @settings(max_examples=60)
 @given(mats(4, 5))
 def test_rank_nullity(a):

@@ -12,7 +12,9 @@ from tauseq.errors import CapExceededError, DomainError
 from tauseq.modules import (decompose_grouped, direct_sum, hom_basis,
                             hom_dim, in_gen, is_iso, min_left_approx,
                             min_right_approx, submodule)
-from tauseq.tautilt import (bongartz, canonical, cobongartz,
+from tauseq.reduction import _find_proj_vertex
+from tauseq.tautilt import (Registry, SignedObject, _items_support_tau_rigid,
+                            bongartz, canonical, cobongartz,
                             complement_correspondence,
                             enumerate_support_tau_tilting,
                             indec_tau_rigid_items, is_support_tau_rigid,
@@ -61,9 +63,55 @@ def test_indec_tau_rigid_inventory(stem, exname, request):
 
 def test_non_rigid_fixtures(ex2, ex3):
     _, _, mods2 = ex2
-    _, _, mods3 = ex3
+    _, alg3, mods3 = ex3
     assert not is_tau_rigid(mods2["I1"])
     assert not is_tau_rigid(mods3["I3"])
+
+    def rigid(*parts):
+        return is_support_tau_rigid(
+            [SignedObject(vertex=x) if isinstance(x, int)
+             else SignedObject(module=x) for x in parts])
+
+    p1 = _find_proj_vertex(alg3, mods3["P1"])
+    assert not rigid(mods2["I1"])
+    assert not rigid(mods3["S2"], mods3["S3"])
+    assert not rigid(mods3["P1"], p1)
+    assert not rigid(p1, p1)
+    assert rigid(mods3["P1"], mods3["P2"]) and rigid(p1)
+
+
+def _direct_sum_rigid(alg, mods, verts):
+    """The definition read off the direct sum: Hom(M, tau M) = 0 and
+    Hom(P_v, M) = 0 for M the sum of mods."""
+    if not mods:
+        return True
+    total, _, _ = direct_sum(alg, mods)
+    return hom_dim(total, tau(total)) == 0 and all(
+        hom_dim(proj_list(alg)[v], total) == 0 for v in verts)
+
+
+@pytest.mark.parametrize(
+    "stem,exname", [("root1", "ex1"), ("root2", "ex2"), ("root3", "ex3")])
+def test_pairwise_compatibility_matches_direct_sum(stem, exname, request):
+    # the registry holds every fixture module, the non-tau-rigid ones too
+    root = request.getfixturevalue(stem)
+    _, alg, mods = request.getfixturevalue(exname)
+    reg = Registry(alg)
+    for m in root.registry.mods:
+        reg.add(m, name="")
+    assert all(reg.find(m) is not None for m in mods.values())
+    items = [("m", i) for i in range(len(reg))] + \
+        [("p", v) for v in range(alg.idempotents.shape[0])]
+    negatives = 0
+    for i, a in enumerate(items):
+        for b in items[i:]:
+            want = _direct_sum_rigid(
+                alg, [reg.module(x) for k, x in (a, b) if k == "m"],
+                [x for k, x in (a, b) if k == "p"])
+            assert _items_support_tau_rigid(reg, [a, b]) == want, (a, b)
+            assert _items_support_tau_rigid(reg, [b, a]) == want, (b, a)
+            negatives += not want
+    assert negatives
 
 
 @pytest.mark.parametrize("stem", ["ex1", "ex2", "ex3"])
