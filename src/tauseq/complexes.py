@@ -598,7 +598,14 @@ def _nakayama_entry(alg, a, b, x):
 
 
 def tau(m):
-    """AR translate of m: kernel of nu applied to its minimal presentation."""
+    """AR translate of m: kernel of nu applied to its minimal presentation,
+    cached on m."""
+    if not hasattr(m, "_tauseq_tau"):
+        m._tauseq_tau = _tau(m)
+    return m._tauseq_tau
+
+
+def _tau(m):
     alg = m.algebra
     p = alg.p
     if m.dim == 0:

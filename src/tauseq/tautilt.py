@@ -9,7 +9,7 @@ is a tuple of items (sorted for the unordered form).
 
 from . import complexes as cxs
 from .errors import CapExceededError, DomainError
-from .modules import (decompose_grouped, hom_dim, in_gen, is_iso,
+from .modules import (decompose_grouped, direct_sum, hom_dim, in_gen, is_iso,
                       is_local_endo, min_left_approx, quotient_module,
                       simple_module, zero_module)
 
@@ -38,7 +38,6 @@ class Registry:
         self.mods = []
         self.names = []
         self._buckets = {}
-        self._tau = {}
         self._pres = {}
         self._compat = {}
 
@@ -87,11 +86,6 @@ class Registry:
             idx = self.add(m, name=name)
         return idx
 
-    def tau(self, idx):
-        if idx not in self._tau:
-            self._tau[idx] = cxs.tau(self.mods[idx])
-        return self._tau[idx]
-
     def compatible(self, a, b):
         """Is the sum of items a and b support tau-rigid?  For a == b: is a
         alone.  Cached per unordered pair; registers nothing."""
@@ -103,8 +97,9 @@ class Registry:
             elif kb == "p":
                 ok = hom_dim(cxs.proj_list(self.alg)[vb], self.mods[va]) == 0
             else:
-                ok = hom_dim(self.mods[va], self.tau(vb)) == 0 and (
-                    va == vb or hom_dim(self.mods[vb], self.tau(va)) == 0)
+                ma, mb = self.mods[va], self.mods[vb]
+                ok = hom_dim(ma, cxs.tau(mb)) == 0 and (
+                    va == vb or hom_dim(mb, cxs.tau(ma)) == 0)
             self._compat[key] = ok
         return self._compat[key]
 
@@ -131,10 +126,7 @@ class Registry:
     def signed_item(self, so):
         if so.is_shift:
             return ("p", so.vertex)
-        idx = self.find(so.module)
-        if idx is None:
-            idx = self.add(so.module)
-        return ("m", idx)
+        return ("m", self.ensure(so.module))
 
 
 def item_sort_key(item):
@@ -222,10 +214,14 @@ def _cx_items(reg, cx):
 
 
 def mutate(reg, items, k):
-    """Exchange the k-th summand of a support tau-tilting object.
+    """Exchange the k-th summand x of a support tau-tilting object x + U.
 
-    Tries the right-approximation triangle first; falls back to the left
-    triangle when the cone fails to be two-term or reproduces the summand.
+    U has exactly two completions (AIR Thm 2.18), so a known item outside
+    x + U that is compatible with U is the partner, and nothing is
+    computed.  Only when no known item fits does one exchange triangle
+    discover it: over the minimal right add(U)-approximation of x when x
+    is a shift or H^0(x) lies in Fac H^0(U), over the minimal left one
+    otherwise (AIR §2.4).
     """
     items = list(items)
     n = reg.alg.idempotents.shape[0]
@@ -233,34 +229,25 @@ def mutate(reg, items, k):
         raise DomainError("mutation requires a support tau-tilting object")
     x = items[k]
     others = items[:k] + items[k + 1 :]
+    known = [("m", i) for i in range(len(reg))] + [("p", v) for v in range(n)]
+    for y in known:
+        if y not in items and _items_support_tau_rigid(reg, [y] + others):
+            return canonical(others + [y])
     X = item_cx(reg, x)
     u_parts = [item_cx(reg, it) for it in others]
-
-    def finish(cand):
-        new_items = _cx_items(reg, cand)
-        if len(new_items) != 1:
-            return None
-        y = new_items[0]
-        if y == x:
-            return None
-        out = canonical(others + [y])
-        if not _items_support_tau_rigid(reg, out):
-            return None
-        return out
-
-    src, cmap, _ = cxs.min_right_approx_K(u_parts, X)
-    cand = cxs.reduce_cx(cxs.shift_cx(cxs.cone(src, X, cmap), -1))
-    if cand.is_two_term():
-        out = finish(cand)
-        if out is not None:
-            return out
-    tgt, cmap2, _ = cxs.min_left_approx_K(X, u_parts)
-    cand2 = cxs.reduce_cx(cxs.cone(X, tgt, cmap2))
-    if cand2.is_two_term():
-        out = finish(cand2)
-        if out is not None:
-            return out
-    raise DomainError("mutation failed to produce an exchange partner")
+    u_mod, _, _ = direct_sum(reg.alg, [reg.module(v) for kind, v in others
+                                       if kind == "m"])
+    if x[0] == "p" or in_gen(u_mod, reg.module(x[1])):
+        src, cmap, _ = cxs.min_right_approx_K(u_parts, X)
+        cand = cxs.reduce_cx(cxs.shift_cx(cxs.cone(src, X, cmap), -1))
+    else:
+        tgt, cmap, _ = cxs.min_left_approx_K(X, u_parts)
+        cand = cxs.reduce_cx(cxs.cone(X, tgt, cmap))
+    new = _cx_items(reg, cand) if cand.is_two_term() else []
+    if len(new) != 1 or new[0] in known \
+            or not _items_support_tau_rigid(reg, new + others):
+        raise DomainError("mutation failed to produce an exchange partner")
+    return canonical(others + new)
 
 
 def enumerate_support_tau_tilting(alg, cap=10000, registry=None):
@@ -338,8 +325,12 @@ def bongartz(reg, u):
     Built from the triangle over C_Q = (presentations of C) + Q[1] via the
     minimal right approximation by presentations of u-summands.
     """
+    return _bongartz_from(reg, u, *cobongartz(reg, u))
+
+
+def _bongartz_from(reg, u, c_ids, q):
+    """Bongartz complement of u from its co-Bongartz part (C ids, Q)."""
     alg = reg.alg
-    c_ids, q = cobongartz(reg, u)
     parts = [reg.pres(c) for c in c_ids]
     if q:
         parts.append(cxs.stalk_cx(alg, q, degree=-1))
@@ -365,10 +356,10 @@ def complement_correspondence(reg, u):
     Q_i[1] with the target of the minimal left add(B)-approximation of Q_i.
     """
     alg = reg.alg
-    b = bongartz(reg, u)
+    c_ids, q = cobongartz(reg, u)
+    b = _bongartz_from(reg, u, c_ids, q)
     b_ids = [reg.ensure(piece) for piece, _ in decompose_grouped(b)] \
         if b.dim else []
-    c_ids, q = cobongartz(reg, u)
     u_ids = _u_indec_ids(reg, u) if u.dim else []
     u_mods = [reg.module(i) for i in u_ids]
     records = []

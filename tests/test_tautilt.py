@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import item_of
+from test_algebra import linear_quiver_text
+from tauseq import complexes as cxs
 from tauseq import linalg
+from tauseq.algebra import parse_algebra
 from tauseq.complexes import (end_K, hminus1, hom_K_dim, min_presentation,
                               proj_list, tau)
 from tauseq.errors import CapExceededError, DomainError
@@ -155,6 +158,66 @@ def test_mutation_involution_and_regularity(stem, request):
             assert mutate(reg, other, other.index(fresh[0])) == obj
             neighbors.add(other)
         assert len(neighbors) == n
+
+
+def _count_triangles(monkeypatch):
+    """Count the exchange triangles mutate runs, per side."""
+    counts = {"right": 0, "left": 0}
+    for side in counts:
+        name = f"min_{side}_approx_K"
+        real = getattr(cxs, name)
+
+        def counted(*args, _side=side, _real=real):
+            counts[_side] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cxs, name, counted)
+    return counts
+
+
+def _algebra_case(case, request):
+    if case.startswith("ex"):
+        return request.getfixturevalue(case)[1]
+    n, rad2 = {"A4": (4, False), "rad2-A4": (4, True)}[case]
+    return parse_algebra(linear_quiver_text(n, rad2))[1]
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A4", "rad2-A4"])
+def test_exchange_triangle_finds_every_partner(case, request, monkeypatch):
+    # a registry holding only the object's own modules leaves every module
+    # partner unknown, so each one is found by a triangle, on both sides
+    alg = _algebra_case(case, request)
+    n = alg.idempotents.shape[0]
+    objs, full = enumerate_support_tau_tilting(alg)
+    counts = _count_triangles(monkeypatch)
+    module_partners = 0
+    for obj in objs:
+        for k in range(n):
+            want = [it for it in mutate(full, obj, k) if it not in obj]
+            bare = Registry(alg)
+            own = [("m", bare.add(full.module(v))) if kind == "m"
+                   else (kind, v) for kind, v in obj]
+            got = [it for it in mutate(bare, own, k) if it not in own]
+            assert len(want) == len(got) == 1
+            (wk, wv), (gk, gv) = want[0], got[0]
+            assert wk == gk, (obj, k)
+            if wk == "m":
+                module_partners += 1
+                assert is_iso(full.module(wv), bare.module(gv)), (obj, k)
+            else:
+                assert wv == gv, (obj, k)
+    assert counts["right"] > 0 and counts["left"] > 0
+    assert counts["right"] + counts["left"] == module_partners
+
+
+@pytest.mark.parametrize("case,triangles", [("A4", 6), ("rad2-A4", 3)])
+def test_enumeration_runs_triangles_only_to_discover_items(
+        case, triangles, request, monkeypatch):
+    alg = _algebra_case(case, request)
+    counts = _count_triangles(monkeypatch)
+    _, reg = enumerate_support_tau_tilting(alg)
+    assert counts["right"] + counts["left"] == triangles
+    assert triangles == len(reg) - alg.idempotents.shape[0]
 
 
 @pytest.mark.parametrize("stem", ["root1", "root2", "root3"])
@@ -416,8 +479,6 @@ def test_presentation_complexes_inherit_indecomposability(ex3):
 
 
 def test_enumeration_cap_flags_infinite_type():
-    from tauseq.algebra import parse_algebra
-
     text = """field 32003
 vertex 1
 vertex 2
