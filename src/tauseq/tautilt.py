@@ -40,6 +40,7 @@ class Registry:
         self._buckets = {}
         self._pres = {}
         self._compat = {}
+        self._indec = set()  # known indecomposable; callers may add sums
 
     def __len__(self):
         return len(self.mods)
@@ -80,15 +81,17 @@ class Registry:
         self._buckets.setdefault(key, []).append(idx)
         return idx
 
-    def ensure(self, m, name=None):
+    def ensure(self, m, name=None, indec=False):
         idx = self.find(m)
         if idx is None:
             idx = self.add(m, name=name)
+        if indec:
+            self._indec.add(idx)
         return idx
 
     def compatible(self, a, b):
         """Is the sum of items a and b support tau-rigid?  For a == b: is a
-        alone.  Cached per unordered pair; registers nothing."""
+        alone and indecomposable.  Cached per pair; registers nothing."""
         key = canonical((a, b))
         if key not in self._compat:
             (ka, va), (kb, vb) = key
@@ -99,7 +102,8 @@ class Registry:
             else:
                 ma, mb = self.mods[va], self.mods[vb]
                 ok = hom_dim(ma, cxs.tau(mb)) == 0 and (
-                    va == vb or hom_dim(mb, cxs.tau(ma)) == 0)
+                    hom_dim(mb, cxs.tau(ma)) == 0 if va != vb
+                    else va in self._indec or is_local_endo(ma))
             self._compat[key] = ok
         return self._compat[key]
 
@@ -109,7 +113,7 @@ class Registry:
         return self._pres[idx]
 
     def proj_id(self, v):
-        return self.ensure(cxs.proj_list(self.alg)[v])
+        return self.ensure(cxs.proj_list(self.alg)[v], indec=True)
 
     def display_item(self, item):
         kind, val = item
@@ -170,15 +174,12 @@ def is_support_tau_rigid(objs):
     Modules M must satisfy Hom(M, tau M') = 0 for all module summands M'
     (including themselves); shifted projectives P[1] need Hom(P, M') = 0.
     Both conditions are pairwise (tau and Hom are additive), so they are
-    asked of a throwaway registry.
+    asked of a throwaway registry, which also tests indecomposability.
     """
     mods = [o.module for o in objs if not o.is_shift]
     verts = [o.vertex for o in objs if o.is_shift]
     if len(set(verts)) != len(verts):
         return False
-    for m in mods:
-        if not is_local_endo(m):
-            return False
     for i in range(len(mods)):
         for j in range(i + 1, len(mods)):
             if is_iso(mods[i], mods[j]):
@@ -208,7 +209,7 @@ def _cx_items(reg, cx):
     items = [("p", v) for v in shifted]
     if mod.dim:
         for piece, mult in decompose_grouped(mod):
-            idx = reg.ensure(piece)
+            idx = reg.ensure(piece, indec=True)
             items.extend([("m", idx)] * mult)
     return items
 
@@ -235,9 +236,9 @@ def mutate(reg, items, k):
             return canonical(others + [y])
     X = item_cx(reg, x)
     u_parts = [item_cx(reg, it) for it in others]
-    u_mod, _, _ = direct_sum(reg.alg, [reg.module(v) for kind, v in others
-                                       if kind == "m"])
-    if x[0] == "p" or in_gen(u_mod, reg.module(x[1])):
+    if x[0] == "p" or in_gen(
+            direct_sum(reg.alg, [reg.module(v) for kind, v in others
+                                 if kind == "m"])[0], reg.module(x[1])):
         src, cmap, _ = cxs.min_right_approx_K(u_parts, X)
         cand = cxs.reduce_cx(cxs.shift_cx(cxs.cone(src, X, cmap), -1))
     else:

@@ -220,6 +220,27 @@ def test_enumeration_runs_triangles_only_to_discover_items(
     assert triangles == len(reg) - alg.idempotents.shape[0]
 
 
+def test_decomposable_registry_entries_are_never_summands(ex1, ex3):
+    # a named direct sum such as P1 + P2 is compatible with its own
+    # summands, so a scan that took it would return a non-basic object
+    def names(r, objects):
+        return sorted(tuple(r.display_item(it) for it in obj)
+                      for obj in objects)
+
+    for _, alg, _ in (ex1, ex3):
+        objs, plain = enumerate_support_tau_tilting(alg)
+        reg = Registry(alg)
+        u, _, _ = direct_sum(alg, proj_list(alg)[:2])
+        assert reg.ensure(u, name="U") == 0
+        got, reg = enumerate_support_tau_tilting(alg, registry=reg)
+        assert names(reg, got) == names(plain, objs)
+        assert reg.names[1:] == plain.names
+        for m in [u] + plain.mods:
+            c_ids, q = cobongartz(reg, m)
+            assert [c - 1 for c in c_ids] == cobongartz(plain, m)[0]
+            assert q == cobongartz(plain, m)[1]
+
+
 @pytest.mark.parametrize("stem", ["root1", "root2", "root3"])
 def test_object_complexes_are_silting_rigid(stem, request):
     root = request.getfixturevalue(stem)
