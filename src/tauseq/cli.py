@@ -17,7 +17,7 @@ from . import reduction as red
 from . import sequences as seqs
 from .algebra import algebra_invariants, parse_algebra
 from .errors import DomainError, InputError, TauseqError
-from .modules import decompose_grouped, parse_modules, simple_module
+from .modules import parse_modules, simple_module
 from .tautilt import (Registry, bongartz, cobongartz,
                       complement_correspondence, item_sort_key)
 
@@ -222,10 +222,8 @@ def cmd_st_pairs(ws, args):
 def cmd_bongartz(ws, args):
     u = ws.resolve_module(args.module)
     reg = ws.root.registry
-    b = bongartz(reg, u)
-    pieces = []
-    for piece, mult in (decompose_grouped(b) if b.dim else []):
-        pieces.extend([piece] * mult)
+    ids = reg.summands(bongartz(reg, u))
+    pieces = [reg.module(i) for i in sorted(ids, key=ids.index)]
     rows = [(ws.module_name(x),
              ",".join(str(d) for d in x.vertex_dims())) for x in pieces]
     payload = {"module": ws.entry_json(u, False),

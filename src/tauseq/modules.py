@@ -609,6 +609,10 @@ def decompose_grouped(m):
 
 
 def is_iso(m, n):
+    """Exact.  If f: m -> n is invertible and m indecomposable, the f^-1 g
+    over a basis g of Hom(m, n) span the local ring End(m), so some g is
+    invertible (likewise for n); two decomposable sides are compared by
+    their summands with multiplicity (Krull-Schmidt)."""
     if m is n:
         return True
     if m.dim != n.dim:
@@ -621,18 +625,13 @@ def is_iso(m, n):
     homs = hom_basis(m, n)
     if not homs:
         return False
-    for h in homs:
-        if linalg.rank(h, p) == m.dim:
-            return True
-    rng = np.random.default_rng(_RNG_SEED + 1)
-    for _ in range(80):
-        coeffs = rng.integers(0, p, size=len(homs), dtype=np.int64)
-        h = np.zeros_like(homs[0])
-        for c, b in zip(coeffs, homs):
-            h = (h + int(c) * b) % p
-        if linalg.rank(h, p) == m.dim:
-            return True
-    return False
+    if any(linalg.rank(h, p) == m.dim for h in homs):
+        return True
+    if is_local_endo(m) or is_local_endo(n):
+        return False
+    gm, gn = decompose_grouped(m), decompose_grouped(n)
+    return len(gm) == len(gn) and all(
+        any(k == kn and is_iso(x, y) for y, kn in gn) for x, k in gm)
 
 
 # ---------------------------------------------------------------------------

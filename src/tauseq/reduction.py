@@ -16,9 +16,9 @@ from . import linalg
 from .algebra import (quotient_by_ideal, quotient_by_idempotent_ideal,
                       two_sided_ideal_rows)
 from .errors import DomainError
-from .modules import (FdModule, decompose_grouped, end_algebra, hom_basis,
-                      hom_dim, in_gen, is_iso, min_left_approx,
-                      torsion_free_quotient, zero_module)
+from .modules import (FdModule, end_algebra, hom_basis, hom_dim, in_gen,
+                      is_iso, min_left_approx, torsion_free_quotient,
+                      zero_module)
 from .tautilt import Registry, SignedObject, bongartz, indec_tau_rigid_items
 
 
@@ -77,6 +77,7 @@ class WideContext:
         self._children = {}
         # module-reducer transport data
         self.u_module = None
+        self.b_ids = []  # parent registry ids of the Bongartz summands
         self.b_summands = []
         self._end = None
         self._quot = None
@@ -98,16 +99,6 @@ class WideContext:
             raise DomainError("multiple preimages for the given reduced "
                               "object")
         return hits[0]
-
-    def realize_module(self, m):
-        """Root module realizing a registered module over this context's
-        gamma."""
-        if self.is_root:
-            return m
-        idx = self.registry.find(m)
-        if idx is None:
-            raise DomainError("module is not a registered level object")
-        return self.record_for(("m", idx))["reduced"].root_module
 
     def realize_item(self, item):
         """(root module, shift flag) for a level item of this context."""
@@ -150,11 +141,10 @@ def _build_context(parent, reducer_item):
         raise DomainError("reducer is not a registered tau-rigid summand")
     if kind == "m":
         u = preg.module(val)
-        b = bongartz(preg, u)
-        groups = decompose_grouped(b) if b.dim else []
-        b_summands = [piece for piece, _ in groups]
-        labels = [preg.name(preg.ensure(piece)) for piece in b_summands]
-        end = end_algebra(b_summands + [u], vertex_labels=labels + ["u"])
+        b_ids = list(dict.fromkeys(preg.summands(bongartz(preg, u))))
+        b_summands = [preg.module(i) for i in b_ids]
+        end = end_algebra(b_summands + [u],
+                          vertex_labels=[preg.name(i) for i in b_ids] + ["u"])
         e_u = end.struct.idempotents[-1]
         ideal = two_sided_ideal_rows(end.struct, [e_u])
         quot = quotient_by_ideal(end.struct, ideal)
@@ -164,6 +154,7 @@ def _build_context(parent, reducer_item):
         ctx = WideContext(a, parent, reducer_item, gamma, Registry(gamma),
                           None)
         ctx.u_module = u
+        ctx.b_ids = b_ids
         ctx.b_summands = b_summands
         ctx._end = end
         ctx._quot = quot
@@ -281,14 +272,13 @@ def _reduce_item(ctx, x_item):
     else:
         proj = cxs.proj_list(ctx.algebra)[val]
         bx, _, _ = min_left_approx(proj, ctx.b_summands)
-    groups = decompose_grouped(bx) if bx.dim else []
-    if len(groups) != 1 or groups[0][1] != 1:
+    ids = preg.summands(bx)
+    if len(ids) != 1 or ids[0] not in ctx.b_ids:
         raise DomainError("reduction triangle did not isolate one Bongartz "
                           "summand")
-    w = next(i for i, b in enumerate(ctx.b_summands)
-             if is_iso(groups[0][0], b))
+    w = ctx.b_ids.index(ids[0])
     fb, _ = torsion_free_quotient(u, ctx.b_summands[w])
-    b_root = parent.realize_module(ctx.b_summands[w])
+    b_root, _ = parent.realize_item(("m", ids[0]))
     root_m, _ = torsion_free_quotient(u_root, b_root)
     return ReducedObject(fb, True, ("p", w), root_m)
 

@@ -9,6 +9,7 @@ shifted once).
 """
 
 import itertools
+import math
 
 from . import reduction as red
 from .errors import DomainError
@@ -184,13 +185,16 @@ def enumerate_sequences(root, t):
 
 
 def count_sequences(root, t):
-    """(total, per-last-entry counts) over ordered objects of length t."""
-    root = _as_root(root)
-    ordered = enumerate_ordered(root, t)
+    """(total, per-last-entry counts) over ordered objects of length t.
+
+    Each unordered object has t! orderings, and (t-1)! of them end in a
+    given summand, so nothing is ordered."""
+    subsets = enumerate_unordered(root, t)
     per_last = {}
-    for tup in ordered:
-        per_last[tup[-1]] = per_last.get(tup[-1], 0) + 1
-    return len(ordered), per_last
+    for sub in subsets:
+        for it in sub:
+            per_last[it] = per_last.get(it, 0) + math.factorial(t - 1)
+    return math.factorial(t) * len(subsets), per_last
 
 
 def sequence_names(root, seq):

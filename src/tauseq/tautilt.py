@@ -9,7 +9,7 @@ is a tuple of items (sorted for the unordered form).
 
 from . import complexes as cxs
 from .errors import CapExceededError, DomainError
-from .modules import (decompose_grouped, direct_sum, hom_dim, in_gen, is_iso,
+from .modules import (decompose, direct_sum, hom_dim, in_gen, is_iso,
                       is_local_endo, min_left_approx, quotient_module,
                       simple_module, zero_module)
 
@@ -40,7 +40,7 @@ class Registry:
         self._buckets = {}
         self._pres = {}
         self._compat = {}
-        self._indec = set()  # known indecomposable; callers may add sums
+        self._split = {}  # id(m) -> (m, summand ids); holding m pins its id
 
     def __len__(self):
         return len(self.mods)
@@ -81,17 +81,30 @@ class Registry:
         self._buckets.setdefault(key, []).append(idx)
         return idx
 
-    def ensure(self, m, name=None, indec=False):
+    def ensure(self, m, name=None):
         idx = self.find(m)
-        if idx is None:
-            idx = self.add(m, name=name)
-        if indec:
-            self._indec.add(idx)
+        return self.add(m, name=name) if idx is None else idx
+
+    def summands(self, m):
+        """Registry ids of m's indecomposable summands, with multiplicity,
+        in decomposition order.  Each module object is split at most once;
+        a summand, and the registry module it is found as, are recorded
+        as indecomposable and never split."""
+        if id(m) not in self._split:
+            self._split[id(m)] = (m, [self._indecomposable(piece)
+                                      for piece, _ in decompose(m)])
+        return self._split[id(m)][1]
+
+    def _indecomposable(self, m):
+        idx = self.ensure(m)
+        for x in (m, self.mods[idx]):
+            self._split[id(x)] = (x, [idx])
         return idx
 
     def compatible(self, a, b):
         """Is the sum of items a and b support tau-rigid?  For a == b: is a
-        alone and indecomposable.  Cached per pair; registers nothing."""
+        alone and indecomposable, read from the summand record when a has
+        been split.  Cached per pair; registers nothing."""
         key = canonical((a, b))
         if key not in self._compat:
             (ka, va), (kb, vb) = key
@@ -101,9 +114,10 @@ class Registry:
                 ok = hom_dim(cxs.proj_list(self.alg)[vb], self.mods[va]) == 0
             else:
                 ma, mb = self.mods[va], self.mods[vb]
+                split = self._split.get(id(ma))
                 ok = hom_dim(ma, cxs.tau(mb)) == 0 and (
                     hom_dim(mb, cxs.tau(ma)) == 0 if va != vb
-                    else va in self._indec or is_local_endo(ma))
+                    else len(split[1]) == 1 if split else is_local_endo(ma))
             self._compat[key] = ok
         return self._compat[key]
 
@@ -113,7 +127,7 @@ class Registry:
         return self._pres[idx]
 
     def proj_id(self, v):
-        return self.ensure(cxs.proj_list(self.alg)[v], indec=True)
+        return self._indecomposable(cxs.proj_list(self.alg)[v])
 
     def display_item(self, item):
         kind, val = item
@@ -174,21 +188,21 @@ def is_support_tau_rigid(objs):
     Modules M must satisfy Hom(M, tau M') = 0 for all module summands M'
     (including themselves); shifted projectives P[1] need Hom(P, M') = 0.
     Both conditions are pairwise (tau and Hom are additive), so they are
-    asked of a throwaway registry, which also tests indecomposability.
+    asked of a throwaway registry, whose summand ids also show a
+    decomposable or repeated module.
     """
     mods = [o.module for o in objs if not o.is_shift]
     verts = [o.vertex for o in objs if o.is_shift]
     if len(set(verts)) != len(verts):
         return False
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if is_iso(mods[i], mods[j]):
-                return False
     if not mods:
         return True
     reg = Registry(mods[0].algebra)
-    items = [("m", reg.add(m, name="")) for m in mods]
-    return _items_support_tau_rigid(reg, items + [("p", v) for v in verts])
+    ids = [i for m in mods for i in reg.summands(m)]
+    if len(ids) != len(mods) or len(set(ids)) != len(ids):
+        return False
+    return _items_support_tau_rigid(
+        reg, [("m", i) for i in ids] + [("p", v) for v in verts])
 
 
 def _items_support_tau_rigid(reg, items):
@@ -206,12 +220,7 @@ def _items_support_tau_rigid(reg, items):
 def _cx_items(reg, cx):
     """Decompose a reduced two-term complex into registry items."""
     mod, shifted = cxs.cx_to_pair(cx)
-    items = [("p", v) for v in shifted]
-    if mod.dim:
-        for piece, mult in decompose_grouped(mod):
-            idx = reg.ensure(piece, indec=True)
-            items.extend([("m", idx)] * mult)
-    return items
+    return [("p", v) for v in shifted] + [("m", i) for i in reg.summands(mod)]
 
 
 def mutate(reg, items, k):
@@ -290,15 +299,6 @@ def indec_tau_rigid_items(alg, cap=10000, registry=None):
 # ---------------------------------------------------------------------------
 
 
-def _u_indec_ids(reg, u):
-    ids = []
-    for piece, mult in decompose_grouped(u):
-        if mult != 1:
-            raise DomainError("tau-rigid modules are basic")
-        ids.append(reg.ensure(piece))
-    return ids
-
-
 def cobongartz(reg, u):
     """(C ids, Q vertex list) for a tau-rigid module u.
 
@@ -308,9 +308,13 @@ def cobongartz(reg, u):
     hold every tau-rigid indecomposable (run enumerate_support_tau_tilting
     first).
     """
-    if not is_tau_rigid(u):
+    u_ids = reg.summands(u)
+    u_items = [("m", i) for i in dict.fromkeys(u_ids)]
+    # tau and Hom are additive: u is tau-rigid iff its summands pairwise are
+    if not _items_support_tau_rigid(reg, u_items):
         raise DomainError("cobongartz requires a tau-rigid module")
-    u_items = [("m", i) for i in _u_indec_ids(reg, u)]
+    if len(u_items) != len(u_ids):
+        raise DomainError("tau-rigid modules are basic")
     c_ids = [idx for idx in range(len(reg))
              if ("m", idx) not in u_items and in_gen(u, reg.module(idx))
              and _items_support_tau_rigid(reg, u_items + [("m", idx)])]
@@ -338,7 +342,7 @@ def _bongartz_from(reg, u, c_ids, q):
     if not parts:
         return zero_module(alg)
     cq, _ = cxs.direct_sum_cx(parts)
-    u_parts = [reg.pres(i) for i in _u_indec_ids(reg, u)] if u.dim else []
+    u_parts = [reg.pres(i) for i in reg.summands(u)]
     src, cmap, _ = cxs.min_right_approx_K(u_parts, cq)
     y = cxs.reduce_cx(cxs.shift_cx(cxs.cone(src, cq, cmap), -1))
     if not y.is_two_term():
@@ -359,21 +363,19 @@ def complement_correspondence(reg, u):
     alg = reg.alg
     c_ids, q = cobongartz(reg, u)
     b = _bongartz_from(reg, u, c_ids, q)
-    b_ids = [reg.ensure(piece) for piece, _ in decompose_grouped(b)] \
-        if b.dim else []
-    u_ids = _u_indec_ids(reg, u) if u.dim else []
-    u_mods = [reg.module(i) for i in u_ids]
+    b_ids = list(dict.fromkeys(reg.summands(b)))
+    u_mods = [reg.module(i) for i in reg.summands(u)]
     records = []
     remaining = list(b_ids)
     for v in q:
         p = cxs.proj_list(alg)[v]
         b_mods = [reg.module(i) for i in remaining]
         tgt, beta, used = min_left_approx(p, b_mods)
-        groups = decompose_grouped(tgt)
-        if len(groups) != 1 or groups[0][1] != 1:
+        ids = reg.summands(tgt)
+        if len(ids) != 1:
             raise DomainError("case (b) approximation target not "
                               "indecomposable")
-        bid = reg.ensure(groups[0][0])
+        bid = ids[0]
         if bid not in remaining:
             raise DomainError("case (b) target is not a Bongartz summand")
         remaining.remove(bid)
@@ -384,10 +386,10 @@ def complement_correspondence(reg, u):
         bi = reg.module(bid)
         tgt, beta, used = min_left_approx(bi, u_mods)
         coker, _ = quotient_module(tgt, beta.image_rows())
-        groups = decompose_grouped(coker) if coker.dim else []
-        if len(groups) != 1 or groups[0][1] != 1:
+        ids = reg.summands(coker)
+        if len(ids) != 1:
             raise DomainError("case (a) cokernel not indecomposable")
-        cid = reg.ensure(groups[0][0])
+        cid = ids[0]
         if cid not in c_ids:
             raise DomainError("case (a) cokernel is not a co-Bongartz "
                               "summand")

@@ -86,6 +86,34 @@ def test_iso_is_basis_independent(ex3):
     assert is_iso(m, FdModule(alg, conj))
 
 
+def test_iso_of_indecomposables_needs_no_random_search(ex2, monkeypatch):
+    # P1 and I1 share the dimension vector (1, 1) and Hom(P1, I1) is
+    # nonzero, yet no map is invertible: the basis scan alone decides
+    mods = ex2[2]
+    p1, i1 = mods["P1"], mods["I1"]
+    assert p1.vertex_dims() == i1.vertex_dims()
+    assert hom_dim(p1, i1) == hom_dim(i1, p1) == 1
+
+    def no_draws(*args, **kw):
+        raise AssertionError("is_iso drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    assert not is_iso(p1, i1) and not is_iso(i1, p1)
+
+
+def test_iso_of_direct_sums_compares_summands(ex2):
+    alg, mods = ex2[1], ex2[2]
+
+    def total(*names):
+        return direct_sum(alg, [mods[n] for n in names])[0]
+
+    assert is_iso(total("P1", "I1", "S2"), total("S2", "I1", "P1"))
+    assert is_iso(total("P1", "P1", "I1"), total("I1", "P1", "P1"))
+    assert not is_iso(total("P1", "P1"), total("P1", "I1"))
+    assert not is_iso(total("P1", "S2"), total("I1", "S2"))
+    assert not is_iso(total("S1", "P2"), total("P1", "I1"))
+
+
 def test_decompose_recovers_multiplicities(ex3):
     alg, mods = ex3[1], ex3[2]
     total, _, _ = direct_sum(alg, [mods["P1"], mods["M"], mods["M"],

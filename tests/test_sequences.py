@@ -1,11 +1,16 @@
 """The bijection between ordered support tau-rigid objects and signed
 tau-exceptional sequences, with golden tables for the two rank-2 examples."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import item_of
+from test_algebra import linear_quiver_text
+from tauseq.algebra import parse_algebra
 from tauseq.complexes import ext1_dim
 from tauseq.errors import DomainError
+from tauseq.reduction import root_context
 from tauseq.sequences import (count_sequences, enumerate_ordered,
                               enumerate_sequences, ordered_names, phi, psi,
                               sequence_names, validate_sequence)
@@ -77,6 +82,23 @@ def test_counts_ex3(root3):
     assert total == 108
     named = {root3.registry.display_item(it): c for it, c in per_last.items()}
     assert named == EX3_PER_LAST
+
+
+@pytest.mark.parametrize("case", ["root1", "root2", "root3", "A4", "A5",
+                                  "rad2-A4"])
+def test_counts_match_the_ordered_enumeration(case, request):
+    # the closed form t!|U| and (t-1)!#{U containing X} against the
+    # materialised ordered tuples and their last-entry tally
+    if case.startswith("root"):
+        root = request.getfixturevalue(case)
+    else:
+        n, rad2 = {"A4": (4, False), "A5": (5, False),
+                   "rad2-A4": (4, True)}[case]
+        root = root_context(parse_algebra(linear_quiver_text(n, rad2))[1])
+    for t in range(1, root.gamma.idempotents.shape[0] + 1):
+        ordered = enumerate_ordered(root, t)
+        assert count_sequences(root, t) == (
+            len(ordered), dict(Counter(tup[-1] for tup in ordered)))
 
 
 def test_worked_rows_ex3(root3, ex3):
