@@ -96,10 +96,11 @@ class Registry:
         return self._split[id(m)][1]
 
     def _indecomposable(self, m):
-        idx = self.ensure(m)
-        for x in (m, self.mods[idx]):
-            self._split[id(x)] = (x, [idx])
-        return idx
+        if id(m) not in self._split:
+            idx = self.ensure(m)
+            for x in (m, self.mods[idx]):
+                self._split[id(x)] = (x, [idx])
+        return self._split[id(m)][1][0]
 
     def compatible(self, a, b):
         """Is the sum of items a and b support tau-rigid?  For a == b: is a
