@@ -178,12 +178,14 @@ class StructAlgebra:
     # -- arithmetic ----------------------------------------------------------
 
     def multiply(self, x, y):
+        """x*y on coordinates; leading axes of x and y broadcast as a batch."""
         p = self.p
         x = linalg.asmod(x, p)
         y = linalg.asmod(y, p)
         i, j, k, c = self.terms
-        out = np.zeros(self.dim, dtype=np.int64)
-        np.add.at(out, k, (x[i] * y[j]) % p * c % p)
+        vals = (x.take(i, -1) * y.take(j, -1)) % p * c % p
+        out = np.zeros(vals.shape[:-1] + (self.dim,), dtype=np.int64)
+        np.add.at(out.T, k, vals.T)  # transposed: k indexes the first axis
         return out % p
 
     def left_mult_matrix(self, x):
@@ -203,8 +205,9 @@ class StructAlgebra:
         return out % self.p
 
     def power(self, x, e):
-        result = self.unit.copy()
+        """x^e on coordinates, for each row of a batch x."""
         base = linalg.asmod(x, self.p)
+        result = np.broadcast_to(self.unit, base.shape).copy()
         while e > 0:
             if e & 1:
                 result = self.multiply(result, base)

@@ -35,16 +35,28 @@ class FdModule:
         if self.action.shape[1] != self.action.shape[2]:
             raise DomainError("action matrices must be square")
         self._vdims = None
+        self._gen_act = None
         if check and self.dim:
             self._validate()
 
     def _validate(self):
-        p = self.algebra.p
-        unit_act = self.act(self.algebra.unit)
+        """Check that 1 acts as the identity and rho(g) rho(b_j) =
+        rho(g b_j) for every generator g and basis element b_j.
+
+        That suffices, since the generator vectors and 1 generate A (see
+        StructAlgebra.generator_vectors): the x with rho(x) rho(y) =
+        rho(x y) for all y form a subspace holding 1 and the generators, and
+        closed under products, since rho(x x') rho(y) = rho(x) rho(x' y) =
+        rho(x x' y).  So they are all of A.  This holds G*d*m^2 entries,
+        not the d^2*m^2 of checking every pair of basis elements."""
+        p, alg = self.algebra.p, self.algebra
+        unit_act = self.act(alg.unit)
         if not np.array_equal(unit_act, np.eye(self.dim, dtype=np.int64)):
             raise DomainError("unit does not act as identity")
-        prod = np.einsum("iab,jbc->ijac", self.action, self.action) % p
-        want = np.einsum("ijk,kac->ijac", self.algebra.mult, self.action) % p
+        prod = (self.gen_actions()[:, None] @ self.action[None]) % p
+        gb = np.array([alg.left_mult_matrix(g).T  # [g, j] = g * b_j
+                       for g in alg.generator_vectors()])
+        want = np.einsum("gjk,kac->gjac", gb, self.action) % p
         if not np.array_equal(prod, want):
             raise DomainError("action does not respect multiplication")
 
@@ -52,13 +64,21 @@ class FdModule:
         x = linalg.asmod(x, self.algebra.p)
         return np.einsum("i,iab->ab", x, self.action) % self.algebra.p
 
+    def gen_actions(self):
+        """(G, dim, dim) stack of the actions of the algebra's generator
+        vectors, idempotents first; computed once (action is never written
+        after construction)."""
+        if self._gen_act is None:
+            gens = np.array(self.algebra.generator_vectors())
+            self._gen_act = np.einsum("gi,iab->gab", gens,
+                                      self.action) % self.algebra.p
+        return self._gen_act
+
     def vertex_dims(self):
         if self._vdims is None:
-            dims = []
-            for i in range(self.algebra.idempotents.shape[0]):
-                dims.append(linalg.rank(self.act(self.algebra.idempotents[i]),
-                                        self.algebra.p))
-            self._vdims = tuple(dims)
+            n = self.algebra.idempotents.shape[0]
+            self._vdims = tuple(linalg.rank(e, self.algebra.p)
+                                for e in self.gen_actions()[:n])
         return self._vdims
 
 
@@ -76,11 +96,10 @@ class ModuleMap:
 
     def check_intertwines(self):
         p = self.source.algebra.p
-        for g in self.source.algebra.generator_vectors():
-            lhs = (self.matrix @ self.source.act(g)) % p
-            rhs = (self.target.act(g) @ self.matrix) % p
-            if not np.array_equal(lhs, rhs):
-                raise DomainError("matrix does not intertwine the actions")
+        lhs = (self.matrix @ self.source.gen_actions()) % p
+        rhs = (self.target.gen_actions() @ self.matrix) % p
+        if not np.array_equal(lhs, rhs):
+            raise DomainError("matrix does not intertwine the actions")
 
     def compose(self, other):
         """self after other."""
@@ -136,12 +155,11 @@ def direct_sum(algebra, summands):
 def _close_under_action(m, rows):
     p = m.algebra.p
     rows = linalg.row_space(linalg.asmod(rows, p), p)
-    gens = [m.act(g) for g in m.algebra.generator_vectors()]
+    gens_t = m.gen_actions().transpose(0, 2, 1)
     while True:
-        pieces = [rows]
-        for g in gens:
-            pieces.append((rows @ g.T) % p)
-        closed = linalg.row_space(np.vstack(pieces), p)
+        pieces = (rows @ gens_t) % p
+        closed = linalg.row_space(
+            np.vstack([rows, pieces.reshape(-1, m.dim)]), p)
         if closed.shape[0] == rows.shape[0]:
             return closed
         rows = closed
@@ -153,18 +171,20 @@ def submodule(m, rows):
     if np.asarray(rows).size == 0:
         sub = zero_module(m.algebra)
         return sub, ModuleMap(sub, m, np.zeros((m.dim, 0), dtype=np.int64))
-    basis = _close_under_action(m, rows)
-    k = basis.shape[0]
-    action = np.zeros((m.algebra.dim, k, k), dtype=np.int64)
-    bt = basis.T
-    for i in range(m.algebra.dim):
-        img = (m.action[i] @ bt) % p
-        sol = linalg.solve_matrix(bt, img, p)
-        if sol is None:
-            raise DomainError("span is not action-stable")
-        action[i] = sol
-    sub = FdModule(m.algebra, action, check=False)
+    bt = _close_under_action(m, rows).T
+    sub = FdModule(m.algebra, _restricted_action(
+        m.action, bt, p, "span is not action-stable"), check=False)
     return sub, ModuleMap(sub, m, bt)
+
+
+def _restricted_action(mats, bt, p, error):
+    """The matrices of mats on the span of the independent columns of bt,
+    found by one solve for all of them; error when the span is not stable."""
+    (n, k), imgs = bt.shape, (mats @ bt) % p
+    sol = linalg.solve_matrix(bt, imgs.transpose(1, 0, 2).reshape(n, -1), p)
+    if sol is None:
+        raise DomainError(error)
+    return sol.reshape(k, len(mats), k).transpose(1, 0, 2)
 
 
 def quotient_module(m, rows):
@@ -177,19 +197,11 @@ def quotient_module(m, rows):
     r, piv = linalg.rref(basis, p)
     r = r[: len(piv)]
     nonpiv = [c for c in range(m.dim) if c not in piv]
-    q = len(nonpiv)
-    proj = np.zeros((q, m.dim), dtype=np.int64)
-    for k, c in enumerate(nonpiv):
-        proj[k, c] = 1
+    eye = np.eye(m.dim, dtype=np.int64)
+    proj, lift = eye[nonpiv], eye[:, nonpiv]
     for i, c in enumerate(piv):
         proj[:, c] = (-r[i, nonpiv]) % p
-    lift = np.zeros((m.dim, q), dtype=np.int64)
-    for k, c in enumerate(nonpiv):
-        lift[c, k] = 1
-    action = np.zeros((m.algebra.dim, q, q), dtype=np.int64)
-    for i in range(m.algebra.dim):
-        action[i] = (proj @ m.action[i] @ lift) % p
-    quo = FdModule(m.algebra, action, check=False)
+    quo = FdModule(m.algebra, (proj @ m.action @ lift) % p, check=False)
     return quo, ModuleMap(m, quo, proj)
 
 
@@ -213,19 +225,12 @@ def top_quotient(m):
 def projective_module(algebra, i):
     """P_i = A e_i with left multiplication; remembers its basis inside A."""
     p = algebra.p
-    eye = np.eye(algebra.dim, dtype=np.int64)
     rows = algebra.right_mult_matrix(algebra.idempotents[i]).T  # b_k * e_i
     basis = linalg.row_space(rows, p)
-    k = basis.shape[0]
-    bt = basis.T
-    action = np.zeros((algebra.dim, k, k), dtype=np.int64)
-    for j in range(algebra.dim):
-        img = (algebra.left_mult_matrix(eye[j]) @ bt) % p
-        sol = linalg.solve_matrix(bt, img, p)
-        if sol is None:
-            raise DomainError("A e_i is not closed under left multiplication")
-        action[j] = sol
-    out = FdModule(algebra, action, check=False)
+    # left multiplication by b_j sends b_l to mult[j, l]
+    out = FdModule(algebra, _restricted_action(
+        algebra.mult.transpose(0, 2, 1), basis.T, p,
+        "A e_i is not closed under left multiplication"), check=False)
     out.amb_basis = basis
     return out
 
@@ -253,19 +258,13 @@ def right_mult_module_map(pa, pb, x):
 def injective_module(algebra, j):
     """I_j = dual of the right module e_j A, with the transpose action."""
     p = algebra.p
-    eye = np.eye(algebra.dim, dtype=np.int64)
     rows = algebra.left_mult_matrix(algebra.idempotents[j]).T  # e_j * b_k
     basis = linalg.row_space(rows, p)
-    k = basis.shape[0]
-    action = np.zeros((algebra.dim, k, k), dtype=np.int64)
-    for i in range(algebra.dim):
-        # column w holds the coordinates of basis[w] * b_i
-        imgs = (algebra.right_mult_matrix(eye[i]) @ basis.T) % p
-        r = linalg.solve_matrix(basis.T, imgs, p)
-        if r is None:
-            raise DomainError("e_j A is not closed under right multiplication")
-        action[i] = r.T % p
-    return FdModule(algebra, action, check=False)
+    # right multiplication by b_i sends b_l to mult[l, i]
+    right = _restricted_action(
+        algebra.mult.transpose(1, 2, 0), basis.T, p,
+        "e_j A is not closed under right multiplication")
+    return FdModule(algebra, right.transpose(0, 2, 1), check=False)
 
 
 def injective_embedding(m):
@@ -303,15 +302,15 @@ def hom_basis(m, n):
     p = m.algebra.p
     if m.dim == 0 or n.dim == 0:
         return []
-    blocks = []
-    im = np.eye(n.dim, dtype=np.int64)
-    imm = np.eye(m.dim, dtype=np.int64)
-    for g in m.algebra.generator_vectors():
-        a = m.act(g)
-        b = n.act(g)
-        blocks.append((np.kron(im, a.T) - np.kron(b, imm)) % p)
-    system = np.vstack(blocks)
-    ker = linalg.kernel_basis(system, p)
+    # X a_g = b_g X for every generator g: unknown X[r, c] is column
+    # r*m + c, equation (g, r, i) is row (g*n + r)*m + i; the einsum calls
+    # are writeable diagonal views, so the system is filled in place
+    a, b = m.gen_actions(), n.gen_actions()
+    system = np.zeros((len(a), n.dim, m.dim, n.dim, m.dim), dtype=np.int64)
+    np.einsum("grirc->gric", system)[...] += a.transpose(0, 2, 1)[:, None]
+    np.einsum("grcsc->gcrs", system)[...] -= b[:, None]
+    system %= p
+    ker = linalg.kernel_basis(system.reshape(-1, n.dim * m.dim), p)
     return [row.reshape(n.dim, m.dim) for row in ker]
 
 
@@ -344,14 +343,8 @@ class EndData:
 
     def radical_mats(self):
         rad = self.struct.radical_rows()
-        out = []
-        for row in rad:
-            mat = np.zeros_like(self.mats[0])
-            for c, b in zip(row, self.mats):
-                if c:
-                    mat = (mat + int(c) * b) % self.struct.p
-            out.append(mat)
-        return out
+        return list(np.tensordot(rad, np.array(self.mats), axes=1)
+                    % self.struct.p)
 
 
 def end_algebra(summands, vertex_labels=None):
@@ -393,8 +386,7 @@ def _frobenius_kernel(bar):
     dimension is the number of simple factors (Berlekamp)."""
     p = bar.p
     eye = np.eye(bar.dim, dtype=np.int64)
-    cols = [bar.power(eye[i], p) for i in range(bar.dim)]
-    frob = np.array(cols).T % p
+    frob = bar.power(eye, p).T  # column i is e_i^p
     return linalg.kernel_basis((frob - eye) % p, p)
 
 
@@ -424,11 +416,7 @@ def _berlekamp_split_commutative(bar, ker):
     its Frobenius kernel."""
     p = bar.p
     unit_solver = linalg.SpanSolver(bar.unit.reshape(1, -1), p)
-    z = None
-    for row in ker:
-        if not unit_solver.contains(row):
-            z = row
-            break
+    z = next((row for row in ker if not unit_solver.contains(row)), None)
     if z is None:
         raise DomainError("no splitting element found in Berlekamp kernel")
     mu = bar.element_min_poly(z)
@@ -574,10 +562,7 @@ def _decompose_inner(m, rng):
     else:
         ebar = _find_idempotent_noncommutative(bar, rng)
     e = _lift_idempotent(struct, ebar if lift is None else (lift @ ebar) % p)
-    emat = np.zeros_like(mats[0])
-    for c, b in zip(e, mats):
-        if c:
-            emat = (emat + int(c) * b) % p
+    emat = np.tensordot(e, np.array(mats), axes=1) % p
     rest = (np.eye(m.dim, dtype=np.int64) - emat) % p
     out = []
     for part in (emat, rest):
@@ -763,7 +748,6 @@ def module_from_arrows(qp, alg, vdims, arrow_mats, name=None):
         r, c = offsets[dst], offsets[src]
         action[idx, r : r + dims[dst], c : c + dims[src]] = mat
     for rel in qp.relations:
-        mat = None
         src = arrow_info[rel[0]][0]
         mat = np.eye(dims[src], dtype=np.int64)
         for aname in rel:

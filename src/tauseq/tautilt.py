@@ -106,7 +106,7 @@ class Registry:
         """Is the sum of items a and b support tau-rigid?  For a == b: is a
         alone and indecomposable, read from the summand record when a has
         been split.  Cached per pair; registers nothing."""
-        key = canonical((a, b))
+        key = (a, b) if item_sort_key(a) <= item_sort_key(b) else (b, a)
         if key not in self._compat:
             (ka, va), (kb, vb) = key
             if ka == "p":

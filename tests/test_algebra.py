@@ -146,6 +146,18 @@ def test_products_match_the_dense_formulas(ex1, ex2, ex3):
             assert np.array_equal(alg.right_mult_matrix(y), right)
 
 
+def test_batched_power_matches_the_row_loop(ex3):
+    alg3 = ex3[1]
+    rng = np.random.default_rng(13)
+    for alg in (alg3, rebased_algebra(alg3, 3),
+                parse_algebra(linear_quiver_text(5))[1]):
+        rows = np.vstack([np.eye(alg.dim, dtype=np.int64),
+                          rng.integers(0, alg.p, (4, alg.dim))])
+        for e in (0, 1, 2, 5, alg.p):
+            loop = np.array([alg.power(r, e) for r in rows])
+            assert np.array_equal(alg.power(rows, e), loop)
+
+
 def test_validation_rejects_a_non_associative_table():
     # b0 = 1, b1 * b1 = b1 + b2, b2 * b1 = b2 and nothing else:
     # (b1 b1) b1 = b1 + 2 b2 but b1 (b1 b1) = b1 + b2

@@ -291,3 +291,101 @@ def test_parse_modules_rejects_bad_blocks(ex3):
         parse_modules("module X\narrow alpha = [[1]]\n", qp, alg)
     with pytest.raises(InputError):
         parse_modules("module X\ndims 9:1\n", qp, alg)
+
+
+# -- the batched Hom system against the Kronecker construction -------------
+
+
+def _kron_hom_basis(m, n):
+    """Hom(m, n) from the stacked kron(I, a^T) - kron(b, I) blocks, one per
+    generator: the construction the batched system replaced."""
+    from tauseq import linalg
+
+    p = m.algebra.p
+    if m.dim == 0 or n.dim == 0:
+        return []
+    im = np.eye(n.dim, dtype=np.int64)
+    imm = np.eye(m.dim, dtype=np.int64)
+    blocks = [(np.kron(im, m.act(g).T) - np.kron(n.act(g), imm)) % p
+              for g in m.algebra.generator_vectors()]
+    ker = linalg.kernel_basis(np.vstack(blocks), p)
+    return [row.reshape(n.dim, m.dim) for row in ker]
+
+
+def _assert_same_hom_bases(mods):
+    for m, n in itertools.product(mods, repeat=2):
+        got, want = hom_basis(m, n), _kron_hom_basis(m, n)
+        assert len(got) == len(want)
+        for h, k in zip(got, want):
+            assert h.shape == k.shape and np.array_equal(h, k)
+    for m in mods:
+        g = m.gen_actions()
+        vecs = m.algebra.generator_vectors()
+        assert g.shape == (len(vecs), m.dim, m.dim)
+        for a, v in zip(g, vecs):
+            assert np.array_equal(a, m.act(v))
+
+
+def test_hom_basis_matches_kronecker_on_fixtures(ex1, ex2, ex3):
+    for ex in (ex1, ex2, ex3):
+        alg, mods = ex[1], ex[2]
+        _assert_same_hom_bases(list(mods.values()) + [zero_module(alg)])
+
+
+def test_hom_basis_matches_kronecker_over_a_reduced_algebra(root3, ex3):
+    from conftest import item_of
+
+    ctx = root3.child(item_of(root3, ex3[2], "I2"))
+    gamma = ctx.gamma
+    mods = [projective_module(gamma, i) for i in range(len(gamma.idempotents))]
+    mods += [injective_module(gamma, i) for i in range(len(gamma.idempotents))]
+    mods += list(ctx.registry.mods) + [zero_module(gamma)]
+    assert all(m.algebra is gamma for m in mods)
+    _assert_same_hom_bases(mods)
+
+
+def test_hom_basis_matches_kronecker_over_a_rebased_algebra(ex3):
+    from conftest import rebased_algebra
+
+    alg = rebased_algebra(ex3[1], 5)
+    assert any(np.count_nonzero(g) > 1 for g in alg.generator_vectors())
+    mods = [f(alg, i) for f in (projective_module, injective_module,
+                                simple_module) for i in range(3)]
+    _assert_same_hom_bases(mods + [zero_module(alg)])
+
+
+def _full_action_check(m):
+    """The d^2 oracle: 1 acts as the identity and rho(b_i) rho(b_j) =
+    rho(b_i b_j) for every pair of basis elements."""
+    p, act = m.algebra.p, m.action
+    if not np.array_equal(m.act(m.algebra.unit), np.eye(m.dim, dtype=np.int64)):
+        return False
+    prod = np.einsum("iab,jbc->ijac", act, act) % p
+    want = np.einsum("ijk,kac->ijac", m.algebra.mult, act) % p
+    return np.array_equal(prod, want)
+
+
+def test_generator_validation_agrees_with_the_full_check(ex3):
+    from tauseq.errors import DomainError
+    from tauseq.modules import FdModule
+
+    alg, mods = ex3[1], ex3[2]
+    rng = np.random.default_rng(17)
+    answers = []
+    for m in mods.values():
+        cases = [m.action]
+        for _ in range(20):
+            act = m.action.copy()
+            i, a, b = (rng.integers(0, s) for s in act.shape)
+            act[i, a, b] = (act[i, a, b] + rng.integers(1, alg.p)) % alg.p
+            cases.append(act)
+        for act in cases:
+            try:
+                FdModule(alg, act)
+                accepted = True
+            except DomainError:
+                accepted = False
+            oracle = _full_action_check(FdModule(alg, act, check=False))
+            assert accepted == oracle
+            answers.append(accepted)
+    assert True in answers and False in answers
