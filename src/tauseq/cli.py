@@ -7,6 +7,7 @@ errors (bad names, invalid objects), 3 enumeration cap exceeded.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -442,7 +443,10 @@ def _load_workspace(args):
     return Workspace(qp, alg, fixtures, args.cap)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on first use and reused by every call
+    (parse_args keeps no state between calls)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--algebra", metavar="FILE",
                         help="algebra file (quiver with monomial relations)")

@@ -678,7 +678,7 @@ def lift_map(X, Y, g, h0X=None, h0Y=None):
         gcoords = linalg.solve(projs[a].amb_basis.T, alg.idempotents[a], p)
         gen[off : off + projs[a].dim] = gcoords
         off += projs[a].dim
-        target = (g.matrix @ pX.matrix @ gen) % p
+        target = (g.matrix @ ((pX.matrix @ gen) % p)) % p
         w = linalg.solve(pY.matrix, target, p)
         if w is None:
             raise DomainError("cannot lift through the cover")

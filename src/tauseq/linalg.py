@@ -12,6 +12,10 @@ import numpy as np
 from .errors import DomainError
 
 DEFAULT_PRIME = 32003
+# Entries are reduced into [0, p).  With p < 2**16 a product of two entries
+# is below p**2 < 2**32, so any sum of fewer than 2**31 such products stays
+# below 2**63: every int64 accumulation of reduced entries is exact.
+FIELD_BOUND = 2 ** 16
 
 
 def is_prime(n):
@@ -26,6 +30,9 @@ def is_prime(n):
 
 
 def check_prime(p):
+    if p >= FIELD_BOUND:
+        raise DomainError(f"field order {p} is not below 2^16, the bound "
+                          "for exact int64 arithmetic")
     if not is_prime(p):
         raise DomainError(f"field order {p} is not prime")
     return p

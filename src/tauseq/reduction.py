@@ -7,6 +7,11 @@ holds the ambient algebra and the full registry of indecomposable tau-rigid
 summand items; each child is cut out by one reducer (a module u, giving
 Gamma = End(B + u)/[u] for the Bongartz complement B, or a shifted
 projective P[1], giving the idempotent quotient).
+
+Reduction composes (Jasso 2015; Buan-Marsh, the E-maps): J(U) and its item
+bijection depend only on the set S of root items reduced, not on the order
+of the chain.  So every context names its level items by their root
+preimages, and the root indexes the first context built for each S.
 """
 
 import numpy as np
@@ -62,7 +67,10 @@ class WideContext:
 
     The root node (reducer None) has gamma equal to the ambient algebra and
     a registry holding every indecomposable tau-rigid summand item.  A child
-    node reduces its parent's gamma by one compatible summand.
+    node reduces its parent's gamma by one compatible summand.  root_set is
+    the set of root items reduced so far; root_of and level_of map level
+    items to their root preimages and back; the root's by_set maps each
+    root_set to the first context built for it.
     """
 
     def __init__(self, algebra, parent, reducer_item, gamma, registry,
@@ -81,6 +89,16 @@ class WideContext:
         self.b_summands = []
         self._end = None
         self._quot = None
+        self.root = self if parent is None else parent.root
+        if parent is None:  # root items are their own preimages
+            self.root_set = frozenset()
+            self.root_of = {it: it for it in level_items}
+            self.level_of = self.root_of
+            self.by_set = {self.root_set: self}
+        else:  # the maps are filled by _build_context
+            self.root_set = parent.root_set | {parent.root_of[reducer_item]}
+            self.root_of = {}
+            self.level_of = {}
 
     @property
     def is_root(self):
@@ -90,6 +108,21 @@ class WideContext:
         if reducer_item not in self._children:
             self._children[reducer_item] = _build_context(self, reducer_item)
         return self._children[reducer_item]
+
+    def narrow(self, root_item):
+        """The context for root_set plus root_item: the first one built for
+        that set, else this context's child at root_item's level item."""
+        ctx = self.root.by_set.get(self.root_set | {root_item})
+        return ctx if ctx is not None else self.child(self.level_of[root_item])
+
+    def match(self, module, shift):
+        """The level item whose ambient realization is (module, shift) up
+        to isomorphism, or None."""
+        for item in self.level_items:
+            m, sh = self.realize_item(item)
+            if sh == shift and is_iso(m, module):
+                return item
+        return None
 
     def record_for(self, gamma_item):
         hits = [r for r in self.records if r["reduced"].gamma_item == gamma_item]
@@ -174,6 +207,11 @@ def _build_context(parent, reducer_item):
     ctx.level_items = [r["reduced"].gamma_item for r in ctx.records]
     if len(set(ctx.level_items)) != len(ctx.level_items):
         raise DomainError("reduction produced a repeated level item")
+    for rec in ctx.records:
+        root_item = parent.root_of[rec["parent"]]
+        ctx.root_of[rec["reduced"].gamma_item] = root_item
+        ctx.level_of[root_item] = rec["reduced"].gamma_item
+    ctx.root.by_set.setdefault(ctx.root_set, ctx)
     return ctx
 
 

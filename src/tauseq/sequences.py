@@ -3,9 +3,9 @@ tau-rigid objects (both directions), independent validation of candidate
 sequences, and enumeration / counting.
 
 An ordered object is a tuple of root-level items; a sequence entry is a
-(context, level item) pair, so each entry carries both its own level and,
-through the context chain, a realization as an ambient module (possibly
-shifted once).
+(context, level item) pair, so each entry carries its own level, its root
+preimage and, through the context's records, a realization as an ambient
+module (possibly shifted once).
 """
 
 import itertools
@@ -59,22 +59,17 @@ def _check_ordered(root, items):
 
 def psi(root, ordered):
     """The sequence (U_1, .., U_t) attached to an ordered object
-    (T_1, .., T_t): U_t = T_t, and the prefix is obtained by reducing at T_t
-    and recursing on the images of T_1, .., T_{t-1}."""
+    (T_1, .., T_t): U_i is T_i seen in the reduction at the set
+    {T_{i+1}, .., T_t}, so U_t = T_t."""
     root = _as_root(root)
     ordered = [root.registry.signed_item(x) if not isinstance(x, tuple)
                else x for x in ordered]
     _check_ordered(root, ordered)
-    return SignedSequence(_psi(root, list(ordered)))
-
-
-def _psi(ctx, items):
-    if len(items) == 1:
-        return [(ctx, items[0])]
-    child = ctx.child(items[-1])
-    reduced = [red.e_map(child, it) for it in items[:-1]]
-    inner = _psi(child, [r.gamma_item for r in reduced])
-    return inner + [(ctx, items[-1])]
+    entries = [(root, ordered[-1])]
+    for i in range(len(ordered) - 2, -1, -1):
+        ctx = entries[-1][0].narrow(ordered[i + 1])
+        entries.append((ctx, ctx.level_of[ordered[i]]))
+    return SignedSequence(entries[::-1])
 
 
 def phi(root, seq):
@@ -82,26 +77,39 @@ def phi(root, seq):
     shift) pairs, back to the tuple of root-level items."""
     root = _as_root(root)
     if isinstance(seq, SignedSequence):
-        out = []
-        for ctx, item in seq.entries:
-            while not ctx.is_root:
-                item = red.e_inverse(ctx, item)
-                ctx = ctx.parent
-            out.append(item)
-        return tuple(out)
+        return tuple(ctx.root_of[item] for ctx, item in seq.entries)
     pairs = list(seq)
     if not pairs:
         raise DomainError("empty sequence")
-    return tuple(_phi(root, pairs))
+    found = _phi_by_lookup(root, pairs)
+    # on a miss the chain route raises the error the pairs earn
+    return found if found is not None else tuple(_phi_by_chain(root, pairs))
 
 
-def _phi(ctx, pairs):
+def _phi_by_lookup(root, pairs):
+    """Name each pair, last first, by the level item realizing it in the
+    context of the later entries' root items; None on the first miss."""
+    if len(pairs) > root.gamma.idempotents.shape[0]:
+        return None
+    out = []
+    ctx = root
+    for module, shift in reversed(pairs):
+        if out:
+            ctx = ctx.narrow(out[-1])
+        item = ctx.match(module, shift)
+        if item is None:
+            return None
+        out.append(ctx.root_of[item])
+    return tuple(out[::-1])
+
+
+def _phi_by_chain(ctx, pairs):
     last_item = red.level_item_from_pair(ctx, *pairs[-1])
     if len(pairs) == 1:
         return [last_item]
     child = ctx.child(last_item)
     lifted = [red.lift_pair(child, m, sh) for m, sh in pairs[:-1]]
-    inner = _phi(child, lifted)
+    inner = _phi_by_chain(child, lifted)
     return [red.e_inverse(child, y) for y in inner] + [last_item]
 
 

@@ -166,6 +166,31 @@ def test_count_totals(capsys):
     assert payload["per_last"]["N"] == 8
 
 
+@pytest.mark.parametrize("field,code,out,err", [
+    (65521, 0, "108\n", ""),
+    (1000000000039, 2, "", "error: field order 1000000000039 is not below "
+     "2^16, the bound for exact int64 arithmetic\n"),
+    (15, 2, "", "error: field order 15 is not prime\n"),
+])
+def test_field_order_bound(capsys, tmp_path, field, code, out, err):
+    # the largest prime below 2^16 still counts ex3 exactly; a larger field
+    # is refused like a composite one instead of overflowing int64
+    text = (DATA / "ex3.alg").read_text(encoding="utf-8")
+    path = tmp_path / "ex3.alg"
+    path.write_text(text.replace("field 32003", f"field {field}"),
+                    encoding="utf-8")
+    got = run(capsys, ["count", "--algebra", str(path), "--length", "3"])
+    assert got == (code, out, err)
+
+
+def test_parser_is_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = run(capsys, ["count", *_args("1"), "--length", "7"])
+    assert run(capsys, ["count", *_args("1"), "--length", "2"]) == (
+        0, "10\n", "")
+    assert run(capsys, ["count", *_args("1"), "--length", "7"]) == first
+
+
 def test_paper_example_table(capsys):
     code, out, _ = run(capsys, ["paper-example", "1"])
     assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tauseq import linalg
+from tauseq.errors import DomainError
 
 P = 97  # small prime keeps hypothesis examples readable
 
@@ -25,6 +26,13 @@ def test_check_prime_rejects_composites():
     with pytest.raises(Exception):
         linalg.check_prime(10)
     assert linalg.check_prime(32003) == 32003
+
+
+def test_check_prime_bounds_the_order():
+    assert linalg.check_prime(65521) == 65521  # the largest prime < 2^16
+    for p in (65537, 1000000000039, 2 ** 16):
+        with pytest.raises(DomainError, match=r"not below 2\^16"):
+            linalg.check_prime(p)
 
 
 @settings(max_examples=60)

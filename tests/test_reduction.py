@@ -4,12 +4,14 @@ and the summand bijection E with its inverse."""
 import pytest
 
 from conftest import item_of
-from tauseq.algebra import algebra_invariants
+from test_algebra import linear_quiver_text
+from tauseq.algebra import algebra_invariants, parse_algebra
 from tauseq.errors import DomainError
 from tauseq.modules import (hom_dim, is_iso, simple_module, zero_module)
 from tauseq.complexes import proj_list, tau
 from tauseq.reduction import (e_inverse, e_map, j_membership,
-                              level_item_from_pair, make_context, transport)
+                              level_item_from_pair, make_context,
+                              root_context, transport)
 from tauseq.tautilt import SignedObject, is_tau_rigid
 
 # membership of the nine bundled ex3 modules in each J(u), worked out from
@@ -225,3 +227,50 @@ def test_nested_records_realize_consistently(first, root3, ex3):
             red = rec["reduced"]
             down = transport(ctx1, red.root_module)
             assert is_iso(down, red.lam_module)
+
+
+def _climb(ctx, item):
+    """Root preimage of a level item, by e_inverse up the chain."""
+    while not ctx.is_root:
+        item, ctx = e_inverse(ctx, item), ctx.parent
+    return item
+
+
+@pytest.mark.parametrize("case", ["root1", "root2", "root3", "A3",
+                                  "rad2-A3"])
+def test_reduction_depends_only_on_the_root_set(case, request):
+    # the composition rule at record level: every chain of reducers built
+    # through child alone, grouped by its set of root reducers, sees the
+    # same root preimages with isomorphic realizations and equal shifts
+    if case.startswith("root"):
+        root = request.getfixturevalue(case)
+    else:
+        text = linear_quiver_text(3, rad_square_zero=case == "rad2-A3")
+        root = root_context(parse_algebra(text)[1])
+    n = root.gamma.idempotents.shape[0]
+    layer, by_set = [root], {}
+    for _ in range(n - 1):
+        layer = [ctx.child(y) for ctx in layer for y in ctx.level_items]
+        for ctx in layer:
+            chain = []
+            node = ctx
+            while not node.is_root:
+                chain.append(_climb(node.parent, node.reducer_item))
+                node = node.parent
+            assert ctx.root_set == frozenset(chain)
+            seen = {}
+            for y in ctx.level_items:
+                assert ctx.root_of[y] == _climb(ctx, y)
+                assert ctx.level_of[ctx.root_of[y]] == y
+                seen[ctx.root_of[y]] = ctx.realize_item(y)
+            by_set.setdefault(ctx.root_set, []).append(seen)
+    compared = 0
+    for first, *others in by_set.values():
+        for other in others:
+            assert other.keys() == first.keys()
+            for key, (m, shift) in first.items():
+                assert other[key][1] == shift
+                assert is_iso(other[key][0], m)
+                compared += 1
+    # with three vertices some sets are reached by two chains
+    assert compared > 0 or n < 3

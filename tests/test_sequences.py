@@ -1,16 +1,20 @@
 """The bijection between ordered support tau-rigid objects and signed
 tau-exceptional sequences, with golden tables for the two rank-2 examples."""
 
+import itertools
 from collections import Counter
 
 import pytest
 
 from conftest import item_of
 from test_algebra import linear_quiver_text
+from tauseq import reduction, sequences
 from tauseq.algebra import parse_algebra
-from tauseq.complexes import ext1_dim
+from tauseq.complexes import ext1_dim, proj_list
 from tauseq.errors import DomainError
-from tauseq.reduction import root_context
+from tauseq.modules import zero_module
+from tauseq.reduction import (e_inverse, level_item_from_pair, lift_pair,
+                              root_context)
 from tauseq.sequences import (count_sequences, enumerate_ordered,
                               enumerate_sequences, ordered_names, phi, psi,
                               sequence_names, validate_sequence)
@@ -212,3 +216,95 @@ def test_psi_input_validation(root2, root3, ex2, ex3):
         psi(root3, [item_of(root3, mods3, "S3"), item_of(root3, mods3, "S2")])
     with pytest.raises(DomainError):
         enumerate_ordered(root3, 0)
+
+
+def test_psi_phi_build_one_context_per_root_set(ex3, monkeypatch):
+    # psi then phi over every ordered object of ex3 builds each reduction
+    # context once per set of later summands, whatever their order
+    root = root_context(ex3[1])
+    built = []
+    build = reduction._build_context
+
+    def counted(parent, item):
+        built.append(item)
+        return build(parent, item)
+
+    monkeypatch.setattr(reduction, "_build_context", counted)
+    sets = set()
+    for t in (1, 2, 3):
+        for tup in enumerate_ordered(root, t):
+            assert phi(root, psi(root, tup).root_pairs()) == tup
+            sets.update(frozenset(tup[i:]) for i in range(1, t))
+    assert len(sets) == 38
+    assert len(built) == len(sets)
+
+
+def _phi_by_chain(ctx, pairs):
+    """phi by transport down the chain of the entries' own reducers."""
+    last = level_item_from_pair(ctx, *pairs[-1])
+    if len(pairs) == 1:
+        return (last,)
+    child = ctx.child(last)
+    inner = _phi_by_chain(child, [lift_pair(child, m, sh)
+                                  for m, sh in pairs[:-1]])
+    return tuple(e_inverse(child, y) for y in inner) + (last,)
+
+
+def _outcome(fn, root, pairs):
+    try:
+        return fn(root, pairs)
+    except DomainError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("stem", ["root1", "root2", "root3"])
+def test_phi_lookup_matches_the_chain_route(stem, request):
+    root = request.getfixturevalue(stem)
+    n = root.gamma.idempotents.shape[0]
+    for t in range(1, n + 1):
+        for tup, seq in enumerate_sequences(root, t):
+            pairs = seq.root_pairs()
+            assert sequences._phi_by_lookup(root, pairs) == tup
+            assert _phi_by_chain(root, pairs) == tup
+
+
+@pytest.mark.parametrize("exname,stem", [("ex1", "root1"), ("ex2", "root2")])
+def test_phi_errors_match_the_chain_route(exname, stem, request):
+    # every ordered pair of fixture entries, as in the CLI snapshot's phi
+    # rows: the same object or the same DomainError message
+    root = request.getfixturevalue(stem)
+    _, alg, mods = request.getfixturevalue(exname)
+    entries = [(m, False) for m in mods.values()]
+    entries += [(p, True) for p in proj_list(alg)]
+    errors = 0
+    for pairs in itertools.permutations(entries, 2):
+        want = _outcome(_phi_by_chain, root, list(pairs))
+        assert _outcome(phi, root, list(pairs)) == want
+        errors += isinstance(want, str)
+    assert errors > 0
+
+
+def test_phi_rejects_invalid_pairs_like_the_chain_route(root3, ex3):
+    _, alg, mods = ex3
+    m = mods
+    cases = {
+        # M is not in J(S2)
+        "module is not an object of J(reducer)":
+            [(m["M"], False), (m["S2"], False)],
+        # I3 lies in J(I2) but is not tau-rigid there
+        "module is not a registered tau-rigid level item":
+            [(m["I3"], False), (m["I2"], False)],
+        # S1 lies in J(S2) but is not projective there
+        "module is not isomorphic to an indecomposable projective":
+            [(m["S1"], True), (m["S2"], False)],
+    }
+    for message, pairs in cases.items():
+        assert _outcome(phi, root3, pairs) == f"error: {message}"
+        assert _outcome(_phi_by_chain, root3, pairs) == f"error: {message}"
+    odd = [[(zero_module(alg), False)], [(m["S2"], True)],
+           [(m["P1"], False)] * 2, [(m["S2"], False)] * 4,
+           [(m["S3"], False), (m["P1"], False), (m["P2"], False),
+            (m["M"], False)]]
+    for pairs in odd:
+        assert _outcome(phi, root3, pairs) == \
+            _outcome(_phi_by_chain, root3, pairs)
