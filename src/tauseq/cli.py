@@ -247,7 +247,7 @@ def cmd_cobongartz(ws, args):
 def cmd_correspond(ws, args):
     u = ws.resolve_module(args.module)
     reg = ws.root.registry
-    records = complement_correspondence(reg, u)
+    _, records = complement_correspondence(reg, u)
     rows = []
     payload = []
     for rec in records:

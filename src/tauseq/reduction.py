@@ -8,6 +8,11 @@ summand items; each child is cut out by one reducer (a module u, giving
 Gamma = End(B + u)/[u] for the Bongartz complement B, or a shifted
 projective P[1], giving the idempotent quotient).
 
+E sends the co-Bongartz partners of a module reducer u (the items in Gen u
+and the shifts compatible with u) to the shifted projectives of Gamma, each
+to the vertex of the Bongartz summand that
+tautilt.complement_correspondence pairs it with.
+
 Reduction composes (Jasso 2015; Buan-Marsh, the E-maps): J(U) and its item
 bijection depend only on the set S of root items reduced, not on the order
 of the chain.  So every context names its level items by their root
@@ -21,10 +26,10 @@ from . import linalg
 from .algebra import (quotient_by_ideal, quotient_by_idempotent_ideal,
                       two_sided_ideal_rows)
 from .errors import DomainError
-from .modules import (FdModule, end_algebra, hom_basis, hom_dim, in_gen,
-                      is_iso, min_left_approx, torsion_free_quotient,
-                      zero_module)
-from .tautilt import Registry, SignedObject, bongartz, indec_tau_rigid_items
+from .modules import (FdModule, end_algebra, hom_basis, hom_dim, is_iso,
+                      torsion_free_quotient, zero_module)
+from .tautilt import (Registry, SignedObject, complement_correspondence,
+                      indec_tau_rigid_items)
 
 
 def j_membership(u, x):
@@ -82,9 +87,11 @@ class WideContext:
         self.registry = registry  # Registry over gamma
         self.level_items = level_items
         self.records = []  # {"parent": item, "reduced": ReducedObject}
+        self.record_of = {}  # level item -> its record
         self._children = {}
         # module-reducer transport data
         self.u_module = None
+        self.partners = {}  # co-Bongartz partner -> its Bongartz vertex
         self.b_ids = []  # parent registry ids of the Bongartz summands
         self.b_summands = []
         self._end = None
@@ -125,13 +132,9 @@ class WideContext:
         return None
 
     def record_for(self, gamma_item):
-        hits = [r for r in self.records if r["reduced"].gamma_item == gamma_item]
-        if not hits:
+        if gamma_item not in self.record_of:
             raise DomainError("no preimage for the given reduced object")
-        if len(hits) > 1:
-            raise DomainError("multiple preimages for the given reduced "
-                              "object")
-        return hits[0]
+        return self.record_of[gamma_item]
 
     def realize_item(self, item):
         """(root module, shift flag) for a level item of this context."""
@@ -174,7 +177,7 @@ def _build_context(parent, reducer_item):
         raise DomainError("reducer is not a registered tau-rigid summand")
     if kind == "m":
         u = preg.module(val)
-        b_ids = list(dict.fromkeys(preg.summands(bongartz(preg, u))))
+        b_ids, corr = complement_correspondence(preg, u)
         b_summands = [preg.module(i) for i in b_ids]
         end = end_algebra(b_summands + [u],
                           vertex_labels=[preg.name(i) for i in b_ids] + ["u"])
@@ -187,6 +190,7 @@ def _build_context(parent, reducer_item):
         ctx = WideContext(a, parent, reducer_item, gamma, Registry(gamma),
                           None)
         ctx.u_module = u
+        ctx.partners = {r["partner"]: b_ids.index(r["b"]) for r in corr}
         ctx.b_ids = b_ids
         ctx.b_summands = b_summands
         ctx._end = end
@@ -204,13 +208,14 @@ def _build_context(parent, reducer_item):
         if x_item != reducer_item and preg.compatible(x_item, reducer_item):
             ctx.records.append({"parent": x_item,
                                 "reduced": _reduce_item(ctx, x_item)})
-    ctx.level_items = [r["reduced"].gamma_item for r in ctx.records]
-    if len(set(ctx.level_items)) != len(ctx.level_items):
+    ctx.record_of = {r["reduced"].gamma_item: r for r in ctx.records}
+    if len(ctx.record_of) != len(ctx.records):
         raise DomainError("reduction produced a repeated level item")
-    for rec in ctx.records:
+    ctx.level_items = list(ctx.record_of)
+    for y, rec in ctx.record_of.items():
         root_item = parent.root_of[rec["parent"]]
-        ctx.root_of[rec["reduced"].gamma_item] = root_item
-        ctx.level_of[root_item] = rec["reduced"].gamma_item
+        ctx.root_of[y] = root_item
+        ctx.level_of[root_item] = y
     ctx.root.by_set.setdefault(ctx.root_set, ctx)
     return ctx
 
@@ -275,50 +280,33 @@ def transport(ctx, x):
 
 
 def _reduce_item(ctx, x_item):
-    """E(reducer) on one compatible parent item; the core of e_map."""
+    """E(reducer) on one compatible parent item; the core of e_map.  Under
+    a module reducer u, x goes to f_u(x), unless x is the co-Bongartz
+    partner of a Bongartz summand B_w: then to P_w[1], realized as f_u(B_w).
+    Under P_v[1], P_w[1] goes to the shift at w's vertex of the quotient."""
     parent = ctx.parent
-    preg = parent.registry
     kind, val = x_item
     u_root, _ = parent.realize_item(ctx.reducer_item)
-    x_root, _ = parent.realize_item(x_item)
     if ctx.reducer_item[0] == "p":
+        v = ctx.reducer_item[1]
+        x_root, _ = parent.realize_item(x_item)
         if kind == "m":
-            x = preg.module(val)
+            x = parent.registry.module(val)
             tm = transport(ctx, x)
             return ReducedObject(x, False, ("m", ctx.registry.ensure(tm)),
                                  x_root)
-        fq, _ = torsion_free_quotient(
-            cxs.proj_list(ctx.algebra)[ctx.reducer_item[1]],
-            cxs.proj_list(ctx.algebra)[val])
-        w = _find_proj_vertex(ctx.gamma, transport(ctx, fq))
+        projs = cxs.proj_list(ctx.algebra)
+        fq, _ = torsion_free_quotient(projs[v], projs[val])
         root_m, _ = torsion_free_quotient(u_root, x_root)
-        return ReducedObject(fq, True, ("p", w), root_m)
-    u = ctx.u_module
-    if kind == "m":
-        x = preg.module(val)
-        if not in_gen(u, x):
-            fx, _ = torsion_free_quotient(u, x)
-            tm = transport(ctx, fx)
-            root_m, _ = torsion_free_quotient(u_root, x_root)
-            return ReducedObject(fx, False, ("m", ctx.registry.ensure(tm)),
-                                 root_m)
-        uid = ctx.reducer_item[1]
-        src, cmap, _ = cxs.min_right_approx_K([preg.pres(uid)], preg.pres(val))
-        rx = cxs.reduce_cx(cxs.shift_cx(cxs.cone(src, preg.pres(val), cmap),
-                                        -1))
-        bx, _, _ = cxs.h0(rx)
-    else:
-        proj = cxs.proj_list(ctx.algebra)[val]
-        bx, _, _ = min_left_approx(proj, ctx.b_summands)
-    ids = preg.summands(bx)
-    if len(ids) != 1 or ids[0] not in ctx.b_ids:
-        raise DomainError("reduction triangle did not isolate one Bongartz "
-                          "summand")
-    w = ctx.b_ids.index(ids[0])
-    fb, _ = torsion_free_quotient(u, ctx.b_summands[w])
-    b_root, _ = parent.realize_item(("m", ids[0]))
-    root_m, _ = torsion_free_quotient(u_root, b_root)
-    return ReducedObject(fb, True, ("p", w), root_m)
+        return ReducedObject(fq, True, ("p", val - (val > v)), root_m)
+    w = ctx.partners.get(x_item)
+    y = x_item if w is None else ("m", ctx.b_ids[w])
+    fy, _ = torsion_free_quotient(ctx.u_module, parent.registry.module(y[1]))
+    root_m, _ = torsion_free_quotient(u_root, parent.realize_item(y)[0])
+    if w is not None:
+        return ReducedObject(fy, True, ("p", w), root_m)
+    tm = transport(ctx, fy)
+    return ReducedObject(fy, False, ("m", ctx.registry.ensure(tm)), root_m)
 
 
 def e_map(ctx, x):

@@ -79,18 +79,18 @@ def phi(root, seq):
     if isinstance(seq, SignedSequence):
         return tuple(ctx.root_of[item] for ctx, item in seq.entries)
     pairs = list(seq)
+    n = root.gamma.idempotents.shape[0]
     if not pairs:
         raise DomainError("empty sequence")
-    found = _phi_by_lookup(root, pairs)
-    # on a miss the chain route raises the error the pairs earn
-    return found if found is not None else tuple(_phi_by_chain(root, pairs))
+    if len(pairs) > n:
+        raise DomainError(f"sequence length {len(pairs)} is outside 1..{n}")
+    return _phi_by_lookup(root, pairs)
 
 
 def _phi_by_lookup(root, pairs):
     """Name each pair, last first, by the level item realizing it in the
-    context of the later entries' root items; None on the first miss."""
-    if len(pairs) > root.gamma.idempotents.shape[0]:
-        return None
+    context of the later entries' root items.  A matched pair lies in J of
+    every later entry, so only a miss is examined further."""
     out = []
     ctx = root
     for module, shift in reversed(pairs):
@@ -98,19 +98,24 @@ def _phi_by_lookup(root, pairs):
             ctx = ctx.narrow(out[-1])
         item = ctx.match(module, shift)
         if item is None:
-            return None
+            raise _phi_miss(root, pairs, out)
         out.append(ctx.root_of[item])
     return tuple(out[::-1])
 
 
-def _phi_by_chain(ctx, pairs):
-    last_item = red.level_item_from_pair(ctx, *pairs[-1])
-    if len(pairs) == 1:
-        return [last_item]
-    child = ctx.child(last_item)
-    lifted = [red.lift_pair(child, m, sh) for m, sh in pairs[:-1]]
-    inner = _phi_by_chain(child, lifted)
-    return [red.e_inverse(child, y) for y in inner] + [last_item]
+def _phi_miss(root, pairs, named):
+    """The error a walk down the chain of reductions raises first when the
+    pair before those that name the root items `named` matches nothing: a
+    pair up to it lies outside J of a named item (J(S + u) = J(S) meet J(u)
+    in mod A), else that pair is not an item at its level."""
+    rest = pairs[:len(pairs) - len(named)]
+    if not all(red.j_membership(root.registry.item_signed(it), m)
+               for it in named for m, _ in rest):
+        return DomainError("module is not an object of J(reducer)")
+    if rest[-1][1]:
+        return DomainError("module is not isomorphic to an indecomposable "
+                           "projective")
+    return DomainError("module is not a registered tau-rigid level item")
 
 
 def validate_sequence(root, pairs):

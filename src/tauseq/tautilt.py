@@ -354,12 +354,12 @@ def _bongartz_from(reg, u, c_ids, q):
 
 def complement_correspondence(reg, u):
     """Pair each indecomposable Bongartz summand B_i with its co-Bongartz
-    partner.
+    partner; returns (b_ids, records), b_ids in decomposition order.
 
-    Returns records {"b": id, "case": "a"|"b", "partner": item,
-    "middle": module} where case "a" pairs B_i with the cokernel C_i of its
-    minimal left add(u)-approximation, and case "b" pairs a projective
-    Q_i[1] with the target of the minimal left add(B)-approximation of Q_i.
+    Each record {"b": id, "case": "a"|"b", "partner": item, "middle": module}
+    pairs B_i, in case "a", with the cokernel C_i of its minimal left
+    add(u)-approximation, or, in case "b", a projective Q_i[1] with the
+    target of the minimal left add(B)-approximation of Q_i.
     """
     alg = reg.alg
     c_ids, q = cobongartz(reg, u)
@@ -401,4 +401,4 @@ def complement_correspondence(reg, u):
                   key=item_sort_key)
     if sorted(partners, key=item_sort_key) != want:
         raise DomainError("correspondence partners do not exhaust C and Q")
-    return records
+    return b_ids, records

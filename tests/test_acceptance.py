@@ -462,7 +462,7 @@ def _c5_gen_app(state):
         reg = root.registry
         for un, u in _rigid_mods(mods).items():
             u_pieces = [piece for piece, _ in decompose_grouped(u)]
-            for rec in complement_correspondence(reg, u):
+            for rec in complement_correspondence(reg, u)[1]:
                 if rec["case"] != "a":
                     continue
                 bi = reg.module(rec["b"])

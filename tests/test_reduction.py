@@ -5,13 +5,16 @@ import pytest
 
 from conftest import item_of
 from test_algebra import linear_quiver_text
+from tauseq import complexes as cxs
 from tauseq.algebra import algebra_invariants, parse_algebra
 from tauseq.errors import DomainError
-from tauseq.modules import (hom_dim, is_iso, simple_module, zero_module)
+from tauseq.modules import (hom_dim, in_gen, is_iso, min_left_approx,
+                            simple_module, zero_module)
 from tauseq.complexes import proj_list, tau
-from tauseq.reduction import (e_inverse, e_map, j_membership,
-                              level_item_from_pair, make_context,
-                              root_context, transport)
+from tauseq.reduction import (_find_proj_vertex, e_inverse, e_map,
+                              j_membership, level_item_from_pair,
+                              make_context, root_context, transport)
+from tauseq.sequences import enumerate_ordered, psi
 from tauseq.tautilt import SignedObject, is_tau_rigid
 
 # membership of the nine bundled ex3 modules in each J(u), worked out from
@@ -274,3 +277,61 @@ def test_reduction_depends_only_on_the_root_set(case, request):
                 compared += 1
     # with three vertices some sets are reached by two chains
     assert compared > 0 or n < 3
+
+
+def _triangle_bongartz_summand(ctx, x_item):
+    """The Bongartz summand at the other end of x's exchange triangle: for
+    a module x in Gen u, H^0 of the cocone of the minimal right
+    add(u)-approximation of x's presentation in K^b(proj); for a shift
+    P[1], the target of the minimal left add(B)-approximation of P."""
+    preg = ctx.parent.registry
+    kind, val = x_item
+    if kind == "p":
+        bx, _, _ = min_left_approx(proj_list(ctx.algebra)[val],
+                                   ctx.b_summands)
+        return bx
+    src, cmap, _ = cxs.min_right_approx_K([preg.pres(ctx.reducer_item[1])],
+                                          preg.pres(val))
+    cocone = cxs.shift_cx(cxs.cone(src, preg.pres(val), cmap), -1)
+    bx, _, _ = cxs.h0(cxs.reduce_cx(cocone))
+    return bx
+
+
+@pytest.mark.parametrize("case,module_shifts,shift_items", [
+    ("ex1", 3, 2), ("ex2", 4, 2), ("ex3", 40, 9), ("A3", 29, 10),
+    ("rad2-A3", 25, 9)])
+def test_e_map_shifts_agree_with_the_exchange_triangle(
+        case, module_shifts, shift_items, request):
+    # the shifted records, read off the Bongartz correspondence, against
+    # the exchange triangle and transport on every context psi builds
+    if case.startswith("ex"):
+        alg = request.getfixturevalue(case)[1]
+    else:
+        alg = parse_algebra(linear_quiver_text(
+            3, rad_square_zero=case == "rad2-A3"))[1]
+    root = root_context(alg)
+    for t in range(1, alg.idempotents.shape[0] + 1):
+        for tup in enumerate_ordered(root, t):
+            psi(root, tup)
+    counts = [0, 0]
+    for ctx in root.by_set.values():
+        if ctx.is_root:
+            continue
+        preg = ctx.parent.registry
+        for rec in ctx.records:
+            (kind, val), red = rec["parent"], rec["reduced"]
+            if ctx.reducer_item[0] == "p":
+                if kind == "p":
+                    w = _find_proj_vertex(ctx.gamma,
+                                          transport(ctx, red.lam_module))
+                    assert red.gamma_item == ("p", w)
+                    counts[1] += 1
+                continue
+            if kind == "m":
+                assert in_gen(ctx.u_module, preg.module(val)) == \
+                    red.lam_shift
+            if red.lam_shift:
+                bx = _triangle_bongartz_summand(ctx, rec["parent"])
+                assert is_iso(bx, ctx.b_summands[red.gamma_item[1]])
+                counts[0] += 1
+    assert counts == [module_shifts, shift_items]

@@ -2,6 +2,7 @@
 tau-exceptional sequences, with golden tables for the two rank-2 examples."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -268,20 +269,29 @@ def test_phi_lookup_matches_the_chain_route(stem, request):
             assert _phi_by_chain(root, pairs) == tup
 
 
-@pytest.mark.parametrize("exname,stem", [("ex1", "root1"), ("ex2", "root2")])
+@pytest.mark.parametrize("exname,stem", [("ex1", "root1"), ("ex2", "root2"),
+                                         ("ex3", "root3")])
 def test_phi_errors_match_the_chain_route(exname, stem, request):
-    # every ordered pair of fixture entries, as in the CLI snapshot's phi
-    # rows: the same object or the same DomainError message
+    # every ordered pair of fixture entries, shifted or not, the shifted
+    # projectives and the zero module (the CLI snapshot's phi rows and
+    # more), and on ex3 a fixed sample of triples: the same object or the
+    # same DomainError message
     root = request.getfixturevalue(stem)
     _, alg, mods = request.getfixturevalue(exname)
-    entries = [(m, False) for m in mods.values()]
+    entries = [(m, shift) for shift in (False, True) for m in mods.values()]
     entries += [(p, True) for p in proj_list(alg)]
-    errors = 0
-    for pairs in itertools.permutations(entries, 2):
+    entries += [(zero_module(alg), False)]
+    tuples = list(itertools.permutations(entries, 2))
+    if exname == "ex3":
+        tuples += random.Random(3).sample(
+            list(itertools.permutations(entries, 3)), 300)
+    outcomes = Counter()
+    for pairs in tuples:
         want = _outcome(_phi_by_chain, root, list(pairs))
         assert _outcome(phi, root, list(pairs)) == want
-        errors += isinstance(want, str)
-    assert errors > 0
+        outcomes[want if isinstance(want, str) else "object"] += 1
+    # every outcome occurs: an object and the three errors of a miss
+    assert len(outcomes) == 4, outcomes
 
 
 def test_phi_rejects_invalid_pairs_like_the_chain_route(root3, ex3):
@@ -302,9 +312,14 @@ def test_phi_rejects_invalid_pairs_like_the_chain_route(root3, ex3):
         assert _outcome(phi, root3, pairs) == f"error: {message}"
         assert _outcome(_phi_by_chain, root3, pairs) == f"error: {message}"
     odd = [[(zero_module(alg), False)], [(m["S2"], True)],
-           [(m["P1"], False)] * 2, [(m["S2"], False)] * 4,
-           [(m["S3"], False), (m["P1"], False), (m["P2"], False),
-            (m["M"], False)]]
+           [(m["P1"], False)] * 2]
     for pairs in odd:
         assert _outcome(phi, root3, pairs) == \
             _outcome(_phi_by_chain, root3, pairs)
+    # lists longer than the vertex count are refused by their length
+    too_long = [[(m["S2"], False)] * 4,
+                [(m["S3"], False), (m["P1"], False), (m["P2"], False),
+                 (m["M"], False)]]
+    for pairs in too_long:
+        assert _outcome(phi, root3, pairs) == \
+            "error: sequence length 4 is outside 1..3"

@@ -339,7 +339,7 @@ def test_cobongartz_oracles(root1, ex1):
     c_ids, q = cobongartz(reg, lam)
     assert c_ids == [] and q == []
     assert bongartz(reg, lam).dim == 0
-    assert complement_correspondence(reg, lam) == []
+    assert complement_correspondence(reg, lam) == ([], [])
 
 
 def test_cobongartz_rejects_non_rigid_input(root2, ex2):
@@ -378,13 +378,13 @@ def test_bongartz_completion_is_tau_tilting(rootname, exname, request):
 def test_correspondence_oracles(root1, root3, ex1, ex3):
     _, _, mods1 = ex1
     reg1 = root1.registry
-    recs = complement_correspondence(reg1, mods1["P1"])
+    _, recs = complement_correspondence(reg1, mods1["P1"])
     assert len(recs) == 1
     assert recs[0]["case"] == "a"
     assert reg1.name(recs[0]["b"]) == "P2"
     assert reg1.display_item(recs[0]["partner"]) == "S1"
     assert is_iso(recs[0]["middle"], mods1["P1"])
-    recs = complement_correspondence(reg1, mods1["S1"])
+    _, recs = complement_correspondence(reg1, mods1["S1"])
     assert len(recs) == 1
     assert recs[0]["case"] == "b"
     assert reg1.name(recs[0]["b"]) == "P1"
@@ -392,7 +392,7 @@ def test_correspondence_oracles(root1, root3, ex1, ex3):
     assert is_iso(recs[0]["middle"], mods1["S1"])
     _, _, mods3 = ex3
     reg3 = root3.registry
-    recs = complement_correspondence(reg3, mods3["S2"])
+    _, recs = complement_correspondence(reg3, mods3["S2"])
     pairing = {r["partner"]: reg3.name(r["b"]) for r in recs}
     assert pairing == {("p", 0): "N", ("p", 2): "P2"}
     for r in recs:
@@ -408,7 +408,7 @@ def test_correspondence_middles_lie_in_add_u(rootname, exname, request):
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
         u_pieces = [piece for piece, _ in decompose_grouped(u)]
-        for rec in complement_correspondence(reg, u):
+        for rec in complement_correspondence(reg, u)[1]:
             mid = rec["middle"]
             if mid.dim == 0:
                 continue
@@ -453,7 +453,7 @@ def test_case_a_approximations_cover_gen_u(rootname, exname, request):
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
         u_pieces = [piece for piece, _ in decompose_grouped(u)]
-        for rec in complement_correspondence(reg, u):
+        for rec in complement_correspondence(reg, u)[1]:
             if rec["case"] != "a":
                 continue
             bi = reg.module(rec["b"])
