@@ -262,8 +262,20 @@ def cmd_correspond(ws, args):
                                "middle"), rows, payload)
 
 
+def _tokens(text, what):
+    """The comma-separated tokens of text.  An empty token is refused, so
+    "S1,,S2" is not read as "S1,S2"."""
+    tokens = text.split(",")
+    blank = [not t.strip() for t in tokens]
+    if all(blank):
+        raise InputError(f"empty {what} string")
+    if any(blank):
+        raise InputError(f"empty entry in {what} string")
+    return tokens
+
+
 def cmd_reduce(ws, args):
-    tokens = [t for t in args.object.split(",") if t.strip()]
+    tokens = _tokens(args.object, "object")
     if len(tokens) != 1:
         raise DomainError("reduce takes a single indecomposable summand")
     m, shift = ws.resolve_entry(tokens[0])
@@ -292,23 +304,19 @@ def cmd_reduce(ws, args):
 
 
 def cmd_psi(ws, args):
-    tokens = [t for t in args.object.split(",") if t.strip()]
-    if not tokens:
-        raise InputError("empty object string")
+    tokens = _tokens(args.object, "object")
     items = [ws.root_item(*ws.resolve_entry(t)) for t in tokens]
     s = seqs.psi(ws.root, tuple(items))
     reg = ws.root.registry
     names = s.names(reg)
     payload = {"object": [ws.item_json(i) for i in items],
-               "sequence": [ws.entry_json(*ctx.realize_item(item))
-                            for ctx, item in s.entries]}
+               "sequence": [ws.entry_json(*rec.realize_item(item))
+                            for rec, item in s.entries]}
     return _emit_line(args.format, names, payload)
 
 
 def cmd_phi(ws, args):
-    tokens = [t for t in args.sequence.split(",") if t.strip()]
-    if not tokens:
-        raise InputError("empty sequence string")
+    tokens = _tokens(args.sequence, "sequence")
     pairs = [ws.resolve_entry(t) for t in tokens]
     items = seqs.phi(ws.root, pairs)
     reg = ws.root.registry

@@ -1,22 +1,29 @@
-"""Perpendicular reduction: J(u) membership, the reduced algebra Gamma with
-its transport equivalence, and the bijection E between compatible summands
-at one level and signed objects one level down.
+"""Perpendicular reduction: J(u) membership, the bijection E_S between the
+root items compatible with a set S and the signed objects of J(S), read in
+one step off the root, and the reduced algebra Gamma with its transport
+equivalence along a chain of single reductions.
 
-A reduction chain is a linked list of WideContext nodes.  The root context
-holds the ambient algebra and the full registry of indecomposable tau-rigid
-summand items; each child is cut out by one reducer (a module u, giving
-Gamma = End(B + u)/[u] for the Bongartz complement B, or a shifted
-projective P[1], giving the idempotent quotient).
+E_S in one step (set_record).  Reduction composes (Jasso 2015; Buan-Marsh,
+the E-maps), so E_S depends only on the set S of root items reduced.  With
+M_S the module part of S, E_S sends a module x outside Gen M_S to f_{M_S}(x),
+computed in mod A (J(S) is wide there).  It sends a shift, or a module in
+Gen M_S, to a shifted projective, realized by f_{M_S}(b) for the summand b
+of the Bongartz completion B(S) at which g(x), in the g-basis of B(S), has
+its one coefficient -1 outside S (Demonet-Iyama-Jasso).  psi and phi read
+these SetRecords, one per set, and build no Gamma.
+
+Chains of contexts.  The root context holds the ambient algebra and the
+full registry of indecomposable tau-rigid summand items; each child is cut
+out by one reducer (a module u, giving Gamma = End(B + u)/[u] for the
+Bongartz complement B, or a shifted projective P[1], giving the idempotent
+quotient).
 
 E sends the co-Bongartz partners of a module reducer u (the items in Gen u
 and the shifts compatible with u) to the shifted projectives of Gamma, each
 to the vertex of the Bongartz summand that
-tautilt.complement_correspondence pairs it with.
-
-Reduction composes (Jasso 2015; Buan-Marsh, the E-maps): J(U) and its item
-bijection depend only on the set S of root items reduced, not on the order
-of the chain.  So every context names its level items by their root
-preimages, and the root indexes the first context built for each S.
+tautilt.complement_correspondence pairs it with.  Gamma lives only in
+chains: the `reduce` command, the Gamma invariants of the third paper
+example and sequences.validate_sequence build them; psi and phi do not.
 """
 
 import numpy as np
@@ -27,9 +34,9 @@ from .algebra import (quotient_by_ideal, quotient_by_idempotent_ideal,
                       two_sided_ideal_rows)
 from .errors import DomainError
 from .modules import (FdModule, end_algebra, hom_basis, hom_dim, is_iso,
-                      torsion_free_quotient, zero_module)
-from .tautilt import (Registry, SignedObject, complement_correspondence,
-                      indec_tau_rigid_items)
+                      quotient_module, torsion_free_quotient, zero_module)
+from .tautilt import (Registry, SignedObject, bongartz_completion,
+                      complement_correspondence, indec_tau_rigid_items)
 
 
 def j_membership(u, x):
@@ -67,15 +74,54 @@ class ReducedObject:
         self.root_module = root_module
 
 
-class WideContext:
+class _Realizing:
+    """Lookup and display of the items that a view realizes as (ambient
+    module, shift flag) pairs."""
+
+    _index = None  # (shift, dimension vector) -> items, built on first match
+
+    def match(self, module, shift):
+        """The level item realized by (module, shift) up to isomorphism, or
+        None: compared by shift flag and dimension vector, then by
+        is_iso."""
+        if self._index is None:
+            self._index = {}
+            for item in self.level_items:
+                m, sh = self.realize_item(item)
+                self._index.setdefault((sh, m.vertex_dims()), []).append(item)
+        for item in self._index.get((shift, module.vertex_dims()), ()):
+            if is_iso(self.realize_item(item)[0], module):
+                return item
+        return None
+
+    def display_root(self, item, root_registry):
+        m, shift = self.realize_item(item)
+        name = root_registry.name(root_registry.ensure(m))
+        return name + "[1]" if shift else name
+
+
+class SetRecord(_Realizing):
+    """E_S for one set S of root items, read off the root.
+
+    level_items are the root items compatible with S and not in S, in root
+    order; realize_item gives the (ambient module, shift flag) of E_S(x).
+    """
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.level_items = list(pairs)
+
+    def realize_item(self, item):
+        return self.pairs[item]
+
+
+class WideContext(_Realizing):
     """One node of a reduction chain.
 
     The root node (reducer None) has gamma equal to the ambient algebra and
-    a registry holding every indecomposable tau-rigid summand item.  A child
-    node reduces its parent's gamma by one compatible summand.  root_set is
-    the set of root items reduced so far; root_of and level_of map level
-    items to their root preimages and back; the root's by_set maps each
-    root_set to the first context built for it.
+    a registry holding every indecomposable tau-rigid summand item; it also
+    caches the SetRecord of each set asked of set_record.  A child node
+    reduces its parent's gamma by one compatible summand.
     """
 
     def __init__(self, algebra, parent, reducer_item, gamma, registry,
@@ -96,16 +142,9 @@ class WideContext:
         self.b_summands = []
         self._end = None
         self._quot = None
-        self.root = self if parent is None else parent.root
-        if parent is None:  # root items are their own preimages
-            self.root_set = frozenset()
-            self.root_of = {it: it for it in level_items}
-            self.level_of = self.root_of
-            self.by_set = {self.root_set: self}
-        else:  # the maps are filled by _build_context
-            self.root_set = parent.root_set | {parent.root_of[reducer_item]}
-            self.root_of = {}
-            self.level_of = {}
+        if parent is None:
+            self.set_records = {}
+            self.trace_rows = {}  # (u id, x id) -> rows spanning t_u(x)
 
     @property
     def is_root(self):
@@ -115,21 +154,6 @@ class WideContext:
         if reducer_item not in self._children:
             self._children[reducer_item] = _build_context(self, reducer_item)
         return self._children[reducer_item]
-
-    def narrow(self, root_item):
-        """The context for root_set plus root_item: the first one built for
-        that set, else this context's child at root_item's level item."""
-        ctx = self.root.by_set.get(self.root_set | {root_item})
-        return ctx if ctx is not None else self.child(self.level_of[root_item])
-
-    def match(self, module, shift):
-        """The level item whose ambient realization is (module, shift) up
-        to isomorphism, or None."""
-        for item in self.level_items:
-            m, sh = self.realize_item(item)
-            if sh == shift and is_iso(m, module):
-                return item
-        return None
 
     def record_for(self, gamma_item):
         if gamma_item not in self.record_of:
@@ -146,11 +170,6 @@ class WideContext:
         red_obj = self.record_for(item)["reduced"]
         return red_obj.root_module, red_obj.lam_shift
 
-    def display_root(self, item, root_registry):
-        m, shift = self.realize_item(item)
-        name = root_registry.name(root_registry.ensure(m))
-        return name + "[1]" if shift else name
-
 
 def root_context(alg, cap=10000, registry=None):
     """The chain root: ambient algebra plus the full tau-rigid registry."""
@@ -158,6 +177,67 @@ def root_context(alg, cap=10000, registry=None):
     ctx = WideContext(alg, None, None, alg, reg, items)
     ctx.stt_objects = objs
     return ctx
+
+
+def set_record(root, s):
+    """E_S for a frozenset S of root items, one SetRecord cached per set on
+    the root; for S empty, E is the identity and the root answers."""
+    if not s:
+        return root
+    rec = root.set_records.get(s)
+    if rec is None:
+        rec = root.set_records[s] = SetRecord(_one_step_pairs(root, s))
+    return rec
+
+
+def _one_step_pairs(root, s):
+    """{x: (ambient module, shift flag)} of E_S, in root item order.  The
+    trace of U = M_S + (the projectives of S's shifts) in an item x
+    compatible with S is the trace of M_S, as Hom(P_v, x) = 0 for every
+    shift P_v[1] in S; so f_U = f_{M_S} on x and on B(S)'s summands."""
+    reg = root.registry
+    u_ids = [v for kind, v in s if kind == "m"]
+    pairs = {}
+    for x in root.level_items:
+        if x in s or not all(reg.compatible(x, y) for y in s):
+            continue
+        pairs[x] = None  # x in Gen M_S or a shift: filled below
+        if x[0] == "m":
+            fx = _torsion_free(root, u_ids, x[1])
+            if fx.dim:
+                pairs[x] = (fx, False)
+    shifted = [x for x, pair in pairs.items() if pair is None]
+    if shifted:
+        b_obj = bongartz_completion(reg, root.stt_objects, s)
+        for x in shifted:
+            b = _bongartz_partner(reg, b_obj, s, x)
+            pairs[x] = (_torsion_free(root, u_ids, b), True)
+    return pairs
+
+
+def _torsion_free(root, u_ids, x):
+    """f_{M_S}(x) = x / t_{M_S}(x) for registry ids: the trace of a sum is
+    the sum of the traces of its summands, each cached per pair on the
+    root."""
+    for u in u_ids:
+        if (u, x) not in root.trace_rows:
+            homs = hom_basis(root.registry.module(u), root.registry.module(x))
+            root.trace_rows[u, x] = [h.T for h in homs]
+    rows = [r for u in u_ids for r in root.trace_rows[u, x]]
+    xm = root.registry.module(x)
+    return quotient_module(xm, np.vstack(rows))[0] if rows else xm
+
+
+def _bongartz_partner(reg, b_obj, s, x):
+    """Registry id of the one summand b of B(S) outside S with a nonzero
+    coefficient in g(x), written in the basis g(B(S)); that coefficient
+    must be -1."""
+    coords = reg.g_coords(b_obj, reg.g_vector(x))
+    hits = [(it, c) for it, c in zip(b_obj, coords) if c and it not in s]
+    if len(hits) != 1 or hits[0][1] != -1 or hits[0][0][0] != "m":
+        raise DomainError("g-vector of a shifted entry is not minus one "
+                          "Bongartz summand")
+    return hits[0][0][1]
 
 
 def _find_proj_vertex(alg, m):
@@ -212,11 +292,6 @@ def _build_context(parent, reducer_item):
     if len(ctx.record_of) != len(ctx.records):
         raise DomainError("reduction produced a repeated level item")
     ctx.level_items = list(ctx.record_of)
-    for y, rec in ctx.record_of.items():
-        root_item = parent.root_of[rec["parent"]]
-        ctx.root_of[y] = root_item
-        ctx.level_of[root_item] = y
-    ctx.root.by_set.setdefault(ctx.root_set, ctx)
     return ctx
 
 

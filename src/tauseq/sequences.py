@@ -2,10 +2,14 @@
 tau-rigid objects (both directions), independent validation of candidate
 sequences, and enumeration / counting.
 
-An ordered object is a tuple of root-level items; a sequence entry is a
-(context, level item) pair, so each entry carries its own level, its root
-preimage and, through the context's records, a realization as an ambient
-module (possibly shifted once).
+An ordered object is a tuple of root-level items.  A sequence entry is a
+(record, root item) pair: entry i of psi(T_1, .., T_t) is T_i with the
+reduction.SetRecord of S = {T_{i+1}, .., T_t}, which realizes E_S(T_i) as an
+ambient module, possibly shifted once (the last entry uses the root, as E
+of the empty set is the identity).  psi and phi read these records off the
+root in one step and build no reduced algebra; validate_sequence checks the
+recursive definition down a chain of reduced algebras instead, so it does
+not share psi's route.
 """
 
 import itertools
@@ -18,7 +22,7 @@ from .tautilt import (_items_support_tau_rigid, is_tau_rigid, item_sort_key)
 
 
 class SignedSequence:
-    """Entries (context, item), innermost level first."""
+    """Entries (record, root item), innermost level first."""
 
     def __init__(self, entries):
         self.entries = entries
@@ -59,17 +63,15 @@ def _check_ordered(root, items):
 
 def psi(root, ordered):
     """The sequence (U_1, .., U_t) attached to an ordered object
-    (T_1, .., T_t): U_i is T_i seen in the reduction at the set
-    {T_{i+1}, .., T_t}, so U_t = T_t."""
+    (T_1, .., T_t): U_i = E_S(T_i) for S = {T_{i+1}, .., T_t}, so
+    U_t = T_t."""
     root = _as_root(root)
     ordered = [root.registry.signed_item(x) if not isinstance(x, tuple)
                else x for x in ordered]
     _check_ordered(root, ordered)
-    entries = [(root, ordered[-1])]
-    for i in range(len(ordered) - 2, -1, -1):
-        ctx = entries[-1][0].narrow(ordered[i + 1])
-        entries.append((ctx, ctx.level_of[ordered[i]]))
-    return SignedSequence(entries[::-1])
+    return SignedSequence([
+        (red.set_record(root, frozenset(ordered[i + 1:])), x)
+        for i, x in enumerate(ordered)])
 
 
 def phi(root, seq):
@@ -77,7 +79,7 @@ def phi(root, seq):
     shift) pairs, back to the tuple of root-level items."""
     root = _as_root(root)
     if isinstance(seq, SignedSequence):
-        return tuple(ctx.root_of[item] for ctx, item in seq.entries)
+        return tuple(item for _, item in seq.entries)
     pairs = list(seq)
     n = root.gamma.idempotents.shape[0]
     if not pairs:
@@ -88,18 +90,15 @@ def phi(root, seq):
 
 
 def _phi_by_lookup(root, pairs):
-    """Name each pair, last first, by the level item realizing it in the
-    context of the later entries' root items.  A matched pair lies in J of
-    every later entry, so only a miss is examined further."""
+    """Name each pair, last first, by the root item x with E_S(x) realized
+    by it, S the set of later entries' root items.  A matched pair lies in
+    J of every later entry, so only a miss is examined further."""
     out = []
-    ctx = root
     for module, shift in reversed(pairs):
-        if out:
-            ctx = ctx.narrow(out[-1])
-        item = ctx.match(module, shift)
+        item = red.set_record(root, frozenset(out)).match(module, shift)
         if item is None:
             raise _phi_miss(root, pairs, out)
-        out.append(ctx.root_of[item])
+        out.append(item)
     return tuple(out[::-1])
 
 

@@ -1,11 +1,14 @@
 """Support tau-rigid objects: rigidity tests, mutation, exchange-graph
-enumeration, Bongartz and co-Bongartz complements, and the summand
-correspondence between a Bongartz complement and its co-Bongartz partners.
+enumeration, Bongartz and co-Bongartz complements, the summand
+correspondence between a Bongartz complement and its co-Bongartz partners,
+and g-vectors with the Bongartz completion of a set of items read off them.
 
 Objects live in mod A together with shifted projectives (Ae_i)[1]; internally
 a summand is an item ('m', registry id) or ('p', vertex index), and an object
 is a tuple of items (sorted for the unordered form).
 """
+
+from fractions import Fraction
 
 from . import complexes as cxs
 from .errors import CapExceededError, DomainError
@@ -41,6 +44,7 @@ class Registry:
         self._pres = {}
         self._compat = {}
         self._split = {}  # id(m) -> (m, summand ids); holding m pins its id
+        self._g_inv = {}  # object -> inverse of its g-matrix
 
     def __len__(self):
         return len(self.mods)
@@ -127,6 +131,32 @@ class Registry:
             self._pres[idx] = cxs.min_presentation(self.mods[idx])
         return self._pres[idx]
 
+    def g_vector(self, item):
+        """g = [P^0] - [P^-1] of the item's minimal presentation, counted
+        per vertex; g(P_v[1]) = -e_v."""
+        g = [0] * self.alg.idempotents.shape[0]
+        kind, val = item
+        if kind == "p":
+            g[val] = -1
+            return g
+        cx = self.pres(val)
+        for v in cx.at(0):
+            g[v] += 1
+        for v in cx.at(-1):
+            g[v] -= 1
+        return g
+
+    def g_coords(self, obj, vec):
+        """Exact coordinates of vec in the basis g(obj) of a support
+        tau-tilting object, one per summand (ints, or Fractions where not
+        integral).  The inverse of the g-matrix is cached per object."""
+        if obj not in self._g_inv:
+            self._g_inv[obj] = _exact_inverse(
+                [self.g_vector(it) for it in obj])
+        inv = self._g_inv[obj]
+        return [sum(c * row[j] for c, row in zip(vec, inv) if c)
+                for j in range(len(obj))]
+
     def proj_id(self, v):
         return self._indecomposable(cxs.proj_list(self.alg)[v])
 
@@ -146,6 +176,29 @@ class Registry:
         if so.is_shift:
             return ("p", so.vertex)
         return ("m", self.ensure(so.module))
+
+
+def _exact_inverse(rows):
+    """Inverse of a square integer matrix over Q, by Gauss-Jordan on
+    fractions, with integral entries as ints; a singular matrix raises
+    DomainError."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                         for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise DomainError("g-vectors of the object are not a basis")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [[int(x) if x.denominator == 1 else x for x in row[n:]]
+            for row in aug]
 
 
 def item_sort_key(item):
@@ -372,13 +425,10 @@ def complement_correspondence(reg, u):
         p = cxs.proj_list(alg)[v]
         b_mods = [reg.module(i) for i in remaining]
         tgt, beta, used = min_left_approx(p, b_mods)
-        ids = reg.summands(tgt)
-        if len(ids) != 1:
-            raise DomainError("case (b) approximation target not "
-                              "indecomposable")
-        bid = ids[0]
-        if bid not in remaining:
-            raise DomainError("case (b) target is not a Bongartz summand")
+        bid = _summand_among(reg, tgt, remaining,
+                             "case (b) approximation target not "
+                             "indecomposable",
+                             "case (b) target is not a Bongartz summand")
         remaining.remove(bid)
         coker, _ = quotient_module(tgt, beta.image_rows())
         records.append({"b": bid, "case": "b", "partner": ("p", v),
@@ -387,13 +437,10 @@ def complement_correspondence(reg, u):
         bi = reg.module(bid)
         tgt, beta, used = min_left_approx(bi, u_mods)
         coker, _ = quotient_module(tgt, beta.image_rows())
-        ids = reg.summands(coker)
-        if len(ids) != 1:
-            raise DomainError("case (a) cokernel not indecomposable")
-        cid = ids[0]
-        if cid not in c_ids:
-            raise DomainError("case (a) cokernel is not a co-Bongartz "
-                              "summand")
+        cid = _summand_among(reg, coker, c_ids,
+                             "case (a) cokernel not indecomposable",
+                             "case (a) cokernel is not a co-Bongartz "
+                             "summand")
         records.append({"b": bid, "case": "a", "partner": ("m", cid),
                         "middle": tgt})
     partners = [r["partner"] for r in records]
@@ -402,3 +449,30 @@ def complement_correspondence(reg, u):
     if sorted(partners, key=item_sort_key) != want:
         raise DomainError("correspondence partners do not exhaust C and Q")
     return b_ids, records
+
+
+def _summand_among(reg, m, ids, decomposable, elsewhere):
+    """The id among ids of the registered indecomposable isomorphic to m,
+    found by lookup, so m is neither split nor registered.  A miss raises
+    `decomposable` when m is not indecomposable, else `elsewhere`."""
+    idx = reg.find(m)
+    if idx in ids:
+        return idx
+    raise DomainError(elsewhere if is_local_endo(m) else decomposable)
+
+
+def bongartz_completion(reg, objects, s):
+    """B(S), the Bongartz completion of a support tau-rigid set S of items:
+    the support tau-tilting object on top of the interval of those that
+    contain S.  Its g-cone holds g(S) + eps g(A) for small eps > 0
+    (Demonet-Iyama-Jasso), so it is the one object T of `objects` that
+    contains S and in whose g-basis g(A) = sum of the g(P_v) has positive
+    coordinates on every summand outside S."""
+    ones = [1] * reg.alg.idempotents.shape[0]
+    hits = [obj for obj in objects if all(it in obj for it in s)
+            and all(c > 0 for it, c in zip(obj, reg.g_coords(obj, ones))
+                    if it not in s)]
+    if len(hits) != 1:
+        raise DomainError(f"{len(hits)} objects qualify as the Bongartz "
+                          "completion")
+    return hits[0]

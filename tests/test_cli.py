@@ -153,6 +153,28 @@ def test_psi_rejects_bad_object(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command,flag,text", [
+    ("psi", "--object", "S1,,S2"), ("psi", "--object", "M,I2,"),
+    ("phi", "--sequence", "S1,,S2"), ("phi", "--sequence", ",S2[1],P1"),
+    ("reduce", "--object", "P1,"), ("reduce", "--object", " ,P1")])
+def test_empty_tokens_are_refused(capsys, command, flag, text):
+    # a list with an empty entry is malformed input (exit 1), not a
+    # shorter list
+    what = flag[2:]
+    code, out, err = run(capsys, [command, *_args("3"), flag, text])
+    assert code == 1 and out == ""
+    assert err == f"error: empty entry in {what} string\n"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("psi", "--object"), ("phi", "--sequence"), ("reduce", "--object")])
+def test_blank_lists_are_refused(capsys, command, flag):
+    for text in ("", " ", ","):
+        code, out, err = run(capsys, [command, *_args("3"), flag, text])
+        assert code == 1 and out == ""
+        assert err == f"error: empty {flag[2:]} string\n"
+
+
 def test_count_totals(capsys):
     code, out, _ = run(capsys, ["count", *_args("3"), "--length", "3"])
     assert code == 0 and out == "108\n"

@@ -13,8 +13,9 @@ from tauseq.modules import (hom_dim, in_gen, is_iso, min_left_approx,
 from tauseq.complexes import proj_list, tau
 from tauseq.reduction import (_find_proj_vertex, e_inverse, e_map,
                               j_membership, level_item_from_pair,
-                              make_context, root_context, transport)
-from tauseq.sequences import enumerate_ordered, psi
+                              make_context, root_context, set_record,
+                              transport)
+from tauseq.sequences import enumerate_ordered
 from tauseq.tautilt import SignedObject, is_tau_rigid
 
 # membership of the nine bundled ex3 modules in each J(u), worked out from
@@ -260,13 +261,10 @@ def test_reduction_depends_only_on_the_root_set(case, request):
             while not node.is_root:
                 chain.append(_climb(node.parent, node.reducer_item))
                 node = node.parent
-            assert ctx.root_set == frozenset(chain)
-            seen = {}
-            for y in ctx.level_items:
-                assert ctx.root_of[y] == _climb(ctx, y)
-                assert ctx.level_of[ctx.root_of[y]] == y
-                seen[ctx.root_of[y]] = ctx.realize_item(y)
-            by_set.setdefault(ctx.root_set, []).append(seen)
+            seen = {_climb(ctx, y): ctx.realize_item(y)
+                    for y in ctx.level_items}
+            assert len(seen) == len(ctx.level_items)
+            by_set.setdefault(frozenset(chain), []).append(seen)
     compared = 0
     for first, *others in by_set.values():
         for other in others:
@@ -297,26 +295,38 @@ def _triangle_bongartz_summand(ctx, x_item):
     return bx
 
 
+def _chain_contexts(root):
+    """{S: the chain context first built for S} over the sets S of later
+    summands of every ordered object, in enumeration order, each new set
+    reached through child from the context of its first chain."""
+    built = {}
+    for t in range(2, root.gamma.idempotents.shape[0] + 1):
+        for tup in enumerate_ordered(root, t):
+            ctx, key = root, frozenset()
+            for x in reversed(tup[1:]):
+                key = key | {x}
+                if key not in built:
+                    built[key] = ctx.child(next(
+                        y for y in ctx.level_items if _climb(ctx, y) == x))
+                ctx = built[key]
+    return built
+
+
 @pytest.mark.parametrize("case,module_shifts,shift_items", [
     ("ex1", 3, 2), ("ex2", 4, 2), ("ex3", 40, 9), ("A3", 29, 10),
     ("rad2-A3", 25, 9)])
 def test_e_map_shifts_agree_with_the_exchange_triangle(
         case, module_shifts, shift_items, request):
     # the shifted records, read off the Bongartz correspondence, against
-    # the exchange triangle and transport on every context psi builds
+    # the exchange triangle and transport on one chain context per set of
+    # later summands of an ordered object
     if case.startswith("ex"):
         alg = request.getfixturevalue(case)[1]
     else:
         alg = parse_algebra(linear_quiver_text(
             3, rad_square_zero=case == "rad2-A3"))[1]
-    root = root_context(alg)
-    for t in range(1, alg.idempotents.shape[0] + 1):
-        for tup in enumerate_ordered(root, t):
-            psi(root, tup)
     counts = [0, 0]
-    for ctx in root.by_set.values():
-        if ctx.is_root:
-            continue
+    for ctx in _chain_contexts(root_context(alg)).values():
         preg = ctx.parent.registry
         for rec in ctx.records:
             (kind, val), red = rec["parent"], rec["reduced"]
@@ -335,3 +345,30 @@ def test_e_map_shifts_agree_with_the_exchange_triangle(
                 assert is_iso(bx, ctx.b_summands[red.gamma_item[1]])
                 counts[0] += 1
     assert counts == [module_shifts, shift_items]
+
+
+@pytest.mark.parametrize("case,pairs", [
+    ("root1", 10), ("root2", 12), ("root3", 108), ("A3", 84), ("A4", 532),
+    ("rad2-A3", 72), ("rad2-A4", 370)])
+def test_one_step_records_match_the_chain_contexts(case, pairs, request):
+    # E_S read off the root against the records of a chain of reduced
+    # algebras for S, on every (S, x): the same items, shift flags and
+    # realizations up to isomorphism
+    if case.startswith("root"):
+        root = request.getfixturevalue(case)
+    else:
+        text = linear_quiver_text(int(case[-1]),
+                                  rad_square_zero=case.startswith("rad2"))
+        root = root_context(parse_algebra(text)[1])
+    compared = 0
+    for s, ctx in _chain_contexts(root).items():
+        rec = set_record(root, s)
+        preimages = [_climb(ctx, y) for y in ctx.level_items]
+        assert sorted(rec.level_items) == sorted(preimages)
+        for y, x in zip(ctx.level_items, preimages):
+            m, shift = rec.realize_item(x)
+            chain_m, chain_shift = ctx.realize_item(y)
+            assert shift == chain_shift
+            assert is_iso(m, chain_m)
+            compared += 1
+    assert compared == pairs

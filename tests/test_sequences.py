@@ -9,11 +9,11 @@ import pytest
 
 from conftest import item_of
 from test_algebra import linear_quiver_text
-from tauseq import reduction, sequences
+from tauseq import algebra, modules, reduction, sequences
 from tauseq.algebra import parse_algebra
 from tauseq.complexes import ext1_dim, proj_list
 from tauseq.errors import DomainError
-from tauseq.modules import zero_module
+from tauseq.modules import hom_dim, zero_module
 from tauseq.reduction import (e_inverse, level_item_from_pair, lift_pair,
                               root_context)
 from tauseq.sequences import (count_sequences, enumerate_ordered,
@@ -219,9 +219,10 @@ def test_psi_input_validation(root2, root3, ex2, ex3):
         enumerate_ordered(root3, 0)
 
 
-def test_psi_phi_build_one_context_per_root_set(ex3, monkeypatch):
-    # psi then phi over every ordered object of ex3 builds each reduction
-    # context once per set of later summands, whatever their order
+def test_psi_phi_read_one_record_per_root_set(ex3, monkeypatch):
+    # psi then phi over every ordered object of ex3 build no reduction
+    # context and read one record per set of later summands, whatever
+    # their order
     root = root_context(ex3[1])
     built = []
     build = reduction._build_context
@@ -237,7 +238,51 @@ def test_psi_phi_build_one_context_per_root_set(ex3, monkeypatch):
             assert phi(root, psi(root, tup).root_pairs()) == tup
             sets.update(frozenset(tup[i:]) for i in range(1, t))
     assert len(sets) == 38
-    assert len(built) == len(sets)
+    assert built == []
+    assert set(root.set_records) == sets
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return refused
+
+
+@pytest.mark.parametrize("exname", ["ex1", "ex2", "ex3"])
+def test_psi_phi_build_no_reduced_algebra(exname, request, monkeypatch):
+    # psi and phi read E_S off the root: with every step that builds or
+    # uses a reduced algebra Gamma refused, phi(psi(x)) = x still holds
+    alg = request.getfixturevalue(exname)[1]
+    root = root_context(alg)
+    for owner, name in ((reduction, "_build_context"),
+                        (reduction, "transport"),
+                        (reduction, "end_algebra"),
+                        (modules, "end_algebra"),
+                        (reduction, "quotient_by_ideal"),
+                        (algebra, "quotient_by_ideal")):
+        monkeypatch.setattr(owner, name, _refuse(name))
+    for t in range(1, alg.idempotents.shape[0] + 1):
+        for tup in enumerate_ordered(root, t):
+            seq = psi(root, tup)
+            assert phi(root, seq) == tup
+            assert phi(root, seq.root_pairs()) == tup
+
+
+@pytest.mark.parametrize("n,want", [(2, 3), (3, 16), (4, 125)])
+def test_unsigned_complete_sequences_of_linear_a(n, want):
+    # Seidel (2001): linear A_n has (n+1)^(n-1) complete exceptional
+    # sequences; dropping the signs from psi's length-n outputs gives each
+    # of them, and only exceptional sequences
+    root = root_context(parse_algebra(linear_quiver_text(n))[1])
+    reg = root.registry
+    unsigned = {tuple(reg.ensure(m) for m, _ in psi(root, tup).root_pairs())
+                for tup in enumerate_ordered(root, n)}
+    assert len(unsigned) == want
+    for ids in unsigned:
+        mods = [reg.module(i) for i in ids]
+        for i, j in itertools.combinations(range(n), 2):
+            assert hom_dim(mods[j], mods[i]) == 0
+            assert ext1_dim(mods[j], mods[i]) == 0
 
 
 def _phi_by_chain(ctx, pairs):

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import item_of
 from test_algebra import linear_quiver_text
+import itertools
+
 from tauseq import complexes as cxs
-from tauseq import linalg
+from tauseq import linalg, tautilt
 from tauseq.algebra import parse_algebra
 from tauseq.complexes import (end_K, hminus1, hom_K_dim, min_presentation,
                               proj_list, tau)
@@ -16,8 +18,10 @@ from tauseq.modules import (decompose_grouped, direct_sum, hom_basis,
                             hom_dim, in_gen, is_iso, min_left_approx,
                             min_right_approx, submodule)
 from tauseq.reduction import _find_proj_vertex
+from tauseq.reduction import root_context
 from tauseq.tautilt import (Registry, SignedObject, _items_support_tau_rigid,
-                            bongartz, canonical, cobongartz,
+                            bongartz, bongartz_completion, canonical,
+                            cobongartz,
                             complement_correspondence,
                             enumerate_support_tau_tilting,
                             indec_tau_rigid_items, is_support_tau_rigid,
@@ -178,7 +182,8 @@ def _count_triangles(monkeypatch):
 def _algebra_case(case, request):
     if case.startswith("ex"):
         return request.getfixturevalue(case)[1]
-    n, rad2 = {"A4": (4, False), "rad2-A4": (4, True)}[case]
+    n, rad2 = {"A3": (3, False), "rad2-A3": (3, True), "A4": (4, False),
+               "rad2-A4": (4, True)}[case]
     return parse_algebra(linear_quiver_text(n, rad2))[1]
 
 
@@ -373,6 +378,89 @@ def test_bongartz_completion_is_tau_tilting(rootname, exname, request):
         assert hom_dim(total, tau(total)) == 0, un
         count = sum(mult for _, mult in decompose_grouped(total))
         assert count == n, un
+
+
+def _rigid_sets(objs):
+    """Every nonempty proper subset of a support tau-tilting object."""
+    return {frozenset(sub) for obj in objs
+            for t in range(1, len(obj)) for sub in itertools.combinations(obj, t)}
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A3", "A4",
+                                  "rad2-A3", "rad2-A4"])
+def test_g_vectors_are_distinct_and_unimodular(case, request):
+    # g(M) = [P^0] - [P^-1], g(P_v[1]) = -e_v: distinct on the items, and
+    # a basis of Z^n with integral inverse (|det| = 1) on every object
+    alg = _algebra_case(case, request)
+    items, objs, reg = indec_tau_rigid_items(alg)
+    assert len({tuple(reg.g_vector(it)) for it in items}) == len(items)
+    n = alg.idempotents.shape[0]
+    for obj in objs:
+        for v in range(n):
+            e_v = [int(w == v) for w in range(n)]
+            coords = reg.g_coords(obj, e_v)
+            assert all(c.denominator == 1 for c in coords)
+            back = [sum(c * g[w] for c, g in zip(
+                coords, (reg.g_vector(it) for it in obj))) for w in range(n)]
+            assert back == e_v
+    for kind, v in items:
+        if kind == "p":
+            assert reg.g_vector(("p", v)) == [-int(w == v) for w in range(n)]
+        elif any(is_iso(reg.module(v), p) for p in proj_list(alg)):
+            assert sorted(reg.g_vector(("m", v))) == [0] * (n - 1) + [1]
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A3", "A4",
+                                  "rad2-A3", "rad2-A4"])
+def test_bongartz_completion_by_g_vectors_matches_the_triangle(
+        case, request):
+    # B(S) read off g-vectors contains S and is support tau-tilting; for a
+    # module-only S its summands outside S are those of the Bongartz
+    # complement that the K^b triangle builds
+    alg = _algebra_case(case, request)
+    _, objs, reg = indec_tau_rigid_items(alg)
+    modules_only = 0
+    for s in _rigid_sets(objs):
+        b_obj = bongartz_completion(reg, objs, s)
+        assert b_obj in objs and s <= set(b_obj)
+        if all(kind == "m" for kind, _ in s):
+            u, _, _ = direct_sum(alg, [reg.module(v) for _, v in s])
+            want = {("m", i) for i in reg.summands(bongartz(reg, u))}
+            assert set(b_obj) - s == want - s
+            modules_only += 1
+    assert modules_only > 0
+    with pytest.raises(DomainError):
+        bongartz_completion(reg, [], frozenset(objs[0][:1]))
+
+
+def test_correspondence_splits_only_the_bongartz_complement(ex3, monkeypatch):
+    # the case (a) cokernel and the case (b) target are looked up among the
+    # registered indecomposables: past enumeration, the registry records
+    # the split of registry modules and of each Bongartz complement alone
+    _, alg, mods = ex3
+    root = root_context(alg)
+    reg = root.registry
+    bongartz_mods, pieces = [], {}
+    real_b, real_split = tautilt._bongartz_from, tautilt.decompose
+
+    def bongartz_from(*args):
+        bongartz_mods.append(real_b(*args))
+        return bongartz_mods[-1]
+
+    def split(m):
+        pieces[id(m)] = [piece for piece, _ in real_split(m)]
+        return [(piece, None) for piece in pieces[id(m)]]
+
+    monkeypatch.setattr(tautilt, "_bongartz_from", bongartz_from)
+    monkeypatch.setattr(tautilt, "decompose", split)
+    before = set(reg._split)
+    for kind, v in root.level_items:
+        if kind == "m":
+            complement_correspondence(reg, reg.module(v))
+    allowed = {id(m) for m in reg.mods + bongartz_mods}
+    allowed.update(id(x) for b in bongartz_mods for x in pieces[id(b)])
+    new = set(reg._split) - before
+    assert new and new <= allowed
 
 
 def test_correspondence_oracles(root1, root3, ex1, ex3):
