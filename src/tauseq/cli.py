@@ -20,7 +20,7 @@ from .algebra import algebra_invariants, parse_algebra
 from .errors import DomainError, InputError, TauseqError
 from .modules import parse_modules, simple_module
 from .tautilt import (Registry, bongartz, cobongartz,
-                      complement_correspondence, item_sort_key)
+                      complement_correspondence)
 
 _DIMS_RE = re.compile(r"^(?:dim|M)\((\d+(?:,\d+)*)\)$")
 
@@ -223,8 +223,7 @@ def cmd_st_pairs(ws, args):
 def cmd_bongartz(ws, args):
     u = ws.resolve_module(args.module)
     reg = ws.root.registry
-    ids = reg.summands(bongartz(reg, u))
-    pieces = [reg.module(i) for i in sorted(ids, key=ids.index)]
+    pieces = [reg.module(i) for i in bongartz(reg, ws.root.stt_objects, u)]
     rows = [(ws.module_name(x),
              ",".join(str(d) for d in x.vertex_dims())) for x in pieces]
     payload = {"module": ws.entry_json(u, False),
@@ -235,7 +234,7 @@ def cmd_bongartz(ws, args):
 def cmd_cobongartz(ws, args):
     u = ws.resolve_module(args.module)
     reg = ws.root.registry
-    c_ids, q = cobongartz(reg, u)
+    c_ids, q = cobongartz(reg, ws.root.stt_objects, u)
     rows = [(reg.name(c), "module") for c in c_ids]
     rows += [(reg.display_item(("p", v)), "shifted projective") for v in q]
     payload = {"module": ws.entry_json(u, False),
@@ -247,7 +246,7 @@ def cmd_cobongartz(ws, args):
 def cmd_correspond(ws, args):
     u = ws.resolve_module(args.module)
     reg = ws.root.registry
-    _, records = complement_correspondence(reg, u)
+    _, records = complement_correspondence(reg, ws.root.stt_objects, u)
     rows = []
     payload = []
     for rec in records:
@@ -263,9 +262,10 @@ def cmd_correspond(ws, args):
 
 
 def _tokens(text, what):
-    """The comma-separated tokens of text.  An empty token is refused, so
-    "S1,,S2" is not read as "S1,S2"."""
-    tokens = text.split(",")
+    """The tokens of text, split at the commas outside parentheses, so a
+    dimension-vector name such as M(1,0,1) stays whole.  An empty token is
+    refused, so "S1,,S2" is not read as "S1,S2"."""
+    tokens = re.split(r",(?![^(]*\))", text)
     blank = [not t.strip() for t in tokens]
     if all(blank):
         raise InputError(f"empty {what} string")
@@ -330,8 +330,8 @@ def cmd_count(ws, args):
     root = ws.root
     total, per_last = seqs.count_sequences(root, args.length)
     reg = root.registry
-    by_name = {reg.display_item(it): c for it, c in sorted(
-        per_last.items(), key=lambda kv: item_sort_key(kv[0]))}
+    by_name = {reg.display_item(it): c
+               for it, c in sorted(per_last.items())}
     if args.last:
         m, shift = ws.resolve_entry(args.last)
         item = ws.root_item(m, shift)
@@ -404,8 +404,8 @@ def cmd_paper_example(args):
                         "arrows):\n" +
                         _render_table(("U", "vertices", "dim", "arrows"),
                                       grows))
-        crows = [(reg.display_item(it), c) for it, c in sorted(
-            per_last.items(), key=lambda kv: item_sort_key(kv[0]))]
+        crows = [(reg.display_item(it), c)
+                 for it, c in sorted(per_last.items())]
         payload["per_last"] = {k: v for k, v in crows}
         sections.append(f"sequences of length {n} by last entry:\n" +
                         _render_table(("last entry", "count"), crows))

@@ -18,12 +18,17 @@ out by one reducer (a module u, giving Gamma = End(B + u)/[u] for the
 Bongartz complement B, or a shifted projective P[1], giving the idempotent
 quotient).
 
-E sends the co-Bongartz partners of a module reducer u (the items in Gen u
-and the shifts compatible with u) to the shifted projectives of Gamma, each
-to the vertex of the Bongartz summand that
-tautilt.complement_correspondence pairs it with.  Gamma lives only in
-chains: the `reduce` command, the Gamma invariants of the third paper
-example and sequences.validate_sequence build them; psi and phi do not.
+Each context carries stt_objects, its support tau-tilting objects as tuples
+of its level items: a child's are its parent's objects that contain the
+reducer, mapped through the child's records, as s-tau-tilt J(u) is the
+interval of objects containing u (Jasso).  So B(u) and C(u) come from
+tautilt.completion at every depth.  E sends the summands of C(u) outside a
+module reducer u (the items in Gen u and the shifts compatible with u) to
+the shifted projectives of Gamma, each to the vertex of the summand of
+B(u) that tautilt.g_partner names; Gamma's vertices follow B(u) in
+registry order.  Gamma lives only in chains: the `reduce` command, the
+Gamma invariants of the third paper example and
+sequences.validate_sequence build them; psi and phi do not.
 """
 
 import numpy as np
@@ -35,8 +40,8 @@ from .algebra import (quotient_by_ideal, quotient_by_idempotent_ideal,
 from .errors import DomainError
 from .modules import (FdModule, end_algebra, hom_basis, hom_dim, is_iso,
                       quotient_module, torsion_free_quotient, zero_module)
-from .tautilt import (Registry, SignedObject, bongartz_completion,
-                      complement_correspondence, indec_tau_rigid_items)
+from .tautilt import (Registry, SignedObject, canonical, completion,
+                      g_pairing, g_partner, indec_tau_rigid_items)
 
 
 def j_membership(u, x):
@@ -132,6 +137,7 @@ class WideContext(_Realizing):
         self.gamma = gamma
         self.registry = registry  # Registry over gamma
         self.level_items = level_items
+        self.stt_objects = None  # support tau-tilting objects of level items
         self.records = []  # {"parent": item, "reduced": ReducedObject}
         self.record_of = {}  # level item -> its record
         self._children = {}
@@ -208,9 +214,9 @@ def _one_step_pairs(root, s):
                 pairs[x] = (fx, False)
     shifted = [x for x, pair in pairs.items() if pair is None]
     if shifted:
-        b_obj = bongartz_completion(reg, root.stt_objects, s)
+        top = completion(reg, root.stt_objects, s)
         for x in shifted:
-            b = _bongartz_partner(reg, b_obj, s, x)
+            b = g_partner(reg, top, s, x)
             pairs[x] = (_torsion_free(root, u_ids, b), True)
     return pairs
 
@@ -226,18 +232,6 @@ def _torsion_free(root, u_ids, x):
     rows = [r for u in u_ids for r in root.trace_rows[u, x]]
     xm = root.registry.module(x)
     return quotient_module(xm, np.vstack(rows))[0] if rows else xm
-
-
-def _bongartz_partner(reg, b_obj, s, x):
-    """Registry id of the one summand b of B(S) outside S with a nonzero
-    coefficient in g(x), written in the basis g(B(S)); that coefficient
-    must be -1."""
-    coords = reg.g_coords(b_obj, reg.g_vector(x))
-    hits = [(it, c) for it, c in zip(b_obj, coords) if c and it not in s]
-    if len(hits) != 1 or hits[0][1] != -1 or hits[0][0][0] != "m":
-        raise DomainError("g-vector of a shifted entry is not minus one "
-                          "Bongartz summand")
-    return hits[0][0][1]
 
 
 def _find_proj_vertex(alg, m):
@@ -257,7 +251,7 @@ def _build_context(parent, reducer_item):
         raise DomainError("reducer is not a registered tau-rigid summand")
     if kind == "m":
         u = preg.module(val)
-        b_ids, corr = complement_correspondence(preg, u)
+        b_ids, pairs = g_pairing(preg, parent.stt_objects, {reducer_item})
         b_summands = [preg.module(i) for i in b_ids]
         end = end_algebra(b_summands + [u],
                           vertex_labels=[preg.name(i) for i in b_ids] + ["u"])
@@ -270,7 +264,7 @@ def _build_context(parent, reducer_item):
         ctx = WideContext(a, parent, reducer_item, gamma, Registry(gamma),
                           None)
         ctx.u_module = u
-        ctx.partners = {r["partner"]: b_ids.index(r["b"]) for r in corr}
+        ctx.partners = {x: b_ids.index(b) for x, b in pairs.items()}
         ctx.b_ids = b_ids
         ctx.b_summands = b_summands
         ctx._end = end
@@ -292,6 +286,10 @@ def _build_context(parent, reducer_item):
     if len(ctx.record_of) != len(ctx.records):
         raise DomainError("reduction produced a repeated level item")
     ctx.level_items = list(ctx.record_of)
+    # s-tau-tilt J(u) is the interval of the objects containing u (Jasso)
+    level = {r["parent"]: r["reduced"].gamma_item for r in ctx.records}
+    ctx.stt_objects = [canonical(level[x] for x in obj if x != reducer_item)
+                       for obj in parent.stt_objects if reducer_item in obj]
     return ctx
 
 

@@ -18,7 +18,7 @@ import math
 from . import reduction as red
 from .errors import DomainError
 from .modules import is_local_endo
-from .tautilt import (_items_support_tau_rigid, is_tau_rigid, item_sort_key)
+from .tautilt import _items_support_tau_rigid, is_tau_rigid
 
 
 class SignedSequence:
@@ -164,10 +164,6 @@ def _validate(ctx, pairs, total):
     return _validate(child, lifted, total)
 
 
-def _tuple_key(tup):
-    return [item_sort_key(it) for it in tup]
-
-
 def enumerate_unordered(root, t):
     """All support tau-rigid objects with t summands, as sorted item tuples
     in lexicographic registry order."""
@@ -178,7 +174,7 @@ def enumerate_unordered(root, t):
     subsets = set()
     for obj in root.stt_objects:
         subsets.update(itertools.combinations(obj, t))
-    return sorted(subsets, key=_tuple_key)
+    return sorted(subsets)
 
 
 def enumerate_ordered(root, t):
@@ -186,7 +182,7 @@ def enumerate_ordered(root, t):
     lexicographic registry order."""
     out = [perm for sub in enumerate_unordered(root, t)
            for perm in itertools.permutations(sub)]
-    out.sort(key=_tuple_key)
+    out.sort()
     return out
 
 

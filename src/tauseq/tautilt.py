@@ -1,7 +1,9 @@
 """Support tau-rigid objects: rigidity tests, mutation, exchange-graph
-enumeration, Bongartz and co-Bongartz complements, the summand
-correspondence between a Bongartz complement and its co-Bongartz partners,
-and g-vectors with the Bongartz completion of a set of items read off them.
+enumeration, and g-vectors, with everything about the interval of support
+tau-tilting objects that contain a set S of items read off them: its top
+B(S) and bottom C(S) (the Bongartz and co-Bongartz completions), and the
+pairing of their summands outside S.  The same routines serve every
+reduction level, given that level's registry and objects.
 
 Objects live in mod A together with shifted projectives (Ae_i)[1]; internally
 a summand is an item ('m', registry id) or ('p', vertex index), and an object
@@ -14,7 +16,7 @@ from . import complexes as cxs
 from .errors import CapExceededError, DomainError
 from .modules import (decompose, direct_sum, hom_dim, in_gen, is_iso,
                       is_local_endo, min_left_approx, quotient_module,
-                      simple_module, zero_module)
+                      simple_module)
 
 
 class SignedObject:
@@ -110,7 +112,7 @@ class Registry:
         """Is the sum of items a and b support tau-rigid?  For a == b: is a
         alone and indecomposable, read from the summand record when a has
         been split.  Cached per pair; registers nothing."""
-        key = (a, b) if item_sort_key(a) <= item_sort_key(b) else (b, a)
+        key = (a, b) if a <= b else (b, a)
         if key not in self._compat:
             (ka, va), (kb, vb) = key
             if ka == "p":
@@ -201,12 +203,10 @@ def _exact_inverse(rows):
             for row in aug]
 
 
-def item_sort_key(item):
-    return (0 if item[0] == "m" else 1, item[1])
-
-
 def canonical(items):
-    return tuple(sorted(items, key=item_sort_key))
+    """Items ('m'|'p', int) sort in registry order as plain tuples: every
+    module before every shift."""
+    return tuple(sorted(items))
 
 
 def item_cx(reg, item):
@@ -344,135 +344,119 @@ def indec_tau_rigid_items(alg, cap=10000, registry=None):
     """All indecomposable summand items appearing in some support
     tau-tilting object: the tau-rigid indecomposables and all shifts."""
     objs, reg = enumerate_support_tau_tilting(alg, cap=cap, registry=registry)
-    items = sorted({it for obj in objs for it in obj}, key=item_sort_key)
+    items = sorted({it for obj in objs for it in obj})
     return items, objs, reg
 
 
 # ---------------------------------------------------------------------------
-# Bongartz and co-Bongartz complements
+# Bongartz and co-Bongartz completions
 # ---------------------------------------------------------------------------
 
 
-def cobongartz(reg, u):
-    """(C ids, Q vertex list) for a tau-rigid module u.
-
-    C collects the registry indecomposables X outside add(u) with X in
-    Gen u and X + u tau-rigid; Q the vertices v with P_v[1] compatible with
-    every summand of u, i.e. Hom(P_v, u) = 0.  The registry must already
-    hold every tau-rigid indecomposable (run enumerate_support_tau_tilting
-    first).
-    """
-    u_ids = reg.summands(u)
-    u_items = [("m", i) for i in dict.fromkeys(u_ids)]
-    # tau and Hom are additive: u is tau-rigid iff its summands pairwise are
-    if not _items_support_tau_rigid(reg, u_items):
-        raise DomainError("cobongartz requires a tau-rigid module")
-    if len(u_items) != len(u_ids):
-        raise DomainError("tau-rigid modules are basic")
-    c_ids = [idx for idx in range(len(reg))
-             if ("m", idx) not in u_items and in_gen(u, reg.module(idx))
-             and _items_support_tau_rigid(reg, u_items + [("m", idx)])]
-    n = reg.alg.idempotents.shape[0]
-    q = [v for v in range(n)
-         if all(reg.compatible(("p", v), it) for it in u_items)]
-    return c_ids, q
-
-
-def bongartz(reg, u):
-    """Bongartz complement B of a tau-rigid module u: B + u is tau-tilting.
-
-    Built from the triangle over C_Q = (presentations of C) + Q[1] via the
-    minimal right approximation by presentations of u-summands.
-    """
-    return _bongartz_from(reg, u, *cobongartz(reg, u))
-
-
-def _bongartz_from(reg, u, c_ids, q):
-    """Bongartz complement of u from its co-Bongartz part (C ids, Q)."""
-    alg = reg.alg
-    parts = [reg.pres(c) for c in c_ids]
-    if q:
-        parts.append(cxs.stalk_cx(alg, q, degree=-1))
-    if not parts:
-        return zero_module(alg)
-    cq, _ = cxs.direct_sum_cx(parts)
-    u_parts = [reg.pres(i) for i in reg.summands(u)]
-    src, cmap, _ = cxs.min_right_approx_K(u_parts, cq)
-    y = cxs.reduce_cx(cxs.shift_cx(cxs.cone(src, cq, cmap), -1))
-    if not y.is_two_term():
-        raise DomainError("Bongartz triangle left the two-term window")
-    b, _, _ = cxs.h0(y)
-    return b
-
-
-def complement_correspondence(reg, u):
-    """Pair each indecomposable Bongartz summand B_i with its co-Bongartz
-    partner; returns (b_ids, records), b_ids in decomposition order.
-
-    Each record {"b": id, "case": "a"|"b", "partner": item, "middle": module}
-    pairs B_i, in case "a", with the cokernel C_i of its minimal left
-    add(u)-approximation, or, in case "b", a projective Q_i[1] with the
-    target of the minimal left add(B)-approximation of Q_i.
-    """
-    alg = reg.alg
-    c_ids, q = cobongartz(reg, u)
-    b = _bongartz_from(reg, u, c_ids, q)
-    b_ids = list(dict.fromkeys(reg.summands(b)))
-    u_mods = [reg.module(i) for i in reg.summands(u)]
-    records = []
-    remaining = list(b_ids)
-    for v in q:
-        p = cxs.proj_list(alg)[v]
-        b_mods = [reg.module(i) for i in remaining]
-        tgt, beta, used = min_left_approx(p, b_mods)
-        bid = _summand_among(reg, tgt, remaining,
-                             "case (b) approximation target not "
-                             "indecomposable",
-                             "case (b) target is not a Bongartz summand")
-        remaining.remove(bid)
-        coker, _ = quotient_module(tgt, beta.image_rows())
-        records.append({"b": bid, "case": "b", "partner": ("p", v),
-                        "middle": coker})
-    for bid in remaining:
-        bi = reg.module(bid)
-        tgt, beta, used = min_left_approx(bi, u_mods)
-        coker, _ = quotient_module(tgt, beta.image_rows())
-        cid = _summand_among(reg, coker, c_ids,
-                             "case (a) cokernel not indecomposable",
-                             "case (a) cokernel is not a co-Bongartz "
-                             "summand")
-        records.append({"b": bid, "case": "a", "partner": ("m", cid),
-                        "middle": tgt})
-    partners = [r["partner"] for r in records]
-    want = sorted([("m", c) for c in c_ids] + [("p", v) for v in q],
-                  key=item_sort_key)
-    if sorted(partners, key=item_sort_key) != want:
-        raise DomainError("correspondence partners do not exhaust C and Q")
-    return b_ids, records
-
-
-def _summand_among(reg, m, ids, decomposable, elsewhere):
-    """The id among ids of the registered indecomposable isomorphic to m,
-    found by lookup, so m is neither split nor registered.  A miss raises
-    `decomposable` when m is not indecomposable, else `elsewhere`."""
-    idx = reg.find(m)
-    if idx in ids:
-        return idx
-    raise DomainError(elsewhere if is_local_endo(m) else decomposable)
-
-
-def bongartz_completion(reg, objects, s):
-    """B(S), the Bongartz completion of a support tau-rigid set S of items:
-    the support tau-tilting object on top of the interval of those that
-    contain S.  Its g-cone holds g(S) + eps g(A) for small eps > 0
-    (Demonet-Iyama-Jasso), so it is the one object T of `objects` that
-    contains S and in whose g-basis g(A) = sum of the g(P_v) has positive
-    coordinates on every summand outside S."""
-    ones = [1] * reg.alg.idempotents.shape[0]
+def completion(reg, objects, s, top=True):
+    """B(S) (top) or C(S) (bottom): an end of the interval of support
+    tau-tilting objects that contain a support tau-rigid set S of items.
+    The g-cone of B(S) holds g(S) + eps g(A) for small eps > 0, and that of
+    C(S) holds g(S) - eps g(A) (Demonet-Iyama-Jasso), so the answer is the
+    one object of `objects` that contains S and in whose g-basis
+    g(A) = sum of the g(P_v), negated for C(S), has positive coordinates on
+    every summand outside S."""
+    sign = 1 if top else -1
+    ones = [sign] * reg.alg.idempotents.shape[0]
     hits = [obj for obj in objects if all(it in obj for it in s)
             and all(c > 0 for it, c in zip(obj, reg.g_coords(obj, ones))
                     if it not in s)]
     if len(hits) != 1:
-        raise DomainError(f"{len(hits)} objects qualify as the Bongartz "
+        end = "Bongartz" if top else "co-Bongartz"
+        raise DomainError(f"{len(hits)} objects qualify as the {end} "
                           "completion")
     return hits[0]
+
+
+def g_partner(reg, top, s, x):
+    """Registry id of the one summand b of top = B(S) outside S with a
+    nonzero coefficient in g(x), written in the basis g(B(S)); that
+    coefficient must be -1.  For x in C(S) outside S, E_S sends x to the
+    shifted projective at b."""
+    coords = reg.g_coords(top, reg.g_vector(x))
+    hits = [(it, c) for it, c in zip(top, coords) if c and it not in s]
+    if len(hits) != 1 or hits[0][1] != -1 or hits[0][0][0] != "m":
+        raise DomainError("g-vector of a shifted entry is not minus one "
+                          "Bongartz summand")
+    return hits[0][0][1]
+
+
+def g_pairing(reg, objects, s):
+    """(ids of the summands of B(S) outside S, {x: g_partner of x} over the
+    items x of C(S) outside S), both in registry order.  The g rule must
+    pair the two sides one to one."""
+    top = completion(reg, objects, s)
+    pairs = {x: g_partner(reg, top, s, x)
+             for x in completion(reg, objects, s, top=False) if x not in s}
+    b_ids = [v for kind, v in top if (kind, v) not in s]
+    if len(set(pairs.values())) != len(b_ids):
+        raise DomainError("the g rule does not pair the Bongartz summands "
+                          "one to one")
+    return b_ids, pairs
+
+
+def _rigid_items(reg, u):
+    """The items of a tau-rigid module u, one per summand, sorted."""
+    ids = reg.summands(u)
+    items = sorted({("m", i) for i in ids})
+    # tau and Hom are additive: u is tau-rigid iff its summands pairwise are
+    if not _items_support_tau_rigid(reg, items):
+        raise DomainError("cobongartz requires a tau-rigid module")
+    if len(items) != len(ids):
+        raise DomainError("tau-rigid modules are basic")
+    return items
+
+
+def bongartz(reg, objects, u):
+    """Registry ids of B(u) outside u, in registry order, for a tau-rigid
+    module u: its Bongartz complement, with which u is tau-tilting.
+    `objects` are every support tau-tilting object over reg."""
+    s = _rigid_items(reg, u)
+    return [v for kind, v in completion(reg, objects, s)
+            if (kind, v) not in s]
+
+
+def cobongartz(reg, objects, u):
+    """(C ids, Q vertex list) of C(u) outside u, in registry order, for a
+    tau-rigid module u: the modules X in Gen u with X + u tau-rigid, and
+    the vertices v with Hom(P_v, u) = 0."""
+    s = _rigid_items(reg, u)
+    bottom = completion(reg, objects, s, top=False)
+    return ([v for kind, v in bottom if kind == "m" and (kind, v) not in s],
+            [v for kind, v in bottom if kind == "p"])
+
+
+def complement_correspondence(reg, objects, u):
+    """Pair each indecomposable Bongartz summand B_i of a tau-rigid module u
+    with its co-Bongartz partner by the g rule; returns (b_ids, records),
+    b_ids in registry order.
+
+    Each record {"b": id, "case": "a"|"b", "partner": item, "middle": module}
+    pairs B_i, in case "a", with a module C_i and holds the target of B_i's
+    minimal left add(u)-approximation, or, in case "b", with a projective
+    Q_i[1] and holds the cokernel of Q_i's minimal left
+    add(B_i)-approximation.  Case "b" records come first, by vertex.
+    """
+    s = _rigid_items(reg, u)
+    b_ids, pairs = g_pairing(reg, objects, s)
+    records = []
+    for x, b in pairs.items():
+        if x[0] == "p":
+            tgt, beta, _ = min_left_approx(cxs.proj_list(reg.alg)[x[1]],
+                                           [reg.module(b)])
+            coker, _ = quotient_module(tgt, beta.image_rows())
+            records.append({"b": b, "case": "b", "partner": x,
+                            "middle": coker})
+    u_mods = [reg.module(v) for _, v in s]
+    partner = {b: x for x, b in pairs.items()}
+    for b in b_ids:
+        if partner[b][0] == "m":
+            tgt, _, _ = min_left_approx(reg.module(b), u_mods)
+            records.append({"b": b, "case": "a", "partner": partner[b],
+                            "middle": tgt})
+    return b_ids, records

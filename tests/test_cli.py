@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from tauseq import cli
+from tauseq.sequences import enumerate_ordered
 
 DATA = resources.files("tauseq").joinpath("data")
 
@@ -164,6 +165,31 @@ def test_empty_tokens_are_refused(capsys, command, flag, text):
     code, out, err = run(capsys, [command, *_args("3"), flag, text])
     assert code == 1 and out == ""
     assert err == f"error: empty entry in {what} string\n"
+
+
+def test_dimension_vector_names_survive_comma_lists(capsys):
+    # with no fixture file ex3 names two modules by dimension vector; psi,
+    # phi and reduce read them whole, commas included, and phi inverts psi
+    # on every ordered object naming one (handlers on one workspace, as
+    # the CLI enumerates afresh on each call)
+    ex3 = ["--algebra", str(DATA / "ex3.alg")]
+    code, out, err = run(capsys, ["psi", *ex3, "--object", "M(1,0,1),P1"])
+    assert code == 0 and out == "P2[1], P1\n"
+    code, out, err = run(capsys, ["reduce", *ex3, "--object", "M(1,0,1)"])
+    assert code == 0 and err == ""
+    assert out.startswith("reduced algebra: vertices=2")
+    parse = cli.build_parser().parse_args
+    ws = cli._load_workspace(parse(["info", *ex3]))
+    objs = [[ws.root.registry.display_item(it) for it in tup]
+            for t in (1, 2, 3)
+            for tup in enumerate_ordered(ws.root, t)]
+    objs = [obj for obj in objs if "M(" in ",".join(obj)]
+    assert len(objs) == 74
+    for obj in objs:
+        out = cli.cmd_psi(ws, parse(["psi", *ex3, "--object", ",".join(obj)]))
+        back = cli.cmd_phi(ws, parse(["phi", *ex3, "--sequence",
+                                      out.strip().replace(", ", ",")]))
+        assert back == ", ".join(obj) + "\n"
 
 
 @pytest.mark.parametrize("command,flag", [

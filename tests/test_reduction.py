@@ -4,6 +4,8 @@ and the summand bijection E with its inverse."""
 import pytest
 
 from conftest import item_of
+from oracles import (approximation_pairing, gen_scan_cobongartz,
+                     triangle_bongartz)
 from test_algebra import linear_quiver_text
 from tauseq import complexes as cxs
 from tauseq.algebra import algebra_invariants, parse_algebra
@@ -16,7 +18,10 @@ from tauseq.reduction import (_find_proj_vertex, e_inverse, e_map,
                               make_context, root_context, set_record,
                               transport)
 from tauseq.sequences import enumerate_ordered
-from tauseq.tautilt import SignedObject, is_tau_rigid
+from tauseq.tautilt import (SignedObject, _items_support_tau_rigid, bongartz,
+                            canonical, completion,
+                            enumerate_support_tau_tilting, g_partner,
+                            is_tau_rigid)
 
 # membership of the nine bundled ex3 modules in each J(u), worked out from
 # the Hom/tau tables of the algebra
@@ -372,3 +377,78 @@ def test_one_step_records_match_the_chain_contexts(case, pairs, request):
             assert is_iso(m, chain_m)
             compared += 1
     assert compared == pairs
+
+
+def _every_context(root):
+    """(depth, context) for the root and every context reached from it
+    through child, at each depth up to n - 1."""
+    out, layer = [(0, root)], [root]
+    for depth in range(1, root.gamma.idempotents.shape[0]):
+        layer = [ctx.child(y) for ctx in layer for y in ctx.level_items]
+        out += [(depth, ctx) for ctx in layer]
+    return out
+
+
+def _case_root(case, request):
+    if case.startswith("root"):
+        return request.getfixturevalue(case)
+    return root_context(parse_algebra(linear_quiver_text(
+        3, rad_square_zero=case == "rad2-A3"))[1])
+
+
+@pytest.mark.parametrize("case,contexts", [
+    ("root1", 6), ("root2", 7), ("root3", 66), ("A3", 52),
+    ("rad2-A3", 45)])
+def test_context_objects_are_the_objects_of_gamma(case, contexts, request):
+    # s-tau-tilt J(u) is the interval of the parent's objects containing u
+    # (Jasso): mapped through the records, they are exactly the support
+    # tau-tilting objects of Gamma, found here by a fresh enumeration
+    root = _case_root(case, request)
+    n = root.gamma.idempotents.shape[0]
+    every = _every_context(root)
+    for depth, ctx in every:
+        objs = ctx.stt_objects
+        assert len(set(objs)) == len(objs)
+        for obj in objs:
+            assert len(obj) == n - depth and obj == canonical(obj)
+            assert _items_support_tau_rigid(ctx.registry, list(obj))
+        if depth:
+            assert len(objs) == sum(ctx.reducer_item in obj
+                                    for obj in ctx.parent.stt_objects)
+        fresh, fresh_reg = enumerate_support_tau_tilting(ctx.gamma)
+        assert set(objs) == {canonical(
+            ("m", ctx.registry.find(fresh_reg.module(v))) if kind == "m"
+            else (kind, v) for kind, v in obj) for obj in fresh}
+    assert len(every) == contexts
+
+
+@pytest.mark.parametrize("case,reducers", [
+    ("root1", 8), ("root2", 10), ("root3", 94), ("A3", 72),
+    ("rad2-A3", 61)])
+def test_completions_match_the_oracles_at_every_level(case, reducers,
+                                                      request):
+    # at each module reducer u of every context: B(u) read off g-vectors
+    # against the K^b Bongartz triangle, C(u) against the Gen u scan, the
+    # g rule against the approximation pairing; bongartz lists B(u) minus u
+    # in registry order
+    root = _case_root(case, request)
+    seen = 0
+    for _, ctx in _every_context(root):
+        reg, objs = ctx.registry, ctx.stt_objects
+        for y in ctx.level_items:
+            if y[0] != "m":
+                continue
+            u, s = reg.module(y[1]), {y}
+            top = completion(reg, objs, s)
+            bottom = completion(reg, objs, s, top=False)
+            b_ids = triangle_bongartz(reg, u)
+            assert set(top) - s == {("m", b) for b in b_ids}
+            c_ids, q = gen_scan_cobongartz(reg, u)
+            assert [x for x in bottom if x not in s] == \
+                [("m", c) for c in c_ids] + [("p", v) for v in q]
+            assert {x: g_partner(reg, top, s, x) for x in bottom
+                    if x not in s} == approximation_pairing(reg, u)
+            got = bongartz(reg, objs, u)
+            assert got == sorted(set(b_ids))
+            seen += 1
+    assert seen == reducers

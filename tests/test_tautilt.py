@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import item_of
+from oracles import triangle_bongartz
 from test_algebra import linear_quiver_text
 import itertools
 
@@ -20,9 +21,8 @@ from tauseq.modules import (decompose_grouped, direct_sum, hom_basis,
 from tauseq.reduction import _find_proj_vertex
 from tauseq.reduction import root_context
 from tauseq.tautilt import (Registry, SignedObject, _items_support_tau_rigid,
-                            bongartz, bongartz_completion, canonical,
-                            cobongartz,
-                            complement_correspondence,
+                            bongartz, canonical, cobongartz,
+                            complement_correspondence, completion,
                             enumerate_support_tau_tilting,
                             indec_tau_rigid_items, is_support_tau_rigid,
                             is_tau_rigid, mutate, object_cx)
@@ -241,9 +241,9 @@ def test_decomposable_registry_entries_are_never_summands(ex1, ex3):
         assert names(reg, got) == names(plain, objs)
         assert reg.names[1:] == plain.names
         for m in [u] + plain.mods:
-            c_ids, q = cobongartz(reg, m)
-            assert [c - 1 for c in c_ids] == cobongartz(plain, m)[0]
-            assert q == cobongartz(plain, m)[1]
+            c_ids, q = cobongartz(reg, got, m)
+            assert [c - 1 for c in c_ids] == cobongartz(plain, objs, m)[0]
+            assert q == cobongartz(plain, objs, m)[1]
 
 
 @pytest.mark.parametrize("stem", ["root1", "root2", "root3"])
@@ -305,8 +305,8 @@ def test_gen_of_bongartz_completion_is_perp_tau(rootname, exname, request):
     _, alg, mods = request.getfixturevalue(exname)
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
-        b = bongartz(reg, u)
-        total, _, _ = direct_sum(alg, [u, b] if b.dim else [u])
+        b = [reg.module(i) for i in bongartz(reg, root.stt_objects, u)]
+        total, _, _ = direct_sum(alg, [u] + b)
         tu = tau(u)
         for xn, x in mods.items():
             assert in_gen(total, x) == (hom_dim(x, tu) == 0), (un, xn)
@@ -319,7 +319,7 @@ def test_ext_projectives_of_gen_u_match_cobongartz(rootname, exname, request):
     _, alg, mods = request.getfixturevalue(exname)
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
-        c_ids, _ = cobongartz(reg, u)
+        c_ids, _ = cobongartz(reg, root.stt_objects, u)
         expected = {reg.name(c) for c in c_ids} | {un}
         got = set()
         for xn, x in mods.items():
@@ -333,37 +333,38 @@ def test_ext_projectives_of_gen_u_match_cobongartz(rootname, exname, request):
 
 def test_cobongartz_oracles(root1, ex1):
     _, alg, mods = ex1
-    reg = root1.registry
-    c_ids, q = cobongartz(reg, mods["P1"])
+    reg, objs = root1.registry, root1.stt_objects
+    c_ids, q = cobongartz(reg, objs, mods["P1"])
     assert [reg.name(c) for c in c_ids] == ["S1"] and q == []
-    c_ids, q = cobongartz(reg, mods["P2"])
+    c_ids, q = cobongartz(reg, objs, mods["P2"])
     assert c_ids == [] and q == [0]
-    c_ids, q = cobongartz(reg, mods["S1"])
+    c_ids, q = cobongartz(reg, objs, mods["S1"])
     assert c_ids == [] and q == [1]
     lam, _, _ = direct_sum(alg, list(proj_list(alg)))
-    c_ids, q = cobongartz(reg, lam)
+    c_ids, q = cobongartz(reg, objs, lam)
     assert c_ids == [] and q == []
-    assert bongartz(reg, lam).dim == 0
-    assert complement_correspondence(reg, lam) == ([], [])
+    assert bongartz(reg, objs, lam) == [] == triangle_bongartz(reg, lam)
+    assert complement_correspondence(reg, objs, lam) == ([], [])
 
 
 def test_cobongartz_rejects_non_rigid_input(root2, ex2):
     _, _, mods = ex2
     with pytest.raises(DomainError):
-        cobongartz(root2.registry, mods["I1"])
+        cobongartz(root2.registry, root2.stt_objects, mods["I1"])
 
 
 def test_bongartz_oracles(root1, root3, ex1, ex3):
     _, _, mods1 = ex1
-    reg1 = root1.registry
-    assert is_iso(bongartz(reg1, mods1["P1"]), mods1["P2"])
-    assert is_iso(bongartz(reg1, mods1["P2"]), mods1["P1"])
-    assert is_iso(bongartz(reg1, mods1["S1"]), mods1["P1"])
+    reg1, objs1 = root1.registry, root1.stt_objects
+    for un, bn in (("P1", "P2"), ("P2", "P1"), ("S1", "P1")):
+        b_ids = bongartz(reg1, objs1, mods1[un])
+        assert len(b_ids) == 1 and is_iso(reg1.module(b_ids[0]), mods1[bn])
+        assert b_ids == triangle_bongartz(reg1, mods1[un])
     _, _, mods3 = ex3
-    b = bongartz(root3.registry, mods3["S2"])
-    names = {root3.registry.name(root3.registry.ensure(piece))
-             for piece, _ in decompose_grouped(b)}
-    assert names == {"N", "P2"}
+    reg3 = root3.registry
+    b_ids = bongartz(reg3, root3.stt_objects, mods3["S2"])
+    assert {reg3.name(i) for i in b_ids} == {"N", "P2"}
+    assert b_ids == sorted(triangle_bongartz(reg3, mods3["S2"]))
 
 
 @pytest.mark.parametrize(
@@ -372,9 +373,10 @@ def test_bongartz_completion_is_tau_tilting(rootname, exname, request):
     root = request.getfixturevalue(rootname)
     _, alg, mods = request.getfixturevalue(exname)
     n = alg.idempotents.shape[0]
+    reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
-        b = bongartz(root.registry, u)
-        total, _, _ = direct_sum(alg, [u, b] if b.dim else [u])
+        b = [reg.module(i) for i in bongartz(reg, root.stt_objects, u)]
+        total, _, _ = direct_sum(alg, [u] + b)
         assert hom_dim(total, tau(total)) == 0, un
         count = sum(mult for _, mult in decompose_grouped(total))
         assert count == n, un
@@ -421,58 +423,55 @@ def test_bongartz_completion_by_g_vectors_matches_the_triangle(
     _, objs, reg = indec_tau_rigid_items(alg)
     modules_only = 0
     for s in _rigid_sets(objs):
-        b_obj = bongartz_completion(reg, objs, s)
+        b_obj = completion(reg, objs, s)
         assert b_obj in objs and s <= set(b_obj)
         if all(kind == "m" for kind, _ in s):
             u, _, _ = direct_sum(alg, [reg.module(v) for _, v in s])
-            want = {("m", i) for i in reg.summands(bongartz(reg, u))}
+            want = {("m", i) for i in triangle_bongartz(reg, u)}
             assert set(b_obj) - s == want - s
             modules_only += 1
     assert modules_only > 0
     with pytest.raises(DomainError):
-        bongartz_completion(reg, [], frozenset(objs[0][:1]))
+        completion(reg, [], frozenset(objs[0][:1]))
 
 
-def test_correspondence_splits_only_the_bongartz_complement(ex3, monkeypatch):
-    # the case (a) cokernel and the case (b) target are looked up among the
-    # registered indecomposables: past enumeration, the registry records
-    # the split of registry modules and of each Bongartz complement alone
+def test_correspondence_splits_nothing_but_u(ex3, monkeypatch):
+    # past enumeration, correspond reads both completions and the pairing
+    # off g-vectors: on every module item u it splits no module but u, and
+    # the registry records no new split
     _, alg, mods = ex3
     root = root_context(alg)
     reg = root.registry
-    bongartz_mods, pieces = [], {}
-    real_b, real_split = tautilt._bongartz_from, tautilt.decompose
+    split, real_split = [], tautilt.decompose
 
-    def bongartz_from(*args):
-        bongartz_mods.append(real_b(*args))
-        return bongartz_mods[-1]
+    def decompose(m):
+        split.append(m)
+        return real_split(m)
 
-    def split(m):
-        pieces[id(m)] = [piece for piece, _ in real_split(m)]
-        return [(piece, None) for piece in pieces[id(m)]]
-
-    monkeypatch.setattr(tautilt, "_bongartz_from", bongartz_from)
-    monkeypatch.setattr(tautilt, "decompose", split)
+    monkeypatch.setattr(tautilt, "decompose", decompose)
     before = set(reg._split)
+    calls = 0
     for kind, v in root.level_items:
         if kind == "m":
-            complement_correspondence(reg, reg.module(v))
-    allowed = {id(m) for m in reg.mods + bongartz_mods}
-    allowed.update(id(x) for b in bongartz_mods for x in pieces[id(b)])
-    new = set(reg._split) - before
-    assert new and new <= allowed
+            u = reg.module(v)
+            complement_correspondence(reg, root.stt_objects, u)
+            assert all(m is u for m in split)
+            split.clear()
+            calls += 1
+    assert calls == 8
+    assert set(reg._split) - before <= {id(m) for m in reg.mods}
 
 
 def test_correspondence_oracles(root1, root3, ex1, ex3):
     _, _, mods1 = ex1
     reg1 = root1.registry
-    _, recs = complement_correspondence(reg1, mods1["P1"])
+    _, recs = complement_correspondence(reg1, root1.stt_objects, mods1["P1"])
     assert len(recs) == 1
     assert recs[0]["case"] == "a"
     assert reg1.name(recs[0]["b"]) == "P2"
     assert reg1.display_item(recs[0]["partner"]) == "S1"
     assert is_iso(recs[0]["middle"], mods1["P1"])
-    _, recs = complement_correspondence(reg1, mods1["S1"])
+    _, recs = complement_correspondence(reg1, root1.stt_objects, mods1["S1"])
     assert len(recs) == 1
     assert recs[0]["case"] == "b"
     assert reg1.name(recs[0]["b"]) == "P1"
@@ -480,7 +479,7 @@ def test_correspondence_oracles(root1, root3, ex1, ex3):
     assert is_iso(recs[0]["middle"], mods1["S1"])
     _, _, mods3 = ex3
     reg3 = root3.registry
-    _, recs = complement_correspondence(reg3, mods3["S2"])
+    _, recs = complement_correspondence(reg3, root3.stt_objects, mods3["S2"])
     pairing = {r["partner"]: reg3.name(r["b"]) for r in recs}
     assert pairing == {("p", 0): "N", ("p", 2): "P2"}
     for r in recs:
@@ -496,7 +495,7 @@ def test_correspondence_middles_lie_in_add_u(rootname, exname, request):
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
         u_pieces = [piece for piece, _ in decompose_grouped(u)]
-        for rec in complement_correspondence(reg, u)[1]:
+        for rec in complement_correspondence(reg, root.stt_objects, u)[1]:
             mid = rec["middle"]
             if mid.dim == 0:
                 continue
@@ -541,7 +540,7 @@ def test_case_a_approximations_cover_gen_u(rootname, exname, request):
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
         u_pieces = [piece for piece, _ in decompose_grouped(u)]
-        for rec in complement_correspondence(reg, u)[1]:
+        for rec in complement_correspondence(reg, root.stt_objects, u)[1]:
             if rec["case"] != "a":
                 continue
             bi = reg.module(rec["b"])
@@ -560,11 +559,8 @@ def test_bongartz_summands_are_split_projective(rootname, exname, request):
     _, alg, mods = request.getfixturevalue(exname)
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
-        b = bongartz(reg, u)
-        if b.dim == 0:
-            continue
         tu = tau(u)
-        for bi, _ in decompose_grouped(b):
+        for bi in map(reg.module, bongartz(reg, root.stt_objects, u)):
             for yn, y in mods.items():
                 if hom_dim(y, tu) != 0 or not in_gen(y, bi):
                     continue
