@@ -1,7 +1,7 @@
 """Basic finite-dimensional algebras as structure constants.
 
-An algebra is stored as a basis with a multiplication tensor plus a
-distinguished complete set of orthogonal idempotents.  Constructors:
+An algebra is stored as a basis with its nonzero structure constants plus
+a distinguished complete set of orthogonal idempotents.  Constructors:
 path algebras of quivers with monomial relations (parsed from text),
 quotients by two-sided ideals (in particular ideals generated by an
 idempotent), and matrix algebras coordinatized from a spanning set
@@ -99,31 +99,87 @@ def parse_quiver(text):
     return QuiverPresentation(vertices, arrows, relations, p)
 
 
+# at most this many cells, a join compares every pair and a sum by key
+# goes through a dense count; above it both sort
+_SMALL = 1 << 16
+
+# (i, j, l, m) join keys of the associativity check are below dim^4 < 2^63
+_MAX_CHECKED_DIM = 55108
+
+
+def _join(left, right, size):
+    """Index pairs (a, b) with left[a] == right[b], for keys in [0, size),
+    sorted by a and then b."""
+    if len(left) * len(right) <= _SMALL:
+        return (left[:, None] == right).nonzero()
+    order = np.argsort(right, kind="stable")
+    counts = np.bincount(right, minlength=size)
+    n = counts[left]
+    a = np.repeat(np.arange(len(left)), n)
+    skip = (counts.cumsum() - counts)[left] - (n.cumsum() - n)
+    return a, order[np.repeat(skip, n) + np.arange(len(a))]
+
+
+def _sum_by_key(keys, vals, p, size):
+    """(sorted distinct keys in [0, size), vals summed per key mod p),
+    keeping only the keys whose sum is nonzero."""
+    vals = vals % p
+    if size <= _SMALL:
+        sums = np.zeros(size, dtype=np.int64)
+        np.add.at(sums, keys, vals)
+        sums %= p
+        keys = sums.nonzero()[0]
+        return keys, sums[keys]
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = _run_starts(keys).nonzero()[0]
+    if not len(first):
+        return keys, vals
+    sums = np.add.reduceat(vals, first) % p
+    keep = sums != 0
+    return keys[first[keep]], sums[keep]
+
+
+def _run_starts(keys):
+    """Mask of the entries of sorted keys that differ from the one before."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return new
+
+
 class StructAlgebra:
     """A finite-dimensional algebra with structure constants over F_p.
+
+    Only the nonzero structure constants are stored: a monomial algebra has
+    at most one per pair of basis paths, so about d^2 of the d^3 entries of
+    a dense table (220 of 166,375 for linear A10).
 
     Attributes:
         p: field order.
         dim: vector-space dimension.
         labels: basis element names.
-        mult: (dim, dim, dim) tensor; mult[i, j] = coordinates of b_i * b_j.
-        terms: (i, j, k, c) int64 arrays listing the nonzero structure
-            constants c = mult[i, j, k]; the products below read these.
+        terms: (i, j, k, c) int64 arrays sorted by (i, j, k), one entry per
+            nonzero structure constant: b_i * b_j has c in [1, p) at b_k.
         idempotents: (n, dim) rows, a complete set of orthogonal idempotents.
         unit: coordinates of 1.
         vertex_labels: display labels aligned with the idempotents.
     """
 
-    def __init__(self, p, labels, mult, idempotents, unit=None,
+    def __init__(self, p, labels, terms, idempotents, unit=None,
                  vertex_labels=None, check=True):
         self.p = linalg.check_prime(p)
         self.labels = list(labels)
-        self.mult = linalg.asmod(mult, p)
-        self.dim = len(self.labels)
-        if self.mult.shape != (self.dim, self.dim, self.dim):
-            raise DomainError("multiplication tensor shape mismatch")
-        i, j, k = np.nonzero(self.mult)
-        self.terms = (i, j, k, self.mult[i, j, k])
+        self.dim = d = len(self.labels)
+        i, j, k, c = (np.asarray(a, dtype=np.int64).reshape(-1) for a in terms)
+        idx = np.concatenate((i, j, k)).view(np.uint64)  # -1 wraps to 2^64 - 1
+        if not len(i) == len(j) == len(k) == len(c) or (idx >= d).any():
+            raise DomainError("structure constant index out of range")
+        key, c = (i * d + j) * d + k, c % p
+        if not (c.all() and (key[1:] > key[:-1]).all()):
+            # duplicates of one (i, j, k) add up; zero sums drop out
+            key, c = _sum_by_key(key, c, p, d ** 3)
+            i, j, k = key // (d * d), key // d % d, key % d
+        self.terms = (i, j, k, c)
         self.idempotents = linalg.asmod(idempotents, p)
         if unit is None:
             unit = self.idempotents.sum(axis=0) % p
@@ -136,6 +192,8 @@ class StructAlgebra:
         self._corners = {}
         self._rad_sq_dim = None
         self._gens = None
+        self._gen_terms = None
+        self._jk_layers = None
         if self.p <= self.dim:
             raise DomainError(
                 f"field order {self.p} must exceed algebra dimension {self.dim}"
@@ -146,28 +204,30 @@ class StructAlgebra:
     # -- construction checks ------------------------------------------------
 
     def _validate(self):
-        p, mult, d = self.p, self.mult, self.dim
-        # (b_i b_j) b_k = b_i (b_j b_k) for a block of i at a time, so that
-        # no product holds more than about 2^18 entries (all i at once is
-        # d^4); the sums over l skip the l where the block is zero
-        step = max(1, (1 << 18) // d ** 3)
-        for i0 in range(0, d, step):
-            blk = mult[i0 : i0 + step]
-            out_l = np.flatnonzero(blk.any(axis=(0, 1)))  # l in a b_i b_j
-            in_l = np.flatnonzero(blk.any(axis=(0, 2)))   # l with b_i b_l != 0
-            lhs = (blk[:, :, out_l] @ mult[out_l].reshape(-1, d * d)) % p
-            rhs = (mult.reshape(d * d, d)[:, in_l] @ blk[:, in_l]) % p
-            if (lhs.reshape(-1) != rhs.reshape(-1)).any():
-                raise DomainError("multiplication is not associative")
-        ident = np.eye(self.dim, dtype=np.int64)
-        left = np.einsum("i,ijk->jk", self.unit, mult) % p
-        right = np.einsum("j,ijk->ik", self.unit, mult) % p
-        if not np.array_equal(left, ident) or not np.array_equal(right, ident):
+        p, d = self.p, self.dim
+        if d > _MAX_CHECKED_DIM:
+            raise DomainError(f"algebra dimension {d} is above "
+                              f"{_MAX_CHECKED_DIM}, the checked bound")
+        i, j, k, c = self.terms
+        # (b_i b_j) b_l = sum of c_ijk c_klm b_m: join (i, j, k) to
+        # (k, l, m); b_i (b_j b_l) = sum of c_jlk' c_ik'm b_m: join
+        # (j, l, k') to (i, k', m).  Summed over the key (i, j, l, m), the
+        # two sides must cancel.
+        a, b = _join(k, i, d)
+        a2, b2 = _join(k, j, d)
+        ij = i * d + j
+        keys = np.concatenate((ij[a] * d * d + (j * d + k)[b],
+                               ij[a2] * d + (i * d ** 3 + k)[b2]))
+        vals = np.concatenate((c[a] * c[b], -(c[a2] * c[b2])))
+        if len(_sum_by_key(keys, vals, p, d ** 4)[0]):
+            raise DomainError("multiplication is not associative")
+        ident = np.eye(d, dtype=np.int64)
+        if not (np.array_equal(self.left_mult_matrix(self.unit), ident) and
+                np.array_equal(self.right_mult_matrix(self.unit), ident)):
             raise DomainError("unit law fails")
         idem = self.idempotents
-        # prods[i, j] = e_i * e_j, which must be e_i when i = j and 0 otherwise
-        ei_times = (idem @ mult.reshape(d, d * d)) % p  # e_i * b_j
-        prods = (idem @ ei_times.reshape(-1, d, d)) % p
+        # prods[a, b] = e_a * e_b, which must be e_a when a = b and 0 otherwise
+        prods = self.multiply(idem[:, None], idem[None])
         want = np.zeros_like(prods)
         want[np.arange(len(idem)), np.arange(len(idem))] = idem
         if not np.array_equal(prods, want):
@@ -236,8 +296,12 @@ class StructAlgebra:
     def radical_rows(self):
         """RREF basis of the Jacobson radical (trace-form kernel)."""
         if self._radical is None:
-            # trace form: tr(L_i L_j) with L_i[k, j] = mult[i, j, k]
-            gram = np.einsum("iba,jab->ij", self.mult, self.mult) % self.p
+            # trace form: tr(L_x L_y) = sum of c_xba c_yab over the pairs of
+            # terms (x, b, a) and (y, a, b), with L_x[a, b] = c_xba
+            d = self.dim
+            i, j, k, c = self.terms
+            a, b = _join(k * d + j, j * d + k, d * d)
+            gram = self._scatter(i[a], i[b], c[a] * c[b])
             self._radical = linalg.row_space(linalg.kernel_basis(gram, self.p), self.p)
         return self._radical
 
@@ -248,11 +312,37 @@ class StructAlgebra:
         return self._rad_sq_dim
 
     def _radical_products(self):
-        """Rows spanning rad^2: every product r*s of radical basis rows."""
-        rad = self.radical_rows()
-        blocks = [(self.left_mult_matrix(r) @ rad.T).T % self.p for r in rad]
-        return np.vstack(blocks) if blocks else np.zeros((0, self.dim),
-                                                          dtype=np.int64)
+        """Rows spanning rad^2: the distinct nonzero products r*s of radical
+        basis rows.  Each entry of r times a term times an entry of s is one
+        join row; the left factors r go in chunks of about 2^18 join rows
+        on average."""
+        rad, p, d = self.radical_rows(), self.p, self.dim
+        i, j, k, c = self.terms
+        nr = rad.shape[0]
+        rr, rc = np.nonzero(rad)  # sorted by row
+        rv = rad[rr, rc]
+        step = max(nr, 1)
+        if len(rr) * len(i) * nr > 1 << 18:  # a bound on the join rows
+            # join rows of each radical entry: its terms times the entries
+            # on each term's right factor
+            per_col = np.bincount(i, np.bincount(rc, minlength=d)[j], d)
+            step = max(1, int(nr * (1 << 18) // max(1, per_col[rc].sum())))
+        cuts = np.searchsorted(rr, np.arange(0, nr + step, step))
+        keys, vals = [], []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            a, t = _join(rc[lo:hi], i, d)
+            q, b = _join(j[t], rc, d)
+            a, t = a[q] + lo, t[q]
+            key, val = _sum_by_key((rr[a] * nr + rr[b]) * d + k[t],
+                                   rv[a] * c[t] % p * rv[b], p, nr * nr * d)
+            keys.append(key)
+            vals.append(val)
+        key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+        # one row per distinct pair (r, s), in order
+        row = _run_starts(key // d).cumsum() - 1
+        out = np.zeros((row[-1] + 1 if len(row) else 0, d), dtype=np.int64)
+        out[row, key % d] = np.concatenate(vals) if vals else 0
+        return out
 
     def arrow_count(self):
         return self.radical_rows().shape[0] - self.radical_square_dim()
@@ -270,6 +360,45 @@ class StructAlgebra:
             self._gens = [self.idempotents[i]
                           for i in range(self.idempotents.shape[0])] + gens
         return self._gens
+
+    def generator_products(self):
+        """(cells, starts, k, c): the nonzero coordinates of the products
+        g * b_j of the generator vectors with the basis, computed once.
+        They are sorted by the cell g * dim + j; the run of cells[r] starts
+        at starts[r], and its entries give g * b_j = sum of c b_k."""
+        if self._gen_terms is None:
+            d = self.dim
+            i, j, k, c = self.terms
+            gens = np.array(self.generator_vectors())
+            gg, gi = np.nonzero(gens)
+            a, t = _join(gi, i, d)
+            key, val = _sum_by_key((gg[a] * d + j[t]) * d + k[t],
+                                   gens[gg[a], gi[a]] * c[t], self.p,
+                                   len(gens) * d * d)
+            new = _run_starts(key // d)
+            self._gen_terms = (key[new] // d, new.nonzero()[0], key % d, val)
+        return self._gen_terms
+
+    def jk_layers(self):
+        """Layers (idx, coef) of dim^2 entries each: the coordinate at b_k
+        of x * b_j is the sum over the layers of x[idx[jk]] * coef[jk], with
+        jk = j * dim + k.  Layer l holds the l-th term of each (j, k) and
+        zeros where there is none; a monomial algebra has one layer.
+        Computed once."""
+        if self._jk_layers is None:
+            d = self.dim
+            i, j, k, c = self.terms
+            jk = j * d + k
+            order = np.argsort(jk, kind="stable")
+            jk = jk[order]
+            # layer of each term: its rank among the terms with its (j, k)
+            starts = np.searchsorted(jk, jk)
+            layer = np.arange(len(jk)) - starts
+            shape = (int(layer.max(initial=0)) + 1, d * d)
+            idx, coef = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
+            idx[layer, jk], coef[layer, jk] = i[order], c[order]
+            self._jk_layers = list(zip(idx, coef))
+        return self._jk_layers
 
     def corner(self, a, b):
         """(RREF basis, pivot columns) of e_a * A * e_b as a subspace of A."""
@@ -335,7 +464,7 @@ def path_algebra(qp):
         raise InputError(
             f"field order {p} is too small: it must exceed the algebra "
             f"dimension {d}")
-    mult = np.zeros((d, d, d), dtype=np.int64)
+    terms = []
     for i, (isrc, idst, iseq) in enumerate(paths):
         for j, (jsrc, jdst, jseq) in enumerate(paths):
             # b_i * b_j = "traverse j, then i"; composable iff src(i) = dst(j)
@@ -347,7 +476,7 @@ def path_algebra(qp):
             k = index.get((jsrc, seq))
             if k is None:
                 continue
-            mult[i, j, k] = 1
+            terms.append((i, j, k, 1))
 
     labels = []
     for src, dst, seq in paths:
@@ -355,7 +484,8 @@ def path_algebra(qp):
     idem = np.zeros((len(qp.vertices), d), dtype=np.int64)
     for v, i in vidx.items():
         idem[i, index[(v, ())]] = 1
-    alg = StructAlgebra(p, labels, mult, idem, vertex_labels=list(qp.vertices))
+    alg = StructAlgebra(p, labels, np.array(terms, dtype=np.int64).T, idem,
+                        vertex_labels=list(qp.vertices))
     alg.path_info = paths
     alg.quiver = qp
     return alg
@@ -420,8 +550,16 @@ def quotient_by_ideal(alg, ideal_rows, check=True):
     for k, c in enumerate(nonpiv):
         lift[c, k] = 1
 
-    # lift sends basis element k to b_{nonpiv[k]}
-    mult = (alg.mult[np.ix_(nonpiv, nonpiv)] @ proj.T) % p
+    # lift sends basis element k to b_{nonpiv[k]}; a term (i, j, k, c) with
+    # i and j kept adds c * proj[:, k] to the product of their classes
+    pos = np.full(alg.dim, -1)
+    pos[nonpiv] = np.arange(q)
+    i, j, k, c = alg.terms
+    kept = (pos[i] >= 0) & (pos[j] >= 0)
+    pk, pc = np.nonzero(proj.T)  # proj[pc, pk] != 0
+    t, b = _join(k[kept], pk, alg.dim)
+    i, j, c = pos[i[kept]][t], pos[j[kept]][t], c[kept][t]
+    terms = (i, j, pc[b], c * proj[pc[b], pk[b]])
     idem = []
     vlabels = []
     for i in range(alg.idempotents.shape[0]):
@@ -433,7 +571,7 @@ def quotient_by_ideal(alg, ideal_rows, check=True):
         raise DomainError("quotient killed every idempotent")
     unit = (proj @ alg.unit) % p
     labels = [alg.labels[c] for c in nonpiv]
-    out = StructAlgebra(p, labels, mult, np.array(idem), unit=unit,
+    out = StructAlgebra(p, labels, terms, np.array(idem), unit=unit,
                         vertex_labels=vlabels, check=check)
     return AlgebraQuotient(out, proj, lift)
 
@@ -457,6 +595,15 @@ def quotient_by_idempotent_ideal(alg, k):
 # ---------------------------------------------------------------------------
 
 
+def block_terms(blocks):
+    """(i, j, k, c) of the nonzero entries of a list of (dim, dim) blocks,
+    block i row j holding the coordinates of b_i * b_j."""
+    rows = np.concatenate(blocks)
+    ij, k = rows.nonzero()
+    d = len(blocks)
+    return ij // d, ij % d, k, rows[ij, k]
+
+
 def algebra_from_matrices(mats, p, idempotent_mats=None, labels=None,
                           opposite=False, vertex_labels=None):
     """Coordinatize a unital matrix algebra from a spanning list of matrices.
@@ -466,7 +613,7 @@ def algebra_from_matrices(mats, p, idempotent_mats=None, labels=None,
         idempotent_mats: matrices (inside the span) forming the distinguished
             orthogonal idempotents; when None, the identity becomes the
             single idempotent.
-        opposite: when True the product is reversed (mult[i][j] comes from
+        opposite: when True the product is reversed (b_i * b_j comes from
             mats[j] @ mats[i]); used so that Hom(G, -) spaces become left
             modules under precomposition.
 
@@ -481,14 +628,15 @@ def algebra_from_matrices(mats, p, idempotent_mats=None, labels=None,
     solver = linalg.SpanSolver(flat, p)
     if solver.dim != d:
         raise DomainError("matrix spanning set is not linearly independent")
-    mult = np.zeros((d, d, d), dtype=np.int64)
+    stack = np.array(mats) % p
+    blocks = []
     for i in range(d):
-        for j in range(d):
-            prod = (mats[j] @ mats[i]) % p if opposite else (mats[i] @ mats[j]) % p
-            c = solver.coords(prod.reshape(-1))
-            if c is None:
-                raise DomainError("matrix set is not multiplicatively closed")
-            mult[i, j] = c
+        # row j: coordinates of b_i * b_j, for every j at once
+        prods = (stack @ stack[i]) % p if opposite else (stack[i] @ stack) % p
+        c = solver.coords(prods.reshape(d, -1))
+        if c is None:
+            raise DomainError("matrix set is not multiplicatively closed")
+        blocks.append(c)
     ident = np.eye(mats[0].shape[0], dtype=np.int64)
     unit = solver.coords(ident.reshape(-1))
     if unit is None:
@@ -504,7 +652,7 @@ def algebra_from_matrices(mats, p, idempotent_mats=None, labels=None,
             if c is None:
                 raise DomainError("idempotent matrix not in the span")
             idem[r] = c
-    alg = StructAlgebra(p, labels, mult, idem, unit=unit,
+    alg = StructAlgebra(p, labels, block_terms(blocks), idem, unit=unit,
                         vertex_labels=vertex_labels)
     return alg, solver
 

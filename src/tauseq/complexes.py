@@ -16,7 +16,7 @@ category, minimal projective presentations, the AR translate, and Ext^1.
 import numpy as np
 
 from . import linalg
-from .algebra import StructAlgebra
+from .algebra import StructAlgebra, block_terms
 from .errors import DomainError
 from .modules import (ModuleMap, direct_sum, hom_basis, projective_module,
                       quotient_module, submodule, top_quotient, zero_module)
@@ -102,10 +102,12 @@ def tensor_zeros(alg, nrows, ncols):
 def entry_compose(alg, first, then):
     """Entry tensor of (then . first); first: A->B, then: B->C.
 
-    Entry (s, c) is sum_r first[r, c] * then[s, r]: contract first with the
-    structure constants, then with `then` over (r, j).  Each sum has at
-    most (inner length) * p^2 in it.  Leading axes of either operand are
-    batch axes and broadcast against each other.
+    Entry (s, c) is sum_r first[r, c] * then[s, r].  Gathering first
+    through the algebra's (j, k) layers gives left[r, c, j, k], the
+    coordinate at b_k of first[r, c] * b_j, with one gather per layer and
+    no dense structure tensor; a product with `then` over (r, j) finishes.
+    Each sum has at most (inner length) * p^2 in it.  Leading axes of
+    either operand are batch axes and broadcast against each other.
     """
     p, d = alg.p, alg.dim
     *fb, nr, nc, _ = first.shape
@@ -114,10 +116,13 @@ def entry_compose(alg, first, then):
     if first.size == 0 or then.size == 0:
         return np.zeros(np.broadcast_shapes(fb, tb) + (ns, nc, d),
                         dtype=np.int64)
-    left = (first.reshape(fb + (nr * nc, d)) @ alg.mult.reshape(d, d * d)) % p
-    left = np.swapaxes(left.reshape(fb + (nr, nc, d, d)), -3, -2)  # r, j, c, k
+    (idx, coef), *more = alg.jk_layers()
+    left = first.take(idx, -1) * coef
+    for idx, coef in more:
+        left += first.take(idx, -1) * coef
+    left = np.swapaxes((left % p).reshape(fb + (nr, nc, d, d)), -3, -2)
     out = (then.reshape(tb + (ns, nr * d)) @
-           left.reshape(fb + (nr * d, nc * d))) % p
+           left.reshape(fb + (nr * d, nc * d))) % p  # r, j, c, k above
     return out.reshape(out.shape[:-2] + (ns, nc, d))
 
 
@@ -740,17 +745,17 @@ def end_K(cxs):
     if d == 0:
         raise DomainError("End ring of a zero object")
     reps = homk._split(homk.rep_vecs)
-    mult = np.zeros((d, d, d), dtype=np.int64)
+    blocks = []
     for i in range(d):
-        # mult[i, j]: reps[i] first, then reps[j], for every j at once
+        # row j: coordinates of reps[i] first, then reps[j], for every j
         first = {k: t[i] for k, t in reps.items()}
-        mult[i] = homk.coords(compose_chain(alg, first, reps))
+        blocks.append(homk.coords(compose_chain(alg, first, reps)))
     idem = []
     for j in range(len(cxs)):
         idem.append(homk.coords(_block_cmap(alg, total, offsets, cxs, j)))
     # the identity of the sum is the sum of its block idempotents
     unit = np.sum(idem, axis=0) % p
-    struct = StructAlgebra(p, [f"k{i}" for i in range(d)], mult,
+    struct = StructAlgebra(p, [f"k{i}" for i in range(d)], block_terms(blocks),
                            np.array(idem), unit=unit, check=False)
     return EndKData(total, homk, struct, idem), offsets
 

@@ -48,16 +48,20 @@ class FdModule:
         rho(x y) for all y form a subspace holding 1 and the generators, and
         closed under products, since rho(x x') rho(y) = rho(x) rho(x' y) =
         rho(x x' y).  So they are all of A.  This holds G*d*m^2 entries,
-        not the d^2*m^2 of checking every pair of basis elements."""
+        not the d^2*m^2 of checking every pair of basis elements; rho(g b_j)
+        sums c * rho(b_k) over the nonzero coordinates c at b_k of the
+        algebra's generator products g b_j."""
         p, alg = self.algebra.p, self.algebra
         unit_act = self.act(alg.unit)
         if not np.array_equal(unit_act, np.eye(self.dim, dtype=np.int64)):
             raise DomainError("unit does not act as identity")
         prod = (self.gen_actions()[:, None] @ self.action[None]) % p
-        gb = np.array([alg.left_mult_matrix(g).T  # [g, j] = g * b_j
-                       for g in alg.generator_vectors()])
-        want = np.einsum("gjk,kac->gjac", gb, self.action) % p
-        if not np.array_equal(prod, want):
+        cells, starts, k, c = alg.generator_products()
+        want = np.zeros((prod.shape[0] * alg.dim,) + prod.shape[2:],
+                        dtype=np.int64)
+        want[cells] = np.add.reduceat(
+            c[:, None, None] * self.action[k], starts) % p
+        if not np.array_equal(prod, want.reshape(prod.shape)):
             raise DomainError("action does not respect multiplication")
 
     def act(self, x):
@@ -173,18 +177,27 @@ def submodule(m, rows):
         return sub, ModuleMap(sub, m, np.zeros((m.dim, 0), dtype=np.int64))
     bt = _close_under_action(m, rows).T
     sub = FdModule(m.algebra, _restricted_action(
-        m.action, bt, p, "span is not action-stable"), check=False)
+        (m.action @ bt) % p, bt, p, "span is not action-stable"), check=False)
     return sub, ModuleMap(sub, m, bt)
 
 
-def _restricted_action(mats, bt, p, error):
-    """The matrices of mats on the span of the independent columns of bt,
-    found by one solve for all of them; error when the span is not stable."""
-    (n, k), imgs = bt.shape, (mats @ bt) % p
+def _term_images(algebra, act, src, k, c, bt):
+    """(dim, dim, cols) images of bt's columns under the maps x = 0..dim-1
+    that send b_src to the sum of c b_k over the terms with act = x."""
+    imgs = np.zeros((algebra.dim, algebra.dim, bt.shape[1]), dtype=np.int64)
+    np.add.at(imgs, (act, k), c[:, None] * bt[src])
+    return imgs % algebra.p
+
+
+def _restricted_action(imgs, bt, p, error):
+    """The matrices on the span of the independent columns of bt of maps
+    with the images imgs[x] = map_x @ bt, found by one solve for all of
+    them; error when the span is not stable."""
+    n, k = bt.shape
     sol = linalg.solve_matrix(bt, imgs.transpose(1, 0, 2).reshape(n, -1), p)
     if sol is None:
         raise DomainError(error)
-    return sol.reshape(k, len(mats), k).transpose(1, 0, 2)
+    return sol.reshape(k, len(imgs), k).transpose(1, 0, 2)
 
 
 def quotient_module(m, rows):
@@ -227,9 +240,9 @@ def projective_module(algebra, i):
     p = algebra.p
     rows = algebra.right_mult_matrix(algebra.idempotents[i]).T  # b_k * e_i
     basis = linalg.row_space(rows, p)
-    # left multiplication by b_j sends b_l to mult[j, l]
+    act, src, k, c = algebra.terms  # b_act sends b_src to c b_k and more
     out = FdModule(algebra, _restricted_action(
-        algebra.mult.transpose(0, 2, 1), basis.T, p,
+        _term_images(algebra, act, src, k, c, basis.T), basis.T, p,
         "A e_i is not closed under left multiplication"), check=False)
     out.amb_basis = basis
     return out
@@ -260,9 +273,9 @@ def injective_module(algebra, j):
     p = algebra.p
     rows = algebra.left_mult_matrix(algebra.idempotents[j]).T  # e_j * b_k
     basis = linalg.row_space(rows, p)
-    # right multiplication by b_i sends b_l to mult[l, i]
+    src, act, k, c = algebra.terms  # b_src * b_act has c at b_k
     right = _restricted_action(
-        algebra.mult.transpose(1, 2, 0), basis.T, p,
+        _term_images(algebra, act, src, k, c, basis.T), basis.T, p,
         "e_j A is not closed under right multiplication")
     return FdModule(algebra, right.transpose(0, 2, 1), check=False)
 
@@ -378,7 +391,13 @@ def _semisimple_top(struct):
         bar, lift = quo.algebra, quo.lift
     else:
         bar, lift = struct, None
-    return bar, lift, np.array_equal(bar.mult, bar.mult.transpose(1, 0, 2))
+    # commutative iff swapping i and j maps the sorted terms onto themselves
+    i, j, k, c = bar.terms
+    swapped = (j * bar.dim + i) * bar.dim + k
+    order = np.argsort(swapped)
+    key = (i * bar.dim + j) * bar.dim + k
+    return bar, lift, (np.array_equal(swapped[order], key) and
+                       np.array_equal(c[order], c))
 
 
 def _frobenius_kernel(bar):

@@ -406,7 +406,7 @@ def _rigid_items(reg, u):
     items = sorted({("m", i) for i in ids})
     # tau and Hom are additive: u is tau-rigid iff its summands pairwise are
     if not _items_support_tau_rigid(reg, items):
-        raise DomainError("cobongartz requires a tau-rigid module")
+        raise DomainError("the module is not tau-rigid")
     if len(items) != len(ids):
         raise DomainError("tau-rigid modules are basic")
     return items

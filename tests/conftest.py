@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from oracles import dense_mult, terms_of
 from tauseq import linalg
 from tauseq.algebra import StructAlgebra, parse_algebra
 from tauseq.modules import parse_modules
@@ -84,8 +85,9 @@ def rebased_algebra(alg, seed):
         g = rng.integers(0, p, (alg.dim, alg.dim))
         ginv = linalg.inverse(g, p)
     g, ginv = g.astype(object), ginv.astype(object)
-    mult = np.einsum("ia,jb,abk->ijk", g, g, alg.mult.astype(object)) % p
+    mult = np.einsum("ia,jb,abk->ijk", g, g,
+                     dense_mult(alg).astype(object)) % p
     mult = np.einsum("ijk,kl->ijl", mult, ginv) % p
     idem = (alg.idempotents.astype(object) @ ginv) % p
-    return StructAlgebra(p, alg.labels, mult.astype(np.int64),
+    return StructAlgebra(p, alg.labels, terms_of(mult.astype(np.int64)),
                          idem.astype(np.int64))

@@ -10,9 +10,17 @@ complexes instead:
 
 Each works over any registry that holds every tau-rigid indecomposable,
 so over the registry of any reduction context too.
+
+The library keeps only the nonzero structure constants of an algebra and
+checks them by sparse joins; `dense_mult` and `terms_of` convert to and
+from the dense (d, d, d) table, and `dense_algebra_check` and
+`dense_radical_rows` are the dense checks it replaced.
 """
 
+import numpy as np
+
 from tauseq import complexes as cxs
+from tauseq import linalg
 from tauseq.modules import in_gen, min_left_approx, quotient_module
 from tauseq.tautilt import _items_support_tau_rigid
 
@@ -73,3 +81,56 @@ def approximation_pairing(reg, u):
     assert sorted(pairs) == [("m", c) for c in sorted(c_ids)] + \
         [("p", v) for v in q]
     return pairs
+
+
+def dense_mult(alg):
+    """The dense table of alg: [i, j] holds the coordinates of b_i * b_j."""
+    i, j, k, c = alg.terms
+    out = np.zeros((alg.dim,) * 3, dtype=np.int64)
+    out[i, j, k] = c
+    return out
+
+
+def terms_of(table):
+    """(i, j, k, c) arrays of the nonzero entries of a dense table."""
+    i, j, k = np.nonzero(table)
+    return i, j, k, table[i, j, k]
+
+
+def dense_algebra_check(p, mult, idempotents, unit):
+    """The DomainError message of the first failing construction check on
+    a dense table, or None: associativity by blocks of i, so that no
+    product holds more than about 2^18 entries, then the unit law, the
+    orthogonality of the idempotents and their sum."""
+    mult, idem, unit = (linalg.asmod(a, p) for a in (mult, idempotents, unit))
+    d = mult.shape[0]
+    step = max(1, (1 << 18) // d ** 3)
+    for i0 in range(0, d, step):
+        blk = mult[i0 : i0 + step]
+        out_l = np.flatnonzero(blk.any(axis=(0, 1)))  # l in a b_i b_j
+        in_l = np.flatnonzero(blk.any(axis=(0, 2)))   # l with b_i b_l != 0
+        lhs = (blk[:, :, out_l] @ mult[out_l].reshape(-1, d * d)) % p
+        rhs = (mult.reshape(d * d, d)[:, in_l] @ blk[:, in_l]) % p
+        if (lhs.reshape(-1) != rhs.reshape(-1)).any():
+            return "multiplication is not associative"
+    ident = np.eye(d, dtype=np.int64)
+    left = np.einsum("i,ijk->jk", unit, mult) % p
+    right = np.einsum("j,ijk->ik", unit, mult) % p
+    if not np.array_equal(left, ident) or not np.array_equal(right, ident):
+        return "unit law fails"
+    ei_times = (idem @ mult.reshape(d, d * d)) % p  # e_a * b_j
+    prods = (idem @ ei_times.reshape(-1, d, d)) % p
+    want = np.zeros_like(prods)
+    want[np.arange(len(idem)), np.arange(len(idem))] = idem
+    if not np.array_equal(prods, want):
+        return "distinguished idempotents are not orthogonal"
+    if not np.array_equal(idem.sum(axis=0) % p, unit):
+        return "idempotents do not sum to the unit"
+    return None
+
+
+def dense_radical_rows(mult, p):
+    """RREF basis of the kernel of the trace form tr(L_i L_j), with
+    L_i[k, j] = mult[i, j, k], by one d^4 contraction."""
+    gram = np.einsum("iba,jab->ij", mult, mult) % p
+    return linalg.row_space(linalg.kernel_basis(gram, p), p)

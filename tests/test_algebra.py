@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import rebased_algebra
+from oracles import (dense_algebra_check, dense_mult, dense_radical_rows,
+                     terms_of)
 from tauseq.algebra import (StructAlgebra, algebra_invariants, parse_algebra,
                             parse_quiver, path_algebra, quotient_by_ideal,
                             quotient_by_idempotent_ideal,
@@ -134,7 +136,7 @@ def _oracle_algebras(ex1, ex2, ex3):
 def test_products_match_the_dense_formulas(ex1, ex2, ex3):
     rng = np.random.default_rng(11)
     for alg in _oracle_algebras(ex1, ex2, ex3):
-        p, mult = alg.p, alg.mult
+        p, mult = alg.p, dense_mult(alg)
         for _ in range(5):
             x = rng.integers(0, p, alg.dim)
             y = rng.integers(0, p, alg.dim)
@@ -167,7 +169,8 @@ def test_validation_rejects_a_non_associative_table():
     mult[1, 1, 1] = mult[1, 1, 2] = 1
     mult[2, 1, 2] = 1
     with pytest.raises(DomainError, match="associative"):
-        StructAlgebra(7, ["b0", "b1", "b2"], mult, np.eye(3, dtype=np.int64)[:1])
+        StructAlgebra(7, ["b0", "b1", "b2"], terms_of(mult),
+                      np.eye(3, dtype=np.int64)[:1])
 
 
 def test_root_context_multiplies_in_bulk(monkeypatch):
@@ -184,3 +187,112 @@ def test_root_context_multiplies_in_bulk(monkeypatch):
     root = root_context(alg)
     assert len(root.stt_objects) == 14
     assert calls[0] <= 2000
+
+
+# -- sparse construction checks against the dense oracles -------------------
+
+
+def _constructed_algebras(ex1, ex2, ex3):
+    """The output of every constructor: path algebras, quotients, matrix
+    algebras (End rings of modules) and an End ring in K^b(proj)."""
+    from tauseq.modules import end_algebra
+
+    alg3, mods3 = ex3[1], ex3[2]
+    algs = [ex1[1], ex2[1], alg3, rebased_algebra(alg3, 3)]
+    algs += [parse_algebra(linear_quiver_text(n, rad2))[1]
+             for n in range(2, 7) for rad2 in (False, True)]
+    algs += [quotient_by_idempotent_ideal(alg3, k).algebra for k in range(3)]
+    a4 = parse_algebra(linear_quiver_text(4))[1]
+    path = np.eye(a4.dim, dtype=np.int64)[a4.labels.index("a1*a2")]
+    algs.append(quotient_by_ideal(a4, two_sided_ideal_rows(a4, [path]))
+                .algebra)
+    algs.append(end_algebra([mods3[n] for n in ("N", "M", "P1")]).struct)
+    algs.append(end_algebra([mods3["P1"], mods3["P1"]]).struct)
+    parts = [min_presentation(mods3[n]) for n in ("M", "N", "I2", "S2")]
+    algs.append(end_K(parts)[0].struct)
+    return algs
+
+
+def _sparse_verdict(p, labels, table, idem, unit):
+    try:
+        StructAlgebra(p, labels, terms_of(table), idem, unit=unit)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(rng, table, idem, unit, p):
+    """Copies with one or two entries of the table, the idempotents or the
+    unit changed: shifted by a random nonzero amount, or zeroed."""
+    table, idem, unit = table.copy(), idem.copy(), unit.copy()
+    for _ in range(rng.integers(1, 3)):
+        r = rng.random()
+        flat = (table if r < 0.8 else idem if r < 0.92 else unit).reshape(-1)
+        nz = np.flatnonzero(flat)
+        pos = (rng.choice(nz) if len(nz) and rng.random() < 0.5
+               else rng.integers(len(flat)))
+        if flat[pos] and rng.random() < 0.3:
+            flat[pos] = 0
+        else:
+            flat[pos] = (flat[pos] + rng.integers(1, p)) % p
+    return table, idem, unit
+
+
+def test_sparse_checks_agree_with_the_dense_oracle(ex1, ex2, ex3):
+    algs = _constructed_algebras(ex1, ex2, ex3)
+    for alg in algs:
+        table = dense_mult(alg)
+        args = (alg.p, alg.labels, table, alg.idempotents, alg.unit)
+        assert _sparse_verdict(*args) is None
+        assert dense_algebra_check(*args[:1], *args[2:]) is None
+        assert np.array_equal(alg.radical_rows(),
+                              dense_radical_rows(table, alg.p))
+    rng = np.random.default_rng(29)
+    small = [alg for alg in algs if alg.dim <= 21]
+    verdicts = {}
+    for _ in range(1200):
+        alg = small[rng.integers(len(small))]
+        table, idem, unit = _perturbed(rng, dense_mult(alg), alg.idempotents,
+                                       alg.unit, alg.p)
+        want = dense_algebra_check(alg.p, table, idem, unit)
+        assert _sparse_verdict(alg.p, alg.labels, table, idem, unit) == want
+        verdicts[want] = verdicts.get(want, 0) + 1
+    # every verdict occurs, so each check is compared on inputs it rejects
+    assert set(verdicts) == {
+        None, "multiplication is not associative", "unit law fails",
+        "distinguished idempotents are not orthogonal",
+        "idempotents do not sum to the unit"}, verdicts
+
+
+@pytest.mark.parametrize("size", [97, 1 << 20])
+def test_join_and_key_sums_match_plain_loops(size):
+    # sizes on both sides of the dense/sorted switch, with many repeats
+    from tauseq.algebra import _SMALL, _join, _sum_by_key
+
+    rng = np.random.default_rng(size)
+    pool = rng.choice(size, 40, replace=False)
+    for n in (5, 300):
+        left, right = rng.choice(pool, n), rng.choice(pool, n + 7)
+        a, b = _join(left, right, size)
+        assert list(zip(a.tolist(), b.tolist())) == [
+            (x, y) for x in range(n) for y in range(n + 7)
+            if left[x] == right[y]]
+    assert (len(left) * len(right) > _SMALL) == (n == 300)
+    p = 101
+    keys = rng.choice(pool, 500)
+    vals = rng.integers(-3 * p, 3 * p, 500)
+    vals[keys == pool[0]] = 0  # a key whose sum is zero drops out
+    sums = {}
+    for key, val in zip(keys.tolist(), vals.tolist()):
+        sums[key] = (sums.get(key, 0) + val) % p
+    got_keys, got = _sum_by_key(keys, vals, p, size)
+    assert (size > _SMALL) == (size == 1 << 20)
+    assert list(zip(got_keys.tolist(), got.tolist())) == sorted(
+        (key, val) for key, val in sums.items() if val)
+
+
+def test_linear_a18_keeps_only_its_nonzero_constants():
+    # one constant per pair of composable paths: C(n + 2, 3) of them
+    _, alg = parse_algebra(linear_quiver_text(18))
+    assert alg.invariants() == (18, 171, 17)
+    assert len(alg.terms[0]) == 18 * 19 * 20 // 6

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rebased_algebra
+from oracles import dense_mult
 from tauseq import linalg
 from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain, cone,
                               cx_to_pair, direct_sum_cx, entry_compose,
@@ -225,7 +226,7 @@ def test_exchange_triangle_for_a_generated_module(ex3):
 
 
 def _dense_multiply(alg, x, y):
-    return (np.einsum("i,j,ijk->k", x, y, alg.mult.astype(object))
+    return (np.einsum("i,j,ijk->k", x, y, dense_mult(alg).astype(object))
             % alg.p).astype(np.int64)
 
 

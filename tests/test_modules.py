@@ -6,16 +6,18 @@ import itertools
 import numpy as np
 import pytest
 
-from tauseq.algebra import algebra_invariants
-from tauseq.errors import InputError
-from tauseq.modules import (decompose, decompose_grouped, direct_sum,
-                            end_algebra, hom_basis, hom_dim, in_gen,
-                            injective_embedding, injective_module, is_iso,
-                            is_local_endo, min_left_approx, min_right_approx,
-                            parse_modules, projective_module, radical_rows,
-                            simple_module, submodule, top_quotient,
-                            torsion_free_quotient, trace_submodule,
-                            zero_module)
+from oracles import dense_mult
+from tauseq.algebra import algebra_invariants, parse_algebra
+from tauseq.errors import DomainError, InputError
+from tauseq.modules import (FdModule, decompose, decompose_grouped,
+                            direct_sum, end_algebra, hom_basis, hom_dim,
+                            in_gen, injective_embedding, injective_module,
+                            is_iso, is_local_endo, min_left_approx,
+                            min_right_approx, parse_modules,
+                            projective_module, radical_rows, simple_module,
+                            submodule, top_quotient, torsion_free_quotient,
+                            trace_submodule, zero_module)
+from test_algebra import linear_quiver_text
 
 
 def test_fixture_dimension_vectors(ex3):
@@ -70,8 +72,6 @@ def test_fixtures_are_pairwise_non_isomorphic(ex3):
 
 
 def test_iso_is_basis_independent(ex3):
-    from tauseq.modules import FdModule
-
     alg, mods = ex3[1], ex3[2]
     m = mods["N"]
     rng = np.random.default_rng(11)
@@ -357,35 +357,66 @@ def test_hom_basis_matches_kronecker_over_a_rebased_algebra(ex3):
 def _full_action_check(m):
     """The d^2 oracle: 1 acts as the identity and rho(b_i) rho(b_j) =
     rho(b_i b_j) for every pair of basis elements."""
-    p, act = m.algebra.p, m.action
+    p, act, d = m.algebra.p, m.action, m.algebra.dim
     if not np.array_equal(m.act(m.algebra.unit), np.eye(m.dim, dtype=np.int64)):
         return False
-    prod = np.einsum("iab,jbc->ijac", act, act) % p
-    want = np.einsum("ijk,kac->ijac", m.algebra.mult, act) % p
-    return np.array_equal(prod, want)
+    prod = (act[:, None] @ act[None]) % p
+    want = (dense_mult(m.algebra).reshape(d * d, d) @
+            act.reshape(d, -1)) % p
+    return np.array_equal(prod.reshape(d * d, -1), want)
+
+
+def _interval_modules(n):
+    """Linear A_n and its n(n+1)/2 interval modules, each arrow acting by 1."""
+    qp, alg = parse_algebra(linear_quiver_text(n))
+    blocks = []
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            dims = " ".join(f"{v}:1" for v in range(i, j + 1))
+            arrows = "".join(f"arrow a{v} = [[1]]\n" for v in range(i, j))
+            blocks.append(f"module M{i}_{j}\ndims {dims}\n{arrows}")
+    return alg, parse_modules("\n".join(blocks), qp, alg)
+
+
+def _agrees_on(alg, act):
+    try:
+        FdModule(alg, act)
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert accepted == _full_action_check(FdModule(alg, act, check=False))
+    return accepted
+
+
+def _perturbed_actions(m, rng, count):
+    """m's action and count copies with one entry shifted."""
+    p, cases = m.algebra.p, [m.action]
+    for _ in range(count):
+        act = m.action.copy()
+        i, a, b = (rng.integers(0, s) for s in act.shape)
+        act[i, a, b] = (act[i, a, b] + rng.integers(1, p)) % p
+        cases.append(act)
+    return cases
 
 
 def test_generator_validation_agrees_with_the_full_check(ex3):
-    from tauseq.errors import DomainError
-    from tauseq.modules import FdModule
-
     alg, mods = ex3[1], ex3[2]
     rng = np.random.default_rng(17)
-    answers = []
-    for m in mods.values():
-        cases = [m.action]
-        for _ in range(20):
-            act = m.action.copy()
-            i, a, b = (rng.integers(0, s) for s in act.shape)
-            act[i, a, b] = (act[i, a, b] + rng.integers(1, alg.p)) % alg.p
-            cases.append(act)
-        for act in cases:
-            try:
-                FdModule(alg, act)
-                accepted = True
-            except DomainError:
-                accepted = False
-            oracle = _full_action_check(FdModule(alg, act, check=False))
-            assert accepted == oracle
-            answers.append(accepted)
+    answers = [_agrees_on(alg, act) for m in mods.values()
+               for act in _perturbed_actions(m, rng, 20)]
     assert True in answers and False in answers
+    # linear A10 (dim 55): the check gathers rho(b_k) over the sparse
+    # generator products, and the oracle contracts the dense table
+    alg, mods = _interval_modules(10)
+    assert alg.dim == 55 and len(mods) == 55
+    answers = [_agrees_on(alg, act) for m in mods.values()
+               for act in _perturbed_actions(m, rng, 2)]
+    assert answers[::3] == [True] * 55 and False in answers
+    # wrong only on the path a2 a3 a4 of length 3: every arrow and vertex
+    # acts as before, so only the products of generators catch it
+    m = mods["M1_10"]
+    k = alg.labels.index("a2*a3*a4")
+    act = m.action.copy()
+    assert act[k].any()
+    act[k] = 2 * act[k] % alg.p
+    assert not _agrees_on(alg, act)
