@@ -106,6 +106,9 @@ _SMALL = 1 << 16
 # (i, j, l, m) join keys of the associativity check are below dim^4 < 2^63
 _MAX_CHECKED_DIM = 55108
 
+# about this many join rows per chunk of the rad^2 join
+_JOIN_ROWS = 1 << 18
+
 
 def _join(left, right, size):
     """Index pairs (a, b) with left[a] == right[b], for keys in [0, size),
@@ -171,10 +174,12 @@ class StructAlgebra:
         self.labels = list(labels)
         self.dim = d = len(self.labels)
         i, j, k, c = (np.asarray(a, dtype=np.int64).reshape(-1) for a in terms)
-        idx = np.concatenate((i, j, k)).view(np.uint64)  # -1 wraps to 2^64 - 1
-        if not len(i) == len(j) == len(k) == len(c) or (idx >= d).any():
+        try:
+            if not len(i) == len(j) == len(k) == len(c):
+                raise ValueError
+            key, c = np.ravel_multi_index((i, j, k), (d, d, d)), c % p
+        except ValueError:
             raise DomainError("structure constant index out of range")
-        key, c = (i * d + j) * d + k, c % p
         if not (c.all() and (key[1:] > key[:-1]).all()):
             # duplicates of one (i, j, k) add up; zero sums drop out
             key, c = _sum_by_key(key, c, p, d ** 3)
@@ -221,16 +226,17 @@ class StructAlgebra:
         vals = np.concatenate((c[a] * c[b], -(c[a2] * c[b2])))
         if len(_sum_by_key(keys, vals, p, d ** 4)[0]):
             raise DomainError("multiplication is not associative")
-        ident = np.eye(d, dtype=np.int64)
-        if not (np.array_equal(self.left_mult_matrix(self.unit), ident) and
-                np.array_equal(self.right_mult_matrix(self.unit), ident)):
-            raise DomainError("unit law fails")
         idem = self.idempotents
-        # prods[a, b] = e_a * e_b, which must be e_a when a = b and 0 otherwise
-        prods = self.multiply(idem[:, None], idem[None])
+        left = self.left_mult_matrix(np.vstack([self.unit, idem]))
+        ident = np.eye(d, dtype=np.int64)
+        if not ((left[0] == ident).all() and
+                (self.right_mult_matrix(self.unit) == ident).all()):
+            raise DomainError("unit law fails")
+        # prods[a, :, b] = e_a * e_b: e_a when a = b and 0 otherwise
+        prods = left[1:] @ idem.T % p
         want = np.zeros_like(prods)
-        want[np.arange(len(idem)), np.arange(len(idem))] = idem
-        if not np.array_equal(prods, want):
+        want[np.arange(len(idem)), :, np.arange(len(idem))] = idem
+        if not (prods == want).all():
             raise DomainError("distinguished idempotents are not orthogonal")
         if not np.array_equal(self.idempotents.sum(axis=0) % p, self.unit):
             raise DomainError("idempotents do not sum to the unit")
@@ -249,9 +255,9 @@ class StructAlgebra:
         return out % p
 
     def left_mult_matrix(self, x):
-        """Matrix of y -> x*y on coordinates."""
+        """Matrix of y -> x*y on coordinates; a stack of them for a batch x."""
         i, j, k, c = self.terms
-        return self._scatter(k, j, linalg.asmod(x, self.p)[i] * c)
+        return self._scatter(k, j, linalg.asmod(x, self.p)[..., i] * c)
 
     def right_mult_matrix(self, y):
         """Matrix of x -> x*y on coordinates."""
@@ -259,9 +265,10 @@ class StructAlgebra:
         return self._scatter(k, i, linalg.asmod(y, self.p)[j] * c)
 
     def _scatter(self, rows, cols, vals):
-        """(dim, dim) matrix summing vals mod p into the (rows, cols) cells."""
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        np.add.at(out, (rows, cols), vals % self.p)
+        """(..., dim, dim) matrices summing vals mod p into the (rows, cols)
+        cells, one for each leading index of vals."""
+        out = np.zeros(vals.shape[:-1] + (self.dim, self.dim), dtype=np.int64)
+        np.add.at(out, (..., rows, cols), vals % self.p)
         return out % self.p
 
     def power(self, x, e):
@@ -314,19 +321,19 @@ class StructAlgebra:
     def _radical_products(self):
         """Rows spanning rad^2: the distinct nonzero products r*s of radical
         basis rows.  Each entry of r times a term times an entry of s is one
-        join row; the left factors r go in chunks of about 2^18 join rows
-        on average."""
+        join row; the left factors r go in chunks of about _JOIN_ROWS join
+        rows on average."""
         rad, p, d = self.radical_rows(), self.p, self.dim
         i, j, k, c = self.terms
         nr = rad.shape[0]
         rr, rc = np.nonzero(rad)  # sorted by row
         rv = rad[rr, rc]
         step = max(nr, 1)
-        if len(rr) * len(i) * nr > 1 << 18:  # a bound on the join rows
+        if len(rr) * len(i) * nr > _JOIN_ROWS:  # a bound on the join rows
             # join rows of each radical entry: its terms times the entries
             # on each term's right factor
             per_col = np.bincount(i, np.bincount(rc, minlength=d)[j], d)
-            step = max(1, int(nr * (1 << 18) // max(1, per_col[rc].sum())))
+            step = max(1, int(nr * _JOIN_ROWS // max(1, per_col[rc].sum())))
         cuts = np.searchsorted(rr, np.arange(0, nr + step, step))
         keys, vals = [], []
         for lo, hi in zip(cuts[:-1], cuts[1:]):

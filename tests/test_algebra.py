@@ -296,3 +296,35 @@ def test_linear_a18_keeps_only_its_nonzero_constants():
     _, alg = parse_algebra(linear_quiver_text(18))
     assert alg.invariants() == (18, 171, 17)
     assert len(alg.terms[0]) == 18 * 19 * 20 // 6
+
+
+def test_terms_are_stored_sorted_merged_and_nonzero(ex3):
+    alg = ex3[1]
+    i, j, k, c = alg.terms
+    rng = np.random.default_rng(7)
+    # each constant split in two, a pair that cancels, all shuffled
+    half = rng.integers(1, alg.p, len(c))
+    parts = [np.concatenate(x) for x in ((i, i, [0, 0]), (j, j, [1, 1]),
+                                         (k, k, [2, 2]),
+                                         (half, c - half, [3, alg.p - 3]))]
+    perm = rng.permutation(len(parts[0]))
+    again = StructAlgebra(alg.p, alg.labels, [x[perm] for x in parts],
+                          alg.idempotents)
+    assert all(np.array_equal(x, y) for x, y in zip(again.terms, alg.terms))
+    for bad in (alg.dim, -1):
+        with pytest.raises(DomainError, match="index out of range"):
+            StructAlgebra(alg.p, alg.labels, (i, j, np.append(k[1:], bad), c),
+                          alg.idempotents)
+
+
+def test_radical_products_do_not_depend_on_the_chunk_size(monkeypatch, ex3):
+    import tauseq.algebra as algebra_module
+
+    algs = [rebased_algebra(ex3[1], 3),
+            parse_algebra(linear_quiver_text(6))[1],
+            parse_algebra(linear_quiver_text(6, rad_square_zero=True))[1]]
+    whole = [alg._radical_products() for alg in algs]
+    monkeypatch.setattr(algebra_module, "_JOIN_ROWS", 8)
+    for alg, want in zip(algs, whole):
+        fresh = StructAlgebra(alg.p, alg.labels, alg.terms, alg.idempotents)
+        assert np.array_equal(fresh._radical_products(), want)

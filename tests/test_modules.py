@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import rebased_algebra
 from oracles import dense_mult
 from tauseq.algebra import algebra_invariants, parse_algebra
 from tauseq.errors import DomainError, InputError
@@ -345,8 +346,6 @@ def test_hom_basis_matches_kronecker_over_a_reduced_algebra(root3, ex3):
 
 
 def test_hom_basis_matches_kronecker_over_a_rebased_algebra(ex3):
-    from conftest import rebased_algebra
-
     alg = rebased_algebra(ex3[1], 5)
     assert any(np.count_nonzero(g) > 1 for g in alg.generator_vectors())
     mods = [f(alg, i) for f in (projective_module, injective_module,
@@ -420,3 +419,27 @@ def test_generator_validation_agrees_with_the_full_check(ex3):
     assert act[k].any()
     act[k] = 2 * act[k] % alg.p
     assert not _agrees_on(alg, act)
+    # a rebased basis: each g * b_j has many terms to sum
+    alg = rebased_algebra(ex3[1], 5)
+    mods = [f(alg, v) for f in (projective_module, injective_module,
+                                simple_module) for v in range(3)]
+    answers = [_agrees_on(alg, act) for m in mods
+               for act in _perturbed_actions(m, rng, 5)]
+    assert answers[::6] == [True] * 9 and False in answers
+
+
+def test_commutativity_of_the_top_matches_the_dense_table(ex1, ex3):
+    from tauseq.modules import _semisimple_top
+
+    s1 = ex3[2]["S1"]
+    m2 = end_algebra([s1, s1]).struct  # the 2 x 2 matrices
+    algs = [ex1[1], ex3[1], m2, rebased_algebra(m2, 4),
+            rebased_algebra(ex3[1], 3),
+            end_algebra([ex3[2][n] for n in ("N", "M", "P1")]).struct]
+    seen = set()
+    for alg in algs:
+        bar, _, commutative = _semisimple_top(alg)
+        table = dense_mult(bar)
+        assert commutative == np.array_equal(table, table.transpose(1, 0, 2))
+        seen.add(commutative)
+    assert seen == {True, False}
