@@ -136,8 +136,6 @@ def _sum_by_key(keys, vals, p, size):
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
     first = _run_starts(keys).nonzero()[0]
-    if not len(first):
-        return keys, vals
     sums = np.add.reduceat(vals, first) % p
     keep = sums != 0
     return keys[first[keep]], sums[keep]
@@ -326,9 +324,11 @@ class StructAlgebra:
         rad, p, d = self.radical_rows(), self.p, self.dim
         i, j, k, c = self.terms
         nr = rad.shape[0]
+        if not nr:
+            return rad
         rr, rc = np.nonzero(rad)  # sorted by row
         rv = rad[rr, rc]
-        step = max(nr, 1)
+        step = nr
         if len(rr) * len(i) * nr > _JOIN_ROWS:  # a bound on the join rows
             # join rows of each radical entry: its terms times the entries
             # on each term's right factor
@@ -344,11 +344,11 @@ class StructAlgebra:
                                    rv[a] * c[t] % p * rv[b], p, nr * nr * d)
             keys.append(key)
             vals.append(val)
-        key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+        key = np.concatenate(keys)
         # one row per distinct pair (r, s), in order
         row = _run_starts(key // d).cumsum() - 1
         out = np.zeros((row[-1] + 1 if len(row) else 0, d), dtype=np.int64)
-        out[row, key % d] = np.concatenate(vals) if vals else 0
+        out[row, key % d] = np.concatenate(vals)
         return out
 
     def arrow_count(self):

@@ -299,7 +299,7 @@ def test_linear_a18_keeps_only_its_nonzero_constants():
 
 
 def test_terms_are_stored_sorted_merged_and_nonzero(ex3):
-    alg = ex3[1]
+    alg = rebased_algebra(ex3[1], 3)  # constants other than 1
     i, j, k, c = alg.terms
     rng = np.random.default_rng(7)
     # each constant split in two, a pair that cancels, all shuffled
