@@ -190,9 +190,9 @@ def _term_images(algebra, act, src, k, c, bt):
 
 
 def _restricted_action(imgs, bt, p, error):
-    """The matrices on the span of the independent columns of bt of maps
-    with the images imgs[x] = map_x @ bt, found by one solve for all of
-    them; error when the span is not stable."""
+    """The matrices of maps x on the span of the independent columns of
+    bt, given their images imgs[x] = map_x @ bt, found by one solve for all
+    of them; error when the span is not stable."""
     n, k = bt.shape
     sol = linalg.solve_matrix(bt, imgs.transpose(1, 0, 2).reshape(n, -1), p)
     if sol is None:
