@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rebased_algebra
 from oracles import (dense_algebra_check, dense_mult, dense_radical_rows,
@@ -328,3 +330,38 @@ def test_radical_products_do_not_depend_on_the_chunk_size(monkeypatch, ex3):
     for alg, want in zip(algs, whole):
         fresh = StructAlgebra(alg.p, alg.labels, alg.terms, alg.idempotents)
         assert np.array_equal(fresh._radical_products(), want)
+
+
+@st.composite
+def monomial_quiver_texts(draw):
+    """Algebra text of an acyclic quiver on up to 4 vertices with up to 5
+    arrows (parallel arrows allowed) and monomial relations of length 2 or
+    3, with its arrow count."""
+    n = draw(st.integers(1, 4))
+    ends = [(s, t) for s, t in draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n)), max_size=5)) if s < t]
+    lines = ["field 32003"] + [f"vertex {v}" for v in range(1, n + 1)]
+    lines += [f"arrow x{a} {s} {t}" for a, (s, t) in enumerate(ends)]
+    for _ in range(draw(st.integers(0, 6))):
+        path = [draw(st.integers(0, len(ends) - 1))] if ends else []
+        for _ in range(draw(st.integers(1, 2)) if path else 0):
+            nxt = [a for a, (s, _) in enumerate(ends)
+                   if s == ends[path[-1]][1]]
+            if not nxt:
+                break
+            path.append(draw(st.sampled_from(nxt)))
+        if len(path) >= 2:
+            lines.append("rel " + " ".join(f"x{a}" for a in path))
+    return "\n".join(lines) + "\n", len(ends)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_quiver_texts())
+def test_generated_path_algebras_pass_the_dense_oracles(case):
+    text, arrows = case
+    _, alg = parse_algebra(text)
+    table = dense_mult(alg)
+    assert dense_algebra_check(alg.p, table, alg.idempotents, alg.unit) is None
+    assert np.array_equal(alg.radical_rows(), dense_radical_rows(table, alg.p))
+    # relations have length >= 2, so every arrow survives in rad / rad^2
+    assert alg.arrow_count() == arrows
