@@ -423,14 +423,46 @@ class StructAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _contains_relation(arrow_seq, relations):
-    for rel in relations:
-        L = len(rel)
-        if L <= len(arrow_seq):
-            for s in range(len(arrow_seq) - L + 1):
-                if list(arrow_seq[s : s + L]) == rel:
-                    return True
-    return False
+def _path_walks(qp):
+    """(count, successors) of the relation-avoiding paths, or (None, None)
+    when there are infinitely many.
+
+    A path avoids the relations when no relation ends at any of its arrows,
+    which depends only on its target and its last L - 1 arrows, L the
+    longest relation.  So the paths are the walks from the states
+    (vertex, ()) over the states (vertex, last L - 1 arrows), and there are
+    infinitely many exactly when a reachable state lies on a cycle.  The
+    walks are counted by one depth-first search, without listing them;
+    successors maps each reachable state to its (arrow, next state) pairs.
+    """
+    keep = max((len(r) for r in qp.relations), default=1) - 1
+    rels = [tuple(r) for r in qp.relations]
+    out = {}
+    for name, src, dst in qp.arrows:
+        out.setdefault(src, []).append((name, dst))
+    succ, count = {}, {}  # count: walks from a finished state
+    total = 0
+    for v in qp.vertices:
+        stack = [(v, ())]
+        while stack:
+            state = stack[-1]
+            if state not in succ:
+                succ[state] = []
+                for name, dst in out.get(state[0], ()):
+                    ext = state[1] + (name,)
+                    if not any(ext[-len(r):] == r for r in rels):
+                        succ[state].append(
+                            (name, (dst, ext[max(0, len(ext) - keep):])))
+            todo = [nxt for _, nxt in succ[state] if nxt not in count]
+            if any(nxt in succ for nxt in todo):
+                return None, None  # an unfinished state: on the stack
+            if todo:
+                stack.append(todo[0])
+            else:
+                count[state] = 1 + sum(count[nxt] for _, nxt in succ[state])
+                stack.pop()
+        total += count[v, ()]
+    return total, succ
 
 
 def path_algebra(qp):
@@ -440,50 +472,37 @@ def path_algebra(qp):
     that set is infinite.
     """
     p = qp.p
-    arrow_by_name = {a[0]: a for a in qp.arrows}
     vidx = {v: i for i, v in enumerate(qp.vertices)}
-
-    # paths as (source, target, tuple of arrow names in traversal order)
-    paths = [(v, v, ()) for v in qp.vertices]
-    bound = len(qp.vertices) * (sum(len(r) for r in qp.relations) + 1) + 1
-    frontier = list(paths)
-    while frontier:
-        new_frontier = []
-        for src, dst, seq in frontier:
-            for name, a_src, a_dst in qp.arrows:
-                if a_src != dst:
-                    continue
-                ext = seq + (name,)
-                if _contains_relation(ext, qp.relations):
-                    continue
-                if len(ext) >= bound:
-                    raise InputError(
-                        "path basis is infinite: relations are not admissible"
-                    )
-                new_frontier.append((src, a_dst, ext))
-        paths.extend(new_frontier)
-        frontier = new_frontier
-
-    paths.sort(key=lambda t: (len(t[2]), vidx[t[0]], t[2]))
-    index = {(t[0], t[2]): i for i, t in enumerate(paths)}
-    d = len(paths)
+    d, succ = _path_walks(qp)
+    if d is None:
+        raise InputError(
+            "path basis is infinite: relations are not admissible")
     if p <= d:
         raise InputError(
             f"field order {p} is too small: it must exceed the algebra "
             f"dimension {d}")
+
+    # paths as (source, target, tuple of arrow names in traversal order),
+    # each extended along its state
+    paths = []
+    frontier = [(v, v, (), (v, ())) for v in qp.vertices]
+    while frontier:
+        paths.extend(t[:3] for t in frontier)
+        frontier = [(src, nxt[0], seq + (name,), nxt)
+                    for src, _, seq, state in frontier
+                    for name, nxt in succ[state]]
+    paths.sort(key=lambda t: (len(t[2]), vidx[t[0]], t[2]))
+    index = {(t[0], t[2]): i for i, t in enumerate(paths)}
     terms = []
     for i, (isrc, idst, iseq) in enumerate(paths):
         for j, (jsrc, jdst, jseq) in enumerate(paths):
-            # b_i * b_j = "traverse j, then i"; composable iff src(i) = dst(j)
+            # b_i * b_j = "traverse j, then i"; composable iff src(i) = dst(j),
+            # and zero unless the composite avoids the relations
             if isrc != jdst:
                 continue
-            seq = jseq + iseq
-            if _contains_relation(seq, qp.relations):
-                continue
-            k = index.get((jsrc, seq))
-            if k is None:
-                continue
-            terms.append((i, j, k, 1))
+            k = index.get((jsrc, jseq + iseq))
+            if k is not None:
+                terms.append((i, j, k, 1))
 
     labels = []
     for src, dst, seq in paths:
@@ -494,7 +513,6 @@ def path_algebra(qp):
     alg = StructAlgebra(p, labels, np.array(terms, dtype=np.int64).T, idem,
                         vertex_labels=list(qp.vertices))
     alg.path_info = paths
-    alg.quiver = qp
     return alg
 
 
@@ -588,13 +606,8 @@ def quotient_by_idempotent_ideal(alg, k):
     n = alg.idempotents.shape[0]
     if not 0 <= k < n:
         raise DomainError(f"idempotent index {k} out of range")
-    # the ideal is spanned by the products b_i * e * b_j
-    rows = [alg.left_mult_matrix(bie).T
-            for bie in alg.right_mult_matrix(alg.idempotents[k]).T
-            if np.any(bie)]
-    if not rows:
-        rows = [np.zeros((1, alg.dim), dtype=np.int64)]
-    return quotient_by_ideal(alg, np.vstack(rows))
+    return quotient_by_ideal(alg,
+                             two_sided_ideal_rows(alg, [alg.idempotents[k]]))
 
 
 # ---------------------------------------------------------------------------
@@ -611,22 +624,16 @@ def block_terms(blocks):
     return ij // d, ij % d, k, rows[ij, k]
 
 
-def algebra_from_matrices(mats, p, idempotent_mats=None, labels=None,
-                          opposite=False, vertex_labels=None):
-    """Coordinatize a unital matrix algebra from a spanning list of matrices.
+def algebra_from_matrices(mats, p, idempotent_mats=None, vertex_labels=None):
+    """Coordinatize a unital matrix algebra from a spanning list of matrices,
+    with the opposite product: b_i * b_j comes from mats[j] @ mats[i], so
+    that Hom(G, -) spaces become left modules under precomposition.
 
     Args:
         mats: linearly independent matrices spanning an algebra.
         idempotent_mats: matrices (inside the span) forming the distinguished
             orthogonal idempotents; when None, the identity becomes the
             single idempotent.
-        opposite: when True the product is reversed (b_i * b_j comes from
-            mats[j] @ mats[i]); used so that Hom(G, -) spaces become left
-            modules under precomposition.
-
-    Returns:
-        (StructAlgebra, SpanSolver) where the solver maps a matrix
-        (flattened) to its coordinates.
     """
     d = len(mats)
     if d == 0:
@@ -639,8 +646,7 @@ def algebra_from_matrices(mats, p, idempotent_mats=None, labels=None,
     blocks = []
     for i in range(d):
         # row j: coordinates of b_i * b_j, for every j at once
-        prods = (stack @ stack[i]) % p if opposite else (stack[i] @ stack) % p
-        c = solver.coords(prods.reshape(d, -1))
+        c = solver.coords(((stack @ stack[i]) % p).reshape(d, -1))
         if c is None:
             raise DomainError("matrix set is not multiplicatively closed")
         blocks.append(c)
@@ -648,8 +654,6 @@ def algebra_from_matrices(mats, p, idempotent_mats=None, labels=None,
     unit = solver.coords(ident.reshape(-1))
     if unit is None:
         raise DomainError("identity matrix not in the span")
-    if labels is None:
-        labels = [f"f{i}" for i in range(d)]
     if idempotent_mats is None:
         idem = unit.reshape(1, -1)
     else:
@@ -659,9 +663,8 @@ def algebra_from_matrices(mats, p, idempotent_mats=None, labels=None,
             if c is None:
                 raise DomainError("idempotent matrix not in the span")
             idem[r] = c
-    alg = StructAlgebra(p, labels, block_terms(blocks), idem, unit=unit,
-                        vertex_labels=vertex_labels)
-    return alg, solver
+    return StructAlgebra(p, [f"f{i}" for i in range(d)], block_terms(blocks),
+                         idem, unit=unit, vertex_labels=vertex_labels)
 
 
 def algebra_invariants(alg):

@@ -18,7 +18,7 @@ from . import reduction as red
 from . import sequences as seqs
 from .algebra import algebra_invariants, parse_algebra
 from .errors import DomainError, InputError, TauseqError
-from .modules import parse_modules, simple_module
+from .modules import parse_modules
 from .tautilt import (Registry, bongartz, cobongartz,
                       complement_correspondence)
 
@@ -66,7 +66,7 @@ class Workspace:
             if name[0] == "P":
                 return cxs.proj_list(self.alg)[v]
             if name[0] == "S":
-                return simple_module(self.alg, v)
+                return cxs.simple_list(self.alg)[v]
             if name[0] == "I":
                 return cxs.inj_list(self.alg)[v]
         if name in self.registry.names:

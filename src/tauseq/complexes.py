@@ -18,8 +18,10 @@ import numpy as np
 from . import linalg
 from .algebra import StructAlgebra, block_terms
 from .errors import DomainError
-from .modules import (ModuleMap, direct_sum, hom_basis, projective_module,
-                      quotient_module, submodule, top_quotient, zero_module)
+from .modules import (ModuleMap, direct_sum, hom_basis, identity_map,
+                      injective_module, projective_module, quotient_module,
+                      right_mult_module_map, submodule, top_quotient,
+                      zero_module)
 
 
 def proj_list(alg):
@@ -28,6 +30,14 @@ def proj_list(alg):
         alg._tauseq_projs = [projective_module(alg, i)
                              for i in range(alg.idempotents.shape[0])]
     return alg._tauseq_projs
+
+
+def simple_list(alg):
+    """Simple modules, the tops of the cached projectives, cached on the
+    algebra."""
+    if not hasattr(alg, "_tauseq_simples"):
+        alg._tauseq_simples = [top_quotient(pm)[0] for pm in proj_list(alg)]
+    return alg._tauseq_simples
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +178,6 @@ def direct_sum_cx(cxs):
 
 def concrete_map(alg, src_verts, tgt_verts, tensor):
     """Realize an entry tensor as a ModuleMap between sums of projectives."""
-    from .modules import right_mult_module_map
-
     projs = proj_list(alg)
     src, s_embs, _ = direct_sum(alg, [projs[v] for v in src_verts])
     tgt, t_embs, _ = direct_sum(alg, [projs[v] for v in tgt_verts])
@@ -235,13 +243,6 @@ class EntrySpace:
 # ---------------------------------------------------------------------------
 
 
-def _entry_as_matrix(alg, a, b, x):
-    from .modules import right_mult_module_map
-
-    projs = proj_list(alg)
-    return right_mult_module_map(projs[a], projs[b], x).matrix
-
-
 def _invertible_entry(cx):
     alg = cx.algebra
     for k in sorted(cx.diffs):
@@ -253,7 +254,8 @@ def _invertible_entry(cx):
                 projs = proj_list(alg)
                 if projs[a].dim != projs[b].dim:
                     continue
-                mat = _entry_as_matrix(alg, a, b, t[r, c])
+                mat = right_mult_module_map(projs[a], projs[b],
+                                            t[r, c]).matrix
                 if linalg.rank(mat, alg.p) == mat.shape[0]:
                     return k, r, c, mat
     return None
@@ -553,7 +555,6 @@ def h0(cx):
         return z, ModuleMap(z, z, np.zeros((0, 0), dtype=np.int64)), z
     if not cx.at(-1):
         conc = cx_concrete(cx, 0)
-        from .modules import identity_map
         return conc, identity_map(conc), conc
     src, tgt, dmap = concrete_map(alg, cx.at(-1), cx.at(0), cx.diff(-1))
     quo, proj = quotient_module(tgt, dmap.image_rows())
@@ -575,8 +576,6 @@ def hminus1(cx):
 
 
 def inj_list(alg):
-    from .modules import injective_module
-
     if not hasattr(alg, "_tauseq_injs"):
         injs = []
         for j in range(alg.idempotents.shape[0]):
@@ -655,70 +654,16 @@ def ext1_dim(m, n):
 
 
 # ---------------------------------------------------------------------------
-# lifting module maps to chain maps
-# ---------------------------------------------------------------------------
-
-
-def lift_map(X, Y, g, h0X=None, h0Y=None):
-    """Chain map X -> Y inducing the module map g: H^0(X) -> H^0(Y)."""
-    alg = X.algebra
-    p = alg.p
-    projs = proj_list(alg)
-    if h0X is None:
-        h0X = h0(X)
-    if h0Y is None:
-        h0Y = h0(Y)
-    _, pX, concX = h0X
-    _, pY, concY = h0Y
-    zX, zY = X.at(0), Y.at(0)
-    f0 = tensor_zeros(alg, len(zY), len(zX))
-    off = 0
-    y_offsets = []
-    acc = 0
-    for v in zY:
-        y_offsets.append(acc)
-        acc += projs[v].dim
-    for c, a in enumerate(zX):
-        gen = np.zeros(concX.dim, dtype=np.int64)
-        gcoords = linalg.solve(projs[a].amb_basis.T, alg.idempotents[a], p)
-        gen[off : off + projs[a].dim] = gcoords
-        off += projs[a].dim
-        target = (g.matrix @ ((pX.matrix @ gen) % p)) % p
-        w = linalg.solve(pY.matrix, target, p)
-        if w is None:
-            raise DomainError("cannot lift through the cover")
-        w = (concY.act(alg.idempotents[a]) @ w) % p
-        for s, b in enumerate(zY):
-            comp = w[y_offsets[s] : y_offsets[s] + projs[b].dim]
-            f0[s, c] = (projs[b].amb_basis.T @ comp) % p
-    # solve for f^{-1} with d_Y . f^{-1} = f^0 . d_X
-    esm = EntrySpace(alg, X.at(-1), Y.at(-1))
-    escross = EntrySpace(alg, X.at(-1), Y.at(0))
-    rhs = escross.to_vec(entry_compose(alg, X.diff(-1), f0))
-    if esm.dim == 0:
-        if np.any(rhs):
-            raise DomainError("no room to lift in degree -1")
-        fm = tensor_zeros(alg, len(Y.at(-1)), len(X.at(-1)))
-        return {0: f0, -1: fm}
-    cols = escross.to_vec(entry_compose(alg, esm.basis, Y.diff(-1)))
-    sol = linalg.solve(cols.T, rhs, p)
-    if sol is None:
-        raise DomainError("degree -1 lift does not exist")
-    return {0: f0, -1: esm.from_vec(sol)}
-
-
-# ---------------------------------------------------------------------------
 # End rings and minimal left and right approximations in the homotopy
 # category
 # ---------------------------------------------------------------------------
 
 
 class EndKData:
-    def __init__(self, total, homk, struct, idem_coords):
+    def __init__(self, total, homk, struct):
         self.total = total
         self.homk = homk
         self.struct = struct
-        self.idem_coords = idem_coords
 
 
 def _block_cmap(alg, total, offsets, cxs, j):
@@ -757,7 +702,7 @@ def end_K(cxs):
     unit = np.sum(idem, axis=0) % p
     struct = StructAlgebra(p, [f"k{i}" for i in range(d)], block_terms(blocks),
                            np.array(idem), unit=unit, check=False)
-    return EndKData(total, homk, struct, idem), offsets
+    return EndKData(total, homk, struct), offsets
 
 
 def _cmap_from_coords(homk, coords):
@@ -835,19 +780,8 @@ def min_left_approx_K(X, cxs):
 
 
 # ---------------------------------------------------------------------------
-# pairs (module, shifted projectives) <-> two-term complexes
+# two-term complexes -> pairs (module, shifted projectives)
 # ---------------------------------------------------------------------------
-
-
-def pair_to_cx(m, shifted):
-    """Complex of the pair: minimal presentation of m plus stalks P[1]."""
-    alg = m.algebra
-    pres = min_presentation(m)
-    if not shifted:
-        return pres
-    stalk = stalk_cx(alg, list(shifted), degree=-1)
-    out, _ = direct_sum_cx([pres, stalk])
-    return out
 
 
 def cx_to_pair(cx):

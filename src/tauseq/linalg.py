@@ -167,7 +167,6 @@ class SpanSolver:
     def __init__(self, rows, p):
         rows = asmod(rows, p)
         self.p = p
-        self.rows = rows
         n = rows.shape[0]
         aug = np.hstack([rows, np.eye(n, dtype=np.int64)])
         r, piv = rref(aug, p)

@@ -89,21 +89,12 @@ class FdModule:
 class ModuleMap:
     """A homomorphism of modules; matrix is (target.dim, source.dim)."""
 
-    def __init__(self, source, target, matrix, check=False):
+    def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = linalg.asmod(matrix, source.algebra.p)
         if self.matrix.shape != (target.dim, source.dim):
             raise DomainError("module map matrix has wrong shape")
-        if check:
-            self.check_intertwines()
-
-    def check_intertwines(self):
-        p = self.source.algebra.p
-        lhs = (self.matrix @ self.source.gen_actions()) % p
-        rhs = (self.target.gen_actions() @ self.matrix) % p
-        if not np.array_equal(lhs, rhs):
-            raise DomainError("matrix does not intertwine the actions")
 
     def compose(self, other):
         """self after other."""
@@ -117,12 +108,6 @@ class ModuleMap:
 
     def image_rows(self):
         return linalg.row_space(self.matrix.T, self.source.algebra.p)
-
-    def rank(self):
-        return linalg.rank(self.matrix, self.source.algebra.p)
-
-    def is_injective(self):
-        return self.rank() == self.source.dim
 
 
 def zero_module(algebra):
@@ -280,29 +265,6 @@ def injective_module(algebra, j):
     return FdModule(algebra, right.transpose(0, 2, 1), check=False)
 
 
-def injective_embedding(m):
-    """An embedding of m into a direct sum of indecomposable injectives."""
-    alg = m.algebra
-    summands = []
-    maps = []
-    for j in range(alg.idempotents.shape[0]):
-        ij = injective_module(alg, j)
-        for h in hom_basis(m, ij):
-            summands.append(ij)
-            maps.append(h)
-    if not summands:
-        target = zero_module(alg)
-        return ModuleMap(m, target, np.zeros((0, m.dim), dtype=np.int64))
-    target, embs, _ = direct_sum(alg, summands)
-    mat = np.zeros((target.dim, m.dim), dtype=np.int64)
-    for e, h in zip(embs, maps):
-        mat = (mat + e @ h) % alg.p
-    out = ModuleMap(m, target, mat)
-    if not out.is_injective():
-        raise DomainError("injective embedding failed to be injective")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hom spaces and endomorphism rings
 # ---------------------------------------------------------------------------
@@ -339,17 +301,14 @@ class EndData:
         mats: basis matrices.
         struct: StructAlgebra with the opposite product, so that Hom(module, X)
             becomes a left struct-module under precomposition.
-        solver: flattened-matrix coordinate solver.
-        summands, embs, prs: the summand modules with embeddings/projections.
+        embs, prs: the embeddings/projections of the summands.
         idem_mats: the block projection idempotents (one per summand).
     """
 
-    def __init__(self, module, mats, struct, solver, summands, embs, prs, idem_mats):
+    def __init__(self, module, mats, struct, embs, prs, idem_mats):
         self.module = module
         self.mats = mats
         self.struct = struct
-        self.solver = solver
-        self.summands = summands
         self.embs = embs
         self.prs = prs
         self.idem_mats = idem_mats
@@ -376,10 +335,9 @@ def end_algebra(summands, vertex_labels=None):
     # extend the pairwise Hom basis so the block idempotents are honest
     # basis elements: they already are sums of End(m_i) elements, so instead
     # pass them as idempotent matrices to coordinate lookup.
-    struct, solver = algebra_from_matrices(
-        mats, p, opposite=True, vertex_labels=vertex_labels,
-        idempotent_mats=idem_mats)
-    return EndData(total, mats, struct, solver, summands, embs, prs, idem_mats)
+    struct = algebra_from_matrices(mats, p, vertex_labels=vertex_labels,
+                                   idempotent_mats=idem_mats)
+    return EndData(total, mats, struct, embs, prs, idem_mats)
 
 
 def _semisimple_top(struct):
@@ -414,12 +372,10 @@ def is_local_endo(m):
     if m.dim == 0:
         return False
     mats = hom_basis(m, m)
-    struct, _ = algebra_from_matrices(mats, m.algebra.p, opposite=True)
-    return _struct_is_local(struct)
-
-
-def _struct_is_local(struct):
-    bar, _, commutative = _semisimple_top(struct)
+    if len(mats) == 1:
+        return True  # End(m) = k
+    bar, _, commutative = _semisimple_top(
+        algebra_from_matrices(mats, m.algebra.p))
     if not commutative:
         return False  # noncommutative semisimple quotient: not a division ring
     return _frobenius_kernel(bar).shape[0] == 1
@@ -571,7 +527,7 @@ def decompose(m):
 def _decompose_inner(m, rng):
     p = m.algebra.p
     mats = hom_basis(m, m)
-    struct, solver = algebra_from_matrices(mats, p, opposite=True)
+    struct = algebra_from_matrices(mats, p)
     bar, lift, commutative = _semisimple_top(struct)
     if commutative:
         ker = _frobenius_kernel(bar)

@@ -63,18 +63,17 @@ def j_membership(u, x):
 class ReducedObject:
     """One summand seen on both sides of a reduction step.
 
-    lam_module/lam_shift describe the object inside J(reducer) as a module
-    over the reducer's own level (tagged with a shift when it arises as a
-    J-projective shifted once); gamma_item is the same object written over
-    Gamma, as ('m', registry id) or ('p', vertex); root_module is the
+    lam_module describes the object inside J(reducer) as a module over the
+    reducer's own level; gamma_item is the same object written over Gamma,
+    as ('m', registry id) or ('p', vertex), a shift exactly when the object
+    arises as a J-projective shifted once; root_module is the
     ambient-algebra module realizing the lambda side (the nested J's are
     wide subcategories of the ambient module category, so the realization
     is computed by ambient torsion-free quotients).
     """
 
-    def __init__(self, lam_module, lam_shift, gamma_item, root_module):
+    def __init__(self, lam_module, gamma_item, root_module):
         self.lam_module = lam_module
-        self.lam_shift = lam_shift
         self.gamma_item = gamma_item
         self.root_module = root_module
 
@@ -173,8 +172,7 @@ class WideContext(_Realizing):
             if kind == "m":
                 return self.registry.module(val), False
             return cxs.proj_list(self.gamma)[val], True
-        red_obj = self.record_for(item)["reduced"]
-        return red_obj.root_module, red_obj.lam_shift
+        return self.record_for(item)["reduced"].root_module, kind == "p"
 
 
 def root_context(alg, cap=10000, registry=None):
@@ -308,12 +306,13 @@ def make_context(parent, reducer):
 
 
 def transport(ctx, x):
-    """Rewrite a module of J(reducer) over gamma.
+    """Rewrite a module of J(reducer) over gamma: a module over the algebra
+    that gamma is a quotient of, restricted along the quotient's linear
+    section.
 
-    Module reducer: the space Hom(B + u, x) with Gamma acting by
-    precomposition (the u-block is zero since Hom(u, x) = 0).  Shifted
-    reducer: the same space with the quotient algebra acting through a
-    linear section.
+    Shifted reducer: x itself, over the parent level.  Module reducer: the
+    space Hom(B + u, x), with End(B + u) acting by precomposition (the
+    u-block is zero since Hom(u, x) = 0).
     """
     gamma = ctx.gamma
     p = gamma.p
@@ -323,33 +322,21 @@ def transport(ctx, x):
     if not j_membership(u_signed, x):
         raise DomainError("module is not an object of J(reducer)")
     if ctx.reducer_item[0] == "p":
-        action = np.zeros((gamma.dim, x.dim, x.dim), dtype=np.int64)
-        for k in range(gamma.dim):
-            action[k] = x.act(ctx._quot.lift[:, k])
-        return FdModule(gamma, action)
-    blocks = []
-    for i, b in enumerate(ctx.b_summands):
-        pr = ctx._end.prs[i]
-        for h in hom_basis(b, x):
-            blocks.append((h @ pr) % p)
-    if not blocks:
-        return zero_module(gamma)
-    m = len(blocks)
-    flat = np.array([bl.reshape(-1) for bl in blocks])
-    solver = linalg.SpanSolver(flat, p)
-    action = np.zeros((gamma.dim, m, m), dtype=np.int64)
-    for k in range(gamma.dim):
-        lift = ctx._quot.lift[:, k]
-        mat = np.zeros_like(ctx._end.mats[0])
-        for j, c in enumerate(lift):
-            if c:
-                mat = (mat + int(c) * ctx._end.mats[j]) % p
-        for jj, h in enumerate(blocks):
-            coords = solver.coords(((h @ mat) % p).reshape(-1))
-            if coords is None:
-                raise DomainError("precomposition left the Hom space")
-            action[k, :, jj] = coords
-    return FdModule(gamma, action)
+        action = x.action
+    else:
+        homs = [(h @ pr) % p for b, pr in zip(ctx.b_summands, ctx._end.prs)
+                for h in hom_basis(b, x)]
+        if not homs:
+            return zero_module(gamma)
+        homs = np.array(homs)
+        # coords[j, h] = the coordinates of homs[h] @ mats[j] on homs
+        imgs = (homs[None] @ np.array(ctx._end.mats)[:, None]) % p
+        coords = linalg.SpanSolver(homs.reshape(len(homs), -1), p).coords(
+            imgs.reshape(imgs.shape[:2] + (-1,)))
+        if coords is None:
+            raise DomainError("precomposition left the Hom space")
+        action = coords.transpose(0, 2, 1)
+    return FdModule(gamma, np.tensordot(ctx._quot.lift.T, action, axes=1) % p)
 
 
 def _reduce_item(ctx, x_item):
@@ -366,20 +353,19 @@ def _reduce_item(ctx, x_item):
         if kind == "m":
             x = parent.registry.module(val)
             tm = transport(ctx, x)
-            return ReducedObject(x, False, ("m", ctx.registry.ensure(tm)),
-                                 x_root)
+            return ReducedObject(x, ("m", ctx.registry.ensure(tm)), x_root)
         projs = cxs.proj_list(ctx.algebra)
         fq, _ = torsion_free_quotient(projs[v], projs[val])
         root_m, _ = torsion_free_quotient(u_root, x_root)
-        return ReducedObject(fq, True, ("p", val - (val > v)), root_m)
+        return ReducedObject(fq, ("p", val - (val > v)), root_m)
     w = ctx.partners.get(x_item)
     y = x_item if w is None else ("m", ctx.b_ids[w])
     fy, _ = torsion_free_quotient(ctx.u_module, parent.registry.module(y[1]))
     root_m, _ = torsion_free_quotient(u_root, parent.realize_item(y)[0])
     if w is not None:
-        return ReducedObject(fy, True, ("p", w), root_m)
+        return ReducedObject(fy, ("p", w), root_m)
     tm = transport(ctx, fy)
-    return ReducedObject(fy, False, ("m", ctx.registry.ensure(tm)), root_m)
+    return ReducedObject(fy, ("m", ctx.registry.ensure(tm)), root_m)
 
 
 def e_map(ctx, x):
@@ -418,12 +404,3 @@ def level_item_from_pair(ctx, module, shift):
     if idx is None or ("m", idx) not in ctx.level_items:
         raise DomainError("module is not a registered tau-rigid level item")
     return ("m", idx)
-
-
-def lift_pair(ctx, module, shift):
-    """Rewrite a (module, shift) pair over ctx's parent level as a pair over
-    gamma.  Only the underlying module transports: a shift tag names a
-    projective at the entry's own level, so it is carried along untouched
-    and interpreted by level_item_from_pair once the entry's level is
-    reached."""
-    return transport(ctx, module), shift

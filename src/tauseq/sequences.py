@@ -158,7 +158,9 @@ def _validate(ctx, pairs, total):
     lifted = []
     for j, (x, xsh) in enumerate(pairs[:-1]):
         try:
-            lifted.append(red.lift_pair(child, x, xsh))
+            # a shift tag names a projective at the entry's own level, so
+            # only the module transports
+            lifted.append((red.transport(child, x), xsh))
         except DomainError as exc:
             return False, f"entry {j + 1}: {exc}"
     return _validate(child, lifted, total)

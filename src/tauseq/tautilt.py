@@ -15,8 +15,7 @@ from fractions import Fraction
 from . import complexes as cxs
 from .errors import CapExceededError, DomainError
 from .modules import (decompose, direct_sum, hom_dim, in_gen, is_iso,
-                      is_local_endo, min_left_approx, quotient_module,
-                      simple_module)
+                      is_local_endo, min_left_approx, quotient_module)
 
 
 class SignedObject:
@@ -71,7 +70,7 @@ class Registry:
             if is_iso(m, cxs.proj_list(alg)[i]):
                 return f"P{alg.vertex_labels[i]}"
         for i in range(n):
-            if is_iso(m, simple_module(alg, i)):
+            if is_iso(m, cxs.simple_list(alg)[i]):
                 return f"S{alg.vertex_labels[i]}"
         for i in range(n):
             if is_iso(m, cxs.inj_list(alg)[i]):

@@ -134,3 +134,29 @@ def dense_radical_rows(mult, p):
     L_i[k, j] = mult[i, j, k], by one d^4 contraction."""
     gram = np.einsum("iba,jab->ij", mult, mult) % p
     return linalg.row_space(linalg.kernel_basis(gram, p), p)
+
+
+def bounded_path_search(qp, cap):
+    """The breadth-first walk over relation-avoiding paths that the library
+    used before it decided finiteness on states: the basis is called
+    infinite once a path reaches length n * (sum of relation lengths + 1)
+    + 1.  Returns "infinite", the sorted (source, arrows) of every path, or
+    None when more than cap paths are seen first."""
+    def contains_relation(seq):
+        return any(list(seq[s : s + len(r)]) == r for r in qp.relations
+                   for s in range(len(seq) - len(r) + 1))
+
+    bound = len(qp.vertices) * (sum(len(r) for r in qp.relations) + 1) + 1
+    frontier = [(v, v, ()) for v in qp.vertices]
+    paths = list(frontier)
+    while frontier:
+        frontier = [(src, a_dst, seq + (name,))
+                    for src, dst, seq in frontier
+                    for name, a_src, a_dst in qp.arrows
+                    if a_src == dst and not contains_relation(seq + (name,))]
+        if any(len(seq) >= bound for _, _, seq in frontier):
+            return "infinite"
+        paths += frontier
+        if len(paths) > cap:
+            return None
+    return sorted((src, seq) for src, _, seq in paths)

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rebased_algebra
-from oracles import (dense_algebra_check, dense_mult, dense_radical_rows,
-                     terms_of)
+from oracles import (bounded_path_search, dense_algebra_check, dense_mult,
+                     dense_radical_rows, terms_of)
 from tauseq.algebra import (StructAlgebra, algebra_invariants, parse_algebra,
                             parse_quiver, path_algebra, quotient_by_ideal,
                             quotient_by_idempotent_ideal,
@@ -365,3 +365,42 @@ def test_generated_path_algebras_pass_the_dense_oracles(case):
     assert np.array_equal(alg.radical_rows(), dense_radical_rows(table, alg.p))
     # relations have length >= 2, so every arrow survives in rad / rad^2
     assert alg.arrow_count() == arrows
+
+
+@st.composite
+def cyclic_quiver_texts(draw):
+    """Algebra text of a quiver on up to 3 vertices with up to 5 arrows,
+    loops and 2-cycles allowed, and monomial relations of length 2 or 3."""
+    n = draw(st.integers(1, 3))
+    ends = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                         max_size=5))
+    lines = ["field 32003"] + [f"vertex {v}" for v in range(1, n + 1)]
+    lines += [f"arrow x{a} {s} {t}" for a, (s, t) in enumerate(ends)]
+    for _ in range(draw(st.integers(0, 6)) if ends else 0):
+        path = [draw(st.integers(0, len(ends) - 1))]
+        for _ in range(draw(st.integers(1, 2))):
+            nxt = [a for a, (s, _) in enumerate(ends)
+                   if s == ends[path[-1]][1]]
+            if not nxt:
+                break
+            path.append(draw(st.sampled_from(nxt)))
+        if len(path) >= 2:
+            lines.append("rel " + " ".join(f"x{a}" for a in path))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclic_quiver_texts())
+def test_path_basis_finiteness_matches_the_bounded_search(text):
+    # the basis is infinite exactly when the old length-bounded walk says
+    # so; draws whose walk passes 2,000 paths first are skipped
+    want = bounded_path_search(parse_quiver(text), 2000)
+    assume(want is not None)
+    if want == "infinite":
+        with pytest.raises(InputError, match="path basis is infinite"):
+            parse_algebra(text)
+        return
+    _, alg = parse_algebra(text)
+    assert sorted((src, seq) for src, _, seq in alg.path_info) == want
+    assert dense_algebra_check(alg.p, dense_mult(alg), alg.idempotents,
+                               alg.unit) is None

@@ -1,6 +1,10 @@
 """End-to-end checks of the command line front end via cli.main."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -71,6 +75,42 @@ def test_exit_code_malformed_module_file(capsys, tmp_path, body):
 def test_exit_code_unknown_name(capsys):
     code, out, err = run(capsys, ["tau", *_args("1"), "--module", "Z9"])
     assert code == 2 and err.startswith("error:")
+
+
+# the loop x0 lies on no relation, so the path basis is infinite
+CYCLIC = """\
+field 32003
+vertex 1
+vertex 2
+vertex 3
+arrow x0 3 3
+arrow x1 2 3
+arrow x2 3 1
+arrow x3 2 2
+arrow x4 3 2
+rel x4 x1 x2
+rel x1 x2
+rel x1 x2
+rel x1 x4 x3
+rel x0 x4 x1
+rel x3 x3
+"""
+
+
+def test_infinite_path_basis_exits_1_without_hanging(tmp_path):
+    # in a child with a timeout, so that a search that does not stop fails
+    path = tmp_path / "cyclic.alg"
+    path.write_text(CYCLIC)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys; from tauseq import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, "info", "--algebra",
+                           str(path)], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: path basis is infinite: relations are not "
+                           "admissible\n")
 
 
 def test_exit_code_cap_exceeded(capsys, tmp_path):

@@ -11,13 +11,12 @@ from oracles import dense_mult
 from tauseq import linalg
 from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain, cone,
                               cx_to_pair, direct_sum_cx, entry_compose,
-                              ext1_dim, h0, hminus1,
-                              hom_K_dim, lift_map, min_left_approx_K,
-                              min_presentation, min_right_approx_K,
-                              pair_to_cx, proj_list, reduce_cx, shift_cx,
-                              stalk_cx, tau, tensor_zeros)
+                              ext1_dim, h0, hminus1, hom_K_dim,
+                              min_left_approx_K, min_presentation,
+                              min_right_approx_K, proj_list, reduce_cx,
+                              shift_cx, stalk_cx, tau, tensor_zeros)
 from tauseq.errors import DomainError
-from tauseq.modules import hom_dim, identity_map, is_iso
+from tauseq.modules import hom_dim, is_iso
 
 TAU_TABLE = {
     # AR meshes of the three example algebras, read off by hand
@@ -141,18 +140,10 @@ def is_tau_rigid_single(m):
     return hom_dim(m, tau(m)) == 0
 
 
-def test_lift_map_of_identity_is_a_chain_map(ex3):
-    _, alg, mods = ex3
-    x = min_presentation(mods["N"])
-    m, _, _ = h0(x)
-    cmap = lift_map(x, x, identity_map(m))
-    assert sorted(cmap) == [-1, 0]
-    assert HomK(x, x).coords(cmap) is not None
-
-
 def test_pair_complex_round_trip(ex3):
     _, alg, mods = ex3
-    cx = pair_to_cx(mods["N"], [0, 2])
+    cx, _ = direct_sum_cx([min_presentation(mods["N"]),
+                           stalk_cx(alg, [0, 2], -1)])
     m, verts = cx_to_pair(cx)
     assert is_iso(m, mods["N"])
     assert sorted(verts) == [0, 2]

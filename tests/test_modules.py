@@ -9,11 +9,12 @@ import pytest
 from conftest import rebased_algebra
 from oracles import dense_mult
 from tauseq.algebra import algebra_invariants, parse_algebra
+from tauseq.complexes import simple_list
 from tauseq.errors import DomainError, InputError
 from tauseq.modules import (FdModule, decompose, decompose_grouped,
                             direct_sum, end_algebra, hom_basis, hom_dim,
-                            in_gen, injective_embedding, injective_module,
-                            is_iso, is_local_endo, min_left_approx,
+                            in_gen, injective_module, is_iso,
+                            is_local_endo, min_left_approx,
                             min_right_approx, parse_modules,
                             projective_module, radical_rows, simple_module,
                             submodule, top_quotient, torsion_free_quotient,
@@ -259,15 +260,6 @@ def test_end_algebra_opposite_composition(ex3):
             assert np.array_equal(built, concrete)
 
 
-def test_injective_embedding_is_injective(ex3):
-    from tauseq import linalg
-
-    alg, mods = ex3[1], ex3[2]
-    for m in mods.values():
-        emb = injective_embedding(m)
-        assert linalg.rank(emb.matrix, alg.p) == m.dim
-
-
 def test_simple_modules_have_dim_one(ex3):
     alg = ex3[1]
     for i in range(3):
@@ -276,6 +268,9 @@ def test_simple_modules_have_dim_one(ex3):
         dims = [0, 0, 0]
         dims[i] = 1
         assert s.vertex_dims() == tuple(dims)
+        # the simples cached on the algebra are the same modules
+        assert np.array_equal(simple_list(alg)[i].action, s.action)
+    assert simple_list(alg) is simple_list(alg)
 
 
 def test_zero_module_behaves(ex3):

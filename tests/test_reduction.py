@@ -115,7 +115,7 @@ def test_e_map_fixes_perpendicular_modules_outside_gen(root3, ex3):
     ctx = root3.child(item_of(root3, mods, "I2"))
     for name in ("M", "P1"):
         red = e_map(ctx, item_of(root3, mods, name))
-        assert not red.lam_shift
+        assert red.gamma_item[0] != "p"
         assert is_iso(red.root_module, mods[name])
 
 
@@ -344,8 +344,8 @@ def test_e_map_shifts_agree_with_the_exchange_triangle(
                 continue
             if kind == "m":
                 assert in_gen(ctx.u_module, preg.module(val)) == \
-                    red.lam_shift
-            if red.lam_shift:
+                    (red.gamma_item[0] == "p")
+            if red.gamma_item[0] == "p":
                 bx = _triangle_bongartz_summand(ctx, rec["parent"])
                 assert is_iso(bx, ctx.b_summands[red.gamma_item[1]])
                 counts[0] += 1

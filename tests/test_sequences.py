@@ -14,8 +14,8 @@ from tauseq.algebra import parse_algebra
 from tauseq.complexes import ext1_dim, proj_list
 from tauseq.errors import DomainError
 from tauseq.modules import hom_dim, zero_module
-from tauseq.reduction import (e_inverse, level_item_from_pair, lift_pair,
-                              root_context)
+from tauseq.reduction import (e_inverse, level_item_from_pair, root_context,
+                              transport)
 from tauseq.sequences import (count_sequences, enumerate_ordered,
                               enumerate_sequences, ordered_names, phi, psi,
                               sequence_names, validate_sequence)
@@ -291,7 +291,7 @@ def _phi_by_chain(ctx, pairs):
     if len(pairs) == 1:
         return (last,)
     child = ctx.child(last)
-    inner = _phi_by_chain(child, [lift_pair(child, m, sh)
+    inner = _phi_by_chain(child, [(transport(child, m), sh)
                                   for m, sh in pairs[:-1]])
     return tuple(e_inverse(child, y) for y in inner) + (last,)
 
