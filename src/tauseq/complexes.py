@@ -495,12 +495,13 @@ def _generator_rows(m):
     for i in range(alg.idempotents.shape[0]):
         ei_top = top.act(alg.idempotents[i])
         tbasis = linalg.row_space(ei_top.T, p)
+        if not len(tbasis):
+            continue
         ei_m = m.act(alg.idempotents[i])
-        for trow in tbasis:
-            sol = linalg.solve((proj.matrix @ ei_m) % p, trow, p)
-            if sol is None:
-                raise DomainError("projective cover lift failed")
-            gens.append(((ei_m @ sol) % p, i))
+        sols = linalg.solve_matrix((proj.matrix @ ei_m) % p, tbasis.T, p)
+        if sols is None:
+            raise DomainError("projective cover lift failed")
+        gens += [((ei_m @ sol) % p, i) for sol in sols.T]
     return gens
 
 

@@ -18,6 +18,14 @@ _RNG_SEED = 90377  # fixed seed: all randomized fallbacks are reproducible
 class FdModule:
     """A left module given by its action tensor.
 
+    The basis is adapted when every idempotent acts as a 0/1 diagonal
+    matrix: each basis vector lies in one e_v M.  module_from_arrows,
+    direct_sum, and projective_module and injective_module over a path or
+    End algebra give adapted bases, and so do submodule and quotient_module
+    of an adapted module (an RREF basis of ⊕ U_v, U_v in e_v M, is the
+    union of the RREF bases of the U_v).  hom_basis reads the property
+    through basis_vertices.
+
     Attributes:
         algebra: the StructAlgebra acting.
         dim: total dimension.
@@ -36,6 +44,7 @@ class FdModule:
             raise DomainError("action matrices must be square")
         self._vdims = None
         self._gen_act = None
+        self._vertex_of = None
         if check and self.dim:
             self._validate()
 
@@ -71,12 +80,22 @@ class FdModule:
     def gen_actions(self):
         """(G, dim, dim) stack of the actions of the algebra's generator
         vectors, idempotents first; computed once (action is never written
-        after construction)."""
+        after construction), with basis_vertices."""
         if self._gen_act is None:
             gens = np.array(self.algebra.generator_vectors())
             self._gen_act = np.einsum("gi,iab->gab", gens,
                                       self.action) % self.algebra.p
+            idem = self._gen_act[: self.algebra.idempotents.shape[0]]
+            if not (idem * ~np.eye(self.dim, dtype=bool)).any():
+                self._vertex_of = np.einsum("vii->vi", idem).argmax(axis=0)
         return self._gen_act
+
+    def basis_vertices(self):
+        """The vertex of each basis vector, or None unless every idempotent
+        acts diagonally (then by orthogonal 0/1 matrices summing to 1, so
+        the basis is adapted)."""
+        self.gen_actions()
+        return self._vertex_of
 
     def vertex_dims(self):
         if self._vdims is None:
@@ -175,14 +194,17 @@ def _term_images(algebra, act, src, k, c, bt):
 
 
 def _restricted_action(imgs, bt, p, error):
-    """The matrices of maps x on the span of the independent columns of
-    bt, given their images imgs[x] = map_x @ bt, found by one solve for all
-    of them; error when the span is not stable."""
-    n, k = bt.shape
-    sol = linalg.solve_matrix(bt, imgs.transpose(1, 0, 2).reshape(n, -1), p)
-    if sol is None:
+    """The matrices of maps x on the span of the columns of bt, given their
+    images imgs[x] = map_x @ bt; error when the span is not stable.
+
+    bt's columns must be an RREF basis (the rows of linalg.row_space): the
+    coordinates of a vector in their span are then its entries at the
+    pivot rows, and one product checks that every image lies in the span.
+    """
+    sol = imgs[:, (bt != 0).argmax(axis=0)]
+    if ((bt @ sol) % p != imgs).any():
         raise DomainError(error)
-    return sol.reshape(k, len(imgs), k).transpose(1, 0, 2)
+    return sol
 
 
 def quotient_module(m, rows):
@@ -191,24 +213,22 @@ def quotient_module(m, rows):
     rows = linalg.asmod(rows, p)
     if rows.size == 0:
         return m, identity_map(m)
-    basis = _close_under_action(m, rows)
-    r, piv = linalg.rref(basis, p)
-    r = r[: len(piv)]
+    r = _close_under_action(m, rows)  # RREF: a pivot is a row's first nonzero
+    piv = (r != 0).argmax(axis=1).tolist()
     nonpiv = [c for c in range(m.dim) if c not in piv]
     eye = np.eye(m.dim, dtype=np.int64)
     proj, lift = eye[nonpiv], eye[:, nonpiv]
-    for i, c in enumerate(piv):
-        proj[:, c] = (-r[i, nonpiv]) % p
+    proj[:, piv] = (-r[:, nonpiv].T) % p
     quo = FdModule(m.algebra, (proj @ m.action @ lift) % p, check=False)
     return quo, ModuleMap(m, quo, proj)
 
 
 def radical_rows(m):
-    rad = m.algebra.radical_rows()
-    if rad.shape[0] == 0 or m.dim == 0:
-        return np.zeros((0, m.dim), dtype=np.int64)
-    pieces = [m.act(r).T for r in rad]
-    return linalg.row_space(np.vstack(pieces), m.algebra.p)
+    """RREF basis of rad m = sum of g m over the generators g past the
+    idempotents: they span rad A modulo rad^2, so rad A = sum of g A."""
+    gens = m.gen_actions()[m.algebra.idempotents.shape[0]:]
+    return linalg.row_space(gens.transpose(0, 2, 1).reshape(
+        len(gens) * m.dim, m.dim), m.algebra.p)
 
 
 def top_quotient(m):
@@ -277,16 +297,25 @@ def hom_basis(m, n):
     p = m.algebra.p
     if m.dim == 0 or n.dim == 0:
         return []
-    # X a_g = b_g X for every generator g: unknown X[r, c] is column
-    # r*m + c, equation (g, r, i) is row (g*n + r)*m + i; the einsum calls
-    # are writeable diagonal views, so the system is filled in place
+    # X a_g = b_g X for every generator g.  The unknowns are the X[r, c]
+    # with r and c at one vertex when both bases are adapted (X e_v = e_v X
+    # forces the others to 0, so they are never free columns and the kernel
+    # basis is the full system's), else every X[r, c], in the order r*m + c;
+    # equation (g, r, i) is row (g*n + r)*m + i, and zero rows are dropped
     a, b = m.gen_actions(), n.gen_actions()
-    system = np.zeros((len(a), n.dim, m.dim, n.dim, m.dim), dtype=np.int64)
-    np.einsum("grirc->gric", system)[...] += a.transpose(0, 2, 1)[:, None]
-    np.einsum("grcsc->gcrs", system)[...] -= b[:, None]
-    system %= p
-    ker = linalg.kernel_basis(system.reshape(-1, n.dim * m.dim), p)
-    return [row.reshape(n.dim, m.dim) for row in ker]
+    vm, vn = m.basis_vertices(), n.basis_vertices()
+    same = np.ones((n.dim, m.dim), dtype=bool) if vm is None or vn is None \
+        else vn[:, None] == vm
+    rk, ck = np.nonzero(same)
+    col = np.arange(len(rk))
+    system = np.zeros((len(a), n.dim, m.dim, len(rk)), dtype=np.int64)
+    system[:, rk, :, col] = a[:, ck].transpose(1, 0, 2)
+    system[:, :, ck, col] -= b[:, :, rk]
+    system = system.reshape(len(a) * n.dim * m.dim, -1) % p
+    ker = linalg.kernel_basis(system[system.any(axis=1)], p)
+    out = np.zeros((len(ker), n.dim, m.dim), dtype=np.int64)
+    out[:, rk, ck] = ker
+    return list(out)
 
 
 def hom_dim(m, n):

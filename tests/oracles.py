@@ -15,12 +15,18 @@ The library keeps only the nonzero structure constants of an algebra and
 checks them by sparse joins; `dense_mult` and `terms_of` convert to and
 from the dense (d, d, d) table, and `dense_algebra_check` and
 `dense_radical_rows` are the dense checks it replaced.
+
+Modules read coordinates in an RREF basis at its pivots and take rad m
+from the generator actions; `solve_restricted_action` and
+`act_radical_rows` are the dense solve and the per-radical-row action they
+replaced.
 """
 
 import numpy as np
 
 from tauseq import complexes as cxs
 from tauseq import linalg
+from tauseq.errors import DomainError
 from tauseq.modules import in_gen, min_left_approx, quotient_module
 from tauseq.tautilt import _items_support_tau_rigid
 
@@ -134,6 +140,28 @@ def dense_radical_rows(mult, p):
     L_i[k, j] = mult[i, j, k], by one d^4 contraction."""
     gram = np.einsum("iba,jab->ij", mult, mult) % p
     return linalg.row_space(linalg.kernel_basis(gram, p), p)
+
+
+def solve_restricted_action(imgs, bt, p, error):
+    """The matrices of maps x on the span of the independent columns of
+    bt, given their images imgs[x] = map_x @ bt, by one solve of the
+    n x (k + len(imgs) * k) augmented system; error when the span is not
+    stable."""
+    n, k = bt.shape
+    sol = linalg.solve_matrix(bt, imgs.transpose(1, 0, 2).reshape(n, -1), p)
+    if sol is None:
+        raise DomainError(error)
+    return sol.reshape(k, len(imgs), k).transpose(1, 0, 2)
+
+
+def act_radical_rows(m):
+    """RREF basis of rad m: the columns of the action of every radical row
+    of the algebra."""
+    rad = m.algebra.radical_rows()
+    if rad.shape[0] == 0 or m.dim == 0:
+        return np.zeros((0, m.dim), dtype=np.int64)
+    return linalg.row_space(np.vstack([m.act(r).T for r in rad]),
+                            m.algebra.p)
 
 
 def bounded_path_search(qp, cap):

@@ -6,10 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import rebased_algebra
-from oracles import dense_mult
+from conftest import item_of, rebased_algebra
+from oracles import act_radical_rows, dense_mult, solve_restricted_action
+from tauseq import linalg, modules
 from tauseq.algebra import algebra_invariants, parse_algebra
-from tauseq.complexes import simple_list
+from tauseq.complexes import min_presentation, simple_list
 from tauseq.errors import DomainError, InputError
 from tauseq.modules import (FdModule, decompose, decompose_grouped,
                             direct_sum, end_algebra, hom_basis, hom_dim,
@@ -322,10 +323,26 @@ def _assert_same_hom_bases(mods):
             assert np.array_equal(a, m.act(v))
 
 
+def _conjugate(m):
+    """m in the basis given by the columns of the invertible upper
+    unitriangular all-ones matrix g: the action g^-1 rho(b) g."""
+    p = m.algebra.p
+    g = np.triu(np.ones((m.dim, m.dim), dtype=np.int64))
+    return FdModule(m.algebra, (linalg.inverse(g, p) @ m.action @ g) % p)
+
+
 def test_hom_basis_matches_kronecker_on_fixtures(ex1, ex2, ex3):
     for ex in (ex1, ex2, ex3):
         alg, mods = ex[1], ex[2]
+        assert all(m.basis_vertices() is not None for m in mods.values())
         _assert_same_hom_bases(list(mods.values()) + [zero_module(alg)])
+    # every ex3 fixture of dimension >= 2 lies over two or more vertices,
+    # so a basis that mixes them is not adapted: each pair with one of
+    # these takes every entry of the map as an unknown
+    conj = [_conjugate(m) for m in ex3[2].values() if m.dim >= 2]
+    assert len(conj) == 6
+    assert all(c.basis_vertices() is None for c in conj)
+    _assert_same_hom_bases(list(ex3[2].values()) + conj)
 
 
 def test_hom_basis_matches_kronecker_over_a_reduced_algebra(root3, ex3):
@@ -346,6 +363,56 @@ def test_hom_basis_matches_kronecker_over_a_rebased_algebra(ex3):
     mods = [f(alg, i) for f in (projective_module, injective_module,
                                 simple_module) for i in range(3)]
     _assert_same_hom_bases(mods + [zero_module(alg)])
+
+
+def test_restricted_action_matches_the_solve(ex1, ex2, ex3, root3,
+                                             monkeypatch):
+    """Every restricted action built for a projective, an injective, a
+    trace submodule or a presentation kernel equals the dense solve, over
+    ex1-3, ex3 in a random basis and the reduced algebra of ex3 at I2; and
+    rad m equals the span of the radical rows' actions on all of them."""
+    real, seen = modules._restricted_action, []
+
+    def both(imgs, bt, p, error):
+        got = real(imgs, bt, p, error)
+        assert np.array_equal(got, solve_restricted_action(imgs, bt, p,
+                                                            error))
+        seen.append(bt.shape)
+        return got
+
+    monkeypatch.setattr(modules, "_restricted_action", both)
+    rebased = rebased_algebra(ex3[1], 5)
+    ctx = root3.child(item_of(root3, ex3[2], "I2"))
+    cases = [(ex[1], list(ex[2].values())) for ex in (ex1, ex2, ex3)] + [
+        (rebased, [f(rebased, i) for f in (projective_module,
+                                           injective_module, simple_module)
+                   for i in range(3)]),
+        (ctx.gamma, list(ctx.registry.mods))]
+    built = []
+    for alg, mods in cases:
+        n = len(alg.idempotents)
+        built += [projective_module(alg, i) for i in range(n)]
+        built += [injective_module(alg, i) for i in range(n)]
+        built += [trace_submodule(u, x)[0] for u in mods for x in mods]
+        for m in mods:
+            min_presentation(m)
+        built += mods
+    assert len(seen) >= 150 and len(built) >= 250
+    for m in built:
+        assert np.array_equal(radical_rows(m), act_radical_rows(m))
+
+
+def test_restricted_action_raises_the_callers_message(ex3):
+    m = ex3[2]["P1"]
+    p = m.algebra.p
+    # a basis vector that some arrow moves: its span is not stable
+    arrows = m.gen_actions()[len(m.algebra.idempotents):]
+    c = int(np.flatnonzero(arrows.any(axis=1).any(axis=0))[0])
+    bt = np.eye(m.dim, dtype=np.int64)[:, [c]]
+    imgs = (m.action @ bt) % p
+    for route in (modules._restricted_action, solve_restricted_action):
+        with pytest.raises(DomainError, match="^the caller's message$"):
+            route(imgs, bt, p, "the caller's message")
 
 
 def _full_action_check(m):
