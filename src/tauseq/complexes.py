@@ -20,8 +20,8 @@ from .algebra import StructAlgebra, block_terms
 from .errors import DomainError
 from .modules import (ModuleMap, direct_sum, hom_basis, identity_map,
                       injective_module, projective_module, quotient_module,
-                      right_mult_module_map, submodule, top_quotient,
-                      zero_module)
+                      radical_rows, right_mult_module_map, submodule,
+                      top_quotient, zero_module)
 
 
 def proj_list(alg):
@@ -487,22 +487,20 @@ def hom_K_dim(X, Y, shift=0):
 
 
 def _generator_rows(m):
-    """Generator vectors of m: one per top basis element, sorted by vertex."""
-    alg = m.algebra
-    p = alg.p
-    top, proj = top_quotient(m)
-    gens = []
-    for i in range(alg.idempotents.shape[0]):
-        ei_top = top.act(alg.idempotents[i])
-        tbasis = linalg.row_space(ei_top.T, p)
-        if not len(tbasis):
-            continue
-        ei_m = m.act(alg.idempotents[i])
-        sols = linalg.solve_matrix((proj.matrix @ ei_m) % p, tbasis.T, p)
-        if sols is None:
-            raise DomainError("projective cover lift failed")
-        gens += [((ei_m @ sol) % p, i) for sol in sols.T]
-    return gens
+    """Generator vectors of m: one per top basis element, sorted by vertex.
+
+    The candidates are the vectors e_i b over the basis vectors b, vertex
+    by vertex (the nonzero rows of the transposed idempotent actions).  A
+    candidate at vertex i lies in e_i m, and they span m, so the greedy
+    extension of a basis of rad m picks vectors whose images form a basis
+    of top m = m / rad m, each in one e_i m.
+    """
+    n = m.algebra.idempotents.shape[0]
+    idem_t = m.gen_actions()[:n].transpose(0, 2, 1)
+    verts, ks = np.nonzero(idem_t.any(axis=2))
+    cands = idem_t[verts, ks]
+    return [(cands[j], int(verts[j])) for j in linalg.extend_basis(
+        radical_rows(m), cands, m.algebra.p)]
 
 
 def min_presentation(m):
@@ -517,17 +515,16 @@ def min_presentation(m):
     gens = _generator_rows(m)
     zer = [i for _, i in gens]
     p0, embs, _ = direct_sum(alg, [projs[i] for i in zer])
-    cols = []
-    for (g, i), emb in zip(gens, embs):
-        img = np.zeros((m.dim, projs[i].dim), dtype=np.int64)
-        for col, v in enumerate(projs[i].amb_basis):
-            img[:, col] = (m.act(v) @ g) % p
-        cols.append((img, emb))
-    cover_mat = np.zeros((m.dim, p0.dim), dtype=np.int64)
-    for img, emb in cols:
-        cover_mat = (cover_mat + img @ emb.T) % p
-    cover = ModuleMap(p0, m, cover_mat)
+    # column c of generator g's block is amb_basis[c] acting on g; reducing
+    # between the two products keeps every int64 sum exact
+    flat = m.action.reshape(alg.dim, -1)
+    blocks = [((((projs[i].amb_basis @ flat) % p).reshape(-1, m.dim) @ g)
+               % p).reshape(-1, m.dim).T for g, i in gens]
+    cover = ModuleMap(p0, m, np.concatenate(
+        [np.zeros((m.dim, 0), dtype=np.int64)] + blocks, axis=1))
     ker_rows = cover.kernel_rows()
+    if p0.dim - len(ker_rows) != m.dim:
+        raise DomainError("projective cover is not onto")
     ker_mod, ker_incl = submodule(p0, ker_rows)
     kgens = _generator_rows(ker_mod)
     neg = [i for _, i in kgens]
@@ -577,14 +574,10 @@ def hminus1(cx):
 
 
 def inj_list(alg):
+    """Indecomposable injectives I_j, cached on the algebra."""
     if not hasattr(alg, "_tauseq_injs"):
-        injs = []
-        for j in range(alg.idempotents.shape[0]):
-            inj = injective_module(alg, j)
-            rows = alg.left_mult_matrix(alg.idempotents[j]).T  # e_j * b_k
-            inj.amb_rows = linalg.row_space(rows, alg.p)
-            injs.append(inj)
-        alg._tauseq_injs = injs
+        alg._tauseq_injs = [injective_module(alg, j)
+                            for j in range(alg.idempotents.shape[0])]
     return alg._tauseq_injs
 
 

@@ -23,8 +23,8 @@ class FdModule:
     direct_sum, and projective_module and injective_module over a path or
     End algebra give adapted bases, and so do submodule and quotient_module
     of an adapted module (an RREF basis of ⊕ U_v, U_v in e_v M, is the
-    union of the RREF bases of the U_v).  hom_basis reads the property
-    through basis_vertices.
+    union of the RREF bases of the U_v).  hom_basis and vertex_dims read
+    the property through basis_vertices.
 
     Attributes:
         algebra: the StructAlgebra acting.
@@ -98,10 +98,15 @@ class FdModule:
         return self._vertex_of
 
     def vertex_dims(self):
+        """dim e_v M per vertex: a bincount of basis_vertices when the
+        basis is adapted, else the rank of each idempotent's action."""
         if self._vdims is None:
             n = self.algebra.idempotents.shape[0]
-            self._vdims = tuple(linalg.rank(e, self.algebra.p)
-                                for e in self.gen_actions()[:n])
+            vert = self.basis_vertices()
+            self._vdims = tuple(
+                np.bincount(vert, minlength=n).tolist() if vert is not None
+                else [linalg.rank(e, self.algebra.p)
+                      for e in self.gen_actions()[:n]])
         return self._vdims
 
 
@@ -161,16 +166,24 @@ def direct_sum(algebra, summands):
 
 
 def _close_under_action(m, rows):
+    """RREF basis of the submodule generated by rows.
+
+    The coordinates of a vector v on an RREF basis are its entries at the
+    pivots, so the residual v - v[piv] @ rows is zero exactly when v lies
+    in the span.  Each round row-reduces only the nonzero residuals of the
+    generator images, stacked with the rows; the RREF of a span is unique,
+    so a span that is already closed costs one product.
+    """
     p = m.algebra.p
     rows = linalg.row_space(linalg.asmod(rows, p), p)
     gens_t = m.gen_actions().transpose(0, 2, 1)
     while True:
-        pieces = (rows @ gens_t) % p
-        closed = linalg.row_space(
-            np.vstack([rows, pieces.reshape(-1, m.dim)]), p)
-        if closed.shape[0] == rows.shape[0]:
-            return closed
-        rows = closed
+        pieces = ((rows @ gens_t) % p).reshape(-1, m.dim)
+        res = (pieces - pieces[:, (rows != 0).argmax(axis=1)] @ rows) % p
+        res = res[res.any(axis=1)]
+        if not len(res):
+            return rows
+        rows = linalg.row_space(np.vstack([rows, res]), p)
 
 
 def submodule(m, rows):
@@ -274,7 +287,8 @@ def right_mult_module_map(pa, pb, x):
 
 
 def injective_module(algebra, j):
-    """I_j = dual of the right module e_j A, with the transpose action."""
+    """I_j = dual of the right module e_j A, with the transpose action;
+    remembers the RREF basis of e_j A inside A as amb_rows."""
     p = algebra.p
     rows = algebra.left_mult_matrix(algebra.idempotents[j]).T  # e_j * b_k
     basis = linalg.row_space(rows, p)
@@ -282,7 +296,9 @@ def injective_module(algebra, j):
     right = _restricted_action(
         _term_images(algebra, act, src, k, c, basis.T), basis.T, p,
         "e_j A is not closed under right multiplication")
-    return FdModule(algebra, right.transpose(0, 2, 1), check=False)
+    out = FdModule(algebra, right.transpose(0, 2, 1), check=False)
+    out.amb_rows = basis
+    return out
 
 
 # ---------------------------------------------------------------------------

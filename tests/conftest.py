@@ -75,6 +75,16 @@ def item_of(root, mods, name):
     return ("m", idx)
 
 
+def nakayama_text(n, ell):
+    """The self-injective Nakayama algebra: the cyclic quiver 1 -> 2 ->
+    ... -> n -> 1 with every path of length ell zero."""
+    lines = ["field 32003"] + [f"vertex {v}" for v in range(1, n + 1)]
+    lines += [f"arrow c{v} {v} {v % n + 1}" for v in range(1, n + 1)]
+    lines += ["rel " + " ".join(f"c{(v + s - 1) % n + 1}" for s in range(ell))
+              for v in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
 def rebased_algebra(alg, seed):
     """alg in a random basis: dense structure constants, so many terms
     share each pair (i, j) and each bin k."""

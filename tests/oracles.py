@@ -20,6 +20,11 @@ Modules read coordinates in an RREF basis at its pivots and take rad m
 from the generator actions; `solve_restricted_action` and
 `act_radical_rows` are the dense solve and the per-radical-row action they
 replaced.
+
+Presentations close spans under the action by pivot residuals and pick
+generators by one greedy extension of a basis of rad m; `close_by_stacking`
+and `generator_rows_by_top` are the stacked row reduction and the
+top-quotient-and-solve route they replaced.
 """
 
 import numpy as np
@@ -27,7 +32,8 @@ import numpy as np
 from tauseq import complexes as cxs
 from tauseq import linalg
 from tauseq.errors import DomainError
-from tauseq.modules import in_gen, min_left_approx, quotient_module
+from tauseq.modules import (in_gen, min_left_approx, quotient_module,
+                            top_quotient)
 from tauseq.tautilt import _items_support_tau_rigid
 
 
@@ -162,6 +168,41 @@ def act_radical_rows(m):
         return np.zeros((0, m.dim), dtype=np.int64)
     return linalg.row_space(np.vstack([m.act(r).T for r in rad]),
                             m.algebra.p)
+
+
+def close_by_stacking(m, rows):
+    """RREF basis of the submodule generated by rows: row-reduce the rows
+    stacked with all their generator images until the rank stops growing."""
+    p = m.algebra.p
+    rows = linalg.row_space(linalg.asmod(rows, p), p)
+    gens_t = m.gen_actions().transpose(0, 2, 1)
+    while True:
+        pieces = (rows @ gens_t) % p
+        closed = linalg.row_space(
+            np.vstack([rows, pieces.reshape(-1, m.dim)]), p)
+        if closed.shape[0] == rows.shape[0]:
+            return closed
+        rows = closed
+
+
+def generator_rows_by_top(m):
+    """(vector, vertex) generators of m: at each vertex i, lifts into e_i m
+    of the RREF basis of e_i top m, by one solve through the projection
+    onto the top quotient."""
+    alg = m.algebra
+    p = alg.p
+    top, proj = top_quotient(m)
+    gens = []
+    for i in range(alg.idempotents.shape[0]):
+        tbasis = linalg.row_space(top.act(alg.idempotents[i]).T, p)
+        if not len(tbasis):
+            continue
+        ei_m = m.act(alg.idempotents[i])
+        sols = linalg.solve_matrix((proj.matrix @ ei_m) % p, tbasis.T, p)
+        if sols is None:
+            raise DomainError("projective cover lift failed")
+        gens += [((ei_m @ sol) % p, i) for sol in sols.T]
+    return gens
 
 
 def bounded_path_search(qp, cap):

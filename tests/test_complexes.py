@@ -6,9 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import rebased_algebra
-from oracles import dense_mult
+from conftest import load_example, rebased_algebra
+from oracles import dense_mult, generator_rows_by_top
+from tauseq import complexes as cxs
 from tauseq import linalg
+from tauseq.algebra import parse_algebra
 from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain, cone,
                               cx_to_pair, direct_sum_cx, entry_compose,
                               ext1_dim, h0, hminus1, hom_K_dim,
@@ -16,7 +18,9 @@ from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain, cone,
                               min_right_approx_K, proj_list, reduce_cx,
                               shift_cx, stalk_cx, tau, tensor_zeros)
 from tauseq.errors import DomainError
-from tauseq.modules import hom_dim, is_iso
+from tauseq.modules import FdModule, hom_dim, is_iso, radical_rows
+from tauseq.tautilt import enumerate_support_tau_tilting
+from test_algebra import linear_quiver_text
 
 TAU_TABLE = {
     # AR meshes of the three example algebras, read off by hand
@@ -55,6 +59,78 @@ def test_min_presentation_is_already_minimal(ex3):
     for m in mods.values():
         pres = min_presentation(m)
         assert reduce_cx(pres).comps == pres.comps
+
+
+@pytest.mark.parametrize("case,least", [
+    ("ex1", 16), ("ex2", 22), ("ex3", 42), ("A4", 34), ("rad2-A5", 28)])
+def test_generator_rows_match_the_top_route(case, least, monkeypatch):
+    """Every module presented while enumerating (the registered modules and
+    their presentation kernels) gets the same generators, vector for
+    vector, as the route through the top quotient."""
+    real, seen = cxs._generator_rows, []
+
+    def both(m):
+        got, want = real(m), generator_rows_by_top(m)
+        assert [i for _, i in got] == [i for _, i in want]
+        for (g, _), (h, _) in zip(got, want):
+            assert g.dtype == h.dtype and np.array_equal(g, h)
+        seen.append(m)
+        return got
+
+    monkeypatch.setattr(cxs, "_generator_rows", both)
+    if case.startswith("ex"):
+        _, alg, mods = load_example(case)
+        for m in mods.values():
+            min_presentation(m)
+    else:
+        alg = parse_algebra(linear_quiver_text(
+            int(case[-1]), rad_square_zero=case.startswith("rad2")))[1]
+    enumerate_support_tau_tilting(alg)
+    assert len(seen) >= least
+
+
+def _conjugate_by(m, g):
+    """m in the basis given by the columns of g: the action g^-1 rho(b) g."""
+    p = m.algebra.p
+    return FdModule(m.algebra, (linalg.inverse(g, p) @ m.action @ g) % p)
+
+
+def _changes_of_basis(k, p, rng):
+    """The upper unitriangular all-ones matrix, the reversal and a seeded
+    invertible matrix, all k x k."""
+    g = None
+    while g is None or linalg.inverse(g, p) is None:
+        g = rng.integers(0, p, (k, k))
+    return [np.triu(np.ones((k, k), dtype=np.int64)),
+            np.eye(k, dtype=np.int64)[::-1], g]
+
+
+@pytest.mark.parametrize("stem", ["ex1", "ex2", "ex3"])
+def test_presentations_in_other_bases(stem, request):
+    """A module in another basis has the same presentation terms, one
+    summand of P^0 per top basis element, a cover onto it, an isomorphic
+    tau and the same dimension vector; vertex_dims equals the rank of each
+    idempotent's action on every basis."""
+    _, alg, mods = request.getfixturevalue(stem)
+    p, n = alg.p, alg.idempotents.shape[0]
+    rng = np.random.default_rng(11)
+    mixed = 0
+    for m in mods.values():
+        assert m.basis_vertices() is not None
+        pm = min_presentation(m)
+        for g in _changes_of_basis(m.dim, p, rng):
+            c = _conjugate_by(m, g)
+            mixed += c.basis_vertices() is None
+            pc = min_presentation(c)
+            assert (pc.at(0), pc.at(-1)) == (pm.at(0), pm.at(-1))
+            assert len(pc.at(0)) == c.dim - len(radical_rows(c))
+            assert linalg.rank(pc.cover.matrix, p) == c.dim
+            assert is_iso(tau(c), tau(m))
+            for x in (m, c):
+                assert x.vertex_dims() == tuple(
+                    linalg.rank(e, p) for e in x.gen_actions()[:n])
+            assert c.vertex_dims() == m.vertex_dims()
+    assert mixed >= 2
 
 
 def _contractible(alg, v):

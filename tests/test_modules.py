@@ -1,13 +1,17 @@
 """Module arithmetic: hom spaces, decomposition, iso testing, torsion,
 approximations, and endomorphism algebras."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import item_of, rebased_algebra
-from oracles import act_radical_rows, dense_mult, solve_restricted_action
+from conftest import item_of, load_example, rebased_algebra
+from oracles import (act_radical_rows, close_by_stacking, dense_mult,
+                     solve_restricted_action)
 from tauseq import linalg, modules
 from tauseq.algebra import algebra_invariants, parse_algebra
 from tauseq.complexes import min_presentation, simple_list
@@ -400,6 +404,66 @@ def test_restricted_action_matches_the_solve(ex1, ex2, ex3, root3,
     assert len(seen) >= 150 and len(built) >= 250
     for m in built:
         assert np.array_equal(radical_rows(m), act_radical_rows(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_modules():
+    """The ex1-3 fixtures and the projectives and injectives of linear A4,
+    built once."""
+    alg = parse_algebra(linear_quiver_text(4))[1]
+    return tuple(m for stem in ("ex1", "ex2", "ex3")
+                 for m in load_example(stem)[2].values()) + tuple(
+        f(alg, i) for f in (projective_module, injective_module)
+        for i in range(4))
+
+
+def _assert_closure_matches_stacking(m, rows):
+    got, want = modules._close_under_action(m, rows), close_by_stacking(m, rows)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_close_under_action_matches_stacking(data):
+    m = data.draw(st.sampled_from(_closure_modules()))
+    p = m.algebra.p
+    kind = st.sampled_from(["zero", "unit", "radical", "random"])
+    rows = []
+    for k in data.draw(st.lists(kind, max_size=4)):
+        if k == "zero":
+            rows.append(np.zeros(m.dim, dtype=np.int64))
+        elif k == "unit":
+            rows.append(np.eye(m.dim, dtype=np.int64)[
+                data.draw(st.integers(0, m.dim - 1))])
+        elif k == "radical":
+            rows.extend(radical_rows(m))
+        elif k == "random":
+            rows.append(np.array(data.draw(st.lists(
+                st.sampled_from([0, 1, 2, p - 1]), min_size=m.dim,
+                max_size=m.dim)), dtype=np.int64))
+    _assert_closure_matches_stacking(m, np.array(rows).reshape(-1, m.dim))
+
+
+def test_close_under_action_row_reduces_only_new_residuals(monkeypatch):
+    """A closed span (zero rows, rad m, all of m) costs its first row
+    reduction alone; the top vector of P1 over linear A4 generates the
+    length-4 uniserial in three rounds, one row reduction each."""
+    alg = parse_algebra(linear_quiver_text(4))[1]
+    p1 = projective_module(alg, 0)
+    rad = radical_rows(p1)
+    eye = np.eye(4, dtype=np.int64)
+    top = eye[[c for c in range(4) if c not in (rad != 0).argmax(axis=1)]]
+    real, calls = linalg.row_space, []
+    for rows, rounds in [(np.zeros((2, 4), dtype=np.int64), 0), (rad, 0),
+                         (eye, 0), (top, 3)]:
+        _assert_closure_matches_stacking(p1, rows)
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "row_space",
+                       lambda a, p: calls.append(1) or real(a, p))
+            del calls[:]
+            modules._close_under_action(p1, rows)
+        assert len(calls) == 1 + rounds
 
 
 def test_restricted_action_raises_the_callers_message(ex3):

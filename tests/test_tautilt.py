@@ -4,10 +4,11 @@ co-Bongartz complements, and the complement correspondence."""
 import numpy as np
 import pytest
 
-from conftest import item_of
+from conftest import item_of, nakayama_text
 from oracles import triangle_bongartz
 from test_algebra import linear_quiver_text
 import itertools
+import math
 
 from tauseq import complexes as cxs
 from tauseq import linalg, tautilt
@@ -593,3 +594,35 @@ arrow b 1 2
     _, kron = parse_algebra(text)
     with pytest.raises(CapExceededError):
         enumerate_support_tau_tilting(kron, cap=12)
+
+
+def _pell(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, 2 * b + a
+    return a
+
+
+@pytest.mark.parametrize("kind,n", [("A", n) for n in range(2, 6)] +
+                         [("rad2-A", n) for n in range(2, 7)] +
+                         [("Lambda", n) for n in range(2, 5)])
+def test_counts_match_closed_forms(kind, n):
+    """Support tau-tilting objects and their items against closed forms:
+    type-A clusters, Pell numbers, and C(2n, n) for the self-injective
+    Nakayama algebra Lambda_n^n (Adachi).  The items of Lambda_n^n are
+    its n^2 indecomposables and n shifts: an indecomposable is a uniserial
+    M = [i, i + k - 1] with k <= n, projective when k = n, and otherwise
+    tau M = [i + 1, i + k]; the image of a nonzero M -> tau M would be a
+    quotient [i, i + j - 1] of M and a submodule of tau M, so i = i + k -
+    j + 1 mod n, impossible for 1 <= j <= k < n."""
+    if kind == "Lambda":
+        text, objects, items = nakayama_text(n, n), math.comb(2 * n, n), \
+            n * (n + 1)
+    elif kind == "A":
+        text, objects, items = linear_quiver_text(n), \
+            math.comb(2 * n + 2, n + 1) // (n + 2), n * (n + 3) // 2
+    else:
+        text, objects, items = linear_quiver_text(n, True), _pell(n + 1), \
+            3 * n - 1
+    got_items, objs, _ = indec_tau_rigid_items(parse_algebra(text)[1])
+    assert (len(objs), len(got_items)) == (objects, items)
