@@ -201,9 +201,10 @@ def _one_step_pairs(root, s):
     shift P_v[1] in S; so f_U = f_{M_S} on x and on B(S)'s summands."""
     reg = root.registry
     u_ids = [v for kind, v in s if kind == "m"]
+    want = reg.bits(s)
     pairs = {}
     for x in root.level_items:
-        if x in s or not all(reg.compatible(x, y) for y in s):
+        if x in s or reg.mask(x) & want != want:
             continue
         pairs[x] = None  # x in Gen M_S or a shift: filled below
         if x[0] == "m":

@@ -7,7 +7,9 @@ reduction level, given that level's registry and objects.
 
 Objects live in mod A together with shifted projectives (Ae_i)[1]; internally
 a summand is an item ('m', registry id) or ('p', vertex index), and an object
-is a tuple of items (sorted for the unordered form).
+is a tuple of items (sorted for the unordered form).  Compatibility is a test
+on bit masks of the registry's rigid items; mutation looks partners up, and
+discovers new ones by cokernels in mod A, or on the right by K^b triangles.
 """
 
 from fractions import Fraction
@@ -35,10 +37,15 @@ class SignedObject:
 
 
 class Registry:
-    """Iso-class registry of indecomposable modules with stable ids."""
+    """Iso-class registry of indecomposable modules with stable ids.
+
+    The shift at vertex v is bit v and registry id i is bit n + i.  `rigid`
+    masks the known items compatible with themselves, and `mask(item)` the
+    rigid ones compatible with item; both cache `compatible` lazily."""
 
     def __init__(self, alg):
         self.alg = alg
+        self.n = alg.idempotents.shape[0]
         self.mods = []
         self.names = []
         self._buckets = {}
@@ -46,6 +53,10 @@ class Registry:
         self._compat = {}
         self._split = {}  # id(m) -> (m, summand ids); holding m pins its id
         self._g_inv = {}  # object -> inverse of its g-matrix
+        self._signs = {}  # object -> g(A) sign masks in its g-basis
+        self._rigid = (1 << self.n) - 1  # every shift is rigid
+        self._ranked = 0  # registry ids already folded into _rigid
+        self._masks = {}  # item -> (mask, the rigid mask it covers)
 
     def __len__(self):
         return len(self.mods)
@@ -65,7 +76,7 @@ class Registry:
 
     def _auto_name(self, m):
         alg = self.alg
-        n = alg.idempotents.shape[0]
+        n = self.n
         for i in range(n):
             if is_iso(m, cxs.proj_list(alg)[i]):
                 return f"P{alg.vertex_labels[i]}"
@@ -127,6 +138,36 @@ class Registry:
             self._compat[key] = ok
         return self._compat[key]
 
+    def bits(self, items):
+        out = 0
+        for kind, val in items:
+            out |= 1 << (val if kind == "p" else self.n + val)
+        return out
+
+    def item_at(self, bit):
+        return ("p", bit) if bit < self.n else ("m", bit - self.n)
+
+    @property
+    def rigid(self):
+        """Bits of the known items compatible with themselves."""
+        for i in range(self._ranked, len(self.mods)):
+            if self.compatible(("m", i), ("m", i)):
+                self._rigid |= 1 << (self.n + i)
+        self._ranked = len(self.mods)
+        return self._rigid
+
+    def mask(self, item):
+        """Bits of the rigid known items compatible with item."""
+        mask, covered = self._masks.get(item, (0, 0))
+        if covered != self._rigid or self._ranked < len(self.mods):
+            rigid = self.rigid
+            new = rigid & ~covered
+            for i in range(new.bit_length()):
+                if new >> i & 1 and self.compatible(item, self.item_at(i)):
+                    mask |= 1 << i
+            self._masks[item] = (mask, rigid)
+        return mask
+
     def pres(self, idx):
         if idx not in self._pres:
             self._pres[idx] = cxs.min_presentation(self.mods[idx])
@@ -135,7 +176,7 @@ class Registry:
     def g_vector(self, item):
         """g = [P^0] - [P^-1] of the item's minimal presentation, counted
         per vertex; g(P_v[1]) = -e_v."""
-        g = [0] * self.alg.idempotents.shape[0]
+        g = [0] * self.n
         kind, val = item
         if kind == "p":
             g[val] = -1
@@ -157,6 +198,16 @@ class Registry:
         inv = self._g_inv[obj]
         return [sum(c * row[j] for c, row in zip(vec, inv) if c)
                 for j in range(len(obj))]
+
+    def g_signs(self, obj):
+        """(bits of obj's summands where g(A) = sum of the g(P_v) has a
+        positive, and where a negative, coordinate in the g-basis of obj)."""
+        if obj not in self._signs:
+            coords = self.g_coords(obj, [1] * self.n)
+            self._signs[obj] = tuple(
+                self.bits(it for it, c in zip(obj, coords) if c * sign > 0)
+                for sign in (1, -1))
+        return self._signs[obj]
 
     def proj_id(self, v):
         return self._indecomposable(cxs.proj_list(self.alg)[v])
@@ -260,9 +311,9 @@ def is_support_tau_rigid(objs):
 
 def _items_support_tau_rigid(reg, items):
     """Every pair of items, each item with itself included, is
-    compatible."""
-    return all(reg.compatible(a, b)
-               for i, a in enumerate(items) for b in items[i:])
+    compatible: the items are rigid and each one's mask holds them all."""
+    b = reg.bits(items)
+    return not b & ~reg.rigid and all(reg.mask(it) & b == b for it in items)
 
 
 # ---------------------------------------------------------------------------
@@ -280,34 +331,44 @@ def mutate(reg, items, k):
     """Exchange the k-th summand x of a support tau-tilting object x + U.
 
     U has exactly two completions (AIR Thm 2.18), so a known item outside
-    x + U that is compatible with U is the partner, and nothing is
-    computed.  Only when no known item fits does one exchange triangle
-    discover it: over the minimal right add(U)-approximation of x when x
-    is a shift or H^0(x) lies in Fac H^0(U), over the minimal left one
-    otherwise (AIR §2.4).
+    x + U in the mask of every summand of U is the partner (modules first,
+    in registry order), and nothing is computed.  Otherwise the partner is
+    a new module: for x a module outside Fac U, the summand of the cokernel
+    of the minimal left add(U)-approximation of x (AIR Thm 2.30), else the
+    one of a K^b triangle over the minimal right approximation (AIR §2.4).
     """
     items = list(items)
-    n = reg.alg.idempotents.shape[0]
-    if len(items) != n:
+    n = reg.n
+    if not 0 <= k < n:
+        raise DomainError(f"mutation index {k} is not in 0..{n - 1}")
+    if len(items) != n or len(set(items)) != n:
         raise DomainError("mutation requires a support tau-tilting object")
     x = items[k]
     others = items[:k] + items[k + 1 :]
-    known = [("m", i) for i in range(len(reg))] + [("p", v) for v in range(n)]
-    for y in known:
-        if y not in items and _items_support_tau_rigid(reg, [y] + others):
-            return canonical(others + [y])
-    X = item_cx(reg, x)
-    u_parts = [item_cx(reg, it) for it in others]
-    if x[0] == "p" or in_gen(
-            direct_sum(reg.alg, [reg.module(v) for kind, v in others
-                                 if kind == "m"])[0], reg.module(x[1])):
+    common = reg.rigid
+    for o in others:
+        common &= reg.mask(o)
+    b = reg.bits(items)
+    if common & reg.mask(x) & b != b:  # not rigid, or not compatible
+        raise DomainError("mutation requires a support tau-tilting object")
+    hits = common & ~b
+    if hits:
+        h = hits >> n << n or hits  # the module hits, if there are any
+        return canonical(others + [reg.item_at((h & -h).bit_length() - 1)])
+    known = len(reg)  # a partner found below must be new
+    u_mods = [reg.module(v) for kind, v in others if kind == "m"]
+    if x[0] == "m" and not in_gen(direct_sum(reg.alg, u_mods)[0],
+                                  reg.module(x[1])):
+        tgt, beta, _ = min_left_approx(reg.module(x[1]), u_mods)
+        y, _ = quotient_module(tgt, beta.image_rows())
+        new = [("m", i) for i in dict.fromkeys(reg.summands(y))]
+    else:
+        X = item_cx(reg, x)
+        u_parts = [item_cx(reg, it) for it in others]
         src, cmap, _ = cxs.min_right_approx_K(u_parts, X)
         cand = cxs.reduce_cx(cxs.shift_cx(cxs.cone(src, X, cmap), -1))
-    else:
-        tgt, cmap, _ = cxs.min_left_approx_K(X, u_parts)
-        cand = cxs.reduce_cx(cxs.cone(X, tgt, cmap))
-    new = _cx_items(reg, cand) if cand.is_two_term() else []
-    if len(new) != 1 or new[0] in known \
+        new = _cx_items(reg, cand) if cand.is_two_term() else []
+    if len(new) != 1 or new[0][0] == "p" or new[0][1] < known \
             or not _items_support_tau_rigid(reg, new + others):
         raise DomainError("mutation failed to produce an exchange partner")
     return canonical(others + new)
@@ -357,14 +418,12 @@ def completion(reg, objects, s, top=True):
     tau-tilting objects that contain a support tau-rigid set S of items.
     The g-cone of B(S) holds g(S) + eps g(A) for small eps > 0, and that of
     C(S) holds g(S) - eps g(A) (Demonet-Iyama-Jasso), so the answer is the
-    one object of `objects` that contains S and in whose g-basis
-    g(A) = sum of the g(P_v), negated for C(S), has positive coordinates on
-    every summand outside S."""
-    sign = 1 if top else -1
-    ones = [sign] * reg.alg.idempotents.shape[0]
-    hits = [obj for obj in objects if all(it in obj for it in s)
-            and all(c > 0 for it, c in zip(obj, reg.g_coords(obj, ones))
-                    if it not in s)]
+    one object of `objects` whose bits hold those of S and in whose g-basis
+    g(A) has positive coordinates (negative for C(S)) on every summand
+    outside S: the cached sign masks, read only for objects containing S."""
+    want = reg.bits(s)
+    hits = [obj for obj in objects if (b := reg.bits(obj)) & want == want
+            and not b & ~want & ~reg.g_signs(obj)[0 if top else 1]]
     if len(hits) != 1:
         end = "Bongartz" if top else "co-Bongartz"
         raise DomainError(f"{len(hits)} objects qualify as the {end} "

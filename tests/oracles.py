@@ -25,6 +25,11 @@ Presentations close spans under the action by pivot residuals and pick
 generators by one greedy extension of a basis of rad m; `close_by_stacking`
 and `generator_rows_by_top` are the stacked row reduction and the
 top-quotient-and-solve route they replaced.
+
+The registry answers compatibility questions with bit masks;
+`scan_support_tau_rigid`, `scan_partner` and `scan_completion` are the
+pairwise scans over `Registry.compatible` and the g-coordinate scan they
+replaced.
 """
 
 import numpy as np
@@ -34,7 +39,37 @@ from tauseq import linalg
 from tauseq.errors import DomainError
 from tauseq.modules import (in_gen, min_left_approx, quotient_module,
                             top_quotient)
-from tauseq.tautilt import _items_support_tau_rigid
+
+
+def scan_support_tau_rigid(reg, items):
+    """Every pair of items, each item with itself included, is
+    compatible."""
+    return all(reg.compatible(a, b)
+               for i, a in enumerate(items) for b in items[i:])
+
+
+def scan_partner(reg, items, k):
+    """The first known item outside items, modules in registry order
+    before shifts, that is compatible with the items other than the k-th;
+    None if there is none."""
+    others = list(items[:k]) + list(items[k + 1 :])
+    known = [("m", i) for i in range(len(reg))] + \
+        [("p", v) for v in range(reg.alg.idempotents.shape[0])]
+    return next((y for y in known if y not in items
+                 and scan_support_tau_rigid(reg, [y] + others)), None)
+
+
+def scan_completion(reg, objects, s, top=True):
+    """B(S) (top) or C(S) (bottom) by a containment test and the g(A) sign
+    test on every object; raises DomainError unless one object passes."""
+    sign = 1 if top else -1
+    ones = [sign] * reg.alg.idempotents.shape[0]
+    hits = [obj for obj in objects if all(it in obj for it in s)
+            and all(c > 0 for it, c in zip(obj, reg.g_coords(obj, ones))
+                    if it not in s)]
+    if len(hits) != 1:
+        raise DomainError(f"{len(hits)} objects qualify")
+    return hits[0]
 
 
 def gen_scan_cobongartz(reg, u):
@@ -43,7 +78,7 @@ def gen_scan_cobongartz(reg, u):
     u_items = [("m", i) for i in dict.fromkeys(reg.summands(u))]
     c_ids = [idx for idx in range(len(reg))
              if ("m", idx) not in u_items and in_gen(u, reg.module(idx))
-             and _items_support_tau_rigid(reg, u_items + [("m", idx)])]
+             and scan_support_tau_rigid(reg, u_items + [("m", idx)])]
     n = reg.alg.idempotents.shape[0]
     q = [v for v in range(n)
          if all(reg.compatible(("p", v), it) for it in u_items)]

@@ -64,9 +64,10 @@ def test_min_presentation_is_already_minimal(ex3):
 @pytest.mark.parametrize("case,least", [
     ("ex1", 16), ("ex2", 22), ("ex3", 42), ("A4", 34), ("rad2-A5", 28)])
 def test_generator_rows_match_the_top_route(case, least, monkeypatch):
-    """Every module presented while enumerating (the registered modules and
-    their presentation kernels) gets the same generators, vector for
-    vector, as the route through the top quotient."""
+    """Every module presented while enumerating and then presenting every
+    registered module (the registered modules, the modules tau is taken
+    of, and their presentation kernels) gets the same generators, vector
+    for vector, as the route through the top quotient."""
     real, seen = cxs._generator_rows, []
 
     def both(m):
@@ -85,7 +86,9 @@ def test_generator_rows_match_the_top_route(case, least, monkeypatch):
     else:
         alg = parse_algebra(linear_quiver_text(
             int(case[-1]), rad_square_zero=case.startswith("rad2")))[1]
-    enumerate_support_tau_tilting(alg)
+    _, reg = enumerate_support_tau_tilting(alg)
+    for idx in range(len(reg)):
+        reg.pres(idx)
     assert len(seen) >= least
 
 

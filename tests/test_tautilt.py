@@ -3,9 +3,12 @@ co-Bongartz complements, and the complement correspondence."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import item_of, nakayama_text
-from oracles import triangle_bongartz
+from conftest import item_of, monomial_quiver_texts, nakayama_text
+from oracles import (scan_completion, scan_partner, scan_support_tau_rigid,
+                     triangle_bongartz)
 from test_algebra import linear_quiver_text
 import itertools
 import math
@@ -26,7 +29,7 @@ from tauseq.tautilt import (Registry, SignedObject, _items_support_tau_rigid,
                             complement_correspondence, completion,
                             enumerate_support_tau_tilting,
                             indec_tau_rigid_items, is_support_tau_rigid,
-                            is_tau_rigid, mutate, object_cx)
+                            is_tau_rigid, item_cx, mutate, object_cx)
 
 EXPECTED_COUNTS = {"root1": 5, "root2": 6, "root3": 18}
 RIGID_NAMES = {
@@ -147,6 +150,22 @@ def test_mutation_rejects_partial_objects(root1, ex1):
         mutate(root1.registry, [item_of(root1, mods, "P1")], 0)
 
 
+def test_mutation_validates_its_input(root3, ex3):
+    _, _, mods = ex3
+    reg = root3.registry
+    p1, p2, s2, s3 = (item_of(root3, mods, name)
+                      for name in ("P1", "P2", "S2", "S3"))
+    # a repeated summand is not a basic object
+    with pytest.raises(DomainError, match="support tau-tilting object"):
+        mutate(reg, (p1, p1, p2), 2)
+    # S2 + S3 is not tau-rigid
+    with pytest.raises(DomainError, match="support tau-tilting object"):
+        mutate(reg, (p1, s2, s3), 0)
+    for k in (3, -1):
+        with pytest.raises(DomainError, match="index"):
+            mutate(reg, (p1, p2, s3), k)
+
+
 @pytest.mark.parametrize("stem", ["root1", "root2", "root3"])
 def test_mutation_involution_and_regularity(stem, request):
     root = request.getfixturevalue(stem)
@@ -166,23 +185,26 @@ def test_mutation_involution_and_regularity(stem, request):
 
 
 def _count_triangles(monkeypatch):
-    """Count the exchange triangles mutate runs, per side."""
+    """Count the exchange sequences mutate runs, per side: the module-level
+    left approximations and the K^b right ones."""
     counts = {"right": 0, "left": 0}
-    for side in counts:
-        name = f"min_{side}_approx_K"
-        real = getattr(cxs, name)
+    for side, owner, name in (("right", cxs, "min_right_approx_K"),
+                              ("left", tautilt, "min_left_approx")):
+        real = getattr(owner, name)
 
         def counted(*args, _side=side, _real=real):
             counts[_side] += 1
             return _real(*args)
 
-        monkeypatch.setattr(cxs, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
 
 
 def _algebra_case(case, request):
     if case.startswith("ex"):
         return request.getfixturevalue(case)[1]
+    if case == "Lambda4":
+        return parse_algebra(nakayama_text(4, 4))[1]
     n, rad2 = {"A3": (3, False), "rad2-A3": (3, True), "A4": (4, False),
                "rad2-A4": (4, True)}[case]
     return parse_algebra(linear_quiver_text(n, rad2))[1]
@@ -224,6 +246,98 @@ def test_enumeration_runs_triangles_only_to_discover_items(
     _, reg = enumerate_support_tau_tilting(alg)
     assert counts["right"] + counts["left"] == triangles
     assert triangles == len(reg) - alg.idempotents.shape[0]
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A3", "A4",
+                                  "rad2-A4", "Lambda4"])
+def test_left_exchange_by_cokernel_matches_the_triangle(case, request):
+    # with a bare registry every module partner of a left mutation (x a
+    # module outside Fac U) is discovered as a cokernel; the K^b cone of
+    # the minimal left add(U)-approximation of x is the same partner
+    alg = _algebra_case(case, request)
+    objs, full = enumerate_support_tau_tilting(alg)
+    module_partners = 0
+    for obj in objs:
+        for k, x in enumerate(obj):
+            others = obj[:k] + obj[k + 1 :]
+            u_mods = [full.module(v) for kind, v in others if kind == "m"]
+            if x[0] == "p" or in_gen(direct_sum(alg, u_mods)[0],
+                                     full.module(x[1])):
+                continue
+            bare = Registry(alg)
+            own = [("m", bare.add(full.module(v))) if kind == "m"
+                   else (kind, v) for kind, v in obj]
+            (kind, v), = [it for it in mutate(bare, own, k) if it not in own]
+            xc = item_cx(full, x)
+            tgt, cmap, _ = cxs.min_left_approx_K(
+                xc, [item_cx(full, it) for it in others])
+            mod, shifted = cxs.cx_to_pair(cxs.reduce_cx(cxs.cone(xc, tgt,
+                                                                 cmap)))
+            if kind == "m":
+                module_partners += 1
+                assert shifted == [] and is_iso(mod, bare.module(v)), (obj, k)
+            else:
+                assert mod.dim == 0 and shifted == [v], (obj, k)
+    assert module_partners > 0
+
+
+class _SmallModules(Registry):
+    """A registry that splits no module of dimension above 16.  Modules of
+    the tau-tilting infinite quivers drawn (a Kronecker subquiver, say)
+    grow without bound, several times over per mutation for parallel
+    arrows, so such draws are skipped before they grow large."""
+
+    def summands(self, m):
+        assume(m.dim <= 16)
+        return super().summands(m)
+
+
+@pytest.mark.parametrize("named_sum", [False, True])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(case=monomial_quiver_texts(), data=st.data())
+def test_mask_lookup_matches_the_scan(named_sum, case, data):
+    # with the registry complete, every mutation is a lookup; the masks
+    # pick what the pairwise scan picks, and a named direct sum, which is
+    # compatible with its own summands, is never taken
+    alg = parse_algebra(case[0])[1]
+    n = alg.idempotents.shape[0]
+    reg = _SmallModules(alg)
+    if named_sum:
+        assume(n >= 2)
+        reg.ensure(direct_sum(alg, proj_list(alg)[:2])[0], name="U")
+    try:
+        objs, _ = enumerate_support_tau_tilting(alg, cap=60, registry=reg)
+    except CapExceededError:
+        assume(False)
+    for obj in objs:
+        for k in range(n):
+            y = scan_partner(reg, obj, k)
+            assert y is not None
+            assert mutate(reg, obj, k) == canonical(obj[:k] + obj[k + 1 :]
+                                                    + (y,))
+    items = [("m", i) for i in range(len(reg))] + \
+        [("p", v) for v in range(n)]
+    for _ in range(20):
+        sub = data.draw(st.lists(st.sampled_from(items), max_size=n + 1,
+                                 unique=True))
+        assert _items_support_tau_rigid(reg, sub) == \
+            scan_support_tau_rigid(reg, sub)
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A3", "A4",
+                                  "rad2-A3", "rad2-A4"])
+def test_completion_masks_match_the_scan(case, request):
+    # every subset S of every object, both ends of its interval
+    alg = _algebra_case(case, request)
+    objs, reg = enumerate_support_tau_tilting(alg)
+    sets = {frozenset(sub) for obj in objs for r in range(len(obj) + 1)
+            for sub in itertools.combinations(obj, r)}
+    for s in sorted(sets, key=sorted):
+        for top in (True, False):
+            assert completion(reg, objs, s, top) == \
+                scan_completion(reg, objs, s, top), (s, top)
 
 
 def test_decomposable_registry_entries_are_never_summands(ex1, ex3):
