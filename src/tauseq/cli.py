@@ -3,7 +3,8 @@
 Loads an algebra file (and optionally a named-module fixture file), runs one
 computation per invocation, and renders the result as an aligned table, TSV,
 or JSON.  Exit codes: 0 success, 1 unreadable/unparsable input, 2 domain
-errors (bad names, invalid objects), 3 enumeration cap exceeded.
+errors (bad names, invalid objects), 3 enumeration cap exceeded or out of
+memory.
 """
 
 import argparse
@@ -545,6 +546,10 @@ def main(argv=None):
     except TauseqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:  # modules outgrew memory before the cap fired
+        print("error: out of memory (the algebra may be tau-tilting "
+              "infinite; try a smaller --cap)", file=sys.stderr)
+        return 3
     sys.stdout.write(out)
     return 0
 

@@ -14,20 +14,23 @@ these SetRecords, one per set, and build no Gamma.
 
 Chains of contexts.  The root context holds the ambient algebra and the
 full registry of indecomposable tau-rigid summand items; each child is cut
-out by one reducer (a module u, giving Gamma = End(B + u)/[u] for the
-Bongartz complement B, or a shifted projective P[1], giving the idempotent
-quotient).
+out by one reducer.  A reducer has a module u (P_v for a shifted reducer
+P_v[1]) and its tops, parent items outside u: the summands of the
+Bongartz completion B(u) outside u, in registry order, or the shifts
+P_w[1], w != v, in vertex order.  The torsion-free quotients gens =
+f_u(tops) are a projective generator of J(u) (Jasso), so at both kinds
+Gamma = End(+ gens), and transport is Hom(+ gens, -) under precomposition.
+Under P_v[1] the gens are the projectives of A/<e_v>.
 
 Each context carries stt_objects, its support tau-tilting objects as tuples
 of its level items: a child's are its parent's objects that contain the
 reducer, mapped through the child's records, as s-tau-tilt J(u) is the
 interval of objects containing u (Jasso).  So B(u) and C(u) come from
-tautilt.completion at every depth.  E sends the summands of C(u) outside a
-module reducer u (the items in Gen u and the shifts compatible with u) to
-the shifted projectives of Gamma, each to the vertex of the summand of
-B(u) that tautilt.g_partner names; Gamma's vertices follow B(u) in
-registry order.  Gamma lives only in chains: the `reduce` command, the
-Gamma invariants of the third paper example and
+tautilt.completion at every depth.  E sends each partner of a top (an
+item of C(u) outside u, paired by tautilt.g_pairing, or under P_v[1] the
+shift P_w[1] itself) to the shifted projective at the top's vertex, and
+any other compatible module x to f_u(x).  Gamma lives only in chains: the
+`reduce` command, the Gamma invariants of the third paper example and
 sequences.validate_sequence build them; psi and phi do not.
 """
 
@@ -35,8 +38,6 @@ import numpy as np
 
 from . import complexes as cxs
 from . import linalg
-from .algebra import (quotient_by_ideal, quotient_by_idempotent_ideal,
-                      two_sided_ideal_rows)
 from .errors import DomainError
 from .modules import (FdModule, end_algebra, hom_basis, hom_dim, is_iso,
                       quotient_module, torsion_free_quotient, zero_module)
@@ -140,13 +141,12 @@ class WideContext(_Realizing):
         self.records = []  # {"parent": item, "reduced": ReducedObject}
         self.record_of = {}  # level item -> its record
         self._children = {}
-        # module-reducer transport data
-        self.u_module = None
-        self.partners = {}  # co-Bongartz partner -> its Bongartz vertex
-        self.b_ids = []  # parent registry ids of the Bongartz summands
-        self.b_summands = []
+        self.u_module = None  # u, or P_v for a shifted reducer P_v[1]
+        self.partners = {}  # parent item -> the vertex of its top
+        self.tops = []  # parent items of the tops, in vertex order
+        self.b_summands = []  # their modules over the parent level
+        self.gens = []  # f_u(b_summands); gamma = End(+ gens)
         self._end = None
-        self._quot = None
         if parent is None:
             self.set_records = {}
             self.trace_rows = {}  # (u id, x id) -> rows spanning t_u(x)
@@ -234,8 +234,7 @@ def _torsion_free(root, u_ids, x):
 
 
 def _find_proj_vertex(alg, m):
-    projs = cxs.proj_list(alg)
-    for w, pw in enumerate(projs):
+    for w, pw in enumerate(cxs.proj_list(alg)):
         if is_iso(m, pw):
             return w
     raise DomainError("module is not isomorphic to an indecomposable "
@@ -248,35 +247,38 @@ def _build_context(parent, reducer_item):
     kind, val = reducer_item
     if reducer_item not in parent.level_items:
         raise DomainError("reducer is not a registered tau-rigid summand")
+    n_parent = a.idempotents.shape[0]
+    projs = cxs.proj_list(a)
     if kind == "m":
         u = preg.module(val)
         b_ids, pairs = g_pairing(preg, parent.stt_objects, {reducer_item})
-        b_summands = [preg.module(i) for i in b_ids]
-        end = end_algebra(b_summands + [u],
-                          vertex_labels=[preg.name(i) for i in b_ids] + ["u"])
-        e_u = end.struct.idempotents[-1]
-        ideal = two_sided_ideal_rows(end.struct, [e_u])
-        quot = quotient_by_ideal(end.struct, ideal)
-        gamma = quot.algebra
-        if gamma.idempotents.shape[0] != len(b_summands):
-            raise DomainError("reduced algebra lost a Bongartz vertex")
-        ctx = WideContext(a, parent, reducer_item, gamma, Registry(gamma),
-                          None)
-        ctx.u_module = u
-        ctx.partners = {x: b_ids.index(b) for x, b in pairs.items()}
-        ctx.b_ids = b_ids
-        ctx.b_summands = b_summands
-        ctx._end = end
-        ctx._quot = quot
+        tops = [("m", i) for i in b_ids]
+        labels = [preg.name(i) for i in b_ids]
+        partners = {x: tops.index(("m", b)) for x, b in pairs.items()}
     else:
-        quot = quotient_by_idempotent_ideal(a, val)
-        gamma = quot.algebra
-        ctx = WideContext(a, parent, reducer_item, gamma, Registry(gamma),
-                          None)
-        ctx._quot = quot
-    n_parent = a.idempotents.shape[0]
-    if gamma.idempotents.shape[0] != n_parent - 1:
+        # J(P_v[1]) = J(P_v): the tops are the other shifts, each its own
+        # partner, and f_{P_v}(P_w) are the projectives of A/<e_v>
+        u = projs[val]
+        tops = [("p", w) for w in range(n_parent) if w != val]
+        labels = [a.vertex_labels[w] for _, w in tops]
+        partners = {x: w for w, x in enumerate(tops)}
+    if not tops:
+        raise DomainError("quotient is the zero algebra")
+    if len(tops) != n_parent - 1:
         raise DomainError("reduction did not drop exactly one vertex")
+    b_summands = [preg.module(v) if k == "m" else projs[v] for k, v in tops]
+    gens = [torsion_free_quotient(u, b)[0] for b in b_summands]
+    if any(g.dim == 0 for g in gens):
+        raise DomainError("reduced algebra lost a Bongartz vertex")
+    end = end_algebra(gens, vertex_labels=labels)
+    ctx = WideContext(a, parent, reducer_item, end.struct,
+                      Registry(end.struct), None)
+    ctx.u_module = u
+    ctx.partners = partners
+    ctx.tops = tops
+    ctx.b_summands = b_summands
+    ctx.gens = gens
+    ctx._end = end
     for x_item in parent.level_items:
         if x_item != reducer_item and preg.compatible(x_item, reducer_item):
             ctx.records.append({"parent": x_item,
@@ -307,66 +309,44 @@ def make_context(parent, reducer):
 
 
 def transport(ctx, x):
-    """Rewrite a module of J(reducer) over gamma: a module over the algebra
-    that gamma is a quotient of, restricted along the quotient's linear
-    section.
-
-    Shifted reducer: x itself, over the parent level.  Module reducer: the
-    space Hom(B + u, x), with End(B + u) acting by precomposition (the
-    u-block is zero since Hom(u, x) = 0).
-    """
+    """Rewrite a module x of J(reducer) over gamma = End(+ gens): the space
+    Hom(+ gens, x), acted on by precomposition.  It is Hom(B, x) for the
+    tops B, since every map B_i -> x kills t_u(B_i) when x lies in J(u)."""
     gamma = ctx.gamma
     p = gamma.p
-    if x.dim == 0:
-        return zero_module(gamma)
     u_signed = ctx.parent.registry.item_signed(ctx.reducer_item)
     if not j_membership(u_signed, x):
         raise DomainError("module is not an object of J(reducer)")
-    if ctx.reducer_item[0] == "p":
-        action = x.action
-    else:
-        homs = [(h @ pr) % p for b, pr in zip(ctx.b_summands, ctx._end.prs)
-                for h in hom_basis(b, x)]
-        if not homs:
-            return zero_module(gamma)
-        homs = np.array(homs)
-        # coords[j, h] = the coordinates of homs[h] @ mats[j] on homs
-        imgs = (homs[None] @ np.array(ctx._end.mats)[:, None]) % p
-        coords = linalg.SpanSolver(homs.reshape(len(homs), -1), p).coords(
-            imgs.reshape(imgs.shape[:2] + (-1,)))
-        if coords is None:
-            raise DomainError("precomposition left the Hom space")
-        action = coords.transpose(0, 2, 1)
-    return FdModule(gamma, np.tensordot(ctx._quot.lift.T, action, axes=1) % p)
+    homs = [(h @ pr) % p for g, pr in zip(ctx.gens, ctx._end.prs)
+            for h in hom_basis(g, x)]
+    if not homs:
+        return zero_module(gamma)
+    homs = np.array(homs)
+    # coords[j, h] = the coordinates of homs[h] @ mats[j] on homs
+    imgs = (homs[None] @ np.array(ctx._end.mats)[:, None]) % p
+    coords = linalg.SpanSolver(homs.reshape(len(homs), -1), p).coords(
+        imgs.reshape(imgs.shape[:2] + (-1,)))
+    if coords is None:
+        raise DomainError("precomposition left the Hom space")
+    return FdModule(gamma, coords.transpose(0, 2, 1))
 
 
 def _reduce_item(ctx, x_item):
-    """E(reducer) on one compatible parent item; the core of e_map.  Under
-    a module reducer u, x goes to f_u(x), unless x is the co-Bongartz
-    partner of a Bongartz summand B_w: then to P_w[1], realized as f_u(B_w).
-    Under P_v[1], P_w[1] goes to the shift at w's vertex of the quotient."""
+    """E(reducer) on one compatible parent item; the core of e_map.  A
+    partner of the top at vertex w goes to P_w[1], realized as f_u of that
+    top; any other x goes to f_u(x), transported."""
     parent = ctx.parent
-    kind, val = x_item
     u_root, _ = parent.realize_item(ctx.reducer_item)
-    if ctx.reducer_item[0] == "p":
-        v = ctx.reducer_item[1]
-        x_root, _ = parent.realize_item(x_item)
-        if kind == "m":
-            x = parent.registry.module(val)
-            tm = transport(ctx, x)
-            return ReducedObject(x, ("m", ctx.registry.ensure(tm)), x_root)
-        projs = cxs.proj_list(ctx.algebra)
-        fq, _ = torsion_free_quotient(projs[v], projs[val])
-        root_m, _ = torsion_free_quotient(u_root, x_root)
-        return ReducedObject(fq, ("p", val - (val > v)), root_m)
     w = ctx.partners.get(x_item)
-    y = x_item if w is None else ("m", ctx.b_ids[w])
-    fy, _ = torsion_free_quotient(ctx.u_module, parent.registry.module(y[1]))
-    root_m, _ = torsion_free_quotient(u_root, parent.realize_item(y)[0])
     if w is not None:
-        return ReducedObject(fy, ("p", w), root_m)
-    tm = transport(ctx, fy)
-    return ReducedObject(fy, ("m", ctx.registry.ensure(tm)), root_m)
+        root_m, _ = torsion_free_quotient(
+            u_root, parent.realize_item(ctx.tops[w])[0])
+        return ReducedObject(ctx.gens[w], ("p", w), root_m)
+    fx, _ = torsion_free_quotient(ctx.u_module,
+                                  parent.registry.module(x_item[1]))
+    root_m, _ = torsion_free_quotient(u_root, parent.realize_item(x_item)[0])
+    tm = transport(ctx, fx)
+    return ReducedObject(fx, ("m", ctx.registry.ensure(tm)), root_m)
 
 
 def e_map(ctx, x):

@@ -76,16 +76,11 @@ class Registry:
 
     def _auto_name(self, m):
         alg = self.alg
-        n = self.n
-        for i in range(n):
-            if is_iso(m, cxs.proj_list(alg)[i]):
-                return f"P{alg.vertex_labels[i]}"
-        for i in range(n):
-            if is_iso(m, cxs.simple_list(alg)[i]):
-                return f"S{alg.vertex_labels[i]}"
-        for i in range(n):
-            if is_iso(m, cxs.inj_list(alg)[i]):
-                return f"I{alg.vertex_labels[i]}"
+        for prefix, modules in (("P", cxs.proj_list), ("S", cxs.simple_list),
+                                ("I", cxs.inj_list)):
+            for label, x in zip(alg.vertex_labels, modules(alg)):
+                if is_iso(m, x):
+                    return f"{prefix}{label}"
         dims = ",".join(str(d) for d in m.vertex_dims())
         return f"M({dims})"
 

@@ -30,15 +30,22 @@ The registry answers compatibility questions with bit masks;
 `scan_support_tau_rigid`, `scan_partner` and `scan_completion` are the
 pairwise scans over `Registry.compatible` and the g-coordinate scan they
 replaced.
+
+A child context builds its reduced algebra as End(+ f_u(B_i)) at both
+reducer kinds; `quotient_gamma` is the pair of quotient routes it replaced,
+End(B + u)/[u] for a module reducer and A/<e_v> for a shifted one, each
+with its transport.
 """
 
 import numpy as np
 
 from tauseq import complexes as cxs
 from tauseq import linalg
+from tauseq.algebra import (quotient_by_ideal, quotient_by_idempotent_ideal,
+                            two_sided_ideal_rows)
 from tauseq.errors import DomainError
-from tauseq.modules import (in_gen, min_left_approx, quotient_module,
-                            top_quotient)
+from tauseq.modules import (FdModule, end_algebra, hom_basis, in_gen,
+                            min_left_approx, quotient_module, top_quotient)
 
 
 def scan_support_tau_rigid(reg, items):
@@ -264,3 +271,36 @@ def bounded_path_search(qp, cap):
         if len(paths) > cap:
             return None
     return sorted((src, seq) for src, _, seq in paths)
+
+
+def quotient_gamma(ctx):
+    """(Gamma, transport) of a child context by the quotient routes.  A
+    module reducer u gives End(B + u)/[u], and x goes to Hom(B + u, x)
+    under precomposition; a shifted reducer P_v[1] gives A/<e_v>, and x
+    keeps its action.  Either action is read along the quotient's linear
+    section."""
+    kind, val = ctx.reducer_item
+    p = ctx.gamma.p
+    if kind == "p":
+        quot = quotient_by_idempotent_ideal(ctx.parent.gamma, val)
+
+        def action(x):
+            return x.action
+    else:
+        end = end_algebra(ctx.b_summands + [ctx.u_module])
+        quot = quotient_by_ideal(end.struct, two_sided_ideal_rows(
+            end.struct, [end.struct.idempotents[-1]]))
+
+        def action(x):
+            homs = np.array([(h @ pr) % p
+                             for b, pr in zip(ctx.b_summands, end.prs)
+                             for h in hom_basis(b, x)])
+            imgs = (homs[None] @ np.array(end.mats)[:, None]) % p
+            coords = linalg.SpanSolver(homs.reshape(len(homs), -1), p).coords(
+                imgs.reshape(imgs.shape[:2] + (-1,)))
+            return coords.transpose(0, 2, 1)
+
+    def transport(x):
+        return FdModule(quot.algebra,
+                        np.tensordot(quot.lift.T, action(x), axes=1) % p)
+    return quot.algebra, transport

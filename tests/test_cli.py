@@ -181,6 +181,25 @@ def test_reduce_output(capsys):
     assert any("S3[1]" in l and l.startswith("I2") for l in out.splitlines())
 
 
+@pytest.mark.parametrize("obj", ["P1", "P1[1]"])
+def test_reduce_on_one_vertex_leaves_the_zero_algebra(capsys, tmp_path, obj):
+    # both reducer kinds remove the only vertex: Gamma would have no vertex
+    path = tmp_path / "k.alg"
+    path.write_text("field 32003\nvertex 1\n", encoding="utf-8")
+    got = run(capsys, ["reduce", "--algebra", str(path), "--object", obj])
+    assert got == (2, "", "error: quotient is the zero algebra\n")
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # a numpy MemoryError deep in enumeration is reported, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli.red, "root_context", exhausted)
+    code, out, err = run(capsys, ["indec-tau-rigid", *_args("1")])
+    assert code == 3 and out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
 def test_psi_phi_worked_row(capsys):
     code, out, _ = run(capsys, ["psi", *_args("3"), "--object", "M,I2,P1"])
     assert code == 0 and out == "S2[1], S3[1], P1\n"

@@ -3,9 +3,9 @@ and the summand bijection E with its inverse."""
 
 import pytest
 
-from conftest import item_of
+from conftest import item_of, nakayama_text
 from oracles import (approximation_pairing, gen_scan_cobongartz,
-                     triangle_bongartz)
+                     quotient_gamma, triangle_bongartz)
 from test_algebra import linear_quiver_text
 from tauseq import complexes as cxs
 from tauseq.algebra import algebra_invariants, parse_algebra
@@ -452,3 +452,34 @@ def test_completions_match_the_oracles_at_every_level(case, reducers,
             assert got == sorted(set(b_ids))
             seen += 1
     assert seen == reducers
+
+
+@pytest.mark.parametrize("case", [
+    "ex1", "ex2", "ex3", "A3", "A4", "rad2-A4", "nakayama-4-2"])
+def test_gamma_matches_the_quotient_routes(case, request):
+    # End(+ f_u(B_i)) against End(B + u)/[u] or A/<e_v> at every root child
+    # and every depth-2 child, and the transport of every module record
+    # against the quotient's
+    if case.startswith("ex"):
+        alg = request.getfixturevalue(case)[1]
+    elif case.startswith("nakayama"):
+        alg = parse_algebra(nakayama_text(4, 2))[1]
+    else:
+        alg = parse_algebra(linear_quiver_text(
+            int(case[-1]), rad_square_zero=case.startswith("rad2")))[1]
+    root = root_context(alg)
+    contexts = [root.child(x) for x in root.level_items]
+    if alg.idempotents.shape[0] > 2:
+        contexts += [c.child(y) for c in contexts for y in c.level_items]
+    kinds = set()
+    for ctx in contexts:
+        gamma, move = quotient_gamma(ctx)
+        assert algebra_invariants(ctx.gamma) == algebra_invariants(gamma)
+        for rec in ctx.records:
+            kind, val = rec["reduced"].gamma_item
+            if kind == "m":
+                lam = rec["reduced"].lam_module
+                assert ctx.registry.module(val).vertex_dims() == \
+                    move(lam).vertex_dims()
+        kinds.add(ctx.reducer_item[0])
+    assert kinds == {"m", "p"}

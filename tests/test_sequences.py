@@ -258,7 +258,6 @@ def test_psi_phi_build_no_reduced_algebra(exname, request, monkeypatch):
                         (reduction, "transport"),
                         (reduction, "end_algebra"),
                         (modules, "end_algebra"),
-                        (reduction, "quotient_by_ideal"),
                         (algebra, "quotient_by_ideal")):
         monkeypatch.setattr(owner, name, _refuse(name))
     for t in range(1, alg.idempotents.shape[0] + 1):
