@@ -10,7 +10,8 @@ first-applied entry on the left: phi_y . phi_x = phi_{x*y}.
 Provides Gaussian reduction to minimal complexes, cones and shifts, Hom
 spaces in the homotopy category (including shifted ones), endomorphism rings
 of two-term objects, minimal left and right approximations in the homotopy
-category, minimal projective presentations, the AR translate, and Ext^1.
+category, minimal presentations and g-vectors, Hom(y, tau x) by the AR
+formula, the AR translate itself (for the tau command), and Ext^1.
 """
 
 import numpy as np
@@ -18,10 +19,10 @@ import numpy as np
 from . import linalg
 from .algebra import StructAlgebra, block_terms
 from .errors import DomainError
-from .modules import (ModuleMap, direct_sum, hom_basis, identity_map,
-                      injective_module, projective_module, quotient_module,
-                      radical_rows, right_mult_module_map, submodule,
-                      top_quotient, zero_module)
+from .modules import (ModuleMap, direct_sum, hom_basis, hom_dim,
+                      identity_map, injective_module, projective_module,
+                      quotient_module, radical_rows, right_mult_module_map,
+                      submodule, top_quotient, zero_module)
 
 
 def proj_list(alg):
@@ -543,6 +544,23 @@ def min_presentation(m):
     return cx
 
 
+def g_vector(m):
+    """g = [P^0] - [P^-1] of m's minimal presentation, counted per vertex;
+    a tuple, cached on m."""
+    if not hasattr(m, "_tauseq_g"):
+        pres, n = min_presentation(m), m.algebra.idempotents.shape[0]
+        m._tauseq_g = tuple((np.bincount(pres.at(0), minlength=n) -
+                             np.bincount(pres.at(-1), minlength=n)).tolist())
+    return m._tauseq_g
+
+
+def hom_to_tau(y, x):
+    """dim Hom(y, tau x) = hom(x, y) - <g(x), dim y>, with no tau x built:
+    0 -> Hom(x, y) -> Hom(P^0, y) -> Hom(P^-1, y) -> D Hom(y, tau x) -> 0
+    is exact (Adachi-Iyama-Reiten, Prop 2.4) and hom(P_v, y) = (dim y)_v."""
+    return hom_dim(x, y) - int(np.dot(g_vector(x), y.vertex_dims()))
+
+
 def h0(cx):
     """(H^0 module, projection from the concrete degree-0 module)."""
     if not cx.is_two_term():
@@ -596,18 +614,9 @@ def _nakayama_entry(alg, a, b, x):
 
 
 def tau(m):
-    """AR translate of m: kernel of nu applied to its minimal presentation,
-    cached on m."""
-    if not hasattr(m, "_tauseq_tau"):
-        m._tauseq_tau = _tau(m)
-    return m._tauseq_tau
-
-
-def _tau(m):
+    """AR translate of m: kernel of nu applied to its minimal presentation."""
     alg = m.algebra
     p = alg.p
-    if m.dim == 0:
-        return zero_module(alg)
     pres = min_presentation(m)
     neg, zer = pres.at(-1), pres.at(0)
     if not neg:

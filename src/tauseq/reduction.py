@@ -1,4 +1,5 @@
-"""Perpendicular reduction: J(u) membership, the bijection E_S between the
+"""Perpendicular reduction: J(u) membership, read off hom(u, x) and the
+pairing of g(u) with dim x (no tau u is built), the bijection E_S between the
 root items compatible with a set S and the signed objects of J(S), read in
 one step off the root, and the reduced algebra Gamma with its transport
 equivalence along a chain of single reductions.
@@ -48,17 +49,18 @@ from .tautilt import (Registry, SignedObject, canonical, completion,
 def j_membership(u, x):
     """Is x an object of J(u)?
 
-    For a module reducer u: Hom(u, x) = 0 and Hom(x, tau u) = 0; for a
-    shifted reducer P[1]: Hom(P, x) = 0.
+    For a module reducer u: Hom(u, x) = 0 and Hom(x, tau u) = 0, where
+    given the first, dim Hom(x, tau u) = -<g(u), dim x> (cxs.hom_to_tau);
+    for a shifted reducer P_v[1]: Hom(P_v, x) = 0, that is (dim x)_v = 0.
     """
     if x.dim == 0:
         return True
     if isinstance(u, SignedObject):
         if u.is_shift:
-            proj = cxs.proj_list(x.algebra)[u.vertex]
-            return hom_dim(proj, x) == 0
+            return x.vertex_dims()[u.vertex] == 0
         u = u.module
-    return hom_dim(u, x) == 0 and hom_dim(x, cxs.tau(u)) == 0
+    return (hom_dim(u, x) == 0
+            and not np.dot(cxs.g_vector(u), x.vertex_dims()))
 
 
 class ReducedObject:

@@ -8,15 +8,16 @@ reduction level, given that level's registry and objects.
 Objects live in mod A together with shifted projectives (Ae_i)[1]; internally
 a summand is an item ('m', registry id) or ('p', vertex index), and an object
 is a tuple of items (sorted for the unordered form).  Compatibility is a test
-on bit masks of the registry's rigid items; mutation looks partners up, and
-discovers new ones by cokernels in mod A, or on the right by K^b triangles.
+on bit masks of the registry's rigid items, filled from hom dimensions and
+g-vectors (cxs.hom_to_tau); mutation looks partners up, and discovers new
+ones by cokernels in mod A, or on the right by K^b triangles.
 """
 
 from fractions import Fraction
 
 from . import complexes as cxs
 from .errors import CapExceededError, DomainError
-from .modules import (decompose, direct_sum, hom_dim, in_gen, is_iso,
+from .modules import (decompose, direct_sum, in_gen, is_iso,
                       is_local_endo, min_left_approx, quotient_module)
 
 
@@ -114,21 +115,20 @@ class Registry:
         return self._split[id(m)][1][0]
 
     def compatible(self, a, b):
-        """Is the sum of items a and b support tau-rigid?  For a == b: is a
-        alone and indecomposable, read from the summand record when a has
-        been split.  Cached per pair; registers nothing."""
+        """Is the sum of items a and b support tau-rigid?  Modules need
+        Hom(a, tau b) = Hom(b, tau a) = 0 (cxs.hom_to_tau), and a == b
+        indecomposable, read from its summand record once split; P_v[1]
+        needs (dim a)_v = 0.  Cached per pair; registers nothing."""
         key = (a, b) if a <= b else (b, a)
         if key not in self._compat:
             (ka, va), (kb, vb) = key
-            if ka == "p":
-                ok = True
-            elif kb == "p":
-                ok = hom_dim(cxs.proj_list(self.alg)[vb], self.mods[va]) == 0
+            if kb == "p":  # shifts sort last, so ka == "p" pairs two shifts
+                ok = ka == "p" or self.mods[va].vertex_dims()[vb] == 0
             else:
                 ma, mb = self.mods[va], self.mods[vb]
                 split = self._split.get(id(ma))
-                ok = hom_dim(ma, cxs.tau(mb)) == 0 and (
-                    hom_dim(mb, cxs.tau(ma)) == 0 if va != vb
+                ok = cxs.hom_to_tau(ma, mb) == 0 and (
+                    cxs.hom_to_tau(mb, ma) == 0 if va != vb
                     else len(split[1]) == 1 if split else is_local_endo(ma))
             self._compat[key] = ok
         return self._compat[key]
@@ -170,18 +170,10 @@ class Registry:
 
     def g_vector(self, item):
         """g = [P^0] - [P^-1] of the item's minimal presentation, counted
-        per vertex; g(P_v[1]) = -e_v."""
-        g = [0] * self.n
+        per vertex (cxs.g_vector); g(P_v[1]) = -e_v."""
         kind, val = item
-        if kind == "p":
-            g[val] = -1
-            return g
-        cx = self.pres(val)
-        for v in cx.at(0):
-            g[v] += 1
-        for v in cx.at(-1):
-            g[v] -= 1
-        return g
+        return list(cxs.g_vector(self.mods[val])) if kind == "m" else [
+            -int(w == val) for w in range(self.n)]
 
     def g_coords(self, obj, vec):
         """Exact coordinates of vec in the basis g(obj) of a support
@@ -275,20 +267,17 @@ def object_cx(reg, items):
 
 
 def is_tau_rigid(m):
-    """Hom(m, tau m) = 0; the zero module counts as rigid."""
-    if m.dim == 0:
-        return True
-    return hom_dim(m, cxs.tau(m)) == 0
+    """Hom(m, tau m) = 0 (cxs.hom_to_tau); the zero module counts."""
+    return cxs.hom_to_tau(m, m) == 0
 
 
 def is_support_tau_rigid(objs):
     """Check a list of SignedObjects: basic, indecomposable, and rigid.
 
-    Modules M must satisfy Hom(M, tau M') = 0 for all module summands M'
-    (including themselves); shifted projectives P[1] need Hom(P, M') = 0.
-    Both conditions are pairwise (tau and Hom are additive), so they are
-    asked of a throwaway registry, whose summand ids also show a
-    decomposable or repeated module.
+    Hom(M, tau M') = 0 for module summands M, M' (M = M' included) and
+    Hom(P, M') = 0 for shifts P[1] are pairwise, as tau and Hom are
+    additive, so they are asked of a throwaway registry, whose summand ids
+    also show a decomposable or repeated module.
     """
     mods = [o.module for o in objs if not o.is_shift]
     verts = [o.vertex for o in objs if o.is_shift]

@@ -86,6 +86,20 @@ def nakayama_text(n, ell):
     return "\n".join(lines) + "\n"
 
 
+def dynkin_text(kind, n, alt=False):
+    """The hereditary path algebra of D_n or E_n, with no relations.  D_n
+    is the path 1 -> ... -> n-2 with arrows n-2 -> n-1 and n-2 -> n; E_n
+    is the path 1 -> ... -> n-1 with an arrow 3 -> n.  alt reverses every
+    second arrow of that list."""
+    ends = [(v, v + 1) for v in range(1, n - 1)]
+    ends.append((n - 2 if kind == "D" else 3, n))
+    ends = [(t, s) if alt and a % 2 else (s, t)
+            for a, (s, t) in enumerate(ends)]
+    lines = ["field 32003"] + [f"vertex {v}" for v in range(1, n + 1)]
+    lines += [f"arrow x{a} {s} {t}" for a, (s, t) in enumerate(ends)]
+    return "\n".join(lines) + "\n"
+
+
 def rebased_algebra(alg, seed):
     """alg in a random basis: dense structure constants, so many terms
     share each pair (i, j) and each bin k."""

@@ -35,6 +35,10 @@ A child context builds its reduced algebra as End(+ f_u(B_i)) at both
 reducer kinds; `quotient_gamma` is the pair of quotient routes it replaced,
 End(B + u)/[u] for a module reducer and A/<e_v> for a shifted one, each
 with its transport.
+
+Rigidity and J(u) are read off hom dimensions and g-vectors by the AR
+formula; `tau_hom`, `tau_rigid`, `tau_compatible` and `tau_j_membership`
+are the definitions through the AR translate tau that they replaced.
 """
 
 import numpy as np
@@ -44,8 +48,9 @@ from tauseq import linalg
 from tauseq.algebra import (quotient_by_ideal, quotient_by_idempotent_ideal,
                             two_sided_ideal_rows)
 from tauseq.errors import DomainError
-from tauseq.modules import (FdModule, end_algebra, hom_basis, in_gen,
-                            min_left_approx, quotient_module, top_quotient)
+from tauseq.modules import (FdModule, end_algebra, hom_basis, hom_dim, in_gen,
+                            is_local_endo, min_left_approx, quotient_module,
+                            top_quotient)
 
 
 def scan_support_tau_rigid(reg, items):
@@ -304,3 +309,40 @@ def quotient_gamma(ctx):
         return FdModule(quot.algebra,
                         np.tensordot(quot.lift.T, action(x), axes=1) % p)
     return quot.algebra, transport
+
+
+_TAUS = {}  # id(x) -> (x, tau x); holding x pins its id
+
+
+def tau_hom(y, x):
+    """dim Hom(y, tau x), with tau x built once per module object."""
+    if id(x) not in _TAUS:
+        _TAUS[id(x)] = (x, cxs.tau(x))
+    return hom_dim(y, _TAUS[id(x)][1])
+
+
+def tau_rigid(m):
+    return m.dim == 0 or tau_hom(m, m) == 0
+
+
+def tau_compatible(reg, a, b):
+    """Registry.compatible by tau: Hom(a, tau b) = Hom(b, tau a) = 0 for
+    modules, with an item alone also indecomposable, and Hom(P_v, a) = 0
+    beside a shift P_v[1]."""
+    (ka, va), (kb, vb) = sorted((a, b))
+    if ka == "p":
+        return True
+    ma = reg.module(va)
+    if kb == "p":
+        return hom_dim(cxs.proj_list(reg.alg)[vb], ma) == 0
+    mb = reg.module(vb)
+    return tau_hom(ma, mb) == 0 and tau_hom(mb, ma) == 0 and (
+        va != vb or is_local_endo(ma))
+
+
+def tau_j_membership(u, x):
+    """x in J(u): Hom(u, x) = 0 = Hom(x, tau u) for a module u, and
+    Hom(P_v, x) = 0 for a vertex v standing for P_v[1]."""
+    if isinstance(u, int):
+        return hom_dim(cxs.proj_list(x.algebra)[u], x) == 0
+    return hom_dim(u, x) == 0 and tau_hom(x, u) == 0

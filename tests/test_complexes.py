@@ -6,8 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import load_example, rebased_algebra
-from oracles import dense_mult, generator_rows_by_top
+from conftest import dynkin_text, load_example, nakayama_text, rebased_algebra
+from oracles import (dense_mult, generator_rows_by_top, tau_compatible,
+                     tau_hom, tau_j_membership, tau_rigid)
 from tauseq import complexes as cxs
 from tauseq import linalg
 from tauseq.algebra import parse_algebra
@@ -18,8 +19,11 @@ from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain, cone,
                               min_right_approx_K, proj_list, reduce_cx,
                               shift_cx, stalk_cx, tau, tensor_zeros)
 from tauseq.errors import DomainError
-from tauseq.modules import FdModule, hom_dim, is_iso, radical_rows
-from tauseq.tautilt import enumerate_support_tau_tilting
+from tauseq.modules import (FdModule, hom_dim, is_iso, radical_rows,
+                            zero_module)
+from tauseq.reduction import j_membership, root_context
+from tauseq.tautilt import (SignedObject, enumerate_support_tau_tilting,
+                            is_tau_rigid)
 from test_algebra import linear_quiver_text
 
 TAU_TABLE = {
@@ -43,6 +47,51 @@ def test_tau_of_projectives_is_zero(stem, request):
     _, alg, _ = request.getfixturevalue(stem)
     for pr in proj_list(alg):
         assert tau(pr).dim == 0
+
+
+PAIRING_CASES = {
+    "A4": linear_quiver_text(4), "rad2-A5": linear_quiver_text(5, True),
+    "Lambda4^4": nakayama_text(4, 4), "Lambda4^2": nakayama_text(4, 2),
+    "D4": dynkin_text("D", 4)}
+
+
+def _pairing_levels(case):
+    """(algebra, modules, registry) per level: the root, with the fixtures
+    of an example, and for ex1-ex3 every child of the root too."""
+    if case.startswith("ex"):
+        _, alg, fixtures = load_example(case)
+    else:
+        alg, fixtures = parse_algebra(PAIRING_CASES[case])[1], {}
+    root = root_context(alg)
+    ctxs = [root] + ([root.child(it) for it in root.level_items]
+                     if case.startswith("ex") else [])
+    for ctx in ctxs:
+        g = ctx.gamma
+        mods = list(fixtures.values()) if ctx is root else []
+        mods += ctx.registry.mods + cxs.inj_list(g) + cxs.simple_list(g)
+        yield g, mods + [zero_module(g)], ctx.registry
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3"] + list(PAIRING_CASES))
+def test_ar_formula_matches_tau(case):
+    """hom_to_tau, is_tau_rigid, j_membership at both reducer kinds and
+    Registry.compatible against their definitions through tau, on every
+    ordered pair of fixture, registry, injective and simple modules."""
+    for alg, mods, reg in _pairing_levels(case):
+        n = alg.idempotents.shape[0]
+        for x in mods:
+            assert is_tau_rigid(x) == tau_rigid(x)
+            for y in mods:
+                assert cxs.hom_to_tau(y, x) == tau_hom(y, x)
+                assert j_membership(x, y) == tau_j_membership(x, y)
+            for v in range(n):
+                assert j_membership(SignedObject(vertex=v), x) == \
+                    tau_j_membership(v, x)
+        items = [("m", i) for i in range(len(reg))] + [
+            ("p", v) for v in range(n)]
+        for a in items:
+            for b in items:
+                assert reg.compatible(a, b) == tau_compatible(reg, a, b)
 
 
 def test_min_presentation_recovers_the_module(ex3):

@@ -1,25 +1,28 @@
 """Perpendicular reduction: J(u) membership, reduced algebras, transport,
 and the summand bijection E with its inverse."""
 
+import math
+from collections import Counter
+
 import pytest
 
-from conftest import item_of, nakayama_text
+from conftest import dynkin_text, item_of, load_example, nakayama_text
 from oracles import (approximation_pairing, gen_scan_cobongartz,
                      quotient_gamma, triangle_bongartz)
 from test_algebra import linear_quiver_text
 from tauseq import complexes as cxs
 from tauseq.algebra import algebra_invariants, parse_algebra
 from tauseq.errors import DomainError
-from tauseq.modules import (hom_dim, in_gen, is_iso, min_left_approx,
-                            simple_module, zero_module)
+from tauseq.modules import (direct_sum, hom_dim, in_gen, is_iso,
+                            min_left_approx, simple_module, zero_module)
 from tauseq.complexes import proj_list, tau
 from tauseq.reduction import (_find_proj_vertex, e_inverse, e_map,
                               j_membership, level_item_from_pair,
                               make_context, root_context, set_record,
                               transport)
-from tauseq.sequences import enumerate_ordered
-from tauseq.tautilt import (SignedObject, _items_support_tau_rigid, bongartz,
-                            canonical, completion,
+from tauseq.sequences import enumerate_ordered, enumerate_unordered
+from tauseq.tautilt import (Registry, SignedObject, _items_support_tau_rigid,
+                            bongartz, canonical, completion,
                             enumerate_support_tau_tilting, g_partner,
                             is_tau_rigid)
 
@@ -483,3 +486,43 @@ def test_gamma_matches_the_quotient_routes(case, request):
                     move(lam).vertex_dims()
         kinds.add(ctx.reducer_item[0])
     assert kinds == {"m", "p"}
+
+
+WIDE_CASES = {
+    "A3": linear_quiver_text(3), "A4": linear_quiver_text(4),
+    "rad2-A5": linear_quiver_text(5, True), "Lambda4^2": nakayama_text(4, 2),
+    "Lambda4^4": nakayama_text(4, 4), "D4": dynkin_text("D", 4)}
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3"] + list(WIDE_CASES))
+def test_wide_subcategories_match_the_objects(case):
+    """J(S) is keyed by the modules that E_S realizes unshifted: the tau-
+    rigid modules of J(S), which generate it.  For a tau-tilting finite
+    algebra the wide subcategories are the J(S) (Marks-Stovicek, Buan-
+    Hanson) and are as many as the support tau-tilting objects, those of
+    rank k as many as the objects with k left mutations (Asai); in type A
+    by rank they are the Narayana numbers (Ingalls-Thomas).  Each key
+    comes with one rank n - |S|."""
+    alg = (load_example(case)[1] if case.startswith("ex")
+           else parse_algebra(WIDE_CASES[case])[1])
+    root = root_context(alg)
+    reg, n = root.registry, alg.idempotents.shape[0]
+    keys = Registry(alg)
+    ranks = {}
+    for t in range(n + 1):
+        for s in enumerate_unordered(root, t) if t else [()]:
+            rec = set_record(root, frozenset(s))
+            key = frozenset(keys.ensure(m) for m, shift in map(
+                rec.realize_item, rec.level_items) if not shift)
+            assert ranks.setdefault(key, n - t) == n - t, (case, s)
+    assert len(ranks) == len(root.stt_objects)
+    left = Counter()
+    for obj in root.stt_objects:
+        mods = [reg.module(v) for kind, v in obj if kind == "m"]
+        left[sum(not in_gen(direct_sum(alg, mods[:i] + mods[i + 1:])[0], m)
+                 for i, m in enumerate(mods))] += 1
+    assert Counter(ranks.values()) == left
+    if case in ("A3", "A4"):
+        nara = {k: math.comb(n + 1, k + 1) * math.comb(n + 1, k) // (n + 1)
+                for k in range(n + 1)}
+        assert Counter(ranks.values()) == nara

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import item_of
+from conftest import dynkin_text, item_of
 from test_algebra import linear_quiver_text
 from tauseq import algebra, modules, reduction, sequences
 from tauseq.algebra import parse_algebra
@@ -267,21 +267,39 @@ def test_psi_phi_build_no_reduced_algebra(exname, request, monkeypatch):
             assert phi(root, seq.root_pairs()) == tup
 
 
-@pytest.mark.parametrize("n,want", [(2, 3), (3, 16), (4, 125)])
-def test_unsigned_complete_sequences_of_linear_a(n, want):
-    # Seidel (2001): linear A_n has (n+1)^(n-1) complete exceptional
-    # sequences; dropping the signs from psi's length-n outputs gives each
-    # of them, and only exceptional sequences
-    root = root_context(parse_algebra(linear_quiver_text(n))[1])
+def _check_unsigned_complete(text, n, want):
+    """Dropping the signs from psi's length-n outputs gives want complete
+    sequences, each of exceptional modules (End = k, no self-extension)
+    with no Hom or Ext^1 from a later entry to an earlier one."""
+    root = root_context(parse_algebra(text)[1])
     reg = root.registry
     unsigned = {tuple(reg.ensure(m) for m, _ in psi(root, tup).root_pairs())
                 for tup in enumerate_ordered(root, n)}
     assert len(unsigned) == want
+    for i in set().union(*unsigned):
+        assert hom_dim(reg.module(i), reg.module(i)) == 1
+        assert ext1_dim(reg.module(i), reg.module(i)) == 0
     for ids in unsigned:
         mods = [reg.module(i) for i in ids]
         for i, j in itertools.combinations(range(n), 2):
             assert hom_dim(mods[j], mods[i]) == 0
             assert ext1_dim(mods[j], mods[i]) == 0
+
+
+@pytest.mark.parametrize("n,want", [(2, 3), (3, 16), (4, 125)])
+def test_unsigned_complete_sequences_of_linear_a(n, want):
+    # Seidel (2001): linear A_n has (n+1)^(n-1) complete exceptional
+    # sequences; psi's outputs give each of them, and only those
+    _check_unsigned_complete(linear_quiver_text(n), n, want)
+
+
+@pytest.mark.parametrize("alt", [False, True])
+def test_unsigned_complete_sequences_of_d4(alt):
+    # for a hereditary algebra the signed tau-exceptional sequences are
+    # the signed exceptional sequences (Igusa-Todorov), and a Dynkin
+    # quiver has n! h^n / |W| complete exceptional sequences (Obaid,
+    # Nauman, Shammakh, Fakieh and Ringel): 4! 6^4 / 192 = 162 for D4
+    _check_unsigned_complete(dynkin_text("D", 4, alt), 4, 162)
 
 
 def _phi_by_chain(ctx, pairs):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import item_of, monomial_quiver_texts, nakayama_text
+from conftest import (dynkin_text, item_of, monomial_quiver_texts,
+                      nakayama_text)
 from oracles import (scan_completion, scan_partner, scan_support_tau_rigid,
                      triangle_bongartz)
 from test_algebra import linear_quiver_text
@@ -719,11 +720,16 @@ def _pell(k):
 
 @pytest.mark.parametrize("kind,n", [("A", n) for n in range(2, 6)] +
                          [("rad2-A", n) for n in range(2, 7)] +
-                         [("Lambda", n) for n in range(2, 5)])
+                         [("Lambda", n) for n in range(2, 5)] +
+                         [(d, n) for n in (4, 5) for d in ("D", "D-alt")] +
+                         [("E", 6), ("E-alt", 6)])
 def test_counts_match_closed_forms(kind, n):
     """Support tau-tilting objects and their items against closed forms:
-    type-A clusters, Pell numbers, and C(2n, n) for the self-injective
-    Nakayama algebra Lambda_n^n (Adachi).  The items of Lambda_n^n are
+    type-A clusters, Pell numbers, C(2n, n) for the self-injective
+    Nakayama algebra Lambda_n^n (Adachi), and for the hereditary D_n and
+    E_6 the cluster counts (3n - 2)/n C(2n - 2, n - 1) and 833 (Fomin-
+    Zelevinsky), with the n(n - 1) and 36 positive roots and n shifts as
+    items, in either orientation.  The items of Lambda_n^n are
     its n^2 indecomposables and n shifts: an indecomposable is a uniserial
     M = [i, i + k - 1] with k <= n, projective when k = n, and otherwise
     tau M = [i + 1, i + k]; the image of a nonzero M -> tau M would be a
@@ -732,6 +738,12 @@ def test_counts_match_closed_forms(kind, n):
     if kind == "Lambda":
         text, objects, items = nakayama_text(n, n), math.comb(2 * n, n), \
             n * (n + 1)
+    elif kind.startswith("D"):
+        text, objects, items = dynkin_text("D", n, kind.endswith("alt")), \
+            (3 * n - 2) * math.comb(2 * n - 2, n - 1) // n, n * n
+    elif kind.startswith("E"):
+        text, objects, items = dynkin_text("E", n, kind.endswith("alt")), \
+            833, 42
     elif kind == "A":
         text, objects, items = linear_quiver_text(n), \
             math.comb(2 * n + 2, n + 1) // (n + 2), n * (n + 3) // 2
