@@ -2,9 +2,8 @@
 
 All matrices are numpy int64 arrays with entries reduced mod p.  Row
 reduction is plain Gauss-Jordan with the first nonzero pivot, so every
-routine is deterministic.  Also provides the small amount of univariate
-polynomial arithmetic over F_p needed for splitting endomorphism rings
-(minimal polynomials, gcds, modular exponentiation).
+routine is deterministic.  Also evaluates univariate polynomials over F_p,
+which is all that splitting endomorphism rings needs of them.
 """
 
 import numpy as np
@@ -191,119 +190,9 @@ class SpanSolver:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over F_p: coefficient vectors, ascending degree
+# univariate polynomials over F_p: coefficient vectors, ascending degree; only
+# evaluation is needed (the roots of a minimal polynomial in a Berlekamp split)
 # ---------------------------------------------------------------------------
-
-
-def poly_trim(f):
-    f = np.asarray(f, dtype=np.int64)
-    nz = np.nonzero(f)[0]
-    if nz.size == 0:
-        return np.zeros(1, dtype=np.int64)
-    return f[: int(nz[-1]) + 1].copy()
-
-
-def poly_deg(f):
-    f = poly_trim(f)
-    if f.shape[0] == 1 and f[0] == 0:
-        return -1
-    return f.shape[0] - 1
-
-
-def poly_is_zero(f):
-    return poly_deg(f) < 0
-
-
-def poly_monic(f, p):
-    f = poly_trim(asmod(f, p))
-    if poly_is_zero(f):
-        return f
-    inv = pow(int(f[-1]), -1, p)
-    return (f * inv) % p
-
-
-def poly_mul(f, g, p):
-    f = asmod(f, p)
-    g = asmod(g, p)
-    if poly_is_zero(f) or poly_is_zero(g):
-        return np.zeros(1, dtype=np.int64)
-    out = np.convolve(f, g) % p
-    return poly_trim(out)
-
-
-def poly_sub(f, g, p):
-    n = max(f.shape[0], g.shape[0])
-    out = np.zeros(n, dtype=np.int64)
-    out[: f.shape[0]] = f
-    out[: g.shape[0]] = (out[: g.shape[0]] - g) % p
-    return out % p
-
-
-def poly_divmod(f, g, p):
-    f = poly_trim(asmod(f, p))
-    g = poly_trim(asmod(g, p))
-    if poly_is_zero(g):
-        raise DomainError("polynomial division by zero")
-    df, dg = poly_deg(f), poly_deg(g)
-    if df < dg:
-        return np.zeros(1, dtype=np.int64), f
-    inv = pow(int(g[-1]), -1, p)
-    rem = f.copy()
-    q = np.zeros(df - dg + 1, dtype=np.int64)
-    for k in range(df - dg, -1, -1):
-        c = (rem[k + dg] * inv) % p
-        if c:
-            q[k] = c
-            rem[k : k + dg + 1] = (rem[k : k + dg + 1] - c * g) % p
-    return poly_trim(q), poly_trim(rem)
-
-
-def poly_mod(f, g, p):
-    return poly_divmod(f, g, p)[1]
-
-
-def poly_gcd(f, g, p):
-    f = poly_trim(asmod(f, p))
-    g = poly_trim(asmod(g, p))
-    while not poly_is_zero(g):
-        f, g = g, poly_mod(f, g, p)
-    return poly_monic(f, p)
-
-
-def poly_ext_gcd(f, g, p):
-    """(d, u, v) with u*f + v*g = d = gcd(f, g)."""
-    r0, r1 = poly_trim(asmod(f, p)), poly_trim(asmod(g, p))
-    s0, s1 = np.array([1], dtype=np.int64), np.array([0], dtype=np.int64)
-    t0, t1 = np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)
-    while not poly_is_zero(r1):
-        q, r = poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_trim((poly_sub(s0, poly_mul(q, s1, p), p)))
-        t0, t1 = t1, poly_trim((poly_sub(t0, poly_mul(q, t1, p), p)))
-    if poly_is_zero(r0):
-        return r0, s0, t0
-    lead_inv = pow(int(r0[-1]), -1, p)
-    return (r0 * lead_inv) % p, (s0 * lead_inv) % p, (t0 * lead_inv) % p
-
-
-def poly_pow_mod(f, e, g, p):
-    """f^e mod g over F_p by square and multiply."""
-    result = np.array([1], dtype=np.int64)
-    base = poly_mod(f, g, p)
-    while e > 0:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, p), g, p)
-        base = poly_mod(poly_mul(base, base, p), g, p)
-        e >>= 1
-    return result
-
-
-def poly_derivative(f, p):
-    f = poly_trim(asmod(f, p))
-    if poly_deg(f) < 1:
-        return np.zeros(1, dtype=np.int64)
-    ks = np.arange(1, f.shape[0], dtype=np.int64)
-    return poly_trim((f[1:] * ks) % p)
 
 
 def poly_eval_many(f, xs, p):
@@ -314,14 +203,3 @@ def poly_eval_many(f, xs, p):
     for c in f[::-1]:
         acc = (acc * xs + int(c)) % p
     return acc
-
-
-def poly_squarefree_part(f, p):
-    f = poly_monic(f, p)
-    d = poly_derivative(f, p)
-    if poly_is_zero(d):
-        # f is a p-th power; at our degrees (< p) this cannot happen for
-        # nonconstant f, so only constants land here.
-        return f
-    g = poly_gcd(f, d, p)
-    return poly_divmod(f, g, p)[0]

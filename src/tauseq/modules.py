@@ -2,8 +2,10 @@
 
 A module is an action tensor (one matrix per algebra basis element) over
 F_p.  Provides Hom spaces, endomorphism rings, indecomposable direct-sum
-decomposition via idempotent splitting, trace submodules and torsion-free
-quotients, and minimal left/right add(U)-approximations.
+decomposition by idempotents of End(M) (one Berlekamp split of its top, on
+the whole top when that is commutative and on F_p[z] otherwise), trace
+submodules and torsion-free quotients, and minimal left/right
+add(U)-approximations.
 """
 
 import numpy as np
@@ -12,7 +14,9 @@ from . import linalg
 from .algebra import algebra_from_matrices, quotient_by_ideal
 from .errors import DomainError, InputError
 
-_RNG_SEED = 90377  # fixed seed: all randomized fallbacks are reproducible
+# seeds the random elements tried when no basis element of a noncommutative
+# top splits it; nothing in the tests reaches them
+_RNG_SEED = 90377
 
 
 class FdModule:
@@ -45,6 +49,7 @@ class FdModule:
         self._vdims = None
         self._gen_act = None
         self._vertex_of = None
+        self._summands = None  # set by direct_sum
         if check and self.dim:
             self._validate()
 
@@ -80,8 +85,21 @@ class FdModule:
     def gen_actions(self):
         """(G, dim, dim) stack of the actions of the algebra's generator
         vectors, idempotents first; computed once (action is never written
-        after construction), with basis_vertices."""
-        if self._gen_act is None:
+        after construction), with basis_vertices.  A direct sum takes both
+        from its summands' cached ones, as a block diagonal and a
+        concatenation."""
+        if self._gen_act is None and self._summands is not None:
+            self._gen_act = np.zeros((len(self.algebra.generator_vectors()),
+                                      self.dim, self.dim), dtype=np.int64)
+            verts, offset = [np.zeros(0, dtype=np.int64)], 0
+            for m in self._summands:
+                self._gen_act[:, offset : offset + m.dim,
+                              offset : offset + m.dim] = m.gen_actions()
+                verts.append(m.basis_vertices())
+                offset += m.dim
+            if all(v is not None for v in verts):
+                self._vertex_of = np.concatenate(verts)
+        elif self._gen_act is None:
             gens = np.array(self.algebra.generator_vectors())
             self._gen_act = np.einsum("gi,iab->gab", gens,
                                       self.action) % self.algebra.p
@@ -157,6 +175,7 @@ def direct_sum(algebra, summands):
         prs.append(e.T.copy())
         offset += m.dim
     out = FdModule(algebra, action, check=False)
+    out._summands = tuple(summands)
     return out, embs, prs
 
 
@@ -403,13 +422,13 @@ def _semisimple_top(struct):
                        np.array_equal(c[order], c))
 
 
-def _frobenius_kernel(bar):
-    """Kernel of x -> x^p - x on a commutative semisimple algebra: its
-    dimension is the number of simple factors (Berlekamp)."""
+def _frobenius_kernel(bar, rows):
+    """Basis of {x in span(rows) : x^p = x}, where the independent rows
+    span a commutative subalgebra C of bar.  On C, x -> x^p is F_p-linear,
+    and the kernel has one dimension per local factor of C (Berlekamp)."""
     p = bar.p
-    eye = np.eye(bar.dim, dtype=np.int64)
-    frob = bar.power(eye, p).T  # column i is e_i^p
-    return linalg.kernel_basis((frob - eye) % p, p)
+    coef = linalg.kernel_basis((bar.power(rows, p) - rows).T % p, p)
+    return coef @ rows % p
 
 
 def is_local_endo(m):
@@ -423,7 +442,7 @@ def is_local_endo(m):
         algebra_from_matrices(mats, m.algebra.p))
     if not commutative:
         return False  # noncommutative semisimple quotient: not a division ring
-    return _frobenius_kernel(bar).shape[0] == 1
+    return _frobenius_kernel(bar, np.eye(bar.dim, dtype=np.int64)).shape[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +450,22 @@ def is_local_endo(m):
 # ---------------------------------------------------------------------------
 
 
-def _berlekamp_split_commutative(bar, ker):
-    """A nontrivial idempotent of a commutative semisimple algebra, given
-    its Frobenius kernel."""
+def _berlekamp_split(bar, ker):
+    """A nontrivial idempotent of bar, given a Frobenius kernel of dimension
+    at least 2: for z in it outside F_p, mu_z divides X^p - X and so has
+    distinct roots, and g(z)/g(lambda) with g = mu_z/(X - lambda) is the
+    idempotent of z's lambda-eigenspace."""
     p = bar.p
     unit_solver = linalg.SpanSolver(bar.unit.reshape(1, -1), p)
     z = next((row for row in ker if not unit_solver.contains(row)), None)
     if z is None:
         raise DomainError("no splitting element found in Berlekamp kernel")
     mu = bar.element_min_poly(z)
-    # mu divides X^p - X, hence splits into distinct linear factors
     roots = np.nonzero(linalg.poly_eval_many(mu, np.arange(p), p) == 0)[0]
     lam = int(roots[0])
-    g, _ = linalg.poly_divmod(mu, np.array([(-lam) % p, 1], dtype=np.int64), p)
+    g = mu[1:].copy()  # synthetic division: g[k-1] = mu[k] + lam g[k]
+    for k in range(len(g) - 1, 0, -1):
+        g[k - 1] = (g[k - 1] + lam * g[k]) % p
     glam = int(linalg.poly_eval_many(g, np.array([lam]), p)[0])
     epoly = (g * pow(glam, -1, p)) % p
     return _poly_at_element(bar, epoly, z)
@@ -457,95 +479,25 @@ def _poly_at_element(struct, f, z):
     return acc
 
 
-def _find_idempotent_noncommutative(bar, rng):
-    """Search for a nontrivial idempotent via element minimal polynomials."""
-    p = bar.p
-    eye = np.eye(bar.dim, dtype=np.int64)
-    candidates = [eye[i] for i in range(bar.dim)]
-    for _ in range(200):
-        candidates.append(rng.integers(0, p, size=bar.dim, dtype=np.int64))
-    for z in candidates:
-        mu = bar.element_min_poly(z)
-        if linalg.poly_deg(mu) < 2:
-            continue
-        split = _coprime_split(mu, p, rng)
-        if split is None:
-            continue
-        f_part, g_part = split
-        d, u, v = linalg.poly_ext_gcd(f_part, g_part, p)
-        if linalg.poly_deg(d) != 0:
-            continue
-        dinv = pow(int(d[0]), -1, p)
-        e_poly = linalg.poly_mod(
-            (linalg.poly_mul(u, f_part, p) * dinv) % p, mu, p)
-        e = _poly_at_element(bar, e_poly, z)
-        if np.any(e) and not np.array_equal(e, bar.unit):
-            if np.array_equal(bar.multiply(e, e), e):
-                return e
+def _noncommutative_kernel(bar):
+    """The Frobenius kernel of F_p[z] = span(1, z, ..., z^(deg mu_z - 1))
+    for the first candidate z where it has dimension at least 2, that is,
+    where mu_z has two distinct irreducible factors.  The candidates are the
+    basis elements, then seeded random elements once all of those fail."""
+    def candidates():
+        yield from np.eye(bar.dim, dtype=np.int64)
+        rng = np.random.default_rng(_RNG_SEED)
+        for _ in range(200):
+            yield rng.integers(0, bar.p, size=bar.dim, dtype=np.int64)
+
+    for z in candidates():
+        powers = [bar.unit]
+        for _ in range(len(bar.element_min_poly(z)) - 2):
+            powers.append(bar.multiply(powers[-1], z))
+        ker = _frobenius_kernel(bar, np.array(powers))
+        if ker.shape[0] > 1:
+            return ker
     raise DomainError("failed to split a noncommutative semisimple quotient")
-
-
-def _coprime_split(mu, p, rng):
-    """mu = F*G with F, G coprime nonconstant, or None if mu is an
-    irreducible power."""
-    s = linalg.poly_squarefree_part(mu, p)
-    f = _ddf_smallest_factor(s, p, rng)
-    if f is None or linalg.poly_deg(f) == linalg.poly_deg(mu):
-        return None
-    f_power = f.copy()
-    while True:
-        q, r = linalg.poly_divmod(mu, linalg.poly_mul(f_power, f, p), p)
-        if linalg.poly_is_zero(r):
-            f_power = linalg.poly_mul(f_power, f, p)
-        else:
-            break
-    g, r = linalg.poly_divmod(mu, f_power, p)
-    if linalg.poly_is_zero(g) or linalg.poly_deg(g) < 1 or not linalg.poly_is_zero(r):
-        return None
-    return f_power, g
-
-
-def _ddf_smallest_factor(s, p, rng):
-    """Smallest-degree irreducible factor of a squarefree monic s."""
-    if linalg.poly_deg(s) < 1:
-        return None
-    x = np.array([0, 1], dtype=np.int64)
-    t = x.copy()
-    rem = linalg.poly_monic(s, p)
-    for d in range(1, linalg.poly_deg(s) + 1):
-        if linalg.poly_deg(rem) < 1:
-            return None
-        if linalg.poly_deg(rem) == d:
-            return rem
-        t = linalg.poly_pow_mod(t, p, rem, p)
-        diff = linalg.poly_trim((linalg.poly_sub(t, x, p)))
-        g = linalg.poly_gcd(diff, rem, p)
-        if linalg.poly_deg(g) >= 1:
-            if linalg.poly_deg(g) == d:
-                return g
-            return _equal_degree_split(g, d, p, rng)
-        # no factor of this degree; continue with rem unchanged
-    return None
-
-
-def _equal_degree_split(h, d, p, rng):
-    """One irreducible factor of h, where h is a product of distinct
-    irreducibles all of degree d (Cantor–Zassenhaus)."""
-    if linalg.poly_deg(h) == d:
-        return linalg.poly_monic(h, p)
-    e = (pow(p, d) - 1) // 2
-    while True:
-        a = rng.integers(0, p, size=linalg.poly_deg(h), dtype=np.int64)
-        a = linalg.poly_trim(a)
-        if linalg.poly_deg(a) < 1:
-            continue
-        b = linalg.poly_pow_mod(a, e, h, p)
-        b = linalg.poly_sub(b, np.array([1], dtype=np.int64), p)
-        g = linalg.poly_gcd(b, h, p)
-        if 0 < linalg.poly_deg(g) < linalg.poly_deg(h):
-            part = g if linalg.poly_deg(g) <= linalg.poly_deg(h) - linalg.poly_deg(g) \
-                else linalg.poly_divmod(h, g, p)[0]
-            return _equal_degree_split(part, d, p, rng)
 
 
 def _lift_idempotent(struct, e0):
@@ -565,22 +517,17 @@ def decompose(m):
     """Indecomposable direct summands of m, as (module, inclusion) pairs."""
     if m.dim == 0:
         return []
-    rng = np.random.default_rng(_RNG_SEED)
-    return _decompose_inner(m, rng)
-
-
-def _decompose_inner(m, rng):
     p = m.algebra.p
     mats = hom_basis(m, m)
     struct = algebra_from_matrices(mats, p)
     bar, lift, commutative = _semisimple_top(struct)
     if commutative:
-        ker = _frobenius_kernel(bar)
+        ker = _frobenius_kernel(bar, np.eye(bar.dim, dtype=np.int64))
         if ker.shape[0] == 1:
             return [(m, identity_map(m))]
-        ebar = _berlekamp_split_commutative(bar, ker)
     else:
-        ebar = _find_idempotent_noncommutative(bar, rng)
+        ker = _noncommutative_kernel(bar)
+    ebar = _berlekamp_split(bar, ker)
     e = _lift_idempotent(struct, ebar if lift is None else (lift @ ebar) % p)
     emat = np.tensordot(e, np.array(mats), axes=1) % p
     rest = (np.eye(m.dim, dtype=np.int64) - emat) % p
@@ -589,7 +536,7 @@ def _decompose_inner(m, rng):
         sub, incl = submodule(m, linalg.row_space(part.T, p))
         if sub.dim == 0:
             raise DomainError("idempotent splitting produced a zero part")
-        for piece, sub_incl in _decompose_inner(sub, rng):
+        for piece, sub_incl in decompose(sub):
             out.append((piece, incl.compose(sub_incl)))
     return out
 

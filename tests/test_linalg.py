@@ -129,49 +129,3 @@ def test_span_solver_rejects_outside_vector():
     solver = linalg.SpanSolver(rows, P)
     assert solver.coords(np.array([0, 0, 1])) is None
     assert solver.coords(np.array([[1, 0, 0], [0, 0, 1]])) is None
-
-
-def polys():
-    return st.lists(st.integers(0, P - 1), min_size=1, max_size=6)
-
-
-def _poly_add(f, g, p):
-    n = max(len(f), len(g))
-    out = (np.pad(f, (0, n - len(f))) + np.pad(g, (0, n - len(g)))) % p
-    return linalg.poly_trim(out)
-
-
-def _poly_eq(f, g, p):
-    return np.array_equal(linalg.poly_trim(np.asarray(f) % p),
-                          linalg.poly_trim(np.asarray(g) % p))
-
-
-@settings(max_examples=60)
-@given(polys(), polys())
-def test_poly_divmod_reconstructs(f, g):
-    if linalg.poly_is_zero(g):
-        return
-    q, r = linalg.poly_divmod(f, g, P)
-    back = _poly_add(linalg.poly_mul(q, g, P), r, P)
-    assert _poly_eq(back, f, P)
-    assert linalg.poly_deg(r) < linalg.poly_deg(g) or linalg.poly_is_zero(r)
-
-
-@settings(max_examples=60)
-@given(polys(), polys())
-def test_poly_gcd_divides_both(f, g):
-    d = linalg.poly_gcd(f, g, P)
-    if linalg.poly_is_zero(d):
-        assert linalg.poly_is_zero(f) and linalg.poly_is_zero(g)
-        return
-    for h in (f, g):
-        _, r = linalg.poly_divmod(h, d, P)
-        assert linalg.poly_is_zero(r)
-
-
-@settings(max_examples=40)
-@given(polys(), polys())
-def test_poly_ext_gcd_bezout(f, g):
-    d, s, t = linalg.poly_ext_gcd(f, g, P)
-    lhs = _poly_add(linalg.poly_mul(s, f, P), linalg.poly_mul(t, g, P), P)
-    assert _poly_eq(lhs, d, P)

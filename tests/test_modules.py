@@ -79,18 +79,8 @@ def test_fixtures_are_pairwise_non_isomorphic(ex3):
 
 
 def test_iso_is_basis_independent(ex3):
-    alg, mods = ex3[1], ex3[2]
-    m = mods["N"]
-    rng = np.random.default_rng(11)
-    while True:
-        g = rng.integers(0, alg.p, (m.dim, m.dim))
-        from tauseq import linalg
-        ginv = linalg.inverse(g, alg.p)
-        if ginv is not None:
-            break
-    conj = np.stack([(g @ m.action[i] @ ginv) % alg.p
-                     for i in range(alg.dim)])
-    assert is_iso(m, FdModule(alg, conj))
+    m = ex3[2]["N"]
+    assert is_iso(m, _rebased_module(m, 11))
 
 
 def test_iso_of_indecomposables_needs_no_random_search(ex2, monkeypatch):
@@ -121,17 +111,138 @@ def test_iso_of_direct_sums_compares_summands(ex2):
     assert not is_iso(total("S1", "P2"), total("P1", "I1"))
 
 
-def test_decompose_recovers_multiplicities(ex3):
-    alg, mods = ex3[1], ex3[2]
-    total, _, _ = direct_sum(alg, [mods["P1"], mods["M"], mods["M"],
-                                   mods["S2"]])
-    groups = {}
-    for piece, mult in decompose_grouped(total):
-        key = [k for k, v in mods.items() if is_iso(v, piece)]
-        assert len(key) == 1
-        groups[key[0]] = mult
-    assert groups == {"P1": 1, "M": 2, "S2": 1}
-    assert not is_local_endo(total)
+KRONECKER = """field 32003
+vertex 1
+vertex 2
+arrow a 1 2
+arrow b 1 2
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _kronecker_modules():
+    """The Kronecker algebra with R, the regular module at the irreducible
+    quadratic point X^2 - n for a non-residue n (End R = F_{p^2}), and Q,
+    the regular module at the rational point 0 (End Q = F_p)."""
+    qp, alg = parse_algebra(KRONECKER)
+    p = alg.p
+    n = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+    mods = parse_modules(f"""module R
+dims 1:2 2:2
+arrow a = [[1, 0], [0, 1]]
+arrow b = [[0, {n}], [1, 0]]
+
+module Q
+dims 1:1 2:1
+arrow a = [[1]]
+arrow b = [[0]]
+""", qp, alg)
+    return alg, mods
+
+
+def _decomposition_cases():
+    """(sum module, {name: multiplicity}, reference modules by name): S1^3
+    on ex1, R^2, R^3 and R + Q + R over the Kronecker algebra, and
+    P1 + M + M + S2 on ex3.  Only modules are decomposed: the Kronecker
+    algebra is tau-tilting infinite."""
+    cases = []
+    for stem, names in (("ex1", ["S1"] * 3),
+                        ("ex3", ["P1", "M", "M", "S2"])):
+        _, alg, mods = load_example(stem)
+        cases.append((alg, mods, names))
+    alg, mods = _kronecker_modules()
+    cases += [(alg, mods, names) for names in
+              (["R"] * 2, ["R"] * 3, ["R", "Q", "R"])]
+    return [(direct_sum(alg, [mods[n] for n in names])[0],
+             {n: names.count(n) for n in names}, mods)
+            for alg, mods, names in cases]
+
+
+def _rebased_module(m, seed):
+    """m in a random basis: its Hom bases, and so the basis of its top, are
+    no longer made of block matrices."""
+    p = m.algebra.p
+    rng = np.random.default_rng(seed)
+    ginv = None
+    while ginv is None:
+        g = rng.integers(0, p, (m.dim, m.dim))
+        ginv = linalg.inverse(g, p)
+    return FdModule(m.algebra, (g @ m.action % p) @ ginv % p)
+
+
+def test_decompose_recovers_multiplicities():
+    # each case also in a random basis, but R^3 (dim 12), whose Hom systems
+    # without vertex blocks take a second
+    cases = _decomposition_cases()
+    for total, want, mods in cases + [(_rebased_module(total, 11), want, mods)
+                                      for total, want, mods in cases
+                                      if total.dim <= 10]:
+        p = total.algebra.p
+        parts = decompose(total)
+        names = []
+        for piece, _ in parts:
+            key = [k for k, v in mods.items() if is_iso(v, piece)]
+            assert len(key) == 1 and is_local_endo(piece)
+            names += key
+        assert {n: names.count(n) for n in names} == want
+        assert not is_local_endo(total)
+        # the inclusions [i_1 | ... | i_k] are an isomorphism onto total
+        incl = np.hstack([i.matrix for _, i in parts])
+        assert incl.shape == (total.dim, total.dim)
+        assert linalg.rank(incl, p) == total.dim
+
+
+def test_decompose_draws_no_random_numbers(monkeypatch):
+    # R^3 and S1^3 have noncommutative tops (M_3(F_{p^2}) and M_3(F_p)),
+    # and a basis element of each splits it, so the seeded fallback is
+    # never reached
+    cases = [c for c in _decomposition_cases() if c[1] in (
+        {"R": 3}, {"S1": 3}, {"P1": 1, "M": 2, "S2": 1})]
+    assert len(cases) == 3
+
+    def no_draws(*args, **kw):
+        raise AssertionError("decompose drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for total, want, _ in cases:
+        assert len(decompose(total)) == sum(want.values())
+
+
+def test_direct_sum_takes_generator_actions_from_its_summands(
+        ex3, monkeypatch):
+    """Every direct sum that a presentation or tau builds over ex1-3 and
+    linear A5 has the generator actions and basis vertices of the einsum
+    over its own action tensor."""
+    from tauseq import complexes
+
+    sums, real = [], modules.direct_sum
+
+    def recording(alg, summands):
+        out = real(alg, summands)
+        sums.append(out[0])
+        return out
+
+    monkeypatch.setattr(complexes, "direct_sum", recording)
+    cases = [load_example(stem)[2].values() for stem in ("ex1", "ex2", "ex3")]
+    cases.append(_interval_modules(5)[1].values())
+    for mods in cases:
+        for m in mods:
+            min_presentation(m)
+            complexes.tau(m)
+    # a basis that is not adapted: the sum's basis vertices are None too
+    alg = rebased_algebra(ex3[1], 5)
+    sums.append(real(alg, [f(alg, v) for f in (projective_module,
+                                               injective_module)
+                           for v in range(3)])[0])
+    assert len(sums) > 100
+    for s in sums:
+        fresh = FdModule(s.algebra, s.action, check=False)
+        got, want = s.gen_actions(), fresh.gen_actions()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        v, w = s.basis_vertices(), fresh.basis_vertices()
+        assert (v is None) == (w is None)
+        assert v is None or (v.dtype == w.dtype and np.array_equal(v, w))
+    assert sums[-1].basis_vertices() is None
 
 
 def test_decompose_indecomposable_is_identity(ex3):
