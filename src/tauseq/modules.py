@@ -3,9 +3,9 @@
 A module is an action tensor (one matrix per algebra basis element) over
 F_p.  Provides Hom spaces, endomorphism rings, indecomposable direct-sum
 decomposition by idempotents of End(M) (one Berlekamp split of its top, on
-the whole top when that is commutative and on F_p[z] otherwise), trace
-submodules and torsion-free quotients, and minimal left/right
-add(U)-approximations.
+the whole top when that is commutative and on F_p[z] otherwise; none when
+End(M) = k), trace submodules and torsion-free quotients, and minimal
+left/right add(U)-approximations, with rad End(⊕U) read off the summands.
 """
 
 import numpy as np
@@ -50,6 +50,7 @@ class FdModule:
         self._gen_act = None
         self._vertex_of = None
         self._summands = None  # set by direct_sum
+        self._rad_end = None  # set by _end_radical
         if check and self.dim:
             self._validate()
 
@@ -358,29 +359,19 @@ def hom_dim(m, n):
 
 
 class EndData:
-    """An endomorphism ring, coordinatized.
+    """An endomorphism ring of a direct sum, coordinatized.
 
     Attributes:
-        module: the underlying module (a direct sum when built from a list).
         mats: basis matrices.
-        struct: StructAlgebra with the opposite product, so that Hom(module, X)
+        struct: StructAlgebra with the opposite product, so that Hom(sum, X)
             becomes a left struct-module under precomposition.
-        embs, prs: the embeddings/projections of the summands.
-        idem_mats: the block projection idempotents (one per summand).
+        prs: the projections onto the summands.
     """
 
-    def __init__(self, module, mats, struct, embs, prs, idem_mats):
-        self.module = module
+    def __init__(self, mats, struct, prs):
         self.mats = mats
         self.struct = struct
-        self.embs = embs
         self.prs = prs
-        self.idem_mats = idem_mats
-
-    def radical_mats(self):
-        rad = self.struct.radical_rows()
-        return list(np.tensordot(rad, np.array(self.mats), axes=1)
-                    % self.struct.p)
 
 
 def end_algebra(summands, vertex_labels=None):
@@ -389,7 +380,7 @@ def end_algebra(summands, vertex_labels=None):
         raise DomainError("empty summand list")
     alg = summands[0].algebra
     p = alg.p
-    total, embs, prs = direct_sum(alg, summands)
+    _, embs, prs = direct_sum(alg, summands)
     mats = []
     for i, mi in enumerate(summands):
         for j, mj in enumerate(summands):
@@ -401,7 +392,7 @@ def end_algebra(summands, vertex_labels=None):
     # pass them as idempotent matrices to coordinate lookup.
     struct = algebra_from_matrices(mats, p, vertex_labels=vertex_labels,
                                    idempotent_mats=idem_mats)
-    return EndData(total, mats, struct, embs, prs, idem_mats)
+    return EndData(mats, struct, prs)
 
 
 def _semisimple_top(struct):
@@ -519,6 +510,8 @@ def decompose(m):
         return []
     p = m.algebra.p
     mats = hom_basis(m, m)
+    if len(mats) == 1:
+        return [(m, identity_map(m))]  # End(m) = k
     struct = algebra_from_matrices(mats, p)
     bar, lift, commutative = _semisimple_top(struct)
     if commutative:
@@ -543,7 +536,10 @@ def decompose(m):
 
 def decompose_grouped(m):
     """[(indecomposable, multiplicity)] with one representative per iso class."""
-    parts = decompose(m)
+    return _grouped(decompose(m))
+
+
+def _grouped(parts):
     groups = []
     for piece, _ in parts:
         for rep in groups:
@@ -579,10 +575,10 @@ def is_iso(m, n):
         return False
     if any(linalg.rank(h, p) == m.dim for h in homs):
         return True
-    if is_local_endo(m) or is_local_endo(n):
-        return False
-    gm, gn = decompose_grouped(m), decompose_grouped(n)
-    return len(gm) == len(gn) and all(
+    pm = decompose(m)  # one split per side; one piece is indecomposable
+    pn = pm if len(pm) == 1 else decompose(n)
+    gm, gn = _grouped(pm), _grouped(pn)
+    return len(pn) > 1 and len(gm) == len(gn) and all(
         any(k == kn and is_iso(x, y) for y, kn in gn) for x, k in gm)
 
 
@@ -621,32 +617,56 @@ def in_gen(u, x):
 # ---------------------------------------------------------------------------
 
 
+def _end_radical(m):
+    """rad End(m) as (r, dim, dim) matrices, cached: none when End(m) = k,
+    else from End(m) coordinatized (its residue field may be larger)."""
+    if m._rad_end is None:
+        mats = np.array(hom_basis(m, m))
+        m._rad_end = mats[:0] if len(mats) == 1 else np.tensordot(
+            algebra_from_matrices(mats, m.algebra.p).radical_rows(), mats,
+            axes=1) % m.algebra.p
+    return m._rad_end
+
+
+def _sum_radical(summands, embs, prs):
+    """rad End(⊕ summands) as (r, t, t) block matrices emb_j g pr_i: g in
+    Hom(u_i, u_j) for i != j, and in rad End(u_i) for i = j."""
+    p, t = summands[0].algebra.p, embs[0].shape[0]
+    rad = [(embs[j] @ g @ prs[i]) % p
+           for i, ui in enumerate(summands)
+           for j, uj in enumerate(summands)
+           for g in (_end_radical(ui) if i == j else hom_basis(ui, uj))]
+    return np.array(rad, dtype=np.int64).reshape(-1, t, t)
+
+
 def _min_approx(x, u_summands, right):
     """Minimal right (sum -> x) or left (x -> sum) add(⊕u_summands)-
-    approximation of x.
-
-    Maps are handled as matrices x <- sum: a left map is transposed, which
-    permutes the flattened entries of every candidate in the same way and
-    so changes no rank test, and the result is transposed back.
+    approximation of x: the maps h e_j (h in a basis of Hom, e_j a block
+    idempotent) outside the span of the h r and of the maps before them,
+    r in rad End(⊕u_i) = every map between distinct u_i plus each
+    rad End(u_i) (Auslander-Reiten-Smalø §V.7), for pairwise non-isomorphic
+    indecomposable u_i or one module, as every caller passes.  Left maps
+    are handled transposed, as x <- sum (the same permutation of every
+    candidate's entries, so no rank test changes), and turned back.
     Returns (the sum, ModuleMap, list of summand indices used).
     """
-    alg = x.algebra
-    p = alg.p
+    alg, p = x.algebra, x.algebra.p
     u_summands = [u for u in u_summands if u.dim]
-    kept = []  # (summand index, map x <- u_j)
+    kept, homs = [], []  # kept: (summand index, map x <- u_j)
     if u_summands:
-        end = end_algebra(u_summands)
-        homs = hom_basis(end.module, x) if right else \
-            [h.T for h in hom_basis(x, end.module)]
-        rad_mats = [r if right else r.T for r in end.radical_mats()]
-        width = x.dim * end.module.dim
-        w_rows = [(h @ r) % p for h in homs for r in rad_mats]
-        cands = [(h @ pj) % p for pj in end.idem_mats for h in homs]
+        total, embs, prs = direct_sum(alg, u_summands)
+        homs = hom_basis(total, x) if right else \
+            [h.T for h in hom_basis(x, total)]
+    if homs:
+        homs = np.array(homs)
+        rad = _sum_radical(u_summands, embs, prs)
+        rad = rad if right else rad.transpose(0, 2, 1)
+        idem = np.array([e @ pr for e, pr in zip(embs, prs)])
         new = linalg.extend_basis(
-            np.array(w_rows, dtype=np.int64).reshape(len(w_rows), width),
-            np.array(cands, dtype=np.int64).reshape(len(cands), width), p)
+            ((homs[:, None] @ rad[None]) % p).reshape(-1, homs[0].size),
+            ((homs[None] @ idem[:, None]) % p).reshape(-1, homs[0].size), p)
         for j, f in (divmod(i, len(homs)) for i in new):
-            kept.append((j, (homs[f] @ end.embs[j]) % p))
+            kept.append((j, (homs[f] @ embs[j]) % p))
     used = [j for j, _ in kept]
     summ, _, _ = direct_sum(alg, [u_summands[j] for j in used])
     mat = np.hstack([np.zeros((x.dim, 0), dtype=np.int64)] +

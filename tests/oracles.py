@@ -39,6 +39,10 @@ with its transport.
 Rigidity and J(u) are read off hom dimensions and g-vectors by the AR
 formula; `tau_hom`, `tau_rigid`, `tau_compatible` and `tau_j_membership`
 are the definitions through the AR translate tau that they replaced.
+
+Minimal approximations take rad End(+ u_i) as the maps between distinct
+summands and each summand's own rad End; `end_radical_mats` and
+`min_approx_by_end` are the coordinatized End(+ u_i) route they replaced.
 """
 
 import numpy as np
@@ -48,9 +52,9 @@ from tauseq import linalg
 from tauseq.algebra import (quotient_by_ideal, quotient_by_idempotent_ideal,
                             two_sided_ideal_rows)
 from tauseq.errors import DomainError
-from tauseq.modules import (FdModule, end_algebra, hom_basis, hom_dim, in_gen,
-                            is_local_endo, min_left_approx, quotient_module,
-                            top_quotient)
+from tauseq.modules import (FdModule, ModuleMap, direct_sum, end_algebra,
+                            hom_basis, hom_dim, in_gen, is_local_endo,
+                            min_left_approx, quotient_module, top_quotient)
 
 
 def scan_support_tau_rigid(reg, items):
@@ -346,3 +350,40 @@ def tau_j_membership(u, x):
     if isinstance(u, int):
         return hom_dim(cxs.proj_list(x.algebra)[u], x) == 0
     return hom_dim(u, x) == 0 and tau_hom(x, u) == 0
+
+
+def end_radical_mats(u_summands):
+    """rad End(+ u_summands) as matrices on the sum: the trace-form radical
+    rows of the coordinatized End algebra times its basis matrices."""
+    end = end_algebra(u_summands)
+    return np.tensordot(end.struct.radical_rows(), np.array(end.mats),
+                        axes=1) % end.struct.p
+
+
+def min_approx_by_end(x, u_summands, right):
+    """(the sum, ModuleMap, used) of the minimal right (sum -> x) or left
+    (x -> sum) approximation, with the radical of end_algebra: keep the
+    candidates h e_j outside the span of the h r, r in rad End, and of the
+    candidates before them."""
+    p = x.algebra.p
+    u_summands = [u for u in u_summands if u.dim]
+    kept = []  # (summand index, map x <- u_j)
+    if u_summands:
+        total, embs, prs = direct_sum(x.algebra, u_summands)
+        homs = hom_basis(total, x) if right else \
+            [h.T for h in hom_basis(x, total)]
+        rad = [r if right else r.T for r in end_radical_mats(u_summands)]
+        width = x.dim * total.dim
+        w_rows = [(h @ r) % p for h in homs for r in rad]
+        cands = [(h @ e @ pr) % p for e, pr in zip(embs, prs) for h in homs]
+        new = linalg.extend_basis(
+            np.array(w_rows, dtype=np.int64).reshape(len(w_rows), width),
+            np.array(cands, dtype=np.int64).reshape(len(cands), width), p)
+        for j, f in (divmod(i, len(homs)) for i in new):
+            kept.append((j, (homs[f] @ embs[j]) % p))
+    used = [j for j, _ in kept]
+    summ, _, _ = direct_sum(x.algebra, [u_summands[j] for j in used])
+    mat = np.hstack([np.zeros((x.dim, 0), dtype=np.int64)] +
+                    [mp for _, mp in kept]) % p
+    return summ, (ModuleMap(summ, x, mat) if right else
+                  ModuleMap(x, summ, mat.T)), used

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import item_of, load_example, rebased_algebra
+from conftest import (dynkin_text, item_of, load_example, nakayama_text,
+                      rebased_algebra)
 from oracles import (act_radical_rows, close_by_stacking, dense_mult,
                      solve_restricted_action)
 from tauseq import linalg, modules
@@ -24,6 +25,7 @@ from tauseq.modules import (FdModule, decompose, decompose_grouped,
                             projective_module, radical_rows, simple_module,
                             submodule, top_quotient, torsion_free_quotient,
                             trace_submodule, zero_module)
+from tauseq.tautilt import enumerate_support_tau_tilting
 from test_algebra import linear_quiver_text
 
 
@@ -250,6 +252,59 @@ def test_decompose_indecomposable_is_identity(ex3):
     parts = decompose(mods["N"])
     assert len(parts) == 1
     assert is_iso(parts[0][0], mods["N"])
+
+
+@pytest.mark.parametrize("text", [linear_quiver_text(5),
+                                  linear_quiver_text(5, True),
+                                  dynkin_text("D", 4)])
+def test_decompose_of_a_brick_builds_no_end_algebra(text, monkeypatch):
+    # every indecomposable of these algebras has End = k
+    _, reg = enumerate_support_tau_tilting(parse_algebra(text)[1])
+
+    def refuse(*args, **kw):
+        raise AssertionError("decompose built an End algebra")
+
+    monkeypatch.setattr(modules, "algebra_from_matrices", refuse)
+    for i in range(len(reg)):
+        m = reg.module(i)
+        (piece, incl), = decompose(m)
+        assert piece is m and incl.source is m and incl.target is m
+        assert np.array_equal(incl.matrix, np.eye(m.dim, dtype=np.int64))
+
+
+def test_decompose_of_a_local_non_brick_builds_its_end_algebra(monkeypatch):
+    # the projectives of Lambda_3^4 have End of dimension 2, local
+    alg = parse_algebra(nakayama_text(3, 4))[1]
+    built, real = [], modules.algebra_from_matrices
+
+    def counted(*args, **kw):
+        built.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(modules, "algebra_from_matrices", counted)
+    for v in range(3):
+        pv = projective_module(alg, v)
+        (piece, _), = decompose(pv)
+        assert piece is pv and len(built) == v + 1 and len(built[v]) == 2
+
+
+def test_is_iso_decomposes_each_side_once(ex3, monkeypatch):
+    # no basis map of Hom(m, n) is invertible, so both sides are split and
+    # compared summand by summand; locality is read off the one split of
+    # each side, so each 8 x 8 self-Hom system is solved once
+    _, alg, mods = ex3
+    m = direct_sum(alg, [mods[k] for k in ("P1", "M", "M", "S2")])[0]
+    n = direct_sum(alg, [mods[k] for k in ("S2", "M", "P1", "M")])[0]
+    calls, real = [], modules.hom_basis
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(modules, "hom_basis", counted)
+    assert m.dim == 8 and is_iso(m, n)
+    assert len(calls) < 22
+    assert sum(a is b and a.dim == 8 for a, b in calls) == 2
 
 
 def test_radical_and_top_of_projective(ex3):

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import (dynkin_text, item_of, monomial_quiver_texts,
                       nakayama_text)
-from oracles import (scan_completion, scan_partner, scan_support_tau_rigid,
-                     triangle_bongartz)
+from oracles import (end_radical_mats, min_approx_by_end, scan_completion,
+                     scan_partner, scan_support_tau_rigid, triangle_bongartz)
 from test_algebra import linear_quiver_text
 import itertools
 import math
 
 from tauseq import complexes as cxs
-from tauseq import linalg, tautilt
+from tauseq import linalg, modules, tautilt
 from tauseq.algebra import parse_algebra
 from tauseq.complexes import (end_K, hminus1, hom_K_dim, min_presentation,
                               proj_list, tau)
@@ -202,13 +202,18 @@ def _count_triangles(monkeypatch):
 
 
 def _algebra_case(case, request):
+    """ex1-3, linear A_n ("A4"), rad^2 = 0 A_n ("rad2-A4"), D4, and the
+    Nakayama algebras Lambda_n^ell ("Lambda4" is Lambda_4^4, "Lambda3-4"
+    is Lambda_3^4)."""
     if case.startswith("ex"):
         return request.getfixturevalue(case)[1]
-    if case == "Lambda4":
-        return parse_algebra(nakayama_text(4, 4))[1]
-    n, rad2 = {"A3": (3, False), "rad2-A3": (3, True), "A4": (4, False),
-               "rad2-A4": (4, True)}[case]
-    return parse_algebra(linear_quiver_text(n, rad2))[1]
+    if case.startswith("Lambda"):
+        n, _, ell = case[len("Lambda"):].partition("-")
+        return parse_algebra(nakayama_text(int(n), int(ell or n)))[1]
+    if case == "D4":
+        return parse_algebra(dynkin_text("D", 4))[1]
+    return parse_algebra(linear_quiver_text(int(case[-1]),
+                                            case.startswith("rad2-")))[1]
 
 
 @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A4", "rad2-A4"])
@@ -280,6 +285,48 @@ def test_left_exchange_by_cokernel_matches_the_triangle(case, request):
             else:
                 assert mod.dim == 0 and shifted == [v], (obj, k)
     assert module_partners > 0
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A3", "A4", "A5",
+                                  "rad2-A4", "rad2-A5", "Lambda4",
+                                  "Lambda3-4", "Lambda2-3", "D4"])
+def test_approximation_radical_matches_the_end_algebra(case, request,
+                                                       monkeypatch):
+    # every left approximation that enumeration and the correspondence of
+    # each registry module ask for: rad End(+ U) from the blocks spans the
+    # End algebra's radical, and the approximation is the End route's
+    alg = _algebra_case(case, request)
+    p = alg.p
+    calls, real = [], tautilt.min_left_approx
+
+    def recording(x, u_summands):
+        calls.append((x, list(u_summands)))
+        return real(x, u_summands)
+
+    monkeypatch.setattr(tautilt, "min_left_approx", recording)
+    objs, reg = enumerate_support_tau_tilting(alg)
+    for i in range(len(reg)):
+        complement_correspondence(reg, objs, reg.module(i))
+    seen, local_radicals = set(), 0
+    for x, us in calls:
+        if (key := (id(x),) + tuple(map(id, us))) in seen:
+            continue
+        seen.add(key)
+        total, embs, prs = direct_sum(alg, us)
+        width = total.dim * total.dim
+        block = modules._sum_radical(us, embs, prs).reshape(-1, width)
+        want = end_radical_mats(us).reshape(-1, width)
+        assert np.array_equal(linalg.row_space(block, p),
+                              linalg.row_space(want, p)), (case, key)
+        local_radicals += sum(len(modules._end_radical(u)) > 0 for u in us)
+        tgt, beta, used = real(x, us)
+        tgt2, beta2, used2 = min_approx_by_end(x, us, right=False)
+        assert np.array_equal(tgt.action, tgt2.action)
+        assert np.array_equal(beta.matrix, beta2.matrix) and used == used2
+    assert seen
+    # the projectives of Lambda_3^4 and Lambda_2^3 have End of dimension
+    # 2, local with a nonzero radical
+    assert local_radicals > 0 or case not in ("Lambda3-4", "Lambda2-3")
 
 
 class _SmallModules(Registry):
