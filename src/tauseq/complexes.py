@@ -10,8 +10,9 @@ first-applied entry on the left: phi_y . phi_x = phi_{x*y}.
 Provides Gaussian reduction to minimal complexes, cones and shifts, Hom
 spaces in the homotopy category (including shifted ones), endomorphism rings
 of two-term objects, minimal left and right approximations in the homotopy
-category, minimal presentations and g-vectors, Hom(y, tau x) by the AR
-formula, the AR translate itself (for the tau command), and Ext^1.
+category, minimal presentations (cached on the module) and g-vectors,
+Hom(y, tau x) by one rank on x's presentation, the AR translate itself
+(for the tau command), and Ext^1.
 """
 
 import numpy as np
@@ -19,10 +20,10 @@ import numpy as np
 from . import linalg
 from .algebra import StructAlgebra, block_terms
 from .errors import DomainError
-from .modules import (ModuleMap, direct_sum, hom_basis, hom_dim,
-                      identity_map, injective_module, projective_module,
-                      quotient_module, radical_rows, right_mult_module_map,
-                      submodule, top_quotient, zero_module)
+from .modules import (ModuleMap, direct_sum, hom_basis, identity_map,
+                      injective_module, projective_module, quotient_module,
+                      radical_rows, right_mult_module_map, submodule,
+                      top_quotient, zero_module)
 
 
 def proj_list(alg):
@@ -544,21 +545,36 @@ def min_presentation(m):
     return cx
 
 
+def presentation(m):
+    """min_presentation(m), cached on m."""
+    if not hasattr(m, "_tauseq_pres"):
+        m._tauseq_pres = min_presentation(m)
+    return m._tauseq_pres
+
+
 def g_vector(m):
     """g = [P^0] - [P^-1] of m's minimal presentation, counted per vertex;
     a tuple, cached on m."""
     if not hasattr(m, "_tauseq_g"):
-        pres, n = min_presentation(m), m.algebra.idempotents.shape[0]
+        pres, n = presentation(m), m.algebra.idempotents.shape[0]
         m._tauseq_g = tuple((np.bincount(pres.at(0), minlength=n) -
                              np.bincount(pres.at(-1), minlength=n)).tolist())
     return m._tauseq_g
 
 
 def hom_to_tau(y, x):
-    """dim Hom(y, tau x) = hom(x, y) - <g(x), dim y>, with no tau x built:
-    0 -> Hom(x, y) -> Hom(P^0, y) -> Hom(P^-1, y) -> D Hom(y, tau x) -> 0
-    is exact (Adachi-Iyama-Reiten, Prop 2.4) and hom(P_v, y) = (dim y)_v."""
-    return hom_dim(x, y) - int(np.dot(g_vector(x), y.vertex_dims()))
+    """dim Hom(y, tau x) by one rank, with no tau x and no Hom system:
+    Hom(P^0, y) -> Hom(P^-1, y) -> D Hom(y, tau x) -> 0 is exact for x's
+    minimal presentation d (Adachi-Iyama-Reiten, Prop 2.4).  Hom(P_b, y) =
+    e_b y and m -> m t sends v to t v, so Hom(d, y) is y's action on d's
+    entries; dropping zero rows and columns keeps its rank in any basis."""
+    neg, p = presentation(x).at(-1), y.algebra.p
+    if not neg or not y.dim:
+        return 0
+    mat = np.einsum("rci,iab->carb", presentation(x).diff(-1), y.action)
+    mat = mat.reshape(len(neg) * y.dim, -1) % p
+    mat = mat[mat.any(axis=1)][:, mat.any(axis=0)]
+    return sum(y.vertex_dims()[a] for a in neg) - linalg.rank(mat, p)
 
 
 def h0(cx):

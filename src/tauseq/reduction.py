@@ -1,5 +1,5 @@
-"""Perpendicular reduction: J(u) membership, read off hom(u, x) and the
-pairing of g(u) with dim x (no tau u is built), the bijection E_S between the
+"""Perpendicular reduction: J(u) membership, read off <g(u), dim x> and one
+rank on u's presentation (no tau u is built), the bijection E_S between the
 root items compatible with a set S and the signed objects of J(S), read in
 one step off the root, and the reduced algebra Gamma with its transport
 equivalence along a chain of single reductions.
@@ -40,7 +40,7 @@ import numpy as np
 from . import complexes as cxs
 from . import linalg
 from .errors import DomainError
-from .modules import (FdModule, end_algebra, hom_basis, hom_dim, is_iso,
+from .modules import (FdModule, end_algebra, hom_basis, is_iso,
                       quotient_module, torsion_free_quotient, zero_module)
 from .tautilt import (Registry, SignedObject, canonical, completion,
                       g_pairing, g_partner, indec_tau_rigid_items)
@@ -49,9 +49,10 @@ from .tautilt import (Registry, SignedObject, canonical, completion,
 def j_membership(u, x):
     """Is x an object of J(u)?
 
-    For a module reducer u: Hom(u, x) = 0 and Hom(x, tau u) = 0, where
-    given the first, dim Hom(x, tau u) = -<g(u), dim x> (cxs.hom_to_tau);
-    for a shifted reducer P_v[1]: Hom(P_v, x) = 0, that is (dim x)_v = 0.
+    For a module reducer u: Hom(u, x) = 0 and Hom(x, tau u) = 0, that is
+    <g(u), dim x> = 0 and hom(x, tau u) = 0, as hom(u, x) = hom(x, tau u)
+    + <g(u), dim x> (cxs.hom_to_tau); for a shifted reducer P_v[1]:
+    Hom(P_v, x) = 0, that is (dim x)_v = 0.
     """
     if x.dim == 0:
         return True
@@ -59,8 +60,8 @@ def j_membership(u, x):
         if u.is_shift:
             return x.vertex_dims()[u.vertex] == 0
         u = u.module
-    return (hom_dim(u, x) == 0
-            and not np.dot(cxs.g_vector(u), x.vertex_dims()))
+    return (not np.dot(cxs.g_vector(u), x.vertex_dims())
+            and cxs.hom_to_tau(x, u) == 0)
 
 
 class ReducedObject:

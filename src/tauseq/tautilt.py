@@ -8,9 +8,10 @@ reduction level, given that level's registry and objects.
 Objects live in mod A together with shifted projectives (Ae_i)[1]; internally
 a summand is an item ('m', registry id) or ('p', vertex index), and an object
 is a tuple of items (sorted for the unordered form).  Compatibility is a test
-on bit masks of the registry's rigid items, filled from hom dimensions and
-g-vectors (cxs.hom_to_tau); mutation looks partners up, and discovers new
-ones by cokernels in mod A, or on the right by K^b triangles.
+on bit masks of the registry's rigid items, filled by one rank each way on
+the modules' cached presentations (cxs.hom_to_tau); mutation looks partners
+up, and discovers new ones by cokernels in mod A, or on the right by K^b
+triangles.
 """
 
 from fractions import Fraction
@@ -50,7 +51,6 @@ class Registry:
         self.mods = []
         self.names = []
         self._buckets = {}
-        self._pres = {}
         self._compat = {}
         self._split = {}  # id(m) -> (m, summand ids); holding m pins its id
         self._g_inv = {}  # object -> inverse of its g-matrix
@@ -164,9 +164,7 @@ class Registry:
         return mask
 
     def pres(self, idx):
-        if idx not in self._pres:
-            self._pres[idx] = cxs.min_presentation(self.mods[idx])
-        return self._pres[idx]
+        return cxs.presentation(self.mods[idx])
 
     def g_vector(self, item):
         """g = [P^0] - [P^-1] of the item's minimal presentation, counted

@@ -136,8 +136,8 @@ def test_generator_rows_match_the_top_route(case, least, monkeypatch):
         alg = parse_algebra(linear_quiver_text(
             int(case[-1]), rad_square_zero=case.startswith("rad2")))[1]
     _, reg = enumerate_support_tau_tilting(alg)
-    for idx in range(len(reg)):
-        reg.pres(idx)
+    for m in reg.mods:  # afresh: enumeration cached every presentation
+        min_presentation(m)
     assert len(seen) >= least
 
 
@@ -161,8 +161,9 @@ def _changes_of_basis(k, p, rng):
 def test_presentations_in_other_bases(stem, request):
     """A module in another basis has the same presentation terms, one
     summand of P^0 per top basis element, a cover onto it, an isomorphic
-    tau and the same dimension vector; vertex_dims equals the rank of each
-    idempotent's action on every basis."""
+    tau, the same dimension vector, the same Hom(-, tau -) both ways with
+    every fixture module and the same tau-rigidity; vertex_dims equals the
+    rank of each idempotent's action on every basis."""
     _, alg, mods = request.getfixturevalue(stem)
     p, n = alg.p, alg.idempotents.shape[0]
     rng = np.random.default_rng(11)
@@ -182,6 +183,10 @@ def test_presentations_in_other_bases(stem, request):
                 assert x.vertex_dims() == tuple(
                     linalg.rank(e, p) for e in x.gen_actions()[:n])
             assert c.vertex_dims() == m.vertex_dims()
+            assert is_tau_rigid(c) == is_tau_rigid(m)
+            for x in mods.values():
+                assert cxs.hom_to_tau(c, x) == cxs.hom_to_tau(m, x)
+                assert cxs.hom_to_tau(x, c) == cxs.hom_to_tau(x, m)
     assert mixed >= 2
 
 

@@ -126,6 +126,28 @@ def test_pairwise_compatibility_matches_direct_sum(stem, exname, request):
     assert negatives
 
 
+@pytest.mark.parametrize("case", ["ex3", "A4"])
+def test_compatibility_solves_no_hom_system(case, request, monkeypatch):
+    """With every presentation cached, compatibility of two distinct
+    registry modules is one rank each way on a presentation: no
+    hom_basis call."""
+    alg = _algebra_case(case, request)
+    reg = Registry(alg)
+    for m in enumerate_support_tau_tilting(alg)[1].mods:
+        cxs.presentation(reg.module(reg.add(m, name="")))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return hom_basis(*args)
+
+    monkeypatch.setattr(modules, "hom_basis", counting)
+    monkeypatch.setattr(cxs, "hom_basis", counting)
+    for a, b in itertools.combinations(range(len(reg)), 2):
+        reg.compatible(("m", a), ("m", b))
+    assert len(reg) > 5 and calls == []
+
+
 @pytest.mark.parametrize("stem", ["ex1", "ex2", "ex3"])
 def test_projectives_are_tau_rigid(stem, request):
     _, alg, _ = request.getfixturevalue(stem)
