@@ -193,7 +193,6 @@ class StructAlgebra:
         self.vertex_labels = list(vertex_labels)
         self._radical = None
         self._corners = {}
-        self._rad_sq_dim = None
         self._gens = None
         self._gen_terms = None
         self._jk_layers = None
@@ -310,12 +309,6 @@ class StructAlgebra:
             self._radical = linalg.row_space(linalg.kernel_basis(gram, self.p), self.p)
         return self._radical
 
-    def radical_square_dim(self):
-        if self._rad_sq_dim is None:
-            prods = self._radical_products()
-            self._rad_sq_dim = linalg.rank(prods, self.p) if prods.size else 0
-        return self._rad_sq_dim
-
     def _radical_products(self):
         """Rows spanning rad^2: the distinct nonzero products r*s of radical
         basis rows.  Each entry of r times a term times an entry of s is one
@@ -352,7 +345,9 @@ class StructAlgebra:
         return out
 
     def arrow_count(self):
-        return self.radical_rows().shape[0] - self.radical_square_dim()
+        """dim rad/rad^2: the generator vectors past the idempotents lift a
+        basis of it."""
+        return len(self.generator_vectors()) - self.idempotents.shape[0]
 
     def invariants(self):
         """(number of idempotents, dimension, arrow count)."""

@@ -149,13 +149,13 @@ def _emit(fmt, headers, rows, payload, preamble=None):
     return body
 
 
-def _emit_line(fmt, text, payload, sep=", "):
+def _emit_line(fmt, text, payload):
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "tsv" and isinstance(text, (list, tuple)):
         return "\t".join(text) + "\n"
     if isinstance(text, (list, tuple)):
-        text = sep.join(text)
+        text = ", ".join(text)
     return str(text) + "\n"
 
 

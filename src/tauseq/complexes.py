@@ -12,7 +12,9 @@ spaces in the homotopy category (including shifted ones), endomorphism rings
 of two-term objects, minimal left and right approximations in the homotopy
 category, minimal presentations (cached on the module) and g-vectors,
 Hom(y, tau x) by one rank on x's presentation, the AR translate itself
-(for the tau command), and Ext^1.
+(for the tau command, read at the pivots of the injectives' RREF bases),
+and Ext^1.  An empty degree is the zero direct sum, so no route branches
+on it.
 """
 
 import numpy as np
@@ -20,10 +22,9 @@ import numpy as np
 from . import linalg
 from .algebra import StructAlgebra, block_terms
 from .errors import DomainError
-from .modules import (ModuleMap, direct_sum, hom_basis, identity_map,
-                      injective_module, projective_module, quotient_module,
-                      radical_rows, right_mult_module_map, submodule,
-                      top_quotient, zero_module)
+from .modules import (ModuleMap, direct_sum, hom_basis, injective_module,
+                      projective_module, quotient_module, radical_rows,
+                      right_mult_module_map, submodule, top_quotient)
 
 
 def proj_list(alg):
@@ -189,12 +190,6 @@ def concrete_map(alg, src_verts, tgt_verts, tensor):
             block = right_mult_module_map(projs[a], projs[b], tensor[r, c])
             mat = (mat + t_embs[r] @ block.matrix @ s_embs[c].T) % alg.p
     return src, tgt, ModuleMap(src, tgt, mat)
-
-
-def cx_concrete(cx, k):
-    projs = proj_list(cx.algebra)
-    mod, _, _ = direct_sum(cx.algebra, [projs[v] for v in cx.at(k)])
-    return mod
 
 
 class EntrySpace:
@@ -578,33 +573,23 @@ def hom_to_tau(y, x):
 
 
 def h0(cx):
-    """(H^0 module, projection from the concrete degree-0 module)."""
+    """(H^0 module, projection from the concrete degree-0 module, that
+    module): the cokernel of the concrete differential.  An empty degree is
+    the zero direct sum, so a stalk or the zero complex needs no branch."""
     if not cx.is_two_term():
         raise DomainError("h0 expects a two-term complex")
-    alg = cx.algebra
-    if not cx.at(0):
-        z = zero_module(alg)
-        return z, ModuleMap(z, z, np.zeros((0, 0), dtype=np.int64)), z
-    if not cx.at(-1):
-        conc = cx_concrete(cx, 0)
-        return conc, identity_map(conc), conc
-    src, tgt, dmap = concrete_map(alg, cx.at(-1), cx.at(0), cx.diff(-1))
+    _, tgt, dmap = concrete_map(cx.algebra, cx.at(-1), cx.at(0), cx.diff(-1))
     quo, proj = quotient_module(tgt, dmap.image_rows())
     return quo, proj, tgt
 
 
 def hminus1(cx):
-    """H^{-1} as a submodule of the concrete degree -1 module."""
+    """H^{-1} as a submodule of the concrete degree -1 module: the kernel of
+    the concrete differential, by the same route as h0."""
     if not cx.is_two_term():
         raise DomainError("hminus1 expects a two-term complex")
-    alg = cx.algebra
-    if not cx.at(-1):
-        return zero_module(alg)
-    if not cx.at(0):
-        return cx_concrete(cx, -1)
-    src, tgt, dmap = concrete_map(alg, cx.at(-1), cx.at(0), cx.diff(-1))
-    sub, _ = submodule(src, dmap.kernel_rows())
-    return sub
+    src, _, dmap = concrete_map(cx.algebra, cx.at(-1), cx.at(0), cx.diff(-1))
+    return submodule(src, dmap.kernel_rows())[0]
 
 
 def inj_list(alg):
@@ -615,28 +600,16 @@ def inj_list(alg):
     return alg._tauseq_injs
 
 
-def _nakayama_entry(alg, a, b, x):
-    """Matrix of nu(phi_x): I_a -> I_b on dual coordinates."""
-    injs = inj_list(alg)
-    rows_a = injs[a].amb_rows
-    rows_b = injs[b].amb_rows
-    p = alg.p
-    # column w holds the coordinates of x * rows_b[w] in rows_a
-    imgs = (alg.left_mult_matrix(x) @ rows_b.T) % p
-    lmat = linalg.solve_matrix(rows_a.T, imgs, p)
-    if lmat is None:
-        raise DomainError("Nakayama image left the expected corner")
-    return lmat.T % p
-
-
 def tau(m):
-    """AR translate of m: kernel of nu applied to its minimal presentation."""
-    alg = m.algebra
-    p = alg.p
+    """AR translate of m: the kernel of nu applied to its minimal
+    presentation.  nu sends the entry x in e_a A e_b of the differential to
+    the map I_a -> I_b whose column w holds the coordinates of
+    x * amb_rows_b[w] on I_a's RREF amb_rows, read at their pivots (each
+    row's first nonzero column).  With no P^-1 the empty sum gives the zero
+    kernel."""
+    alg, p = m.algebra, m.algebra.p
     pres = min_presentation(m)
     neg, zer = pres.at(-1), pres.at(0)
-    if not neg:
-        return zero_module(alg)
     injs = inj_list(alg)
     nsrc, n_embs, _ = direct_sum(alg, [injs[v] for v in neg])
     ntgt, t_embs, _ = direct_sum(alg, [injs[v] for v in zer])
@@ -645,31 +618,23 @@ def tau(m):
     for r, b in enumerate(zer):
         for c, a in enumerate(neg):
             if np.any(d[r, c]):
-                blk = _nakayama_entry(alg, a, b, d[r, c])
+                piv = (injs[a].amb_rows != 0).argmax(axis=1)
+                blk = ((alg.left_mult_matrix(d[r, c]) @ injs[b].amb_rows.T)
+                       % p)[piv].T
                 mat = (mat + t_embs[r] @ blk @ n_embs[c].T) % p
-    nd = ModuleMap(nsrc, ntgt, mat)
-    ker, _ = submodule(nsrc, nd.kernel_rows())
-    return ker
+    return submodule(nsrc, ModuleMap(nsrc, ntgt, mat).kernel_rows())[0]
 
 
 def ext1_dim(m, n):
-    """dim Ext^1(m, n), via the syzygy of a minimal presentation."""
-    if m.dim == 0 or n.dim == 0:
-        return 0
-    pres = min_presentation(m)
-    om_rows = pres.cover.kernel_rows()
-    om, om_incl = submodule(pres.conc0, om_rows)
-    if om.dim == 0:
-        return 0
-    hom_om = hom_basis(om, n)
-    if not hom_om:
-        return 0
+    """dim Ext^1(m, n), via the syzygy of a minimal presentation: the maps
+    om -> n modulo those that extend to P^0.  A zero m, n or syzygy gives no
+    map, so 0."""
     p = m.algebra.p
-    rows = []
-    for h in hom_basis(pres.conc0, n):
-        rows.append(((h @ om_incl.matrix) % p).reshape(-1))
-    rk = linalg.rank(np.array(rows), p) if rows else 0
-    return len(hom_om) - rk
+    pres = min_presentation(m)
+    om, om_incl = submodule(pres.conc0, pres.cover.kernel_rows())
+    rows = [((h @ om_incl.matrix) % p).reshape(-1)
+            for h in hom_basis(pres.conc0, n)]
+    return len(hom_basis(om, n)) - linalg.rank(np.array(rows), p)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ A module is an action tensor (one matrix per algebra basis element) over
 F_p.  Provides Hom spaces, endomorphism rings, indecomposable direct-sum
 decomposition by idempotents of End(M) (one Berlekamp split of its top, on
 the whole top when that is commutative and on F_p[z] otherwise; none when
-End(M) = k), trace submodules and torsion-free quotients, and minimal
-left/right add(U)-approximations, with rad End(⊕U) read off the summands.
+End(M) = k), t_u(x), f_u(x) and Gen u from one set of trace rows, and
+minimal left/right add(U)-approximations, with rad End(⊕U) read off the
+summands.  Coordinates on an RREF basis are read at its pivots.
 """
 
 import numpy as np
@@ -295,15 +296,11 @@ def right_mult_module_map(pa, pb, x):
     """The map A e_a -> A e_b, m -> m*x, for x in e_a A e_b.
 
     Both modules must come from projective_module (they carry amb_basis).
+    amb_basis is in RREF, so the coordinates of amb_basis[v] * x in pb are
+    its values at pb's pivots, each row's first nonzero column.
     """
-    alg = pa.algebra
-    p = alg.p
-    # column v holds the coordinates of amb_basis[v] * x in pb
-    imgs = (alg.right_mult_matrix(x) @ pa.amb_basis.T) % p
-    mat = linalg.solve_matrix(pb.amb_basis.T, imgs, p)
-    if mat is None:
-        raise DomainError("right multiplication leaves the target projective")
-    return ModuleMap(pa, pb, mat)
+    imgs = (pa.algebra.right_mult_matrix(x) @ pa.amb_basis.T) % pa.algebra.p
+    return ModuleMap(pa, pb, imgs[(pb.amb_basis != 0).argmax(axis=1)])
 
 
 def injective_module(algebra, j):
@@ -587,29 +584,27 @@ def is_iso(m, n):
 # ---------------------------------------------------------------------------
 
 
+def trace_rows(u, x):
+    """Rows spanning t_u(x), the sum of the images of all maps u -> x: the
+    h.T over hom_basis(u, x), with shape (0, x.dim) when there are none.
+    A sum of images of module maps is a submodule, so the span is closed."""
+    return np.vstack([np.zeros((0, x.dim), dtype=np.int64)] +
+                     [h.T for h in hom_basis(u, x)])
+
+
 def trace_submodule(u, x):
-    """t_u(x): sum of images of all maps u -> x, with inclusion."""
-    homs = hom_basis(u, x)
-    if not homs:
-        sub = zero_module(x.algebra)
-        return sub, ModuleMap(sub, x, np.zeros((x.dim, 0), dtype=np.int64))
-    rows = np.vstack([h.T for h in homs])
-    return submodule(x, linalg.row_space(rows, x.algebra.p))
+    """t_u(x), with inclusion."""
+    return submodule(x, trace_rows(u, x))
 
 
 def torsion_free_quotient(u, x):
     """f_u(x) = x / t_u(x), with projection."""
-    homs = hom_basis(u, x)
-    if not homs:
-        return x, identity_map(x)
-    rows = np.vstack([h.T for h in homs])
-    return quotient_module(x, rows)
+    return quotient_module(x, trace_rows(u, x))
 
 
 def in_gen(u, x):
     """True iff x lies in Gen u (the trace is everything)."""
-    sub, _ = trace_submodule(u, x)
-    return sub.dim == x.dim
+    return linalg.rank(trace_rows(u, x), x.algebra.p) == x.dim
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ from . import complexes as cxs
 from . import linalg
 from .errors import DomainError
 from .modules import (FdModule, end_algebra, hom_basis, is_iso,
-                      quotient_module, torsion_free_quotient, zero_module)
+                      quotient_module, torsion_free_quotient, trace_rows,
+                      zero_module)
 from .tautilt import (Registry, SignedObject, canonical, completion,
                       g_pairing, g_partner, indec_tau_rigid_items)
 
@@ -152,7 +153,7 @@ class WideContext(_Realizing):
         self._end = None
         if parent is None:
             self.set_records = {}
-            self.trace_rows = {}  # (u id, x id) -> rows spanning t_u(x)
+            self.trace_rows = {}  # (u id, x id) -> modules.trace_rows
 
     @property
     def is_root(self):
@@ -226,13 +227,12 @@ def _one_step_pairs(root, s):
 def _torsion_free(root, u_ids, x):
     """f_{M_S}(x) = x / t_{M_S}(x) for registry ids: the trace of a sum is
     the sum of the traces of its summands, each cached per pair on the
-    root."""
+    root.  Most pairs have no trace, and then x is returned as it is."""
+    xm = root.registry.module(x)
     for u in u_ids:
         if (u, x) not in root.trace_rows:
-            homs = hom_basis(root.registry.module(u), root.registry.module(x))
-            root.trace_rows[u, x] = [h.T for h in homs]
-    rows = [r for u in u_ids for r in root.trace_rows[u, x]]
-    xm = root.registry.module(x)
+            root.trace_rows[u, x] = trace_rows(root.registry.module(u), xm)
+    rows = [root.trace_rows[u, x] for u in u_ids if len(root.trace_rows[u, x])]
     return quotient_module(xm, np.vstack(rows))[0] if rows else xm
 
 
@@ -337,19 +337,20 @@ def transport(ctx, x):
 def _reduce_item(ctx, x_item):
     """E(reducer) on one compatible parent item; the core of e_map.  A
     partner of the top at vertex w goes to P_w[1], realized as f_u of that
-    top; any other x goes to f_u(x), transported."""
+    top; any other x goes to f_u(x), transported.  Under a root parent, u
+    and the tops are root modules, so the realization is that f_u itself;
+    deeper, it is f of the realized reducer on the realized item."""
     parent = ctx.parent
-    u_root, _ = parent.realize_item(ctx.reducer_item)
     w = ctx.partners.get(x_item)
+    lam = ctx.gens[w] if w is not None else torsion_free_quotient(
+        ctx.u_module, parent.registry.module(x_item[1]))[0]
+    root_m = lam if parent.is_root else torsion_free_quotient(
+        parent.realize_item(ctx.reducer_item)[0],
+        parent.realize_item(x_item if w is None else ctx.tops[w])[0])[0]
     if w is not None:
-        root_m, _ = torsion_free_quotient(
-            u_root, parent.realize_item(ctx.tops[w])[0])
-        return ReducedObject(ctx.gens[w], ("p", w), root_m)
-    fx, _ = torsion_free_quotient(ctx.u_module,
-                                  parent.registry.module(x_item[1]))
-    root_m, _ = torsion_free_quotient(u_root, parent.realize_item(x_item)[0])
-    tm = transport(ctx, fx)
-    return ReducedObject(fx, ("m", ctx.registry.ensure(tm)), root_m)
+        return ReducedObject(lam, ("p", w), root_m)
+    return ReducedObject(lam, ("m", ctx.registry.ensure(transport(ctx, lam))),
+                         root_m)
 
 
 def e_map(ctx, x):

@@ -14,10 +14,11 @@ from tauseq import linalg
 from tauseq.algebra import parse_algebra
 from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain, cone,
                               cx_to_pair, direct_sum_cx, entry_compose,
-                              ext1_dim, h0, hminus1, hom_K_dim,
+                              ext1_dim, h0, hminus1, hom_K_dim, inj_list,
                               min_left_approx_K, min_presentation,
                               min_right_approx_K, proj_list, reduce_cx,
-                              shift_cx, stalk_cx, tau, tensor_zeros)
+                              shift_cx, simple_list, stalk_cx, tau,
+                              tensor_zeros)
 from tauseq.errors import DomainError
 from tauseq.modules import (FdModule, hom_dim, is_iso, radical_rows,
                             zero_module)
@@ -407,3 +408,61 @@ def test_entry_space_rejects_an_entry_outside_its_corner(ex3):
     t[0, 1] = alg.idempotents[2]  # e_2 is not in e_2 A e_1
     with pytest.raises(DomainError):
         es.to_vec(t)
+
+
+def _unit_rows(rows):
+    return bool(((rows != 0).sum(axis=1) == 1).all())
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("case", ["ex3", "A4", "rad2-A5"])
+def test_tau_and_h0_in_a_rebased_algebra(case, seed, request):
+    """In a random algebra basis the RREF amb_basis of a projective and
+    amb_rows of an injective have rows that are not unit vectors, so their
+    coordinates must be read at each row's first nonzero column.  Over it,
+    hom_to_tau(y, x) = hom(y, tau x) for every projective, injective and
+    simple y and x, tau x has the dimension it has over the algebra's own
+    basis, and H^0 of x's minimal presentation is x."""
+    base = request.getfixturevalue(case)[1] if case == "ex3" else \
+        parse_algebra(linear_quiver_text(
+            int(case[-1]), rad_square_zero=case.startswith("rad2")))[1]
+    alg = rebased_algebra(base, seed)
+    assert not any(_unit_rows(pm.amb_basis) for pm in proj_list(alg))
+    assert not any(_unit_rows(im.amb_rows) for im in inj_list(alg))
+
+    def standard(a):
+        return proj_list(a) + inj_list(a) + simple_list(a)
+
+    mods = standard(alg)
+    for x, x0 in zip(mods, standard(base)):
+        tx = tau(x)
+        assert tx.dim == tau(x0).dim
+        for y in mods:
+            assert cxs.hom_to_tau(y, x) == hom_dim(y, tx)
+        assert is_iso(h0(min_presentation(x))[0], x)
+
+
+@pytest.mark.parametrize("stem", ["ex1", "ex2", "ex3"])
+def test_empty_inputs_take_the_general_route(stem, request):
+    """H^0 and H^-1 of the zero complex and of the stalks P_v and P_v[1],
+    tau of the zero module and of each projective, and Ext^1 with a zero
+    module on either side, through the routes every other input takes."""
+    _, alg, mods = request.getfixturevalue(stem)
+    zero = zero_module(alg)
+    cx0 = Cx(alg, {}, {})
+    quo, proj, conc = h0(cx0)
+    assert (quo.dim, proj.matrix.shape, conc.dim) == (0, (0, 0), 0)
+    assert hminus1(cx0).dim == 0
+    assert tau(zero).dim == 0
+    for v, pv in enumerate(proj_list(alg)):
+        quo, proj, conc = h0(stalk_cx(alg, [v]))
+        assert is_iso(quo, pv) and is_iso(conc, pv)
+        assert np.array_equal(proj.matrix, np.eye(pv.dim, dtype=np.int64))
+        assert hminus1(stalk_cx(alg, [v])).dim == 0
+        quo, proj, conc = h0(stalk_cx(alg, [v], degree=-1))
+        assert (quo.dim, proj.matrix.shape, conc.dim) == (0, (0, 0), 0)
+        assert is_iso(hminus1(stalk_cx(alg, [v], degree=-1)), pv)
+        assert tau(pv).dim == 0
+    for m in list(mods.values()) + [zero]:
+        assert ext1_dim(zero, m) == 0
+        assert ext1_dim(m, zero) == 0
