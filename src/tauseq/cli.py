@@ -422,9 +422,7 @@ def cmd_paper_example(args):
             payload["worked"] = {k: v for k, v in worked}
             sections.append(_render_table(("ordered object", "sequence"),
                                           worked))
-    if args.format == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return "\n".join(sections) + "\n"
+    return _emit_line(args.format, "\n".join(sections), payload)
 
 
 # ---------------------------------------------------------------------------

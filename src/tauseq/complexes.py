@@ -368,8 +368,9 @@ def cone(src, tgt, cmap):
 class HomK:
     """Hom of two-term complexes in the homotopy category.
 
-    reps holds chain-map representatives (f0, fm1); coords() computes the
-    coordinates of a chain map modulo null-homotopic ones.
+    rep_vecs holds chain-map representatives (f0, fm1); coords() computes
+    the coordinates of a chain map modulo null-homotopic ones.  cycles is the
+    dimension of the chain maps and h_count that of the null-homotopic ones.
     """
 
     def __init__(self, X, Y):
@@ -405,6 +406,7 @@ class HomK:
                  self.esm.to_vec(entry_compose(alg, dX, h))], axis=1)
         hspan = linalg.row_space(hstack, p)
         self.h_count = hspan.shape[0]
+        self.cycles = zrows.shape[0]
         self.rep_vecs = zrows[linalg.extend_basis(hspan, zrows, p)]
         self._solver = linalg.SpanSolver(
             np.vstack([hspan, self.rep_vecs]) if total else
@@ -444,38 +446,15 @@ class HomK:
 
 
 def hom_K_dim(X, Y, shift=0):
-    """dim Hom(X, Y[shift]) in the homotopy category; X, Y two-term."""
-    alg = X.algebra
-    p = alg.p
+    """dim Hom(X, Y[shift]) in the homotopy category; X, Y two-term.  Every
+    shift is read off HomK(X, Y): shift 1 is the cokernel of the chain
+    condition es0 + esm -> escross, shift -1 the kernel of the homotopy map
+    h -> (dY h, h dX) out of eshtp, and |shift| >= 2 leaves no degree."""
     if not (X.is_two_term() and Y.is_two_term()):
         raise DomainError("hom_K_dim expects two-term complexes")
-    if shift == 0:
-        return HomK(X, Y).dim
-    if abs(shift) >= 2:
-        return 0
-    if shift == 1:
-        es = EntrySpace(alg, X.at(-1), Y.at(0))
-        if es.dim == 0:
-            return 0
-        dX = X.diff(-1)
-        dY = Y.diff(-1)
-        esm = EntrySpace(alg, X.at(-1), Y.at(-1))
-        es0 = EntrySpace(alg, X.at(0), Y.at(0))
-        rows = np.concatenate([es.to_vec(entry_compose(alg, esm.basis, dY)),
-                               es.to_vec(entry_compose(alg, dX, es0.basis))])
-        return es.dim - linalg.rank(rows, p)
-    # shift == -1: maps X^0 -> Y^{-1} commuting on both sides, no homotopies
-    es = EntrySpace(alg, X.at(0), Y.at(-1))
-    if es.dim == 0:
-        return 0
-    dX = X.diff(-1)
-    dY = Y.diff(-1)
-    esa = EntrySpace(alg, X.at(-1), Y.at(-1))
-    esb = EntrySpace(alg, X.at(0), Y.at(0))
-    cols = np.concatenate([esa.to_vec(entry_compose(alg, dX, es.basis)),
-                           esb.to_vec(entry_compose(alg, es.basis, dY))],
-                          axis=1)
-    return linalg.kernel_basis(cols, p).shape[0]
+    h = HomK(X, Y)
+    return {0: h.dim, 1: h.escross.dim - h.total + h.cycles,
+            -1: h.eshtp.dim - h.h_count}.get(shift, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -770,17 +749,12 @@ def min_left_approx_K(X, cxs):
 
 def cx_to_pair(cx):
     """(module part H^0, shifted projective vertex list) of a two-term
-    complex, after reduction to minimal form."""
+    complex, after reduction to minimal form.  The shifts are the zero
+    columns of the reduced differential; they add nothing to its image, so
+    H^0 is taken of the reduced complex itself."""
     red = reduce_cx(cx)
     if not red.is_two_term():
         raise DomainError("complex is not two-term after reduction")
     d = red.diff(-1)
-    keep_cols = [c for c in range(len(red.at(-1))) if np.any(d[:, c])]
-    shifted = [red.at(-1)[c] for c in range(len(red.at(-1)))
-               if c not in keep_cols]
-    core = Cx(red.algebra,
-              {-1: [red.at(-1)[c] for c in keep_cols], 0: red.at(0)},
-              {-1: d[:, keep_cols]} if keep_cols and red.at(0) else {},
-              check=False)
-    mod, _, _ = h0(core)
-    return mod, shifted
+    shifted = [v for c, v in enumerate(red.at(-1)) if not d[:, c].any()]
+    return h0(red)[0], shifted

@@ -420,17 +420,11 @@ def _frobenius_kernel(bar, rows):
 
 
 def is_local_endo(m):
-    """True iff End(m) is a local ring (so m is indecomposable)."""
-    if m.dim == 0:
-        return False
-    mats = hom_basis(m, m)
-    if len(mats) == 1:
-        return True  # End(m) = k
-    bar, _, commutative = _semisimple_top(
-        algebra_from_matrices(mats, m.algebra.p))
-    if not commutative:
-        return False  # noncommutative semisimple quotient: not a division ring
-    return _frobenius_kernel(bar, np.eye(bar.dim, dtype=np.int64)).shape[0] == 1
+    """True iff End(m) is a local ring, that is, m is nonzero and
+    indecomposable: decompose leaves it whole.  A local ring's top is a
+    finite division ring, hence a field (Wedderburn), so a noncommutative
+    top is split there like any other."""
+    return m.dim > 0 and len(decompose(m)) == 1
 
 
 # ---------------------------------------------------------------------------

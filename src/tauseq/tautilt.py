@@ -14,9 +14,10 @@ up, and discovers new ones by cokernels in mod A, or on the right by K^b
 triangles.
 """
 
-from fractions import Fraction
+import numpy as np
 
 from . import complexes as cxs
+from . import linalg
 from .errors import CapExceededError, DomainError
 from .modules import (decompose, direct_sum, in_gen, is_iso,
                       is_local_endo, min_left_approx, quotient_module)
@@ -174,15 +175,14 @@ class Registry:
             -int(w == val) for w in range(self.n)]
 
     def g_coords(self, obj, vec):
-        """Exact coordinates of vec in the basis g(obj) of a support
-        tau-tilting object, one per summand (ints, or Fractions where not
-        integral).  The inverse of the g-matrix is cached per object."""
+        """Coordinates of an integer vector vec in the basis g(obj) of a
+        support tau-tilting object, one int per summand.  The g-matrix is
+        unimodular (AIR Thm 5.1), so its inverse, cached per object, is
+        integral."""
         if obj not in self._g_inv:
-            self._g_inv[obj] = _exact_inverse(
+            self._g_inv[obj] = _integer_inverse(
                 [self.g_vector(it) for it in obj])
-        inv = self._g_inv[obj]
-        return [sum(c * row[j] for c, row in zip(vec, inv) if c)
-                for j in range(len(obj))]
+        return (vec @ self._g_inv[obj]).tolist()
 
     def g_signs(self, obj):
         """(bits of obj's summands where g(A) = sum of the g(P_v) has a
@@ -215,27 +215,18 @@ class Registry:
         return ("m", self.ensure(so.module))
 
 
-def _exact_inverse(rows):
-    """Inverse of a square integer matrix over Q, by Gauss-Jordan on
-    fractions, with integral entries as ints; a singular matrix raises
-    DomainError."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                         for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise DomainError("g-vectors of the object are not a basis")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [[int(x) if x.denominator == 1 else x for x in row[n:]]
-            for row in aug]
+def _integer_inverse(rows):
+    """Inverse of a square integer matrix with an integral inverse: the
+    F_p inverse lifted to (-p/2, p/2), checked exactly in int64.  Any other
+    matrix raises DomainError."""
+    p = linalg.DEFAULT_PRIME
+    g = np.array(rows, dtype=np.int64)
+    inv = linalg.inverse(g, p)
+    if inv is not None:
+        inv = np.where(inv > p // 2, inv - p, inv)
+        if np.array_equal(g @ inv, np.eye(len(g), dtype=np.int64)):
+            return inv
+    raise DomainError("g-vectors of the object are not a basis")
 
 
 def canonical(items):
@@ -303,12 +294,6 @@ def _items_support_tau_rigid(reg, items):
 # ---------------------------------------------------------------------------
 
 
-def _cx_items(reg, cx):
-    """Decompose a reduced two-term complex into registry items."""
-    mod, shifted = cxs.cx_to_pair(cx)
-    return [("p", v) for v in shifted] + [("m", i) for i in reg.summands(mod)]
-
-
 def mutate(reg, items, k):
     """Exchange the k-th summand x of a support tau-tilting object x + U.
 
@@ -348,8 +333,9 @@ def mutate(reg, items, k):
         X = item_cx(reg, x)
         u_parts = [item_cx(reg, it) for it in others]
         src, cmap, _ = cxs.min_right_approx_K(u_parts, X)
-        cand = cxs.reduce_cx(cxs.shift_cx(cxs.cone(src, X, cmap), -1))
-        new = _cx_items(reg, cand) if cand.is_two_term() else []
+        y, shifted = cxs.cx_to_pair(cxs.shift_cx(cxs.cone(src, X, cmap), -1))
+        new = [("p", v) for v in shifted]
+        new += [("m", i) for i in reg.summands(y)]
     if len(new) != 1 or new[0][0] == "p" or new[0][1] < known \
             or not _items_support_tau_rigid(reg, new + others):
         raise DomainError("mutation failed to produce an exchange partner")
@@ -368,8 +354,7 @@ def enumerate_support_tau_tilting(alg, cap=10000, registry=None):
     start = canonical([("m", reg.proj_id(v)) for v in range(n)])
     seen = {start}
     queue = [start]
-    while queue:
-        cur = queue.pop(0)
+    for cur in queue:  # FIFO: the loop reads what it appends
         for k in range(n):
             nb = mutate(reg, cur, k)
             if nb not in seen:

@@ -43,13 +43,17 @@ are the definitions through the AR translate tau that they replaced.
 Minimal approximations take rad End(+ u_i) as the maps between distinct
 summands and each summand's own rad End; `end_radical_mats` and
 `min_approx_by_end` are the coordinatized End(+ u_i) route they replaced.
+
+Locality of End(m) is read off `decompose`; `local_endo_by_top` is the
+test on the semisimple top of End(m) that it replaced.
 """
 
 import numpy as np
 
 from tauseq import complexes as cxs
-from tauseq import linalg
-from tauseq.algebra import (quotient_by_ideal, quotient_by_idempotent_ideal,
+from tauseq import linalg, modules
+from tauseq.algebra import (algebra_from_matrices, quotient_by_ideal,
+                            quotient_by_idempotent_ideal,
                             two_sided_ideal_rows)
 from tauseq.errors import DomainError
 from tauseq.modules import (FdModule, ModuleMap, direct_sum, end_algebra,
@@ -387,3 +391,18 @@ def min_approx_by_end(x, u_summands, right):
                     [mp for _, mp in kept]) % p
     return summ, (ModuleMap(summ, x, mat) if right else
                   ModuleMap(x, summ, mat.T)), used
+
+
+def local_endo_by_top(m):
+    """True iff End(m) is a local ring: End(m) = k, or a commutative top
+    whose Frobenius kernel is one-dimensional (a field).  A noncommutative
+    semisimple top is no division ring, so False at once."""
+    if m.dim == 0:
+        return False
+    mats = hom_basis(m, m)
+    if len(mats) == 1:
+        return True
+    bar, _, commutative = modules._semisimple_top(
+        algebra_from_matrices(mats, m.algebra.p))
+    return commutative and modules._frobenius_kernel(
+        bar, np.eye(bar.dim, dtype=np.int64)).shape[0] == 1

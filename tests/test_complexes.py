@@ -24,7 +24,7 @@ from tauseq.modules import (FdModule, hom_dim, is_iso, radical_rows,
                             zero_module)
 from tauseq.reduction import j_membership, root_context
 from tauseq.tautilt import (SignedObject, enumerate_support_tau_tilting,
-                            is_tau_rigid)
+                            indec_tau_rigid_items, is_tau_rigid, item_cx)
 from test_algebra import linear_quiver_text
 
 TAU_TABLE = {
@@ -257,6 +257,45 @@ def test_hom_k_vanishes_beyond_shift_one(ex3):
     b = min_presentation(mods["I2"])
     assert hom_K_dim(a, b, 2) == 0
     assert hom_K_dim(a, b, -2) == 0
+
+
+def _shift_cases(alg, mods):
+    """Every item's complex, the fixtures' minimal presentations, and the
+    stalk of each projective in degrees 0 and -1."""
+    items, _, reg = indec_tau_rigid_items(alg)
+    n = alg.idempotents.shape[0]
+    return ([item_cx(reg, it) for it in items] +
+            [min_presentation(m) for m in mods.values()] +
+            [stalk_cx(alg, [v], d) for v in range(n) for d in (0, -1)])
+
+
+@pytest.mark.parametrize("stem", ["ex1", "ex2", "ex3"])
+def test_every_hom_k_shift_matches_shifted_stalks(stem, request):
+    """Hom(X, Y[s]) = Hom(X[-s], Y): hom_K_dim(X, Y, s) is HomK(X[-s],
+    Y).dim when X is a stalk that X[-s] keeps in degrees -1 and 0, and
+    HomK(X, Y[s]).dim when Y is such a stalk, for s = 1 and s = -1."""
+    _, alg, mods = request.getfixturevalue(stem)
+    # (s, shifted side) -> the one degree that keeps the shift two-term
+    degree = {(-1, "X"): 0, (-1, "Y"): -1, (1, "X"): -1, (1, "Y"): 0}
+    checked = dict.fromkeys(degree, 0)
+    for X, Y in itertools.product(_shift_cases(alg, mods), repeat=2):
+        for (s, side), deg in degree.items():
+            if (X if side == "X" else Y).support() == [deg]:
+                want = (HomK(shift_cx(X, -s), Y) if side == "X" else
+                        HomK(X, shift_cx(Y, s))).dim
+                assert hom_K_dim(X, Y, s) == want, (s, side)
+                checked[s, side] += 1
+    assert all(checked.values())
+
+
+@pytest.mark.parametrize("stem", ["ex1", "ex2", "ex3"])
+def test_hom_k_shift_minus_one_is_hom_from_h0_to_hminus1(stem, request):
+    """A map X^0 -> Y^-1 killed by dY that kills the image of dX is a
+    module map coker dX -> ker dY, so Hom(X, Y[-1]) = Hom(H^0 X, H^-1 Y)
+    for every pair; no homotopy reaches it."""
+    _, alg, mods = request.getfixturevalue(stem)
+    for X, Y in itertools.product(_shift_cases(alg, mods), repeat=2):
+        assert hom_K_dim(X, Y, -1) == hom_dim(h0(X)[0], hminus1(Y))
 
 
 def test_ext1_oracles(ex1, ex3):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import (dynkin_text, item_of, load_example, nakayama_text,
                       rebased_algebra)
 from oracles import (act_radical_rows, close_by_stacking, dense_mult,
-                     solve_restricted_action)
+                     local_endo_by_top, solve_restricted_action)
 from tauseq import linalg, modules
 from tauseq.algebra import algebra_invariants, parse_algebra
 from tauseq.complexes import min_presentation, simple_list
@@ -208,6 +208,32 @@ def test_decompose_draws_no_random_numbers(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     for total, want, _ in cases:
         assert len(decompose(total)) == sum(want.values())
+
+
+def test_is_local_endo_matches_the_top_route(monkeypatch):
+    """is_local_endo (decompose leaves m whole) against the test on the
+    semisimple top of End(m), on the fixtures of ex1-3, the registry
+    modules of linear A4, every sum of two of ex3's fixtures, and S1^3 and
+    R^3, whose tops are noncommutative; neither route draws a random
+    element."""
+    mods = [m for stem in ("ex1", "ex2", "ex3")
+            for m in load_example(stem)[2].values()]
+    mods += enumerate_support_tau_tilting(
+        parse_algebra(linear_quiver_text(4))[1])[1].mods
+    fix3 = list(load_example("ex3")[2].values())
+    alg3 = fix3[0].algebra
+    mods += [direct_sum(alg3, [a, b])[0]
+             for a, b in itertools.combinations_with_replacement(fix3, 2)]
+    mods += [c[0] for c in _decomposition_cases()
+             if c[1] in ({"R": 3}, {"S1": 3})]
+
+    def no_draws(*args, **kw):
+        raise AssertionError("a random element was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    got = [is_local_endo(m) for m in mods]
+    assert got == [local_endo_by_top(m) for m in mods]
+    assert got.count(True) == 17 + 10 and got.count(False) == 45 + 2
 
 
 def test_direct_sum_takes_generator_actions_from_its_summands(

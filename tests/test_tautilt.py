@@ -573,6 +573,31 @@ def _rigid_sets(objs):
             for t in range(1, len(obj)) for sub in itertools.combinations(obj, t)}
 
 
+def test_integer_inverse_is_exact_or_refuses():
+    # the F_p inverse of diag(2, 1) lifts to diag(-16001, 1), which is no
+    # inverse over Z; a singular matrix has no F_p inverse at all
+    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(DomainError, match="not a basis"):
+            tautilt._integer_inverse(rows)
+    g = [[1, 1, 0], [0, 1, 1], [2, 3, 2]]
+    inv = tautilt._integer_inverse(g)
+    assert inv.tolist() == [[-1, -2, 1], [2, 2, -1], [-2, -1, 1]]
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "D4"])
+def test_g_coords_are_ints(case, request):
+    # the g-matrix of every object is unimodular, so coordinates in its
+    # basis are plain ints: the summands' own g-vectors give the unit rows
+    alg = _algebra_case(case, request)
+    _, objs, reg = indec_tau_rigid_items(alg)
+    n = alg.idempotents.shape[0]
+    for obj in objs:
+        for vec in [reg.g_vector(it) for it in obj] + [[1] * n, [-3] * n]:
+            assert all(type(c) is int for c in reg.g_coords(obj, vec))
+        assert [reg.g_coords(obj, reg.g_vector(it)) for it in obj] == \
+            np.eye(n, dtype=int).tolist()
+
+
 @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A3", "A4",
                                   "rad2-A3", "rad2-A4"])
 def test_g_vectors_are_distinct_and_unimodular(case, request):
@@ -790,7 +815,7 @@ def _pell(k):
 @pytest.mark.parametrize("kind,n", [("A", n) for n in range(2, 6)] +
                          [("rad2-A", n) for n in range(2, 7)] +
                          [("Lambda", n) for n in range(2, 5)] +
-                         [(d, n) for n in (4, 5) for d in ("D", "D-alt")] +
+                         [(d, n) for n in (4, 5, 6) for d in ("D", "D-alt")] +
                          [("E", 6), ("E-alt", 6)])
 def test_counts_match_closed_forms(kind, n):
     """Support tau-tilting objects and their items against closed forms:
