@@ -155,8 +155,8 @@ class Registry:
     def mask(self, item):
         """Bits of the rigid known items compatible with item."""
         mask, covered = self._masks.get(item, (0, 0))
-        if covered != self._rigid or self._ranked < len(self.mods):
-            rigid = self.rigid
+        rigid = self.rigid
+        if covered != rigid:
             new = rigid & ~covered
             for i in range(new.bit_length()):
                 if new >> i & 1 and self.compatible(item, self.item_at(i)):
@@ -308,20 +308,24 @@ def mutate(reg, items, k):
     n = reg.n
     if not 0 <= k < n:
         raise DomainError(f"mutation index {k} is not in 0..{n - 1}")
-    if len(items) != n or len(set(items)) != n:
-        raise DomainError("mutation requires a support tau-tilting object")
-    x = items[k]
-    others = items[:k] + items[k + 1 :]
-    common = reg.rigid
-    for o in others:
-        common &= reg.mask(o)
-    b = reg.bits(items)
-    if common & reg.mask(x) & b != b:  # not rigid, or not compatible
+    # inlined hot path: masks read in place while current; n items, n bits
+    rigid = common = reg._rigid if reg._ranked == len(reg.mods) else reg.rigid
+    b = 0
+    for i, item in enumerate(items):
+        b |= 1 << (item[1] if item[0] == "p" else n + item[1])
+        mask, covered = reg._masks.get(item, (0, 0))
+        mask = mask if covered == rigid else reg.mask(item)
+        if i != k:  # x's mask is kept current, and U's masks must hold x
+            common &= mask
+    if len(items) != n or b.bit_count() != n or common & b != b:
         raise DomainError("mutation requires a support tau-tilting object")
     hits = common & ~b
     if hits:
         h = hits >> n << n or hits  # the module hits, if there are any
-        return canonical(others + [reg.item_at((h & -h).bit_length() - 1)])
+        items[k] = reg.item_at((h & -h).bit_length() - 1)
+        items.sort()  # canonical(items), without a second copy
+        return tuple(items)
+    x, others = items[k], items[:k] + items[k + 1 :]
     known = len(reg)  # a partner found below must be new
     u_mods = [reg.module(v) for kind, v in others if kind == "m"]
     if x[0] == "m" and not in_gen(direct_sum(reg.alg, u_mods)[0],

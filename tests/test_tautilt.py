@@ -207,6 +207,41 @@ def test_mutation_involution_and_regularity(stem, request):
         assert len(neighbors) == n
 
 
+@pytest.mark.parametrize("stem", ["root1", "root2", "root3"])
+def test_mutation_answers_in_canonical_order_from_any_order(stem, request):
+    # k indexes the summands as given; the partner object comes back sorted
+    root = request.getfixturevalue(stem)
+    reg = root.registry
+    for obj in root.stt_objects:
+        back = list(reversed(obj))
+        for k in range(len(obj)):
+            assert mutate(reg, back, k) == mutate(reg, obj, len(obj) - 1 - k)
+
+
+@pytest.mark.parametrize("stem", ["root1", "root2", "root3"])
+def test_mutation_refuses_any_swap_but_the_two_completions(stem, request):
+    # U + z is support tau-tilting only for U's two completions z = x and
+    # its partner (AIR Thm 2.18); any other known item is refused at every
+    # position, the swapped one included
+    root = request.getfixturevalue(stem)
+    reg = root.registry
+    n = root.gamma.idempotents.shape[0]
+    known = [reg.item_at(bit) for bit in range(n + len(reg))]
+    for obj in root.stt_objects:
+        for k in range(n):
+            completions = {obj[k], *mutate(reg, obj, k)} - set(obj[:k]) \
+                - set(obj[k + 1 :])
+            assert len(completions) == 2
+            for z in known:
+                if z in completions:
+                    continue
+                swapped = obj[:k] + (z,) + obj[k + 1 :]
+                for j in range(n):
+                    with pytest.raises(DomainError,
+                                       match="support tau-tilting object"):
+                        mutate(reg, swapped, j)
+
+
 def _count_triangles(monkeypatch):
     """Count the exchange sequences mutate runs, per side: the module-level
     left approximations and the K^b right ones."""
