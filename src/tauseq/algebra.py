@@ -553,22 +553,14 @@ class AlgebraQuotient:
 
 
 def quotient_by_ideal(alg, ideal_rows, check=True):
-    """Quotient of alg by a two-sided ideal given as a row span."""
+    """Quotient of alg by a two-sided ideal given as a row span; the
+    projection is the ideal's RREF complement."""
     p = alg.p
-    r, piv = linalg.rref(ideal_rows, p)
-    r = r[: len(piv)]
-    nonpiv = [c for c in range(alg.dim) if c not in piv]
+    proj, nonpiv = linalg.complement_rows(*linalg.rref(ideal_rows, p), p)
     q = len(nonpiv)
     if q == 0:
         raise DomainError("quotient is the zero algebra")
-    proj = np.zeros((q, alg.dim), dtype=np.int64)
-    for k, c in enumerate(nonpiv):
-        proj[k, c] = 1
-    for i, c in enumerate(piv):
-        proj[:, c] = (-r[i, nonpiv]) % p
-    lift = np.zeros((alg.dim, q), dtype=np.int64)
-    for k, c in enumerate(nonpiv):
-        lift[c, k] = 1
+    lift = np.eye(alg.dim, dtype=np.int64)[:, nonpiv]
 
     # lift sends basis element k to b_{nonpiv[k]}; a term (i, j, k, c) with
     # i and j kept adds c * proj[:, k] to the product of their classes

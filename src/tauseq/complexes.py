@@ -14,8 +14,11 @@ category, minimal presentations (cached on the module) and g-vectors,
 Hom(y, tau x) by one rank on x's presentation, the AR translate itself
 (for the tau command, read at the pivots of the injectives' RREF bases),
 and Ext^1.  An empty degree is the zero direct sum, so no route branches
-on it.
+on it.  Cx alone normalizes a complex, so reduce_cx and cone build blocks
+of any size and leave dropping the empty ones to it.
 """
+
+import functools
 
 import numpy as np
 
@@ -120,15 +123,13 @@ def entry_compose(alg, first, then):
     coordinate at b_k of first[r, c] * b_j, with one gather per layer and
     no dense structure tensor; a product with `then` over (r, j) finishes.
     Each sum has at most (inner length) * p^2 in it.  Leading axes of
-    either operand are batch axes and broadcast against each other.
+    either operand are batch axes and broadcast against each other.  An
+    empty axis needs no branch: the product is then zeros of its shape.
     """
     p, d = alg.p, alg.dim
     *fb, nr, nc, _ = first.shape
     *tb, ns, _, _ = then.shape
     fb, tb = tuple(fb), tuple(tb)
-    if first.size == 0 or then.size == 0:
-        return np.zeros(np.broadcast_shapes(fb, tb) + (ns, nc, d),
-                        dtype=np.int64)
     (idx, coef), *more = alg.jk_layers()
     left = first.take(idx, -1) * coef
     for idx, coef in more:
@@ -269,51 +270,28 @@ def _inverse_entry(alg, a, b, mat):
 
 
 def reduce_cx(cx):
-    """Iterated cancellation of invertible entries; the result is minimal."""
-    alg = cx.algebra
-    comps = {k: list(v) for k, v in cx.comps.items()}
-    diffs = {k: t.copy() for k, t in cx.diffs.items()}
-
-    def current():
-        return Cx(alg, comps, diffs, check=False)
-
-    while True:
-        hit = _invertible_entry(current())
-        if hit is None:
-            return current()
-        k, r0, c0, mat = hit
-        a = comps[k][c0]
-        b = comps[k + 1][r0]
-        ainv = _inverse_entry(alg, a, b, mat)
-        t = diffs[k]
-        nr, nc = t.shape[0], t.shape[1]
-        keep_r = [r for r in range(nr) if r != r0]
-        keep_c = [c for c in range(nc) if c != c0]
-        # entry (r, c) loses t[r0, c] * ainv * t[r, c0]
-        via = entry_compose(alg, t[[r0]][:, keep_c], ainv.reshape(1, 1, -1))
-        corr = entry_compose(alg, via, t[keep_r][:, [c0]])
-        new = (t[keep_r][:, keep_c] - corr) % alg.p
-        if new.size:
-            diffs[k] = new
-        else:
-            diffs.pop(k, None)
-        if (k - 1) in diffs:
-            lower = np.delete(diffs[k - 1], c0, axis=0)
-            if lower.size:
-                diffs[k - 1] = lower
-            else:
-                diffs.pop(k - 1)
-        if (k + 1) in diffs:
-            upper = np.delete(diffs[k + 1], r0, axis=1)
-            if upper.size:
-                diffs[k + 1] = upper
-            else:
-                diffs.pop(k + 1)
-        comps[k].pop(c0)
-        comps[k + 1].pop(r0)
-        for kk in (k, k + 1):
-            if not comps[kk]:
-                comps.pop(kk)
+    """Iterated cancellation of invertible entries; the result is minimal.
+    Each step cancels one entry and leaves dropping what it empties to Cx;
+    with nothing to cancel, cx itself is returned."""
+    hit = _invertible_entry(cx)
+    if hit is None:
+        return cx
+    alg, (k, r0, c0, mat) = cx.algebra, hit
+    comps, diffs = dict(cx.comps), dict(cx.diffs)
+    ainv = _inverse_entry(alg, comps[k][c0], comps[k + 1][r0], mat)
+    t = diffs[k]
+    rest_r, rest_c = np.delete(t, r0, axis=0), np.delete(t, c0, axis=1)
+    # entry (r, c) loses t[r0, c] * ainv * t[r, c0]
+    via = entry_compose(alg, rest_c[[r0]], ainv.reshape(1, 1, -1))
+    corr = entry_compose(alg, via, rest_r[:, [c0]])
+    diffs[k] = (np.delete(rest_r, c0, axis=1) - corr) % alg.p
+    if k - 1 in diffs:
+        diffs[k - 1] = np.delete(diffs[k - 1], c0, axis=0)
+    if k + 1 in diffs:
+        diffs[k + 1] = np.delete(diffs[k + 1], r0, axis=1)
+    comps[k] = comps[k][:c0] + comps[k][c0 + 1 :]
+    comps[k + 1] = comps[k + 1][:r0] + comps[k + 1][r0 + 1 :]
+    return reduce_cx(Cx(alg, comps, diffs, check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -331,31 +309,18 @@ def compose_chain(alg, first, then):
 
 
 def cone(src, tgt, cmap):
-    """Mapping cone of a chain map; degree k is src^{k+1} ++ tgt^k."""
+    """Mapping cone of a chain map; degree k is src^{k+1} ++ tgt^k.  Every
+    degree's block is built, and Cx drops the empty ones."""
     alg = src.algebra
-    degs = set()
-    for k in list(src.comps) + list(tgt.comps):
-        degs.add(k)
-        degs.add(k - 1)
-    comps = {}
-    for k in sorted(degs):
-        comps[k] = list(src.at(k + 1)) + list(tgt.at(k))
+    degs = sorted({j for k in [*src.comps, *tgt.comps] for j in (k, k - 1)})
+    comps = {k: src.at(k + 1) + tgt.at(k) for k in degs}
     diffs = {}
-    for k in sorted(degs):
-        nr = len(comps.get(k + 1, ()))
-        nc = len(comps.get(k, ()))
-        if not (nr and nc):
-            continue
-        t = tensor_zeros(alg, nr, nc)
-        sx1 = len(src.at(k + 2))
-        sx0 = len(src.at(k + 1))
-        dsrc = src.diff(k + 1)
-        t[:sx1, :sx0] = (-dsrc) % alg.p
-        f = cmap.get(k + 1)
-        if f is not None and f.size:
-            t[sx1:, :sx0] = f
-        dtgt = tgt.diff(k)
-        t[sx1:, sx0:] = dtgt
+    for k in degs:
+        t = tensor_zeros(alg, len(comps.get(k + 1, ())), len(comps[k]))
+        sx1, sx0 = len(src.at(k + 2)), len(src.at(k + 1))
+        t[:sx1, :sx0] = (-src.diff(k + 1)) % alg.p
+        t[sx1:, :sx0] = cmap.get(k + 1, 0)
+        t[sx1:, sx0:] = tgt.diff(k)
         diffs[k] = t
     return Cx(alg, comps, diffs, check=False)
 
@@ -368,9 +333,10 @@ def cone(src, tgt, cmap):
 class HomK:
     """Hom of two-term complexes in the homotopy category.
 
-    rep_vecs holds chain-map representatives (f0, fm1); coords() computes
-    the coordinates of a chain map modulo null-homotopic ones.  cycles is the
-    dimension of the chain maps and h_count that of the null-homotopic ones.
+    cycles and h_count are the dimensions of the chain maps and of the
+    null-homotopic ones among them, so dim = cycles - h_count.  rep_vecs
+    (representatives (f0, fm1)) and the solver behind coords() (coordinates
+    modulo null-homotopic maps) are built on first use.
     """
 
     def __init__(self, X, Y):
@@ -404,15 +370,21 @@ class HomK:
             hstack = np.concatenate(
                 [self.es0.to_vec(entry_compose(alg, h, dY)),
                  self.esm.to_vec(entry_compose(alg, dX, h))], axis=1)
-        hspan = linalg.row_space(hstack, p)
-        self.h_count = hspan.shape[0]
+        self._hspan, self._zrows = linalg.row_space(hstack, p), zrows
+        self.h_count = self._hspan.shape[0]
         self.cycles = zrows.shape[0]
-        self.rep_vecs = zrows[linalg.extend_basis(hspan, zrows, p)]
-        self._solver = linalg.SpanSolver(
-            np.vstack([hspan, self.rep_vecs]) if total else
-            np.zeros((0, 0), dtype=np.int64), p)
-        self.dim = self.rep_vecs.shape[0]
+        self.dim = self.cycles - self.h_count
         self.total = total
+
+    @functools.cached_property
+    def rep_vecs(self):
+        return self._zrows[linalg.extend_basis(self._hspan, self._zrows,
+                                               self.alg.p)]
+
+    @functools.cached_property
+    def _solver(self):
+        return linalg.SpanSolver(np.vstack([self._hspan, self.rep_vecs]),
+                                 self.alg.p)
 
     def rep_tensor(self, i):
         return self._split(self.rep_vecs[i])
@@ -512,8 +484,7 @@ def min_presentation(m):
             comp = (embs[r].T @ inside) % p
             v = (projs[vert].amb_basis.T @ comp) % p
             diff[r, c] = (left_ei @ v) % p
-    cx = Cx(alg, {-1: neg, 0: zer}, {-1: diff} if neg and zer else {},
-            check=False)
+    cx = Cx(alg, {-1: neg, 0: zer}, {-1: diff}, check=False)
     cx.conc0 = p0
     cx.cover = cover
     return cx

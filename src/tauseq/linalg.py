@@ -103,22 +103,25 @@ def row_space(a, p):
     return r[: len(piv)].copy()
 
 
+def complement_rows(r, pivots, p):
+    """(rows, free columns) of the RREF r: row k is e_c - sum_i r[i, c]
+    e_{pivots[i]} for the k-th free column c.  The rows span r's null space
+    and project onto the quotient by r's row span, read at the free columns."""
+    keep = np.ones(r.shape[1], dtype=bool)
+    keep[pivots] = False
+    free = np.flatnonzero(keep)
+    rows = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    rows[np.arange(len(free)), free] = 1
+    rows[:, pivots] = (-r[: len(pivots), free].T) % p
+    return rows, free
+
+
 def kernel_basis(a, p):
-    """Basis of the right null space {x : a @ x = 0}, returned as rows."""
+    """Right null space {x : a @ x = 0} as rows: the RREF complement of a."""
     a = asmod(a, p)
-    rows, cols = a.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    r, piv = rref(a, p)
-    free = [c for c in range(cols) if c not in piv]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(piv):
-            basis[k, pc] = (-r[i, fc]) % p
-    return basis
+    if a.shape[0] == 0:
+        return np.eye(a.shape[1], dtype=np.int64)
+    return complement_rows(*rref(a, p), p)[0]
 
 
 def solve(a, b, p):

@@ -242,18 +242,15 @@ def _restricted_action(imgs, bt, p, error):
 
 
 def quotient_module(m, rows):
-    """(quotient of m by the submodule generated by rows, projection)."""
+    """(quotient of m by the submodule generated by rows, projection); the
+    projection is the RREF complement of the submodule's basis."""
     p = m.algebra.p
     rows = linalg.asmod(rows, p)
     if rows.size == 0:
         return m, identity_map(m)
     r = _close_under_action(m, rows)  # RREF: a pivot is a row's first nonzero
-    piv = (r != 0).argmax(axis=1).tolist()
-    nonpiv = [c for c in range(m.dim) if c not in piv]
-    eye = np.eye(m.dim, dtype=np.int64)
-    proj, lift = eye[nonpiv], eye[:, nonpiv]
-    proj[:, piv] = (-r[:, nonpiv].T) % p
-    quo = FdModule(m.algebra, (proj @ m.action @ lift) % p, check=False)
+    proj, free = linalg.complement_rows(r, (r != 0).argmax(axis=1), p)
+    quo = FdModule(m.algebra, (proj @ m.action[..., free]) % p, check=False)
     return quo, ModuleMap(m, quo, proj)
 
 

@@ -53,10 +53,8 @@ def j_membership(u, x):
     For a module reducer u: Hom(u, x) = 0 and Hom(x, tau u) = 0, that is
     <g(u), dim x> = 0 and hom(x, tau u) = 0, as hom(u, x) = hom(x, tau u)
     + <g(u), dim x> (cxs.hom_to_tau); for a shifted reducer P_v[1]:
-    Hom(P_v, x) = 0, that is (dim x)_v = 0.
+    Hom(P_v, x) = 0, that is (dim x)_v = 0.  A zero x passes both tests.
     """
-    if x.dim == 0:
-        return True
     if isinstance(u, SignedObject):
         if u.is_shift:
             return x.vertex_dims()[u.vertex] == 0

@@ -46,6 +46,13 @@ summands and each summand's own rad End; `end_radical_mats` and
 
 Locality of End(m) is read off `decompose`; `local_endo_by_top` is the
 test on the semisimple top of End(m) that it replaced.
+
+A complex is normalized only by `Cx`, and null spaces and quotients come
+from one RREF complement (`linalg.complement_rows`); `reduce_cx_by_loop`
+is the cancellation loop on mutable copies that `reduce_cx` replaced, and
+`kernel_basis_by_loop` and `quotient_by_ideal_by_loop` build the
+complement rows column by column, as `kernel_basis` and
+`quotient_by_ideal` did.
 """
 
 import numpy as np
@@ -406,3 +413,90 @@ def local_endo_by_top(m):
         algebra_from_matrices(mats, m.algebra.p))
     return commutative and modules._frobenius_kernel(
         bar, np.eye(bar.dim, dtype=np.int64)).shape[0] == 1
+
+
+def reduce_cx_by_loop(cx):
+    """Iterated cancellation of invertible entries on mutable copies of the
+    degrees and differentials, popping each block and degree it empties."""
+    alg = cx.algebra
+    comps = {k: list(v) for k, v in cx.comps.items()}
+    diffs = {k: t.copy() for k, t in cx.diffs.items()}
+
+    def current():
+        return cxs.Cx(alg, comps, diffs, check=False)
+
+    while True:
+        hit = cxs._invertible_entry(current())
+        if hit is None:
+            return current()
+        k, r0, c0, mat = hit
+        ainv = cxs._inverse_entry(alg, comps[k][c0], comps[k + 1][r0], mat)
+        t = diffs[k]
+        keep_r = [r for r in range(t.shape[0]) if r != r0]
+        keep_c = [c for c in range(t.shape[1]) if c != c0]
+        # entry (r, c) loses t[r0, c] * ainv * t[r, c0]
+        via = cxs.entry_compose(alg, t[[r0]][:, keep_c],
+                                ainv.reshape(1, 1, -1))
+        corr = cxs.entry_compose(alg, via, t[keep_r][:, [c0]])
+        new = (t[keep_r][:, keep_c] - corr) % alg.p
+        if new.size:
+            diffs[k] = new
+        else:
+            diffs.pop(k, None)
+        if (k - 1) in diffs:
+            lower = np.delete(diffs[k - 1], c0, axis=0)
+            if lower.size:
+                diffs[k - 1] = lower
+            else:
+                diffs.pop(k - 1)
+        if (k + 1) in diffs:
+            upper = np.delete(diffs[k + 1], r0, axis=1)
+            if upper.size:
+                diffs[k + 1] = upper
+            else:
+                diffs.pop(k + 1)
+        comps[k].pop(c0)
+        comps[k + 1].pop(r0)
+        for kk in (k, k + 1):
+            if not comps[kk]:
+                comps.pop(kk)
+
+
+def kernel_basis_by_loop(a, p):
+    """Right null space of a as rows: for each free column of its RREF, a
+    one there and minus the column's entries at the pivots."""
+    a = linalg.asmod(a, p)
+    rows, cols = a.shape
+    if cols == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    if rows == 0:
+        return np.eye(cols, dtype=np.int64)
+    r, piv = linalg.rref(a, p)
+    free = [c for c in range(cols) if c not in piv]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(piv):
+            basis[k, pc] = (-r[i, fc]) % p
+    return basis
+
+
+def quotient_by_ideal_by_loop(alg, ideal_rows):
+    """(proj, lift, dense table) of alg modulo a two-sided ideal: proj and
+    lift built column by column from the ideal's RREF, and the quotient's
+    table as proj applied to the products of the lifted basis elements."""
+    p = alg.p
+    r, piv = linalg.rref(ideal_rows, p)
+    r = r[: len(piv)]
+    nonpiv = [c for c in range(alg.dim) if c not in piv]
+    q = len(nonpiv)
+    proj = np.zeros((q, alg.dim), dtype=np.int64)
+    for k, c in enumerate(nonpiv):
+        proj[k, c] = 1
+    for i, c in enumerate(piv):
+        proj[:, c] = (-r[i, nonpiv]) % p
+    lift = np.zeros((alg.dim, q), dtype=np.int64)
+    for k, c in enumerate(nonpiv):
+        lift[c, k] = 1
+    kept = dense_mult(alg)[np.ix_(nonpiv, nonpiv)]
+    return proj, lift, (kept @ proj.T) % p

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import monomial_quiver_texts, rebased_algebra
 from oracles import (bounded_path_search, dense_algebra_check, dense_mult,
-                     dense_radical_rows, terms_of)
+                     dense_radical_rows, quotient_by_ideal_by_loop, terms_of)
 from tauseq.algebra import (StructAlgebra, algebra_invariants, parse_algebra,
                             parse_quiver, path_algebra, quotient_by_ideal,
                             quotient_by_idempotent_ideal,
                             two_sided_ideal_rows)
 from tauseq.complexes import end_K, min_presentation
 from tauseq.errors import DomainError, InputError
+from tauseq.modules import end_algebra
 from tauseq.reduction import root_context
 
 
@@ -381,3 +382,26 @@ def test_path_basis_finiteness_matches_the_bounded_search(text):
     assert sorted((src, seq) for src, _, seq in alg.path_info) == want
     assert dense_algebra_check(alg.p, dense_mult(alg), alg.idempotents,
                                alg.unit) is None
+
+
+def _ideals(alg, mods):
+    """The radical, each idempotent's ideal, and the radicals of the End
+    algebras of the fixture modules, of their pairs and of their sum."""
+    yield alg, alg.radical_rows()
+    for e in alg.idempotents:
+        yield alg, two_sided_ideal_rows(alg, [e])
+    ms = list(mods.values())
+    for group in [[m] for m in ms] + [ms[i : i + 2] for i in range(
+            len(ms) - 1)] + [ms]:
+        end = end_algebra(group).struct
+        yield end, end.radical_rows()
+
+
+def test_quotient_by_ideal_matches_the_column_loops(ex1, ex2, ex3):
+    for _, alg, mods in (ex1, ex2, ex3):
+        for a, rows in _ideals(alg, mods):
+            proj, lift, table = quotient_by_ideal_by_loop(a, rows)
+            quot = quotient_by_ideal(a, rows)
+            assert np.array_equal(quot.proj, proj)
+            assert np.array_equal(quot.lift, lift)
+            assert np.array_equal(dense_mult(quot.algebra), table)

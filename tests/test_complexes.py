@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import dynkin_text, load_example, nakayama_text, rebased_algebra
-from oracles import (dense_mult, generator_rows_by_top, tau_compatible,
-                     tau_hom, tau_j_membership, tau_rigid)
+from oracles import (dense_mult, generator_rows_by_top, reduce_cx_by_loop,
+                     tau_compatible, tau_hom, tau_j_membership, tau_rigid)
 from tauseq import complexes as cxs
 from tauseq import linalg
 from tauseq.algebra import parse_algebra
@@ -505,3 +505,114 @@ def test_empty_inputs_take_the_general_route(stem, request):
     for m in list(mods.values()) + [zero]:
         assert ext1_dim(zero, m) == 0
         assert ext1_dim(m, zero) == 0
+
+
+def _assert_same_cx(a, b):
+    """Array for array: the same degrees in the same order, the same
+    differential keys, and equal int64 tensors."""
+    assert list(a.comps.items()) == list(b.comps.items())
+    assert list(a.diffs) == list(b.diffs)
+    for k, t in a.diffs.items():
+        assert t.dtype == b.diffs[k].dtype == np.int64
+        assert np.array_equal(t, b.diffs[k]), k
+
+
+def _exchange_triangles(reg, objs):
+    """For each summand x of each object, the cone of the minimal left
+    approximation of x by the other summands and the cocone of the
+    minimal right one."""
+    for obj in objs:
+        for k, x in enumerate(obj):
+            X = item_cx(reg, x)
+            u_parts = [item_cx(reg, it) for it in obj[:k] + obj[k + 1 :]]
+            tgt, cmap, _ = min_left_approx_K(X, u_parts)
+            yield cone(X, tgt, cmap)
+            src, cmap, _ = min_right_approx_K(u_parts, X)
+            yield shift_cx(cone(src, X, cmap), -1)
+
+
+def _e6_alt_right_triangles(monkeypatch):
+    """The cocones of the right-hand triangles that enumerating E6 alt
+    builds: mutation reaches cone only there."""
+    seen = []
+
+    def recording_cone(src, tgt, cmap):
+        seen.append(cone(src, tgt, cmap))
+        return seen[-1]
+
+    monkeypatch.setattr(cxs, "cone", recording_cone)
+    _, alg = parse_algebra(dynkin_text("E", 6, alt=True))
+    enumerate_support_tau_tilting(alg)
+    monkeypatch.undo()
+    return [shift_cx(c, -1) for c in seen]
+
+
+REDUCE_CASES = {"ex1": None, "ex2": None, "ex3": None,
+                "A4": linear_quiver_text(4),
+                "rad2-A4": linear_quiver_text(4, True)}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCE_CASES))
+def test_reduce_matches_the_cancellation_loop(case):
+    """reduce_cx is the loop on mutable copies, array for array, on every
+    exchange cone and cocone, on the cone of each item complex's identity
+    (which reduces to the zero complex) and on cones from and to the zero
+    complex."""
+    text = REDUCE_CASES[case]
+    alg = (load_example(case)[1] if text is None
+           else parse_algebra(text)[1])
+    objs, reg = enumerate_support_tau_tilting(alg)
+    zero = Cx(alg, {}, {}, check=False)
+    cases = list(_exchange_triangles(reg, objs))
+    for item in indec_tau_rigid_items(alg, registry=reg)[0]:
+        x = item_cx(reg, item)
+        ident = cone(x, x, _identity_cmap(x))
+        assert reduce_cx(ident).total_summands() == 0
+        from_zero, to_zero = cone(zero, x, {}), cone(x, zero, {})
+        _assert_same_cx(reduce_cx(from_zero), x)
+        _assert_same_cx(reduce_cx(to_zero), shift_cx(x, 1))
+        cases += [ident, from_zero, to_zero]
+    cases.append(cone(zero, zero, {}))
+    for cx in cases:
+        _assert_same_cx(reduce_cx(cx), reduce_cx_by_loop(cx))
+
+
+def test_reduce_matches_the_loop_on_e6_alt_right_triangles(monkeypatch):
+    # the first cocone is minimal; the second cancels one entry
+    cocones = _e6_alt_right_triangles(monkeypatch)
+    assert [cx.total_summands() - reduce_cx(cx).total_summands()
+            for cx in cocones] == [0, 2]
+    for cx in cocones:
+        _assert_same_cx(reduce_cx(cx), reduce_cx_by_loop(cx))
+
+
+def test_entry_compose_gives_zeros_on_empty_axes(ex3):
+    _, alg, _ = ex3
+    rng = np.random.default_rng(7)
+
+    def entries(*shape):
+        return rng.integers(0, alg.p, shape + (alg.dim,))
+
+    # (first, then, shape of then . first)
+    cases = [(entries(0, 2), entries(3, 0), (3, 2)),  # no inner summand
+             (entries(2, 0), entries(3, 2), (3, 0)),  # no column
+             (entries(2, 3), entries(0, 2), (0, 3)),  # no row
+             (entries(0, 2, 3), entries(4, 2), (0, 4, 3)),  # batch of none
+             (entries(2, 3), entries(0, 4, 2), (0, 4, 3)),
+             (entries(1, 0, 3), entries(5, 4, 0), (5, 4, 3))]
+    for first, then, shape in cases:
+        out = entry_compose(alg, first, then)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.zeros(shape + (alg.dim,), np.int64))
+
+
+@pytest.mark.parametrize("stem", ["ex1", "ex2", "ex3"])
+def test_zero_module_lies_in_every_j(stem):
+    _, alg, _ = load_example(stem)
+    _, reg = enumerate_support_tau_tilting(alg)
+    zero = zero_module(alg)
+    for i in range(len(reg)):
+        assert j_membership(SignedObject(module=reg.module(i)), zero)
+        assert j_membership(reg.module(i), zero)
+    for v in range(alg.idempotents.shape[0]):
+        assert j_membership(SignedObject(vertex=v), zero)

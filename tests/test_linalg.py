@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import kernel_basis_by_loop
 from tauseq import linalg
 from tauseq.errors import DomainError
 
@@ -129,3 +130,25 @@ def test_span_solver_rejects_outside_vector():
     solver = linalg.SpanSolver(rows, P)
     assert solver.coords(np.array([0, 0, 1])) is None
     assert solver.coords(np.array([[1, 0, 0], [0, 0, 1]])) is None
+
+
+def _kernel_inputs():
+    """Empty shapes, RREF matrices and random ones of every rank."""
+    rng = np.random.default_rng(11)
+    yield from (np.zeros(s, dtype=np.int64)
+                for s in [(0, 5), (5, 0), (0, 0), (1, 1), (3, 3)])
+    for rows, cols, rank in [(2, 5, 2), (4, 4, 2), (6, 3, 3), (5, 8, 1),
+                             (7, 7, 7), (3, 9, 0)]:
+        a = (rng.integers(0, P, (rows, rank)) @
+             rng.integers(0, P, (rank, cols))) % P
+        yield a
+        yield linalg.rref(a, P)[0]
+        yield linalg.rref(a, P)[0][:, ::-1]
+
+
+def test_kernel_basis_matches_the_column_loop():
+    for a in _kernel_inputs():
+        want = kernel_basis_by_loop(a, P)
+        got = linalg.kernel_basis(a, P)
+        assert got.dtype == np.int64 and np.array_equal(got, want), a.shape
+        assert not ((a @ got.T) % P).any()
