@@ -1,9 +1,11 @@
 """Exact dense linear algebra over a prime field F_p.
 
 All matrices are numpy int64 arrays with entries reduced mod p.  Row
-reduction is plain Gauss-Jordan with the first nonzero pivot, so every
-routine is deterministic.  Also evaluates univariate polynomials over F_p,
-which is all that splitting endomorphism rings needs of them.
+reduction is Gauss-Jordan with the first nonzero pivot, so every routine is
+deterministic.  It runs on Python int lists for rows of at most LIST_COLS
+entries and as numpy row operations for longer rows; the RREF is unique, so
+both kernels return the same arrays.  Also evaluates univariate polynomials
+over F_p, which is all that splitting endomorphism rings needs of them.
 """
 
 import numpy as np
@@ -15,6 +17,9 @@ DEFAULT_PRIME = 32003
 # is below p**2 < 2**32, so any sum of fewer than 2**31 such products stays
 # below 2**63: every int64 accumulation of reduced entries is exact.
 FIELD_BOUND = 2 ** 16
+# A list row operation costs O(cols) interpreted steps and a numpy one a fixed
+# few calls: dense 32 x 32 systems take about as long either way.
+LIST_COLS = 32
 
 
 def is_prime(n):
@@ -48,8 +53,10 @@ def rref(a, p):
     Returns:
         (r, pivots): the RREF matrix and the list of pivot column indices.
     """
-    r = asmod(a, p).copy()
+    r = asmod(a, p)
     rows, cols = r.shape
+    if cols <= LIST_COLS:
+        return _rref_lists(r.tolist(), rows, cols, p)
     pivots = []
     pr = 0
     for c in range(cols):
@@ -70,6 +77,31 @@ def rref(a, p):
         pivots.append(c)
         pr += 1
     return r, pivots
+
+
+def _rref_lists(m, rows, cols, p):
+    """rref on a list of int rows, reduced in place."""
+    pivots = []
+    for c in range(cols):
+        pr = len(pivots)
+        if pr == rows:
+            break
+        for i in range(pr, rows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[pr], m[i] = m[i], m[pr]
+        row = m[pr]
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            row = m[pr] = [x * inv % p for x in row]
+        for j, other in enumerate(m):
+            f = other[c]
+            if f and j != pr:
+                m[j] = [(x - f * y) % p for x, y in zip(other, row)]
+        pivots.append(c)
+    return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
 
 
 def rank(a, p):

@@ -52,6 +52,7 @@ class FdModule:
         self._vertex_of = None
         self._summands = None  # set by direct_sum
         self._rad_end = None  # set by _end_radical
+        self._homs = {}  # Hom(self, n) by the object n, set by _cached_hom
         if check and self.dim:
             self._validate()
 
@@ -614,14 +615,22 @@ def _end_radical(m):
     return m._rad_end
 
 
+def _cached_hom(m, n):
+    """hom_basis(m, n), cached on m by the object n."""
+    if n not in m._homs:
+        m._homs[n] = hom_basis(m, n)
+    return m._homs[n]
+
+
 def _sum_radical(summands, embs, prs):
     """rad End(⊕ summands) as (r, t, t) block matrices emb_j g pr_i: g in
-    Hom(u_i, u_j) for i != j, and in rad End(u_i) for i = j."""
+    Hom(u_i, u_j) for i != j, and in rad End(u_i) for i = j, each cached on
+    u_i."""
     p, t = summands[0].algebra.p, embs[0].shape[0]
     rad = [(embs[j] @ g @ prs[i]) % p
            for i, ui in enumerate(summands)
            for j, uj in enumerate(summands)
-           for g in (_end_radical(ui) if i == j else hom_basis(ui, uj))]
+           for g in (_end_radical(ui) if i == j else _cached_hom(ui, uj))]
     return np.array(rad, dtype=np.int64).reshape(-1, t, t)
 
 

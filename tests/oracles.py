@@ -53,6 +53,10 @@ is the cancellation loop on mutable copies that `reduce_cx` replaced, and
 `kernel_basis_by_loop` and `quotient_by_ideal_by_loop` build the
 complement rows column by column, as `kernel_basis` and
 `quotient_by_ideal` did.
+
+`linalg.rref` row-reduces matrices of at most `linalg.LIST_COLS` columns
+on Python int lists; `rref_by_row_loop` is the numpy row loop that it ran
+on every matrix.
 """
 
 import numpy as np
@@ -500,3 +504,33 @@ def quotient_by_ideal_by_loop(alg, ideal_rows):
         lift[c, k] = 1
     kept = dense_mult(alg)[np.ix_(nonpiv, nonpiv)]
     return proj, lift, (kept @ proj.T) % p
+
+
+def rref_by_row_loop(a, p):
+    """Reduced row echelon form.
+
+    Returns:
+        (r, pivots): the RREF matrix and the list of pivot column indices.
+    """
+    r = linalg.asmod(a, p).copy()
+    rows, cols = r.shape
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        if pr >= rows:
+            break
+        nz = np.nonzero(r[pr:, c])[0]
+        if nz.size == 0:
+            continue
+        i = pr + int(nz[0])
+        if i != pr:
+            r[[pr, i]] = r[[i, pr]]
+        inv = pow(int(r[pr, c]), -1, p)
+        r[pr] = (r[pr] * inv) % p
+        other = np.nonzero(r[:, c])[0]
+        for j in other:
+            if j != pr:
+                r[j] = (r[j] - r[j, c] * r[pr]) % p
+        pivots.append(c)
+        pr += 1
+    return r, pivots

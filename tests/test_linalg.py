@@ -1,12 +1,14 @@
 """Exact linear algebra over F_p: solvers, spans, and polynomial helpers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import kernel_basis_by_loop
+from oracles import kernel_basis_by_loop, rref_by_row_loop
 from tauseq import linalg
 from tauseq.errors import DomainError
 
@@ -152,3 +154,45 @@ def test_kernel_basis_matches_the_column_loop():
         got = linalg.kernel_basis(a, P)
         assert got.dtype == np.int64 and np.array_equal(got, want), a.shape
         assert not ((a @ got.T) % P).any()
+
+
+def _rref_input(rows, cols, p, kind, seed):
+    """A seeded (rows, cols) matrix over F_p: mostly zeros, entries across
+    [0, p), or a product through an inner dimension of at most 3."""
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        return rng.integers(1, p, (rows, cols)) * (rng.random((rows, cols)) < .1)
+    if kind == "full":
+        return rng.integers(0, p, (rows, cols))
+    inner = int(rng.integers(0, 4))
+    return rng.integers(0, p, (rows, inner)) @ rng.integers(0, p, (inner, cols))
+
+
+WIDTHS = st.one_of(st.sampled_from([linalg.LIST_COLS, linalg.LIST_COLS + 1]),
+                   st.integers(0, 40))
+
+
+@pytest.mark.parametrize("list_cols", [linalg.LIST_COLS, -1, 40],
+                         ids=["by-width", "numpy-rows", "int-lists"])
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 40), WIDTHS, st.sampled_from([2, 97, 65521]),
+       st.sampled_from(["sparse", "full", "low-rank"]),
+       st.integers(0, 2 ** 32 - 1))
+@example(32, 32, 65521, "full", 0)
+@example(33, 33, 2, "full", 1)
+@example(40, 32, 97, "sparse", 2)
+@example(20, 33, 65521, "low-rank", 3)
+@example(0, 33, 2, "full", 4)
+@example(5, 0, 97, "full", 5)
+def test_rref_kernels_match_the_row_loop(list_cols, rows, cols, p, kind,
+                                         seed):
+    """Either kernel, on either side of LIST_COLS, gives the row loop's RREF
+    and pivots as a new int64 array and leaves its input as it was."""
+    a = _rref_input(rows, cols, p, kind, seed)
+    before = a.copy()
+    want, want_piv = rref_by_row_loop(a, p)
+    with mock.patch.object(linalg, "LIST_COLS", list_cols):
+        got, piv = linalg.rref(a, p)
+    assert got.dtype == np.int64 and got.shape == (rows, cols)
+    assert np.array_equal(got, want) and piv == want_piv
+    assert np.array_equal(a, before) and not np.shares_memory(got, a)

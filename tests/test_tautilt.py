@@ -386,6 +386,19 @@ def test_approximation_radical_matches_the_end_algebra(case, request,
     assert local_radicals > 0 or case not in ("Lambda3-4", "Lambda2-3")
 
 
+def test_cached_hom_bases_are_fresh_hom_bases():
+    """Enumerating E6 alt caches Hom(U_i, U_j) on registered modules for the
+    approximation radicals; each cached basis is what hom_basis gives."""
+    _, reg = enumerate_support_tau_tilting(
+        parse_algebra(dynkin_text("E", 6, alt=True))[1])
+    cached = [(m, n, homs) for m in reg.mods for n, homs in m._homs.items()]
+    assert cached and any(homs for _, _, homs in cached)
+    for m, n, homs in cached:
+        want = hom_basis(m, n)
+        assert len(homs) == len(want)
+        assert all(np.array_equal(g, h) for g, h in zip(homs, want))
+
+
 class _SmallModules(Registry):
     """A registry that splits no module of dimension above 16.  Modules of
     the tau-tilting infinite quivers drawn (a Kronecker subquiver, say)
