@@ -452,11 +452,7 @@ def _generator_rows(m):
 
 
 def min_presentation(m):
-    """Minimal projective presentation of m as a two-term complex.
-
-    The result carries .conc0 (the concrete degree-0 module) and .cover
-    (the ModuleMap conc0 -> m).
-    """
+    """Minimal projective presentation of m as a two-term complex."""
     alg = m.algebra
     p = alg.p
     projs = proj_list(alg)
@@ -484,10 +480,7 @@ def min_presentation(m):
             comp = (embs[r].T @ inside) % p
             v = (projs[vert].amb_basis.T @ comp) % p
             diff[r, c] = (left_ei @ v) % p
-    cx = Cx(alg, {-1: neg, 0: zer}, {-1: diff}, check=False)
-    cx.conc0 = p0
-    cx.cover = cover
-    return cx
+    return Cx(alg, {-1: neg, 0: zer}, {-1: diff}, check=False)
 
 
 def presentation(m):
@@ -558,7 +551,7 @@ def tau(m):
     row's first nonzero column).  With no P^-1 the empty sum gives the zero
     kernel."""
     alg, p = m.algebra, m.algebra.p
-    pres = min_presentation(m)
+    pres = presentation(m)
     neg, zer = pres.at(-1), pres.at(0)
     injs = inj_list(alg)
     nsrc, n_embs, _ = direct_sum(alg, [injs[v] for v in neg])
@@ -576,15 +569,15 @@ def tau(m):
 
 
 def ext1_dim(m, n):
-    """dim Ext^1(m, n), via the syzygy of a minimal presentation: the maps
-    om -> n modulo those that extend to P^0.  A zero m, n or syzygy gives no
-    map, so 0."""
-    p = m.algebra.p
-    pres = min_presentation(m)
-    om, om_incl = submodule(pres.conc0, pres.cover.kernel_rows())
-    rows = [((h @ om_incl.matrix) % p).reshape(-1)
-            for h in hom_basis(pres.conc0, n)]
-    return len(hom_basis(om, n)) - linalg.rank(np.array(rows), p)
+    """dim Ext^1(m, n), via the syzygy of a minimal presentation P^-1 ->
+    P^0, the image of its differential: the maps om -> n modulo those that
+    extend to P^0.  A zero m, n or syzygy gives no map, so 0."""
+    pres = presentation(m)
+    _, p0, d = concrete_map(m.algebra, pres.at(-1), pres.at(0), pres.diff(-1))
+    om, om_incl = submodule(p0, d.image_rows())
+    rows = [h @ om_incl.matrix for h in hom_basis(p0, n)]
+    return len(hom_basis(om, n)) - linalg.rank(
+        np.reshape(rows, (len(rows), n.dim * om.dim)), m.algebra.p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Exact dense linear algebra over a prime field F_p.
 
-All matrices are numpy int64 arrays with entries reduced mod p.  Row
-reduction is Gauss-Jordan with the first nonzero pivot, so every routine is
-deterministic.  It runs on Python int lists for rows of at most LIST_COLS
-entries and as numpy row operations for longer rows; the RREF is unique, so
-both kernels return the same arrays.  Also evaluates univariate polynomials
-over F_p, which is all that splitting endomorphism rings needs of them.
+All matrices are numpy int64 arrays.  rref is the one reduction mod p:
+it takes any integer array, and every routine here that row-reduces hands
+its input to rref unreduced, so each input is reduced once; results have
+entries in [0, p).  Row reduction is Gauss-Jordan with the first nonzero
+pivot, so every routine is deterministic.  It runs on Python int lists for
+rows of at most LIST_COLS entries and as numpy row operations for longer
+rows; the RREF is unique, so both kernels return the same arrays.  Also
+evaluates univariate polynomials over F_p, which is all that splitting
+endomorphism rings needs of them.
 """
 
 import numpy as np
@@ -105,9 +108,6 @@ def _rref_lists(m, rows, cols, p):
 
 
 def rank(a, p):
-    a = asmod(a, p)
-    if a.size == 0:
-        return 0
     return len(rref(a, p)[1])
 
 
@@ -128,9 +128,6 @@ def extend_basis(base, cands, p):
 
 def row_space(a, p):
     """Canonical (RREF) basis of the row space, as rows."""
-    a = asmod(a, p)
-    if a.size == 0:
-        return np.zeros((0, a.shape[1] if a.ndim == 2 else 0), dtype=np.int64)
     r, piv = rref(a, p)
     return r[: len(piv)].copy()
 
@@ -150,44 +147,32 @@ def complement_rows(r, pivots, p):
 
 def kernel_basis(a, p):
     """Right null space {x : a @ x = 0} as rows: the RREF complement of a."""
-    a = asmod(a, p)
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=np.int64)
     return complement_rows(*rref(a, p), p)[0]
 
 
 def solve(a, b, p):
     """Some x with a @ x = b, or None if inconsistent.  b is a vector."""
-    a = asmod(a, p)
-    b = asmod(b, p)
-    x = solve_matrix(a, b.reshape(-1, 1), p)
+    x = solve_matrix(a, np.reshape(b, (-1, 1)), p)
     return None if x is None else x[:, 0]
 
 
 def solve_matrix(a, b, p):
-    """Some X with a @ X = b, or None.  b has one column per system."""
-    a = asmod(a, p)
-    b = asmod(b, p)
-    rows, cols = a.shape
-    aug = np.hstack([a, b.reshape(rows, -1)])
-    r, piv = rref(aug, p)
-    k = b.shape[1]
-    for i, c in enumerate(piv):
-        if c >= cols:
-            return None
-    x = np.zeros((cols, k), dtype=np.int64)
-    for i, c in enumerate(piv):
-        x[c] = r[i, cols:]
+    """Some X with a @ X = b, or None.  b has one column per system; the
+    system is inconsistent when a pivot of the RREF of [a | b] (the last is
+    the largest) falls in b."""
+    cols = np.shape(a)[1]
+    r, piv = rref(np.hstack([a, b]), p)
+    if piv and piv[-1] >= cols:
+        return None
+    x = np.zeros((cols, r.shape[1] - cols), dtype=np.int64)
+    x[piv] = r[: len(piv), cols:]
     return x
 
 
 def inverse(a, p):
-    a = asmod(a, p)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        return None
-    x = solve_matrix(a, np.eye(n, dtype=np.int64), p)
-    return x
+    rows, cols = np.shape(a)
+    return solve_matrix(a, np.eye(rows, dtype=np.int64), p) \
+        if rows == cols else None
 
 
 class SpanSolver:
@@ -199,12 +184,9 @@ class SpanSolver:
     """
 
     def __init__(self, rows, p):
-        rows = asmod(rows, p)
         self.p = p
-        n = rows.shape[0]
-        aug = np.hstack([rows, np.eye(n, dtype=np.int64)])
-        r, piv = rref(aug, p)
-        width = rows.shape[1]
+        n, width = np.shape(rows)
+        r, piv = rref(np.hstack([rows, np.eye(n, dtype=np.int64)]), p)
         piv_in = [c for c in piv if c < width]
         self.red = r[: len(piv_in), :width]
         self.tr = r[: len(piv_in), width:]
@@ -214,9 +196,8 @@ class SpanSolver:
     def coords(self, v):
         # red is in RREF, so the coefficients on its rows are v's values at
         # the pivot columns
-        v = asmod(v, self.p)
         y = v[..., self.pivots]
-        if ((y @ self.red) % self.p != v).any():
+        if ((y @ self.red - v) % self.p).any():
             return None
         return (y @ self.tr) % self.p
 

@@ -1,13 +1,19 @@
 """Finite-dimensional left modules over a StructAlgebra.
 
 A module is an action tensor (one matrix per algebra basis element) over
-F_p.  Provides Hom spaces, endomorphism rings, indecomposable direct-sum
-decomposition by idempotents of End(M) (one Berlekamp split of its top, on
-the whole top when that is commutative and on F_p[z] otherwise; none when
-End(M) = k), t_u(x), f_u(x) and Gen u from one set of trace rows, and
-minimal left/right add(U)-approximations, with rad End(⊕U) read off the
-summands.  Coordinates on an RREF basis are read at its pivots.
+F_p, never written after construction.  Provides Hom spaces, each solved
+once per pair of module objects: hom_basis is the one cache of Hom bases,
+a table on the source keyed weakly by the target (so a cached basis never
+keeps a module alive) holding read-only arrays.  Also endomorphism rings,
+indecomposable direct-sum decomposition by idempotents of End(M) (one
+Berlekamp split of its top, on the whole top when that is commutative and
+on F_p[z] otherwise; none when End(M) = k), t_u(x), f_u(x) and Gen u from
+one set of trace rows, and minimal left/right add(U)-approximations, with
+rad End(⊕U) read off the summands.  Coordinates on an RREF basis are read
+at its pivots.
 """
+
+import weakref
 
 import numpy as np
 
@@ -52,7 +58,7 @@ class FdModule:
         self._vertex_of = None
         self._summands = None  # set by direct_sum
         self._rad_end = None  # set by _end_radical
-        self._homs = {}  # Hom(self, n) by the object n, set by _cached_hom
+        self._homs = weakref.WeakKeyDictionary()  # n -> Hom(self, n) basis
         if check and self.dim:
             self._validate()
 
@@ -197,7 +203,7 @@ def _close_under_action(m, rows):
     so a span that is already closed costs one product.
     """
     p = m.algebra.p
-    rows = linalg.row_space(linalg.asmod(rows, p), p)
+    rows = linalg.row_space(rows, p)
     gens_t = m.gen_actions().transpose(0, 2, 1)
     while True:
         pieces = ((rows @ gens_t) % p).reshape(-1, m.dim)
@@ -322,10 +328,13 @@ def injective_module(algebra, j):
 
 
 def hom_basis(m, n):
-    """Basis of Hom(m, n) as a list of (n.dim, m.dim) matrices."""
+    """Basis of Hom(m, n) as a fresh list of read-only (n.dim, m.dim)
+    matrices, solved on the first call for the pair and kept in m._homs."""
     if m.algebra is not n.algebra:
         raise DomainError("modules over different algebras")
-    p = m.algebra.p
+    homs = m._homs.get(n)
+    if homs is not None:
+        return list(homs)
     if m.dim == 0 or n.dim == 0:
         return []
     # X a_g = b_g X for every generator g.  The unknowns are the X[r, c]
@@ -342,10 +351,12 @@ def hom_basis(m, n):
     system = np.zeros((len(a), n.dim, m.dim, len(rk)), dtype=np.int64)
     system[:, rk, :, col] = a[:, ck].transpose(1, 0, 2)
     system[:, :, ck, col] -= b[:, :, rk]
-    system = system.reshape(len(a) * n.dim * m.dim, -1) % p
-    ker = linalg.kernel_basis(system[system.any(axis=1)], p)
+    system = system.reshape(len(a) * n.dim * m.dim, -1)
+    ker = linalg.kernel_basis(system[system.any(axis=1)], m.algebra.p)
     out = np.zeros((len(ker), n.dim, m.dim), dtype=np.int64)
     out[:, rk, ck] = ker
+    out.flags.writeable = False
+    m._homs[n] = list(out)
     return list(out)
 
 
@@ -580,8 +591,8 @@ def trace_rows(u, x):
     """Rows spanning t_u(x), the sum of the images of all maps u -> x: the
     h.T over hom_basis(u, x), with shape (0, x.dim) when there are none.
     A sum of images of module maps is a submodule, so the span is closed."""
-    return np.vstack([np.zeros((0, x.dim), dtype=np.int64)] +
-                     [h.T for h in hom_basis(u, x)])
+    return np.concatenate([np.zeros((0, x.dim), dtype=np.int64)] +
+                          [h.T for h in hom_basis(u, x)])
 
 
 def trace_submodule(u, x):
@@ -615,22 +626,14 @@ def _end_radical(m):
     return m._rad_end
 
 
-def _cached_hom(m, n):
-    """hom_basis(m, n), cached on m by the object n."""
-    if n not in m._homs:
-        m._homs[n] = hom_basis(m, n)
-    return m._homs[n]
-
-
 def _sum_radical(summands, embs, prs):
     """rad End(⊕ summands) as (r, t, t) block matrices emb_j g pr_i: g in
-    Hom(u_i, u_j) for i != j, and in rad End(u_i) for i = j, each cached on
-    u_i."""
+    Hom(u_i, u_j) for i != j, and in rad End(u_i) for i = j."""
     p, t = summands[0].algebra.p, embs[0].shape[0]
     rad = [(embs[j] @ g @ prs[i]) % p
            for i, ui in enumerate(summands)
            for j, uj in enumerate(summands)
-           for g in (_end_radical(ui) if i == j else _cached_hom(ui, uj))]
+           for g in (_end_radical(ui) if i == j else hom_basis(ui, uj))]
     return np.array(rad, dtype=np.int64).reshape(-1, t, t)
 
 

@@ -151,7 +151,6 @@ class WideContext(_Realizing):
         self._end = None
         if parent is None:
             self.set_records = {}
-            self.trace_rows = {}  # (u id, x id) -> modules.trace_rows
 
     @property
     def is_root(self):
@@ -224,14 +223,13 @@ def _one_step_pairs(root, s):
 
 def _torsion_free(root, u_ids, x):
     """f_{M_S}(x) = x / t_{M_S}(x) for registry ids: the trace of a sum is
-    the sum of the traces of its summands, each cached per pair on the
-    root.  Most pairs have no trace, and then x is returned as it is."""
+    the sum of the traces of its summands, each the images of the maps in
+    its Hom basis (modules.trace_rows).  Most pairs have no trace, and then
+    x is returned as it is."""
     xm = root.registry.module(x)
-    for u in u_ids:
-        if (u, x) not in root.trace_rows:
-            root.trace_rows[u, x] = trace_rows(root.registry.module(u), xm)
-    rows = [root.trace_rows[u, x] for u in u_ids if len(root.trace_rows[u, x])]
-    return quotient_module(xm, np.vstack(rows))[0] if rows else xm
+    rows = np.concatenate([np.zeros((0, xm.dim), dtype=np.int64)] + [
+        trace_rows(root.registry.module(u), xm) for u in u_ids])
+    return quotient_module(xm, rows)[0] if len(rows) else xm
 
 
 def _find_proj_vertex(alg, m):

@@ -57,6 +57,10 @@ complement rows column by column, as `kernel_basis` and
 `linalg.rref` row-reduces matrices of at most `linalg.LIST_COLS` columns
 on Python int lists; `rref_by_row_loop` is the numpy row loop that it ran
 on every matrix.
+
+`g_fan_check` checks an enumeration with no closed form to compare with:
+the g-vector cones of the objects must tile space exactly once, by exact
+integer determinants (`int_det`).
 """
 
 import numpy as np
@@ -534,3 +538,57 @@ def rref_by_row_loop(a, p):
         pivots.append(c)
         pr += 1
     return r, pivots
+
+
+def int_det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination on
+    Python ints, where every division is exact."""
+    m = [[int(x) for x in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def g_fan_check(reg, objects):
+    """Assert that the g-vector cones of the support tau-tilting objects
+    (canonical item tuples, over reg) tile R^n exactly once, as the g-fan of
+    a tau-tilting finite algebra does (Demonet-Iyama-Jasso):
+
+    - each g-matrix has determinant +-1 (AIR Thm 5.1);
+    - each wall, an object less one summand, lies in exactly two objects,
+      and their exchanged g-vectors lie on opposite sides of it;
+    - one generic vector lies in exactly one open cone.  Its coordinates
+      in a g-basis have the signs of Cramer's determinants, and it lies on
+      no wall: its entries are powers of -2^40, far above any cofactor of
+      the small g-vectors.
+    """
+    n = reg.n
+    g = {it: reg.g_vector(it) for obj in objects for it in obj}
+    walls = {}
+    for obj in objects:
+        assert len(obj) == n and abs(int_det([g[x] for x in obj])) == 1, obj
+        for k, x in enumerate(obj):
+            walls.setdefault(obj[:k] + obj[k + 1:], []).append(x)
+    for wall, xs in walls.items():
+        assert len(xs) == 2, ("wall not in two objects", wall, xs)
+        sides = [int_det([g[y] for y in wall] + [g[x]]) for x in xs]
+        assert sides[0] * sides[1] < 0, ("exchange on one side", wall, xs)
+    v = [(-2 ** 40) ** i for i in range(n)]
+    inside = []
+    for obj in objects:
+        cols = [g[x] for x in obj]
+        signs = [int_det(cols[:k] + [v] + cols[k + 1:]) * int_det(cols)
+                 for k in range(n)]
+        assert all(signs), ("generic vector on a wall", obj)
+        if all(s > 0 for s in signs):
+            inside.append(obj)
+    assert len(inside) == 1, ("generic vector in one cone", inside)

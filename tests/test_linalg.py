@@ -196,3 +196,52 @@ def test_rref_kernels_match_the_row_loop(list_cols, rows, cols, p, kind,
     assert got.dtype == np.int64 and got.shape == (rows, cols)
     assert np.array_equal(got, want) and piv == want_piv
     assert np.array_equal(a, before) and not np.shares_memory(got, a)
+
+
+def _same(got, want):
+    """Equal results: both None, equal ints, or int64 arrays of one shape
+    with equal entries."""
+    if want is None or isinstance(want, int):
+        return got == want
+    return got is not None and got.dtype == want.dtype == np.int64 and \
+        got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 40), WIDTHS, st.sampled_from([2, 97, 65521]),
+       st.sampled_from(["sparse", "full", "low-rank"]), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+@example(0, 33, 97, "full", 1, 0)
+@example(3, 0, 2, "full", 2, 1)
+@example(33, 33, 65521, "low-rank", 3, 2)
+@example(32, 32, 2, "full", 1, 3)
+def test_routines_on_unreduced_input_match_reduced_input(rows, cols, p, kind,
+                                                         k, seed):
+    """rref reduces every input once, for every routine built on it: on
+    int64 entries in [-3p, 3p), each routine gives exactly what it gives on
+    the entries mod p."""
+    rng = np.random.default_rng(seed)
+
+    def lift(r):  # a representative in [-3p, 3p) of each entry of r mod p
+        return r % p + p * rng.integers(-3, 3, np.shape(r))
+
+    red = _rref_input(rows, cols, p, kind, seed) % p
+    a = lift(red)
+    assert linalg.rank(a, p) == linalg.rank(red, p)
+    for fn in (linalg.row_space, linalg.kernel_basis):
+        assert _same(fn(a, p), fn(red, p)), fn.__name__
+    # right-hand sides both in the column span of a and at random
+    for b in ((red @ rng.integers(0, p, (cols, k))) % p,
+              rng.integers(0, p, (rows, k))):
+        assert _same(linalg.solve_matrix(a, lift(b), p),
+                     linalg.solve_matrix(red, b, p))
+        assert _same(linalg.solve(a, lift(b[:, 0]), p),
+                     linalg.solve(red, b[:, 0], p))
+    square = min(rows, cols)
+    assert _same(linalg.inverse(a[:square, :square], p),
+                 linalg.inverse(red[:square, :square], p))
+    # row vectors in the span of a (a batch of k) and at random
+    lifted, reduced = linalg.SpanSolver(a, p), linalg.SpanSolver(red, p)
+    for v in ((rng.integers(0, p, (k, rows)) @ red) % p,
+              rng.integers(0, p, (k, cols)), rng.integers(0, p, cols)):
+        assert _same(lifted.coords(lift(v)), reduced.coords(v))

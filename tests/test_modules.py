@@ -2,7 +2,9 @@
 approximations, and endomorphism algebras."""
 
 import functools
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -25,8 +27,36 @@ from tauseq.modules import (FdModule, decompose, decompose_grouped,
                             projective_module, radical_rows, simple_module,
                             submodule, top_quotient, torsion_free_quotient,
                             trace_submodule, zero_module)
-from tauseq.tautilt import enumerate_support_tau_tilting
+from tauseq.tautilt import Registry, enumerate_support_tau_tilting
 from test_algebra import linear_quiver_text
+
+
+def test_cached_hom_basis_dies_with_its_target(ex3):
+    # a registry module keeps its Hom bases keyed weakly by the target, so
+    # a basis toward a temporary module goes when the module is freed
+    _, alg, mods = ex3
+    reg = Registry(alg)
+    u = reg.module(reg.ensure(mods["P1"]))
+    before = len(u._homs)
+    tmp = FdModule(alg, u.action)
+    assert len(hom_basis(u, tmp)) == 1 and tmp in u._homs
+    gone = weakref.ref(tmp)
+    del tmp
+    gc.collect()
+    assert gone() is None and len(u._homs) == before
+
+
+def test_hom_bases_are_read_only_in_fresh_lists(ex3):
+    _, alg, mods = ex3
+    m = FdModule(alg, mods["M"].action)
+    first = hom_basis(m, m)
+    again = hom_basis(m, m)
+    assert first is not again and len(first) == 1
+    first.clear()
+    assert len(hom_basis(m, m)) == 1
+    for h in again + hom_basis(m, mods["P1"]):
+        with pytest.raises(ValueError):
+            h[0, 0] = 1
 
 
 def test_fixture_dimension_vectors(ex3):

@@ -6,25 +6,27 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dynkin_text, item_of, monomial_quiver_texts,
+from conftest import (FIXDIR, dynkin_text, item_of, monomial_quiver_texts,
                       nakayama_text)
-from oracles import (end_radical_mats, min_approx_by_end, scan_completion,
-                     scan_partner, scan_support_tau_rigid, triangle_bongartz)
+from oracles import (end_radical_mats, g_fan_check, min_approx_by_end,
+                     scan_completion, scan_partner, scan_support_tau_rigid,
+                     triangle_bongartz)
 from test_algebra import linear_quiver_text
 import itertools
 import math
 
 from tauseq import complexes as cxs
-from tauseq import linalg, modules, tautilt
+from tauseq import cli, linalg, modules, tautilt
 from tauseq.algebra import parse_algebra
 from tauseq.complexes import (end_K, hminus1, hom_K_dim, min_presentation,
                               proj_list, tau)
 from tauseq.errors import CapExceededError, DomainError
-from tauseq.modules import (decompose_grouped, direct_sum, hom_basis,
-                            hom_dim, in_gen, is_iso, min_left_approx,
-                            min_right_approx, submodule)
+from tauseq.modules import (FdModule, decompose_grouped, direct_sum,
+                            hom_basis, hom_dim, in_gen, is_iso,
+                            min_left_approx, min_right_approx, submodule)
 from tauseq.reduction import _find_proj_vertex
 from tauseq.reduction import root_context
+from tauseq.sequences import enumerate_ordered, phi, psi
 from tauseq.tautilt import (Registry, SignedObject, _items_support_tau_rigid,
                             bongartz, canonical, cobongartz,
                             complement_correspondence, completion,
@@ -386,17 +388,47 @@ def test_approximation_radical_matches_the_end_algebra(case, request,
     assert local_radicals > 0 or case not in ("Lambda3-4", "Lambda2-3")
 
 
-def test_cached_hom_bases_are_fresh_hom_bases():
-    """Enumerating E6 alt caches Hom(U_i, U_j) on registered modules for the
-    approximation radicals; each cached basis is what hom_basis gives."""
-    _, reg = enumerate_support_tau_tilting(
+def test_cached_hom_bases_are_fresh_hom_bases(ex2, ex3, monkeypatch,
+                                             capsys):
+    """Each Hom basis cached while enumerating E6 alt, building every child
+    of ex3's root, running psi then phi over every ordered object of ex2,
+    and the reduce, correspond and paper-example 3 commands, is the basis
+    solved afresh on copies of both modules, both as stored and as a
+    cache hit returns it."""
+    made, init = [], FdModule.__init__
+
+    def recording(self, *args, **kw):
+        init(self, *args, **kw)
+        made.append(self)
+
+    monkeypatch.setattr(FdModule, "__init__", recording)
+    enumerate_support_tau_tilting(
         parse_algebra(dynkin_text("E", 6, alt=True))[1])
-    cached = [(m, n, homs) for m in reg.mods for n, homs in m._homs.items()]
-    assert cached and any(homs for _, _, homs in cached)
+    root = root_context(ex3[1])
+    for item in root.level_items:
+        root.child(item)
+    root = root_context(ex2[1])
+    for t in range(1, root.gamma.idempotents.shape[0] + 1):
+        for tup in enumerate_ordered(root, t):
+            assert phi(root, psi(root, tup).root_pairs()) == tup
+    ex = [str(FIXDIR / f"ex{k}.{ext}") for k in (2, 3)
+          for ext in ("alg", "mods")]
+    for argv in (["reduce", "--algebra", ex[2], "--fixtures", ex[3],
+                  "--object", "M"],
+                 ["correspond", "--algebra", ex[0], "--fixtures", ex[1],
+                  "--module", "S1"],
+                 ["paper-example", "3"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    monkeypatch.undo()
+    cached = [(m, n, homs) for m in made for n, homs in m._homs.items()]
+    assert sum(len(homs) > 0 for _, _, homs in cached) > 100
     for m, n, homs in cached:
-        want = hom_basis(m, n)
-        assert len(homs) == len(want)
-        assert all(np.array_equal(g, h) for g, h in zip(homs, want))
+        want = hom_basis(FdModule(m.algebra, m.action),
+                         FdModule(n.algebra, n.action))
+        for got in (homs, hom_basis(m, n)):  # as stored, and as a hit reads
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, h) for g, h in zip(got, want))
 
 
 class _SmallModules(Registry):
@@ -668,6 +700,31 @@ def test_g_vectors_are_distinct_and_unimodular(case, request):
             assert reg.g_vector(("p", v)) == [-int(w == v) for w in range(n)]
         elif any(is_iso(reg.module(v), p) for p in proj_list(alg)):
             assert sorted(reg.g_vector(("m", v))) == [0] * (n - 1) + [1]
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A4", "rad2-A5",
+                                  "Lambda4", "Lambda4-2", "D4", "E6-alt"])
+def test_g_vector_cones_tile_space_once(case, request):
+    alg = parse_algebra(dynkin_text("E", 6, alt=True))[1] \
+        if case == "E6-alt" else _algebra_case(case, request)
+    objs, reg = enumerate_support_tau_tilting(alg)
+    g_fan_check(reg, objs)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(case=monomial_quiver_texts())
+def test_g_vector_cones_tile_space_once_on_drawn_quivers(case):
+    # draws that pass 300 objects, or grow a module past dimension 16
+    # (_SmallModules), are tau-tilting infinite or too large and skipped
+    alg = parse_algebra(case[0])[1]
+    try:
+        objs, reg = enumerate_support_tau_tilting(alg, cap=300,
+                                                  registry=_SmallModules(alg))
+    except CapExceededError:
+        assume(False)
+    g_fan_check(reg, objs)
 
 
 @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A3", "A4",
