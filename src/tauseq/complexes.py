@@ -260,12 +260,13 @@ def _invertible_entry(cx):
 
 
 def _inverse_entry(alg, a, b, mat):
-    """Entry of the inverse of A e_a -> A e_b with concrete matrix mat."""
+    """Entry of the inverse of A e_a -> A e_b with concrete matrix mat:
+    the preimage of e_b, whose coordinates in P_b are its values at the
+    pivots of P_b's RREF basis."""
     projs = proj_list(alg)
     pa, pb = projs[a], projs[b]
-    minv = linalg.inverse(mat, alg.p)
-    gen_b = linalg.solve(pb.amb_basis.T, alg.idempotents[b], alg.p)
-    back = (minv @ gen_b) % alg.p
+    gen_b = alg.idempotents[b][(pb.amb_basis != 0).argmax(axis=1)]
+    back = linalg.SpanSolver(mat.T, alg.p).coords(gen_b)
     return (pa.amb_basis.T @ back) % alg.p
 
 
@@ -472,14 +473,13 @@ def min_presentation(m):
     ker_mod, ker_incl = submodule(p0, ker_rows)
     kgens = _generator_rows(ker_mod)
     neg = [i for _, i in kgens]
+    # a generator at vertex i lies in e_i K, so its component in P_vert
+    # already lies in e_i A e_vert
+    kg = np.array([g for g, _ in kgens], dtype=np.int64)
+    inside = (ker_incl.matrix @ kg.reshape(len(neg), ker_mod.dim).T) % p
     diff = tensor_zeros(alg, len(zer), len(neg))
-    for c, (kg, i) in enumerate(kgens):
-        inside = (ker_incl.matrix @ kg) % p
-        left_ei = alg.left_mult_matrix(alg.idempotents[i])
-        for r, (emb, vert) in enumerate(zip(embs, zer)):
-            comp = (embs[r].T @ inside) % p
-            v = (projs[vert].amb_basis.T @ comp) % p
-            diff[r, c] = (left_ei @ v) % p
+    for r, (emb, vert) in enumerate(zip(embs, zer)):
+        diff[r] = ((projs[vert].amb_basis.T @ (emb.T @ inside % p)) % p).T
     return Cx(alg, {-1: neg, 0: zer}, {-1: diff}, check=False)
 
 

@@ -6,9 +6,10 @@ its input to rref unreduced, so each input is reduced once; results have
 entries in [0, p).  Row reduction is Gauss-Jordan with the first nonzero
 pivot, so every routine is deterministic.  It runs on Python int lists for
 rows of at most LIST_COLS entries and as numpy row operations for longer
-rows; the RREF is unique, so both kernels return the same arrays.  Also
-evaluates univariate polynomials over F_p, which is all that splitting
-endomorphism rings needs of them.
+rows; the RREF is unique, so both kernels return the same arrays.
+SpanSolver is the one solver: a linear system, an inverse or a membership
+question is a coordinate query against a row span.  Polynomials over F_p
+are evaluated only to find the roots of a minimal polynomial.
 """
 
 import numpy as np
@@ -150,31 +151,6 @@ def kernel_basis(a, p):
     return complement_rows(*rref(a, p), p)[0]
 
 
-def solve(a, b, p):
-    """Some x with a @ x = b, or None if inconsistent.  b is a vector."""
-    x = solve_matrix(a, np.reshape(b, (-1, 1)), p)
-    return None if x is None else x[:, 0]
-
-
-def solve_matrix(a, b, p):
-    """Some X with a @ X = b, or None.  b has one column per system; the
-    system is inconsistent when a pivot of the RREF of [a | b] (the last is
-    the largest) falls in b."""
-    cols = np.shape(a)[1]
-    r, piv = rref(np.hstack([a, b]), p)
-    if piv and piv[-1] >= cols:
-        return None
-    x = np.zeros((cols, r.shape[1] - cols), dtype=np.int64)
-    x[piv] = r[: len(piv), cols:]
-    return x
-
-
-def inverse(a, p):
-    rows, cols = np.shape(a)
-    return solve_matrix(a, np.eye(rows, dtype=np.int64), p) \
-        if rows == cols else None
-
-
 class SpanSolver:
     """Repeated membership/coordinate queries against a fixed row span.
 
@@ -200,9 +176,6 @@ class SpanSolver:
         if ((y @ self.red - v) % self.p).any():
             return None
         return (y @ self.tr) % self.p
-
-    def contains(self, v):
-        return self.coords(v) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,18 @@ F_p, never written after construction.  Provides Hom spaces, each solved
 once per pair of module objects: hom_basis is the one cache of Hom bases,
 a table on the source keyed weakly by the target (so a cached basis never
 keeps a module alive) holding read-only arrays.  Also endomorphism rings,
-indecomposable direct-sum decomposition by idempotents of End(M) (one
-Berlekamp split of its top, on the whole top when that is commutative and
-on F_p[z] otherwise; none when End(M) = k), t_u(x), f_u(x) and Gen u from
-one set of trace rows, and minimal left/right add(U)-approximations, with
-rad End(⊕U) read off the summands.  Coordinates on an RREF basis are read
-at its pivots.
+indecomposable direct-sum decomposition by idempotents of End(M), t_u(x),
+f_u(x) and Gen u from one set of trace rows, and minimal left/right
+add(U)-approximations, with rad End(⊕U) read off the summands.
+Coordinates on an RREF basis are read at its pivots.
+
+Both idempotents of a split are Fermat powers.  One Berlekamp split of
+the top of End(M) (on the whole top when that is commutative and on F_p[z]
+otherwise; none when End(M) = k) takes z with z^p = z, so its eigenvalues
+lie in F_p, and 1 - (z - lambda)^(p-1) is the idempotent at the eigenvalue
+lambda.  A lift x of that has x^2 - x in the radical, whose p-th power is
+0 as p exceeds dim End(M); F_p[x] is commutative, so x^(2p) = x^p, and
+x^p is the idempotent of End(M) over it (the only one in F_p[x]).
 """
 
 import weakref
@@ -441,33 +447,20 @@ def is_local_endo(m):
 # ---------------------------------------------------------------------------
 
 
-def _berlekamp_split(bar, ker):
-    """A nontrivial idempotent of bar, given a Frobenius kernel of dimension
-    at least 2: for z in it outside F_p, mu_z divides X^p - X and so has
-    distinct roots, and g(z)/g(lambda) with g = mu_z/(X - lambda) is the
-    idempotent of z's lambda-eigenspace."""
+def _berlekamp_split(struct, bar, lift, ker):
+    """A nontrivial idempotent of struct, given a Frobenius kernel ker of
+    dimension at least 2 in its semisimple top bar; lift maps bar's
+    coordinates into struct, None when the radical is zero.  It is the
+    module docstring's pair of Fermat powers, at the first row z of ker
+    outside F_p (a kernel of dimension at least 2 has one) and the least
+    root lambda of mu_z."""
     p = bar.p
-    unit_solver = linalg.SpanSolver(bar.unit.reshape(1, -1), p)
-    z = next((row for row in ker if not unit_solver.contains(row)), None)
-    if z is None:
-        raise DomainError("no splitting element found in Berlekamp kernel")
+    z = ker[linalg.extend_basis(bar.unit.reshape(1, -1), ker, p)[0]]
     mu = bar.element_min_poly(z)
-    roots = np.nonzero(linalg.poly_eval_many(mu, np.arange(p), p) == 0)[0]
-    lam = int(roots[0])
-    g = mu[1:].copy()  # synthetic division: g[k-1] = mu[k] + lam g[k]
-    for k in range(len(g) - 1, 0, -1):
-        g[k - 1] = (g[k - 1] + lam * g[k]) % p
-    glam = int(linalg.poly_eval_many(g, np.array([lam]), p)[0])
-    epoly = (g * pow(glam, -1, p)) % p
-    return _poly_at_element(bar, epoly, z)
-
-
-def _poly_at_element(struct, f, z):
-    acc = np.zeros(struct.dim, dtype=np.int64)
-    for c in f[::-1]:
-        acc = struct.multiply(acc, z)
-        acc = (acc + int(c) * struct.unit) % struct.p
-    return acc
+    roots = linalg.poly_eval_many(mu, np.arange(p), p) == 0
+    lam = int(np.flatnonzero(roots)[0])
+    ebar = bar.unit - bar.power(z - lam * bar.unit, p - 1)
+    return struct.power(ebar if lift is None else lift @ ebar, p)
 
 
 def _noncommutative_kernel(bar):
@@ -491,19 +484,6 @@ def _noncommutative_kernel(bar):
     raise DomainError("failed to split a noncommutative semisimple quotient")
 
 
-def _lift_idempotent(struct, e0):
-    """Newton iteration e <- 3e^2 - 2e^3 until exactly idempotent."""
-    p = struct.p
-    e = e0.copy()
-    for _ in range(2 * struct.dim + 8):
-        e2 = struct.multiply(e, e)
-        if np.array_equal(e2, e):
-            return e
-        e3 = struct.multiply(e2, e)
-        e = (3 * e2 - 2 * e3) % p
-    raise DomainError("idempotent lifting did not stabilize")
-
-
 def decompose(m):
     """Indecomposable direct summands of m, as (module, inclusion) pairs."""
     if m.dim == 0:
@@ -520,8 +500,7 @@ def decompose(m):
             return [(m, identity_map(m))]
     else:
         ker = _noncommutative_kernel(bar)
-    ebar = _berlekamp_split(bar, ker)
-    e = _lift_idempotent(struct, ebar if lift is None else (lift @ ebar) % p)
+    e = _berlekamp_split(struct, bar, lift, ker)
     emat = np.tensordot(e, np.array(mats), axes=1) % p
     rest = (np.eye(m.dim, dtype=np.int64) - emat) % p
     out = []

@@ -217,14 +217,16 @@ class Registry:
 
 def _integer_inverse(rows):
     """Inverse of a square integer matrix with an integral inverse: the
-    F_p inverse lifted to (-p/2, p/2), checked exactly in int64.  Any other
-    matrix raises DomainError."""
+    F_p inverse (the identity's coordinates in the rows, None when they
+    do not span) lifted to (-p/2, p/2), checked exactly in int64.  Any
+    other matrix raises DomainError."""
     p = linalg.DEFAULT_PRIME
     g = np.array(rows, dtype=np.int64)
-    inv = linalg.inverse(g, p)
+    eye = np.eye(len(g), dtype=np.int64)
+    inv = linalg.SpanSolver(g, p).coords(eye)
     if inv is not None:
         inv = np.where(inv > p // 2, inv - p, inv)
-        if np.array_equal(g @ inv, np.eye(len(g), dtype=np.int64)):
+        if np.array_equal(g @ inv, eye):
             return inv
     raise DomainError("g-vectors of the object are not a basis")
 

@@ -106,9 +106,9 @@ def rebased_algebra(alg, seed):
     p = alg.p
     rng = np.random.default_rng(seed)
     ginv = None
-    while ginv is None:
+    while ginv is None:  # the identity's coordinates in g's rows
         g = rng.integers(0, p, (alg.dim, alg.dim))
-        ginv = linalg.inverse(g, p)
+        ginv = linalg.SpanSolver(g, p).coords(np.eye(alg.dim, dtype=np.int64))
     g, ginv = g.astype(object), ginv.astype(object)
     mult = np.einsum("ia,jb,abk->ijk", g, g,
                      dense_mult(alg).astype(object)) % p

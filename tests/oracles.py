@@ -45,7 +45,10 @@ summands and each summand's own rad End; `end_radical_mats` and
 `min_approx_by_end` are the coordinatized End(+ u_i) route they replaced.
 
 Locality of End(m) is read off `decompose`; `local_endo_by_top` is the
-test on the semisimple top of End(m) that it replaced.
+test on the semisimple top of End(m) that it replaced.  `decompose` splits
+by two Fermat powers; `lagrange_split_idempotent` (g(z)/g(lambda) with
+g = mu_z/(X - lambda)) and `newton_lift` (e <- 3e^2 - 2e^3) are the
+idempotent and the lift it took before.
 
 A complex is normalized only by `Cx`, and null spaces and quotients come
 from one RREF complement (`linalg.complement_rows`); `reduce_cx_by_loop`
@@ -220,14 +223,13 @@ def dense_radical_rows(mult, p):
 
 def solve_restricted_action(imgs, bt, p, error):
     """The matrices of maps x on the span of the independent columns of
-    bt, given their images imgs[x] = map_x @ bt, by one solve of the
-    n x (k + len(imgs) * k) augmented system; error when the span is not
-    stable."""
-    n, k = bt.shape
-    sol = linalg.solve_matrix(bt, imgs.transpose(1, 0, 2).reshape(n, -1), p)
+    bt, given their images imgs[x] = map_x @ bt, by one batch of coordinate
+    queries of the images' columns against bt's columns; error when the
+    span is not stable."""
+    sol = linalg.SpanSolver(bt.T, p).coords(imgs.transpose(0, 2, 1))
     if sol is None:
         raise DomainError(error)
-    return sol.reshape(k, len(imgs), k).transpose(1, 0, 2)
+    return sol.transpose(0, 2, 1)
 
 
 def act_radical_rows(m):
@@ -258,7 +260,9 @@ def close_by_stacking(m, rows):
 def generator_rows_by_top(m):
     """(vector, vertex) generators of m: at each vertex i, lifts into e_i m
     of the RREF basis of e_i top m, by one solve through the projection
-    onto the top quotient."""
+    onto the top quotient.  The solve takes the solution supported on the
+    pivot columns of the system (the first independent ones), as
+    Gauss-Jordan elimination of the augmented system does."""
     alg = m.algebra
     p = alg.p
     top, proj = top_quotient(m)
@@ -268,10 +272,12 @@ def generator_rows_by_top(m):
         if not len(tbasis):
             continue
         ei_m = m.act(alg.idempotents[i])
-        sols = linalg.solve_matrix((proj.matrix @ ei_m) % p, tbasis.T, p)
-        if sols is None:
+        cols = ((proj.matrix @ ei_m) % p).T
+        piv = linalg.extend_basis(cols[:0], cols, p)
+        coords = linalg.SpanSolver(cols[piv], p).coords(tbasis)
+        if coords is None:
             raise DomainError("projective cover lift failed")
-        gens += [((ei_m @ sol) % p, i) for sol in sols.T]
+        gens += [((ei_m[:, piv] @ c) % p, i) for c in coords]
     return gens
 
 
@@ -421,6 +427,40 @@ def local_endo_by_top(m):
         algebra_from_matrices(mats, m.algebra.p))
     return commutative and modules._frobenius_kernel(
         bar, np.eye(bar.dim, dtype=np.int64)).shape[0] == 1
+
+
+def lagrange_split_idempotent(bar, ker):
+    """The idempotent of z's lambda-eigenspace in bar, for the first row z
+    of the Frobenius kernel ker outside F_p and the least root lambda of
+    mu_z: g(z)/g(lambda) with g = mu_z/(X - lambda), by synthetic division
+    and Horner's rule in bar."""
+    p = bar.p
+    unit = linalg.SpanSolver(bar.unit.reshape(1, -1), p)
+    z = next(row for row in ker if unit.coords(row) is None)
+    mu = bar.element_min_poly(z)
+    lam = int(np.flatnonzero(
+        linalg.poly_eval_many(mu, np.arange(p), p) == 0)[0])
+    g = mu[1:].copy()  # synthetic division: g[k-1] = mu[k] + lam g[k]
+    for k in range(len(g) - 1, 0, -1):
+        g[k - 1] = (g[k - 1] + lam * g[k]) % p
+    glam = int(linalg.poly_eval_many(g, np.array([lam]), p)[0])
+    acc = np.zeros(bar.dim, dtype=np.int64)
+    for c in ((g * pow(glam, -1, p)) % p)[::-1]:
+        acc = (bar.multiply(acc, z) + int(c) * bar.unit) % p
+    return acc
+
+
+def newton_lift(struct, e0):
+    """The idempotent over e0 (with e0^2 - e0 nilpotent) by the Newton
+    iteration e <- 3e^2 - 2e^3, until exactly idempotent."""
+    p = struct.p
+    e = e0 % p
+    for _ in range(2 * struct.dim + 8):
+        e2 = struct.multiply(e, e)
+        if np.array_equal(e2, e):
+            return e
+        e = (3 * e2 - 2 * struct.multiply(e2, e)) % p
+    raise AssertionError("idempotent lifting did not stabilize")
 
 
 def reduce_cx_by_loop(cx):

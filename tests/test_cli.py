@@ -1,13 +1,18 @@
 """End-to-end checks of the command line front end via cli.main."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauseq import cli
 from tauseq.sequences import enumerate_ordered
@@ -322,3 +327,74 @@ def test_paper_example_deterministic(capsys):
     first = run(capsys, ["paper-example", "3"])
     second = run(capsys, ["paper-example", "3"])
     assert first == second and first[0] == 0
+
+
+# the fuzz test's input files: a field line, one to three vertices, arrows
+# and relations from these lists on those vertices, and one or two module
+# blocks, with up to two broken lines inserted in each file.  The arrows can
+# make the path basis infinite (the 2-cycle a d and the loop e without
+# their relations) or the algebra tau-tilting infinite (the parallel arrows
+# a and f, the triangle a b c)
+ARROWS = [("a", 1, 2), ("b", 2, 3), ("c", 1, 3), ("d", 2, 1), ("e", 1, 1),
+          ("f", 1, 2)]
+RELATIONS = ["a b", "b d", "d a", "a d", "e e", "a b d"]
+BROKEN_ALGEBRA = ["field 7", "field 6", "field x", "field 65537", "field",
+                  "vertex 1 2", "vertex", "arrow a 2 3", "arrow g 1 4",
+                  "arrow h 1", "rel c", "rel a z", "bogus line", "# comment"]
+DIMS = [(1, "1:1"), (1, "1:0"), (2, "1:1 2:1"), (2, "1:2 2:2"),
+        (3, "2:1 3:1"), (3, "1:1 2:1 3:1")]
+MODULE_ARROWS = ["a = [[1]]", "a = [[1], [0]]", "a = [[1, 0], [0, 1]]",
+                 "b = [[1]]", "c = [[2]]", "d = [[1]]", "e = [[0]]",
+                 "f = [[0, 1], [1, 0]]"]
+BROKEN_MODULE = ["module M", "module", "dims 1:x", "dims 4:1", "dims 1:-1",
+                 "dims 11", "arrow a [[1]]", "arrow z = [[1]]",
+                 "arrow a = [[", "arrow a = 5", "arrow a = [[1, 2]]"]
+FUZZ_COMMANDS = [["info"], ["tau", "--module", "M"], ["indec-tau-rigid"],
+                 ["count", "--length", "1"], ["bongartz", "--module", "M"]]
+
+
+def _some(draw, pool, most):
+    return draw(st.lists(st.sampled_from(pool), max_size=most,
+                         unique=True)) if pool else []
+
+
+@st.composite
+def fuzz_files(draw):
+    """(algebra text, module text) for the fuzz test."""
+    n = draw(st.integers(1, 3))
+    arrows = _some(draw, [a for a in ARROWS if max(a[1:]) <= n], 4)
+    names = {a for a, _, _ in arrows}
+    alg = ["field 32003"] + [f"vertex {v}" for v in range(1, n + 1)]
+    alg += [f"arrow {a} {s} {t}" for a, s, t in arrows]
+    alg += ["rel " + r for r in _some(draw, [
+        r for r in RELATIONS if names.issuperset(r.split())], 3)]
+    mods = []
+    for name in ("M", "N")[:draw(st.integers(1, 2))]:
+        mods += [f"module {name}", "dims " + draw(st.sampled_from(
+            [d for top, d in DIMS if top <= n]))]
+        mods += ["arrow " + a for a in _some(draw, [
+            a for a in MODULE_ARROWS if a[0] in names], 2)]
+    for lines, broken in ((alg, BROKEN_ALGEBRA), (mods, BROKEN_MODULE)):
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(broken)))
+    return "\n".join(alg) + "\n", "\n".join(mods) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_files(), st.sampled_from(FUZZ_COMMANDS))
+def test_cli_survives_fuzzed_input_files(files, command):
+    # every input ends in an exit code 0-3 with no traceback: an error is
+    # one stderr line and prints nothing on stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [pathlib.Path(tmp, name) for name in ("a.alg", "a.mods")]
+        for path, text in zip(paths, files):
+            path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--algebra", str(paths[0]),
+                             "--fixtures", str(paths[1]), "--cap", "30"])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

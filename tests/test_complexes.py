@@ -145,14 +145,16 @@ def test_generator_rows_match_the_top_route(case, least, monkeypatch):
 def _conjugate_by(m, g):
     """m in the basis given by the columns of g: the action g^-1 rho(b) g."""
     p = m.algebra.p
-    return FdModule(m.algebra, (linalg.inverse(g, p) @ m.action @ g) % p)
+    ginv = linalg.SpanSolver(g, p).coords(np.eye(len(g), dtype=np.int64))
+    return FdModule(m.algebra, (ginv @ m.action @ g) % p)
 
 
 def _changes_of_basis(k, p, rng):
     """The upper unitriangular all-ones matrix, the reversal and a seeded
     invertible matrix, all k x k."""
     g = None
-    while g is None or linalg.inverse(g, p) is None:
+    while g is None or linalg.SpanSolver(g, p).coords(
+            np.eye(k, dtype=np.int64)) is None:
         g = rng.integers(0, p, (k, k))
     return [np.triu(np.ones((k, k), dtype=np.int64)),
             np.eye(k, dtype=np.int64)[::-1], g]
@@ -434,7 +436,7 @@ def test_entry_space_coordinates_solve_each_corner(ex2, ex3):
         t = _random_corner_tensor(alg, src, tgt, rng)
         vec = es.to_vec(t)
         assert vec.shape == (es.dim,) and np.any(vec)
-        want = [linalg.solve(alg.corner(a, b)[0].T, t[r, c], alg.p)
+        want = [linalg.SpanSolver(alg.corner(a, b)[0], alg.p).coords(t[r, c])
                 for r, b in enumerate(tgt) for c, a in enumerate(src)]
         assert np.array_equal(vec, np.concatenate(want))
         assert np.array_equal(es.from_vec(vec), t)

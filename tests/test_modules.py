@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import (dynkin_text, item_of, load_example, nakayama_text,
                       rebased_algebra)
 from oracles import (act_radical_rows, close_by_stacking, dense_mult,
-                     local_endo_by_top, solve_restricted_action)
+                     lagrange_split_idempotent, local_endo_by_top,
+                     newton_lift, solve_restricted_action)
 from tauseq import linalg, modules
 from tauseq.algebra import algebra_invariants, parse_algebra
 from tauseq.complexes import min_presentation, simple_list
@@ -196,9 +197,9 @@ def _rebased_module(m, seed):
     p = m.algebra.p
     rng = np.random.default_rng(seed)
     ginv = None
-    while ginv is None:
+    while ginv is None:  # the identity's coordinates in g's rows
         g = rng.integers(0, p, (m.dim, m.dim))
-        ginv = linalg.inverse(g, p)
+        ginv = linalg.SpanSolver(g, p).coords(np.eye(m.dim, dtype=np.int64))
     return FdModule(m.algebra, (g @ m.action % p) @ ginv % p)
 
 
@@ -238,6 +239,37 @@ def test_decompose_draws_no_random_numbers(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     for total, want, _ in cases:
         assert len(decompose(total)) == sum(want.values())
+
+
+def test_split_idempotents_match_lagrange_and_newton(monkeypatch):
+    """Every split that decompose makes on the decomposition tests' sums
+    and on every sum of two of ex3's fixtures, each also in a random basis:
+    the Fermat powers give the Lagrange idempotent g(z)/g(lambda) of the
+    top, lifted by Newton's iteration.  Some End rings have a radical, and
+    on some of those (sums with N in a random basis) the lift of the top's
+    idempotent is not yet idempotent, so the lift is exercised too."""
+    real, seen = modules._berlekamp_split, []
+
+    def both(struct, bar, lift, ker):
+        got = real(struct, bar, lift, ker)
+        ebar = lagrange_split_idempotent(bar, ker)
+        x = ebar if lift is None else (lift @ ebar) % bar.p
+        assert np.array_equal(got, newton_lift(struct, x))
+        seen.append((lift is not None,
+                     not np.array_equal(struct.multiply(x, x), x)))
+        return got
+
+    monkeypatch.setattr(modules, "_berlekamp_split", both)
+    fix3 = list(load_example("ex3")[2].values())
+    mods = [c[0] for c in _decomposition_cases()] + [
+        direct_sum(fix3[0].algebra, [a, b])[0]
+        for a, b in itertools.combinations_with_replacement(fix3, 2)]
+    mods += [_rebased_module(m, 11) for m in mods if m.dim <= 10]
+    for m in mods:
+        decompose(m)
+    assert len(seen) >= len(mods)
+    assert any(radical for radical, _ in seen)
+    assert any(needs_lift for _, needs_lift in seen)
 
 
 def test_is_local_endo_matches_the_top_route(monkeypatch):
@@ -419,7 +451,7 @@ def _factors_through(x, tgt, beta, maps_to):
                    for h in hom_basis(x, maps_to))
     rows = np.array([((g @ beta.matrix) % p).reshape(-1) for g in gs])
     solver = linalg.SpanSolver(rows, p)
-    return all(solver.contains(h.reshape(-1))
+    return all(solver.coords(h.reshape(-1)) is not None
                for h in hom_basis(x, maps_to))
 
 
@@ -554,7 +586,8 @@ def _conjugate(m):
     unitriangular all-ones matrix g: the action g^-1 rho(b) g."""
     p = m.algebra.p
     g = np.triu(np.ones((m.dim, m.dim), dtype=np.int64))
-    return FdModule(m.algebra, (linalg.inverse(g, p) @ m.action @ g) % p)
+    ginv = linalg.SpanSolver(g, p).coords(np.eye(m.dim, dtype=np.int64))
+    return FdModule(m.algebra, (ginv @ m.action @ g) % p)
 
 
 def test_hom_basis_matches_kronecker_on_fixtures(ex1, ex2, ex3):

@@ -6,13 +6,16 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import dynkin_text, item_of
+from conftest import (dynkin_text, item_of, monomial_quiver_texts,
+                      nakayama_text)
 from test_algebra import linear_quiver_text
+from test_tautilt import _SmallModules
 from tauseq import algebra, modules, reduction, sequences
 from tauseq.algebra import parse_algebra
 from tauseq.complexes import ext1_dim, proj_list
-from tauseq.errors import DomainError
+from tauseq.errors import CapExceededError, DomainError
 from tauseq.modules import hom_dim, zero_module
 from tauseq.reduction import (e_inverse, level_item_from_pair, root_context,
                               transport)
@@ -147,6 +150,49 @@ def test_every_generated_sequence_validates(stem, request):
         for tup, seq in enumerate_sequences(root, t):
             ok, why = validate_sequence(root, seq.root_pairs())
             assert ok, (tup, why)
+
+
+def _check_sampled_psi(root, rng, lengths, per_length):
+    """psi of per_length ordered objects of each length, drawn by rng (a
+    random object, then an ordered choice of its summands): each output
+    passes validate_sequence, and phi of its pairs gives the object back."""
+    for t in lengths:
+        for _ in range(per_length):
+            tup = tuple(rng.sample(rng.choice(root.stt_objects), t))
+            pairs = psi(root, tup).root_pairs()
+            ok, why = validate_sequence(root, pairs)
+            assert ok, (tup, why)
+            assert phi(root, pairs) == tup
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(case=monomial_quiver_texts())
+def test_psi_outputs_validate_on_drawn_quivers(case):
+    # draws past 60 objects, or with a module past dimension 16, are
+    # skipped; three ordered objects of each length, seeded by the draw
+    alg = parse_algebra(case[0])[1]
+    try:
+        root = root_context(alg, cap=60, registry=_SmallModules(alg))
+    except CapExceededError:
+        assume(False)
+    n = alg.idempotents.shape[0]
+    _check_sampled_psi(root, random.Random(case[0]), range(1, n + 1), 3)
+
+
+SAMPLED = {"Lambda_4^4": nakayama_text(4, 4),
+           "Lambda_5^3": nakayama_text(5, 3),
+           "rad2-A5": linear_quiver_text(5, rad_square_zero=True),
+           "D5": dynkin_text("D", 5), "E6-alt": dynkin_text("E", 6, alt=True)}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLED))
+def test_psi_outputs_validate_on_complete_samples(case):
+    # 20 seeded complete ordered objects
+    alg = parse_algebra(SAMPLED[case])[1]
+    n = alg.idempotents.shape[0]
+    _check_sampled_psi(root_context(alg), random.Random(case), [n], 20)
 
 
 @pytest.mark.parametrize(
