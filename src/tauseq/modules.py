@@ -10,13 +10,14 @@ f_u(x) and Gen u from one set of trace rows, and minimal left/right
 add(U)-approximations, with rad End(⊕U) read off the summands.
 Coordinates on an RREF basis are read at its pivots.
 
-Both idempotents of a split are Fermat powers.  One Berlekamp split of
+The idempotents of a split are Fermat powers.  One Berlekamp split of
 the top of End(M) (on the whole top when that is commutative and on F_p[z]
 otherwise; none when End(M) = k) takes z with z^p = z, so its eigenvalues
 lie in F_p, and 1 - (z - lambda)^(p-1) is the idempotent at the eigenvalue
-lambda.  A lift x of that has x^2 - x in the radical, whose p-th power is
-0 as p exceeds dim End(M); F_p[x] is commutative, so x^(2p) = x^p, and
-x^p is the idempotent of End(M) over it (the only one in F_p[x]).
+lambda, and the split when the radical is 0.  Else a lift x of that has
+x^2 - x in the radical, whose p-th power is 0 as p exceeds dim End(M);
+F_p[x] is commutative, so x^(2p) = x^p, and x^p is the idempotent of
+End(M) over it (the only one in F_p[x]).
 """
 
 import weakref
@@ -451,16 +452,16 @@ def _berlekamp_split(struct, bar, lift, ker):
     """A nontrivial idempotent of struct, given a Frobenius kernel ker of
     dimension at least 2 in its semisimple top bar; lift maps bar's
     coordinates into struct, None when the radical is zero.  It is the
-    module docstring's pair of Fermat powers, at the first row z of ker
-    outside F_p (a kernel of dimension at least 2 has one) and the least
-    root lambda of mu_z."""
+    module docstring's Fermat power (two of them under a radical), at the
+    first row z of ker outside F_p (a kernel of dimension at least 2 has
+    one) and the least root lambda of mu_z."""
     p = bar.p
     z = ker[linalg.extend_basis(bar.unit.reshape(1, -1), ker, p)[0]]
     mu = bar.element_min_poly(z)
     roots = linalg.poly_eval_many(mu, np.arange(p), p) == 0
     lam = int(np.flatnonzero(roots)[0])
     ebar = bar.unit - bar.power(z - lam * bar.unit, p - 1)
-    return struct.power(ebar if lift is None else lift @ ebar, p)
+    return ebar % p if lift is None else struct.power(lift @ ebar, p)
 
 
 def _noncommutative_kernel(bar):

@@ -7,12 +7,14 @@ reduction level, given that level's registry and objects.
 
 Objects live in mod A together with shifted projectives (Ae_i)[1]; internally
 a summand is an item ('m', registry id) or ('p', vertex index), and an object
-is a tuple of items (sorted for the unordered form).  Compatibility is a test
-on bit masks of the registry's rigid items, filled by one rank each way on
-the modules' cached presentations (cxs.hom_to_tau); mutation looks partners
-up, and discovers new ones by cokernels in mod A, or on the right by K^b
-triangles.
+is a tuple of items (sorted for the unordered form).  Compatibility is one
+matrix of bit rows over the registry's rigid items, each pair tested once
+by one rank each way on the modules' cached presentations (cxs.hom_to_tau);
+mutation reads partners off the rows, and discovers new ones by cokernels
+in mod A, or on the right by K^b triangles.
 """
+
+import weakref
 
 import numpy as np
 
@@ -43,8 +45,8 @@ class Registry:
     """Iso-class registry of indecomposable modules with stable ids.
 
     The shift at vertex v is bit v and registry id i is bit n + i.  `rigid`
-    masks the known items compatible with themselves, and `mask(item)` the
-    rigid ones compatible with item; both cache `compatible` lazily."""
+    folds new modules in on read, each getting its row of compatible rigid
+    items (none unless rigid): every row is current whenever it returns."""
 
     def __init__(self, alg):
         self.alg = alg
@@ -52,13 +54,11 @@ class Registry:
         self.mods = []
         self.names = []
         self._buckets = {}
-        self._compat = {}
-        self._split = {}  # id(m) -> (m, summand ids); holding m pins its id
+        self._split = weakref.WeakKeyDictionary()  # module -> summand ids
         self._g_inv = {}  # object -> inverse of its g-matrix
         self._signs = {}  # object -> g(A) sign masks in its g-basis
         self._rigid = (1 << self.n) - 1  # every shift is rigid
-        self._ranked = 0  # registry ids already folded into _rigid
-        self._masks = {}  # item -> (mask, the rigid mask it covers)
+        self._rows = [self._rigid] * self.n  # and shifts are compatible
 
     def __len__(self):
         return len(self.mods)
@@ -103,36 +103,35 @@ class Registry:
         in decomposition order.  Each module object is split at most once;
         a summand, and the registry module it is found as, are recorded
         as indecomposable and never split."""
-        if id(m) not in self._split:
-            self._split[id(m)] = (m, [self._indecomposable(piece)
-                                      for piece, _ in decompose(m)])
-        return self._split[id(m)][1]
+        if m not in self._split:
+            self._split[m] = [self._indecomposable(piece)
+                              for piece, _ in decompose(m)]
+        return self._split[m]
 
     def _indecomposable(self, m):
-        if id(m) not in self._split:
+        if m not in self._split:
             idx = self.ensure(m)
             for x in (m, self.mods[idx]):
-                self._split[id(x)] = (x, [idx])
-        return self._split[id(m)][1][0]
+                self._split[x] = [idx]
+        return self._split[m][0]
 
     def compatible(self, a, b):
-        """Is the sum of items a and b support tau-rigid?  Modules need
+        """Is the sum of items a and b support tau-rigid?  Read off a row
+        when both are folded and rigid, else tested, uncached: modules need
         Hom(a, tau b) = Hom(b, tau a) = 0 (cxs.hom_to_tau), and a == b
         indecomposable, read from its summand record once split; P_v[1]
-        needs (dim a)_v = 0.  Cached per pair; registers nothing."""
-        key = (a, b) if a <= b else (b, a)
-        if key not in self._compat:
-            (ka, va), (kb, vb) = key
-            if kb == "p":  # shifts sort last, so ka == "p" pairs two shifts
-                ok = ka == "p" or self.mods[va].vertex_dims()[vb] == 0
-            else:
-                ma, mb = self.mods[va], self.mods[vb]
-                split = self._split.get(id(ma))
-                ok = cxs.hom_to_tau(ma, mb) == 0 and (
-                    cxs.hom_to_tau(mb, ma) == 0 if va != vb
-                    else len(split[1]) == 1 if split else is_local_endo(ma))
-            self._compat[key] = ok
-        return self._compat[key]
+        needs (dim a)_v = 0.  Registers nothing."""
+        (ka, va), (kb, vb) = (a, b) if a <= b else (b, a)
+        ia, ib = va + self.n * (ka == "m"), vb + self.n * (kb == "m")
+        if self._rigid >> ia & self._rigid >> ib & 1:
+            return bool(self._rows[ia] >> ib & 1)
+        if kb == "p":  # shifts sort last, so ka == "p" pairs two shifts
+            return ka == "p" or self.mods[va].vertex_dims()[vb] == 0
+        ma, mb = self.mods[va], self.mods[vb]
+        split = self._split.get(ma)
+        return cxs.hom_to_tau(ma, mb) == 0 and (
+            cxs.hom_to_tau(mb, ma) == 0 if va != vb
+            else len(split) == 1 if split is not None else is_local_endo(ma))
 
     def bits(self, items):
         out = 0
@@ -145,24 +144,27 @@ class Registry:
 
     @property
     def rigid(self):
-        """Bits of the known items compatible with themselves."""
-        for i in range(self._ranked, len(self.mods)):
-            if self.compatible(("m", i), ("m", i)):
-                self._rigid |= 1 << (self.n + i)
-        self._ranked = len(self.mods)
+        """Bits of the known items compatible with themselves, once every
+        module registered since the last call has its row."""
+        rows = self._rows
+        while len(rows) < self.n + len(self.mods):
+            x, bit = self.item_at(len(rows)), 1 << len(rows)
+            rows.append(0)
+            if self.compatible(x, x):
+                for i in range(len(rows) - 1):
+                    if self._rigid >> i & 1 and self.compatible(
+                            self.item_at(i), x):
+                        rows[i] |= bit
+                        rows[-1] |= 1 << i
+                rows[-1] |= bit
+                self._rigid |= bit
         return self._rigid
 
     def mask(self, item):
-        """Bits of the rigid known items compatible with item."""
-        mask, covered = self._masks.get(item, (0, 0))
-        rigid = self.rigid
-        if covered != rigid:
-            new = rigid & ~covered
-            for i in range(new.bit_length()):
-                if new >> i & 1 and self.compatible(item, self.item_at(i)):
-                    mask |= 1 << i
-            self._masks[item] = (mask, rigid)
-        return mask
+        """Bits of the rigid known items compatible with item: its row."""
+        kind, val = item
+        self.rigid  # folds any new module, so the row is current
+        return self._rows[val if kind == "p" else self.n + val]
 
     def pres(self, idx):
         return cxs.presentation(self.mods[idx])
@@ -286,9 +288,9 @@ def is_support_tau_rigid(objs):
 
 def _items_support_tau_rigid(reg, items):
     """Every pair of items, each item with itself included, is
-    compatible: the items are rigid and each one's mask holds them all."""
+    compatible: each one's row, empty unless it is rigid, holds them all."""
     b = reg.bits(items)
-    return not b & ~reg.rigid and all(reg.mask(it) & b == b for it in items)
+    return all(reg.mask(it) & b == b for it in items)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def mutate(reg, items, k):
     """Exchange the k-th summand x of a support tau-tilting object x + U.
 
     U has exactly two completions (AIR Thm 2.18), so a known item outside
-    x + U in the mask of every summand of U is the partner (modules first,
+    x + U in the row of every summand of U is the partner (modules first,
     in registry order), and nothing is computed.  Otherwise the partner is
     a new module: for x a module outside Fac U, the summand of the cokernel
     of the minimal left add(U)-approximation of x (AIR Thm 2.30), else the
@@ -310,15 +312,15 @@ def mutate(reg, items, k):
     n = reg.n
     if not 0 <= k < n:
         raise DomainError(f"mutation index {k} is not in 0..{n - 1}")
-    # inlined hot path: masks read in place while current; n items, n bits
-    rigid = common = reg._rigid if reg._ranked == len(reg.mods) else reg.rigid
-    b = 0
-    for i, item in enumerate(items):
-        b |= 1 << (item[1] if item[0] == "p" else n + item[1])
-        mask, covered = reg._masks.get(item, (0, 0))
-        mask = mask if covered == rigid else reg.mask(item)
-        if i != k:  # x's mask is kept current, and U's masks must hold x
-            common &= mask
+    common, rows = reg.rigid, reg._rows  # rigid brings every row up to date
+    size, b = len(rows), 0
+    for i, (kind, v) in enumerate(items):
+        bit = n + v if kind == "m" else v if kind == "p" and v < n else -1
+        if v < 0 or not 0 <= bit < size:  # not an item the registry holds
+            raise DomainError("mutation requires a support tau-tilting object")
+        b |= 1 << bit
+        if i != k:  # U's rows must hold x
+            common &= rows[bit]
     if len(items) != n or b.bit_count() != n or common & b != b:
         raise DomainError("mutation requires a support tau-tilting object")
     hits = common & ~b

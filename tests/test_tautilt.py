@@ -10,10 +10,12 @@ from conftest import (FIXDIR, dynkin_text, item_of, monomial_quiver_texts,
                       nakayama_text)
 from oracles import (end_radical_mats, g_fan_check, min_approx_by_end,
                      scan_completion, scan_partner, scan_support_tau_rigid,
-                     triangle_bongartz)
+                     tau_compatible, triangle_bongartz)
 from test_algebra import linear_quiver_text
+import gc
 import itertools
 import math
+import weakref
 
 from tauseq import complexes as cxs
 from tauseq import cli, linalg, modules, tautilt
@@ -191,6 +193,18 @@ def test_mutation_validates_its_input(root3, ex3):
             mutate(reg, (p1, p2, s3), k)
 
 
+def test_mutation_refuses_items_the_registry_does_not_hold(root1):
+    # an unknown kind, a negative index, a module id past the registry and
+    # a vertex past n are no items; none may be read as another item's bit
+    reg = root1.registry
+    for obj in [(("m", 0), ("m", 99)), (("m", 0), ("p", 5)),
+                (("m", 0), ("x", 1)), (("m", -1), ("p", 0))]:
+        for k in (0, 1):
+            with pytest.raises(DomainError,
+                               match="support tau-tilting object"):
+                mutate(reg, obj, k)
+
+
 @pytest.mark.parametrize("stem", ["root1", "root2", "root3"])
 def test_mutation_involution_and_regularity(stem, request):
     root = request.getfixturevalue(stem)
@@ -244,6 +258,24 @@ def test_mutation_refuses_any_swap_but_the_two_completions(stem, request):
                         mutate(reg, swapped, j)
 
 
+def _check_rows(reg):
+    """Every bit of the compatibility matrix against the oracle: the rigid
+    items are those compatible with themselves, a row bit between rigid
+    items is tau_compatible, rows are symmetric, and the row of an item
+    that is not rigid is empty."""
+    size = reg.n + len(reg)
+    items = [reg.item_at(bit) for bit in range(size)]
+    rigid = reg.rigid
+    rows = [reg.mask(it) for it in items]
+    for i, a in enumerate(items):
+        assert bool(rigid >> i & 1) == tau_compatible(reg, a, a), a
+        assert rows[i] >> size == 0 and (rows[i] == 0 or rigid >> i & 1)
+        for j, b in enumerate(items[:i]):
+            assert rows[i] >> j & 1 == rows[j] >> i & 1, (a, b)
+            if rigid >> i & rigid >> j & 1:
+                assert bool(rows[i] >> j & 1) == tau_compatible(reg, a, b)
+
+
 def _count_triangles(monkeypatch):
     """Count the exchange sequences mutate runs, per side: the module-level
     left approximations and the K^b right ones."""
@@ -261,7 +293,8 @@ def _count_triangles(monkeypatch):
 
 
 def _algebra_case(case, request):
-    """ex1-3, linear A_n ("A4"), rad^2 = 0 A_n ("rad2-A4"), D4, and the
+    """ex1-3, linear A_n ("A4"), rad^2 = 0 A_n ("rad2-A4"), Dynkin quivers
+    ("D4", "E6alt" in the alternating orientation), and the
     Nakayama algebras Lambda_n^ell ("Lambda4" is Lambda_4^4, "Lambda3-4"
     is Lambda_3^4)."""
     if case.startswith("ex"):
@@ -269,8 +302,9 @@ def _algebra_case(case, request):
     if case.startswith("Lambda"):
         n, _, ell = case[len("Lambda"):].partition("-")
         return parse_algebra(nakayama_text(int(n), int(ell or n)))[1]
-    if case == "D4":
-        return parse_algebra(dynkin_text("D", 4))[1]
+    if case[0] in "DE":  # "D4", "E6alt"
+        return parse_algebra(dynkin_text(case[0], int(case[1]),
+                                         alt=case.endswith("alt")))[1]
     return parse_algebra(linear_quiver_text(int(case[-1]),
                                             case.startswith("rad2-")))[1]
 
@@ -292,6 +326,9 @@ def test_exchange_triangle_finds_every_partner(case, request, monkeypatch):
                    else (kind, v) for kind, v in obj]
             got = [it for it in mutate(bare, own, k) if it not in own]
             assert len(want) == len(got) == 1
+            # the discovering call folds its new module in before returning
+            assert len(bare._rows) == n + len(bare)
+            _check_rows(bare)
             (wk, wv), (gk, gv) = want[0], got[0]
             assert wk == gk, (obj, k)
             if wk == "m":
@@ -442,6 +479,54 @@ class _SmallModules(Registry):
         return super().summands(m)
 
 
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A4", "rad2-A5",
+                                  "D4", "E6alt"])
+def test_compatibility_rows_match_the_oracle(case, request):
+    _check_rows(enumerate_support_tau_tilting(_algebra_case(case, request))[1])
+
+
+def test_modules_registered_after_a_fold_get_current_rows(ex3):
+    # ex3's fixtures hold modules enumeration never meets, some of them not
+    # tau-rigid, and a direct sum, whose row stays empty
+    _, alg, mods = ex3
+    _, reg = enumerate_support_tau_tilting(alg)
+    _check_rows(reg)
+    known = len(reg)
+    for name, m in mods.items():
+        reg.ensure(m, name=name)
+    u = reg.ensure(direct_sum(alg, proj_list(alg)[:2])[0], name="U")
+    assert len(reg) > known + 1 and reg.mask(("m", u)) == 0
+    _check_rows(reg)
+
+
+@pytest.mark.parametrize("case", ["ex3", "A4", "rad2-A5", "D4"])
+def test_enumeration_asks_each_hom_to_tau_pair_once(case, request,
+                                                     monkeypatch):
+    alg = _algebra_case(case, request)
+    calls, real = [], cxs.hom_to_tau
+
+    def counting(y, x):
+        calls.append((y, x))  # held, so no id is reused
+        return real(y, x)
+
+    monkeypatch.setattr(cxs, "hom_to_tau", counting)
+    enumerate_support_tau_tilting(alg)
+    assert calls
+    assert len({(id(y), id(x)) for y, x in calls}) == len(calls)
+
+
+def test_summand_records_do_not_keep_modules_alive(ex3):
+    # a split module is recorded weakly: once dropped, it is collected
+    _, alg, _ = ex3
+    reg = Registry(alg)
+    m = direct_sum(alg, proj_list(alg)[:2])[0]
+    ref = weakref.ref(m)
+    assert len(reg.summands(m)) == 2 and reg.summands(m) is reg._split[m]
+    del m
+    gc.collect()
+    assert ref() is None and len(reg._split) == len(reg)
+
+
 @pytest.mark.parametrize("named_sum", [False, True])
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much,
@@ -461,6 +546,7 @@ def test_mask_lookup_matches_the_scan(named_sum, case, data):
         objs, _ = enumerate_support_tau_tilting(alg, cap=60, registry=reg)
     except CapExceededError:
         assume(False)
+    _check_rows(reg)
     for obj in objs:
         for k in range(n):
             y = scan_partner(reg, obj, k)
@@ -774,7 +860,7 @@ def test_correspondence_splits_nothing_but_u(ex3, monkeypatch):
             split.clear()
             calls += 1
     assert calls == 8
-    assert set(reg._split) - before <= {id(m) for m in reg.mods}
+    assert set(reg._split) - before <= set(reg.mods)
 
 
 def test_correspondence_oracles(root1, root3, ex1, ex3):
