@@ -224,7 +224,7 @@ def cmd_st_pairs(ws, args):
 def cmd_bongartz(ws, args):
     u = ws.resolve_module(args.module)
     reg = ws.root.registry
-    pieces = [reg.module(i) for i in bongartz(reg, ws.root.stt_objects, u)]
+    pieces = [reg.module(i) for i in bongartz(reg, u)]
     rows = [(ws.module_name(x),
              ",".join(str(d) for d in x.vertex_dims())) for x in pieces]
     payload = {"module": ws.entry_json(u, False),
@@ -235,7 +235,7 @@ def cmd_bongartz(ws, args):
 def cmd_cobongartz(ws, args):
     u = ws.resolve_module(args.module)
     reg = ws.root.registry
-    c_ids, q = cobongartz(reg, ws.root.stt_objects, u)
+    c_ids, q = cobongartz(reg, u)
     rows = [(reg.name(c), "module") for c in c_ids]
     rows += [(reg.display_item(("p", v)), "shifted projective") for v in q]
     payload = {"module": ws.entry_json(u, False),
@@ -247,7 +247,7 @@ def cmd_cobongartz(ws, args):
 def cmd_correspond(ws, args):
     u = ws.resolve_module(args.module)
     reg = ws.root.registry
-    _, records = complement_correspondence(reg, ws.root.stt_objects, u)
+    _, records = complement_correspondence(reg, u)
     rows = []
     payload = []
     for rec in records:

@@ -512,7 +512,8 @@ def hom_to_tau(y, x):
     mat = np.einsum("rci,iab->carb", presentation(x).diff(-1), y.action)
     mat = mat.reshape(len(neg) * y.dim, -1) % p
     mat = mat[mat.any(axis=1)][:, mat.any(axis=0)]
-    return sum(y.vertex_dims()[a] for a in neg) - linalg.rank(mat, p)
+    return sum(y.vertex_dims()[a] for a in neg) - (
+        linalg.rank(mat, p) if mat.size else 0)
 
 
 def h0(cx):

@@ -23,16 +23,14 @@ f_u(tops) are a projective generator of J(u) (Jasso), so at both kinds
 Gamma = End(+ gens), and transport is Hom(+ gens, -) under precomposition.
 Under P_v[1] the gens are the projectives of A/<e_v>.
 
-Each context carries stt_objects, its support tau-tilting objects as tuples
-of its level items: a child's are its parent's objects that contain the
-reducer, mapped through the child's records, as s-tau-tilt J(u) is the
-interval of objects containing u (Jasso).  So B(u) and C(u) come from
-tautilt.completion at every depth.  E sends each partner of a top (an
-item of C(u) outside u, paired by tautilt.g_pairing, or under P_v[1] the
-shift P_w[1] itself) to the shifted projective at the top's vertex, and
-any other compatible module x to f_u(x).  Gamma lives only in chains: the
-`reduce` command, the Gamma invariants of the third paper example and
-sequences.validate_sequence build them; psi and phi do not.
+Only the root carries stt_objects, its support tau-tilting objects, for
+listing and counting; B(u) and C(u) come from tautilt.completion, a walk
+on the rows of the level's registry, at every depth.  E sends each partner
+of a top (an item of C(u) outside u, paired by tautilt.g_pairing, or under
+P_v[1] the shift P_w[1] itself) to the shifted projective at the top's
+vertex, and any other compatible module x to f_u(x).  Gamma lives only in
+chains: the `reduce` command, the Gamma invariants of the third paper
+example and sequences.validate_sequence build them; psi and phi do not.
 """
 
 import numpy as np
@@ -43,8 +41,8 @@ from .errors import DomainError
 from .modules import (FdModule, end_algebra, hom_basis, is_iso,
                       quotient_module, torsion_free_quotient, trace_rows,
                       zero_module)
-from .tautilt import (Registry, SignedObject, canonical, completion,
-                      g_pairing, g_partner, indec_tau_rigid_items)
+from .tautilt import (Registry, SignedObject, completion, g_pairing,
+                      g_partner, indec_tau_rigid_items)
 
 
 def j_membership(u, x):
@@ -139,7 +137,7 @@ class WideContext(_Realizing):
         self.gamma = gamma
         self.registry = registry  # Registry over gamma
         self.level_items = level_items
-        self.stt_objects = None  # support tau-tilting objects of level items
+        self.stt_objects = None  # the root's support tau-tilting objects
         self.records = []  # {"parent": item, "reduced": ReducedObject}
         self.record_of = {}  # level item -> its record
         self._children = {}
@@ -214,7 +212,7 @@ def _one_step_pairs(root, s):
                 pairs[x] = (fx, False)
     shifted = [x for x, pair in pairs.items() if pair is None]
     if shifted:
-        top = completion(reg, root.stt_objects, s)
+        top = completion(reg, s)
         for x in shifted:
             b = g_partner(reg, top, s, x)
             pairs[x] = (_torsion_free(root, u_ids, b), True)
@@ -250,7 +248,7 @@ def _build_context(parent, reducer_item):
     projs = cxs.proj_list(a)
     if kind == "m":
         u = preg.module(val)
-        b_ids, pairs = g_pairing(preg, parent.stt_objects, {reducer_item})
+        b_ids, pairs = g_pairing(preg, {reducer_item})
         tops = [("m", i) for i in b_ids]
         labels = [preg.name(i) for i in b_ids]
         partners = {x: tops.index(("m", b)) for x, b in pairs.items()}
@@ -286,10 +284,6 @@ def _build_context(parent, reducer_item):
     if len(ctx.record_of) != len(ctx.records):
         raise DomainError("reduction produced a repeated level item")
     ctx.level_items = list(ctx.record_of)
-    # s-tau-tilt J(u) is the interval of the objects containing u (Jasso)
-    level = {r["parent"]: r["reduced"].gamma_item for r in ctx.records}
-    ctx.stt_objects = [canonical(level[x] for x in obj if x != reducer_item)
-                       for obj in parent.stt_objects if reducer_item in obj]
     return ctx
 
 

@@ -3,7 +3,7 @@ enumeration, and g-vectors, with everything about the interval of support
 tau-tilting objects that contain a set S of items read off them: its top
 B(S) and bottom C(S) (the Bongartz and co-Bongartz completions), and the
 pairing of their summands outside S.  The same routines serve every
-reduction level, given that level's registry and objects.
+reduction level, given that level's registry.
 
 Objects live in mod A together with shifted projectives (Ae_i)[1]; internally
 a summand is an item ('m', registry id) or ('p', vertex index), and an object
@@ -388,22 +388,33 @@ def indec_tau_rigid_items(alg, cap=10000, registry=None):
 # ---------------------------------------------------------------------------
 
 
-def completion(reg, objects, s, top=True):
+def completion(reg, s, top=True):
     """B(S) (top) or C(S) (bottom): an end of the interval of support
     tau-tilting objects that contain a support tau-rigid set S of items.
-    The g-cone of B(S) holds g(S) + eps g(A) for small eps > 0, and that of
-    C(S) holds g(S) - eps g(A) (Demonet-Iyama-Jasso), so the answer is the
-    one object of `objects` whose bits hold those of S and in whose g-basis
-    g(A) has positive coordinates (negative for C(S)) on every summand
-    outside S: the cached sign masks, read only for objects containing S."""
-    want = reg.bits(s)
-    hits = [obj for obj in objects if (b := reg.bits(obj)) & want == want
-            and not b & ~want & ~reg.g_signs(obj)[0 if top else 1]]
-    if len(hits) != 1:
-        end = "Bongartz" if top else "co-Bongartz"
-        raise DomainError(f"{len(hits)} objects qualify as the {end} "
-                          "completion")
-    return hits[0]
+    A greedy maximal clique of the rows over S, modules first for B(S) and
+    shifts first for C(S), is an object once the registry holds every item
+    (AIR §2).  g(A) has positive coordinates in the g-basis of B(S), and
+    negative ones in that of C(S), on every summand outside S
+    (Demonet-Iyama-Jasso).  A summand with the other sign is exchanged by
+    `mutate`, a step up (negative) or down (positive) in the finite
+    interval, whose one top (bottom) has no such summand: the walk ends."""
+    n, want = reg.n, reg.bits(s)
+    free, rows, obj = reg.rigid & ~want, reg._rows, list(s)
+    for it in s:
+        free &= reg.mask(it)
+    while free:  # take the lowest bit on the wanted side
+        h = (free >> n << n or free) if top else (free & (1 << n) - 1 or free)
+        i = (h & -h).bit_length() - 1
+        obj.append(reg.item_at(i))
+        free &= rows[i] & ~(1 << i)
+    obj = canonical(obj)
+    if len(obj) != n or not _items_support_tau_rigid(reg, obj):
+        raise DomainError("the items have no support tau-tilting completion")
+    # g_signs is (positive, negative): B(S) exchanges the negative summands
+    while wrong := reg.bits(obj) & ~want & reg.g_signs(obj)[top]:
+        obj = mutate(reg, obj, obj.index(reg.item_at(
+            (wrong & -wrong).bit_length() - 1)))
+    return obj
 
 
 def g_partner(reg, top, s, x):
@@ -419,13 +430,13 @@ def g_partner(reg, top, s, x):
     return hits[0][0][1]
 
 
-def g_pairing(reg, objects, s):
+def g_pairing(reg, s):
     """(ids of the summands of B(S) outside S, {x: g_partner of x} over the
     items x of C(S) outside S), both in registry order.  The g rule must
     pair the two sides one to one."""
-    top = completion(reg, objects, s)
+    top = completion(reg, s)
     pairs = {x: g_partner(reg, top, s, x)
-             for x in completion(reg, objects, s, top=False) if x not in s}
+             for x in completion(reg, s, top=False) if x not in s}
     b_ids = [v for kind, v in top if (kind, v) not in s]
     if len(set(pairs.values())) != len(b_ids):
         raise DomainError("the g rule does not pair the Bongartz summands "
@@ -445,26 +456,24 @@ def _rigid_items(reg, u):
     return items
 
 
-def bongartz(reg, objects, u):
+def bongartz(reg, u):
     """Registry ids of B(u) outside u, in registry order, for a tau-rigid
-    module u: its Bongartz complement, with which u is tau-tilting.
-    `objects` are every support tau-tilting object over reg."""
+    module u: its Bongartz complement, with which u is tau-tilting."""
     s = _rigid_items(reg, u)
-    return [v for kind, v in completion(reg, objects, s)
-            if (kind, v) not in s]
+    return [v for kind, v in completion(reg, s) if (kind, v) not in s]
 
 
-def cobongartz(reg, objects, u):
+def cobongartz(reg, u):
     """(C ids, Q vertex list) of C(u) outside u, in registry order, for a
     tau-rigid module u: the modules X in Gen u with X + u tau-rigid, and
     the vertices v with Hom(P_v, u) = 0."""
     s = _rigid_items(reg, u)
-    bottom = completion(reg, objects, s, top=False)
+    bottom = completion(reg, s, top=False)
     return ([v for kind, v in bottom if kind == "m" and (kind, v) not in s],
             [v for kind, v in bottom if kind == "p"])
 
 
-def complement_correspondence(reg, objects, u):
+def complement_correspondence(reg, u):
     """Pair each indecomposable Bongartz summand B_i of a tau-rigid module u
     with its co-Bongartz partner by the g rule; returns (b_ids, records),
     b_ids in registry order.
@@ -476,7 +485,7 @@ def complement_correspondence(reg, objects, u):
     add(B_i)-approximation.  Case "b" records come first, by vertex.
     """
     s = _rigid_items(reg, u)
-    b_ids, pairs = g_pairing(reg, objects, s)
+    b_ids, pairs = g_pairing(reg, s)
     records = []
     for x, b in pairs.items():
         if x[0] == "p":

@@ -28,8 +28,10 @@ top-quotient-and-solve route they replaced.
 
 The registry answers compatibility questions with bit masks;
 `scan_support_tau_rigid`, `scan_partner` and `scan_completion` are the
-pairwise scans over `Registry.compatible` and the g-coordinate scan they
-replaced.
+pairwise scans over `Registry.compatible` and the g-coordinate scan over
+every object that they replaced; `completion` walks on the rows instead.
+Only the root context keeps its objects; `context_objects` gives a child's
+by the filter that each child once applied to its parent's list.
 
 A child context builds its reduced algebra as End(+ f_u(B_i)) at both
 reducer kinds; `quotient_gamma` is the pair of quotient routes it replaced,
@@ -77,6 +79,7 @@ from tauseq.errors import DomainError
 from tauseq.modules import (FdModule, ModuleMap, direct_sum, end_algebra,
                             hom_basis, hom_dim, in_gen, is_local_endo,
                             min_left_approx, quotient_module, top_quotient)
+from tauseq.tautilt import canonical
 
 
 def scan_support_tau_rigid(reg, items):
@@ -108,6 +111,18 @@ def scan_completion(reg, objects, s, top=True):
     if len(hits) != 1:
         raise DomainError(f"{len(hits)} objects qualify")
     return hits[0]
+
+
+def context_objects(ctx):
+    """The support tau-tilting objects of a reduction context, as tuples of
+    its level items: the root's list, or the parent's objects that contain
+    the reducer, mapped through the records, as s-tau-tilt J(u) is the
+    interval of the objects containing u (Jasso)."""
+    if ctx.is_root:
+        return ctx.stt_objects
+    level = {r["parent"]: r["reduced"].gamma_item for r in ctx.records}
+    return [canonical(level[x] for x in obj if x != ctx.reducer_item)
+            for obj in context_objects(ctx.parent) if ctx.reducer_item in obj]
 
 
 def gen_scan_cobongartz(reg, u):

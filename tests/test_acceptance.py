@@ -408,7 +408,7 @@ def _c5_two_pairs_a(state):
     for stem, alg, mods, root in state:
         reg = root.registry
         for un, u in _rigid_mods(mods).items():
-            b = [reg.module(i) for i in bongartz(reg, root.stt_objects, u)]
+            b = [reg.module(i) for i in bongartz(reg, u)]
             total = direct_sum(alg, [u] + b)[0]
             tu = tau(u)
             for xn, x in mods.items():
@@ -423,7 +423,7 @@ def _c5_two_pairs_b(state):
     for stem, alg, mods, root in state:
         reg = root.registry
         for un, u in _rigid_mods(mods).items():
-            c_ids, _ = cobongartz(reg, root.stt_objects, u)
+            c_ids, _ = cobongartz(reg, u)
             expected = {reg.name(c) for c in c_ids} | {un}
             got = set()
             for xn, x in mods.items():
@@ -462,7 +462,7 @@ def _c5_gen_app(state):
         reg = root.registry
         for un, u in _rigid_mods(mods).items():
             u_pieces = [piece for piece, _ in decompose_grouped(u)]
-            records = complement_correspondence(reg, root.stt_objects, u)[1]
+            records = complement_correspondence(reg, u)[1]
             for rec in records:
                 if rec["case"] != "a":
                     continue
@@ -485,7 +485,7 @@ def _c5_split_projectivity(state):
         reg = root.registry
         for un, u in _rigid_mods(mods).items():
             tu = tau(u)
-            for bi in map(reg.module, bongartz(reg, root.stt_objects, u)):
+            for bi in map(reg.module, bongartz(reg, u)):
                 for yn, y in mods.items():
                     if hom_dim(y, tu) != 0 or not in_gen(y, bi):
                         continue

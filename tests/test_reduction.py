@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 
 from conftest import dynkin_text, item_of, load_example, nakayama_text
-from oracles import (approximation_pairing, gen_scan_cobongartz,
-                     quotient_gamma, triangle_bongartz)
+from oracles import (approximation_pairing, context_objects,
+                     gen_scan_cobongartz, quotient_gamma, triangle_bongartz)
 from test_algebra import linear_quiver_text
 from tauseq import complexes as cxs
 from tauseq.algebra import algebra_invariants, parse_algebra
@@ -410,14 +410,14 @@ def test_context_objects_are_the_objects_of_gamma(case, contexts, request):
     n = root.gamma.idempotents.shape[0]
     every = _every_context(root)
     for depth, ctx in every:
-        objs = ctx.stt_objects
+        objs = context_objects(ctx)
         assert len(set(objs)) == len(objs)
         for obj in objs:
             assert len(obj) == n - depth and obj == canonical(obj)
             assert _items_support_tau_rigid(ctx.registry, list(obj))
         if depth:
             assert len(objs) == sum(ctx.reducer_item in obj
-                                    for obj in ctx.parent.stt_objects)
+                                    for obj in context_objects(ctx.parent))
         fresh, fresh_reg = enumerate_support_tau_tilting(ctx.gamma)
         assert set(objs) == {canonical(
             ("m", ctx.registry.find(fresh_reg.module(v))) if kind == "m"
@@ -437,13 +437,13 @@ def test_completions_match_the_oracles_at_every_level(case, reducers,
     root = _case_root(case, request)
     seen = 0
     for _, ctx in _every_context(root):
-        reg, objs = ctx.registry, ctx.stt_objects
+        reg = ctx.registry
         for y in ctx.level_items:
             if y[0] != "m":
                 continue
             u, s = reg.module(y[1]), {y}
-            top = completion(reg, objs, s)
-            bottom = completion(reg, objs, s, top=False)
+            top = completion(reg, s)
+            bottom = completion(reg, s, top=False)
             b_ids = triangle_bongartz(reg, u)
             assert set(top) - s == {("m", b) for b in b_ids}
             c_ids, q = gen_scan_cobongartz(reg, u)
@@ -451,7 +451,7 @@ def test_completions_match_the_oracles_at_every_level(case, reducers,
                 [("m", c) for c in c_ids] + [("p", v) for v in q]
             assert {x: g_partner(reg, top, s, x) for x in bottom
                     if x not in s} == approximation_pairing(reg, u)
-            got = bongartz(reg, objs, u)
+            got = bongartz(reg, u)
             assert got == sorted(set(b_ids))
             seen += 1
     assert seen == reducers

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import (FIXDIR, dynkin_text, item_of, monomial_quiver_texts,
                       nakayama_text)
-from oracles import (end_radical_mats, g_fan_check, min_approx_by_end,
-                     scan_completion, scan_partner, scan_support_tau_rigid,
-                     tau_compatible, triangle_bongartz)
+from oracles import (context_objects, end_radical_mats, g_fan_check,
+                     min_approx_by_end, scan_completion, scan_partner,
+                     scan_support_tau_rigid, tau_compatible,
+                     triangle_bongartz)
 from test_algebra import linear_quiver_text
 import gc
 import itertools
 import math
+import random
 import weakref
 
 from tauseq import complexes as cxs
@@ -400,9 +402,9 @@ def test_approximation_radical_matches_the_end_algebra(case, request,
         return real(x, u_summands)
 
     monkeypatch.setattr(tautilt, "min_left_approx", recording)
-    objs, reg = enumerate_support_tau_tilting(alg)
+    _, reg = enumerate_support_tau_tilting(alg)
     for i in range(len(reg)):
-        complement_correspondence(reg, objs, reg.module(i))
+        complement_correspondence(reg, reg.module(i))
     seen, local_radicals = set(), 0
     for x, us in calls:
         if (key := (id(x),) + tuple(map(id, us))) in seen:
@@ -562,17 +564,38 @@ def test_mask_lookup_matches_the_scan(named_sum, case, data):
             scan_support_tau_rigid(reg, sub)
 
 
-@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A3", "A4",
-                                  "rad2-A3", "rad2-A4"])
+@pytest.mark.parametrize("case", [
+    "ex1", "ex2", "ex3", "A3", "A4", "rad2-A3", "rad2-A4", "rad2-A5",
+    "Lambda4", "Lambda5-3", "D4", "ex3-contexts", "A3-contexts"])
 def test_completion_masks_match_the_scan(case, request):
-    # every subset S of every object, both ends of its interval
-    alg = _algebra_case(case, request)
-    objs, reg = enumerate_support_tau_tilting(alg)
-    sets = {frozenset(sub) for obj in objs for r in range(len(obj) + 1)
-            for sub in itertools.combinations(obj, r)}
-    for s in sorted(sets, key=sorted):
+    # the walk against the scan over every object, for every subset S of
+    # every object, both ends of its interval; "-contexts" does it in every
+    # context below the root too, over context_objects
+    name, _, below = case.partition("-contexts")
+    root = root_context(_algebra_case(name, request))
+    contexts, layer = [root], [root]
+    for _ in range(root.registry.n - 1 if below else 0):
+        layer = [ctx.child(y) for ctx in layer for y in ctx.level_items]
+        contexts += layer
+    for ctx in contexts:
+        reg, objs = ctx.registry, context_objects(ctx)
+        sets = {frozenset(sub) for obj in objs for r in range(len(obj) + 1)
+                for sub in itertools.combinations(obj, r)}
+        for s in sorted(sets, key=sorted):
+            for top in (True, False):
+                assert completion(reg, s, top) == \
+                    scan_completion(reg, objs, s, top), (s, top)
+
+
+def test_completion_walk_matches_the_scan_on_sampled_sets(request):
+    # E6 alt: 2,000 seeded subsets S of random objects, both ends
+    objs, reg = enumerate_support_tau_tilting(_algebra_case("E6alt", request))
+    rng = random.Random(37)
+    for _ in range(2000):
+        obj = rng.choice(objs)
+        s = frozenset(rng.sample(obj, rng.randrange(len(obj) + 1)))
         for top in (True, False):
-            assert completion(reg, objs, s, top) == \
+            assert completion(reg, s, top) == \
                 scan_completion(reg, objs, s, top), (s, top)
 
 
@@ -592,9 +615,9 @@ def test_decomposable_registry_entries_are_never_summands(ex1, ex3):
         assert names(reg, got) == names(plain, objs)
         assert reg.names[1:] == plain.names
         for m in [u] + plain.mods:
-            c_ids, q = cobongartz(reg, got, m)
-            assert [c - 1 for c in c_ids] == cobongartz(plain, objs, m)[0]
-            assert q == cobongartz(plain, objs, m)[1]
+            c_ids, q = cobongartz(reg, m)
+            assert [c - 1 for c in c_ids] == cobongartz(plain, m)[0]
+            assert q == cobongartz(plain, m)[1]
 
 
 @pytest.mark.parametrize("stem", ["root1", "root2", "root3"])
@@ -656,7 +679,7 @@ def test_gen_of_bongartz_completion_is_perp_tau(rootname, exname, request):
     _, alg, mods = request.getfixturevalue(exname)
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
-        b = [reg.module(i) for i in bongartz(reg, root.stt_objects, u)]
+        b = [reg.module(i) for i in bongartz(reg, u)]
         total, _, _ = direct_sum(alg, [u] + b)
         tu = tau(u)
         for xn, x in mods.items():
@@ -670,7 +693,7 @@ def test_ext_projectives_of_gen_u_match_cobongartz(rootname, exname, request):
     _, alg, mods = request.getfixturevalue(exname)
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
-        c_ids, _ = cobongartz(reg, root.stt_objects, u)
+        c_ids, _ = cobongartz(reg, u)
         expected = {reg.name(c) for c in c_ids} | {un}
         got = set()
         for xn, x in mods.items():
@@ -684,36 +707,36 @@ def test_ext_projectives_of_gen_u_match_cobongartz(rootname, exname, request):
 
 def test_cobongartz_oracles(root1, ex1):
     _, alg, mods = ex1
-    reg, objs = root1.registry, root1.stt_objects
-    c_ids, q = cobongartz(reg, objs, mods["P1"])
+    reg = root1.registry
+    c_ids, q = cobongartz(reg, mods["P1"])
     assert [reg.name(c) for c in c_ids] == ["S1"] and q == []
-    c_ids, q = cobongartz(reg, objs, mods["P2"])
+    c_ids, q = cobongartz(reg, mods["P2"])
     assert c_ids == [] and q == [0]
-    c_ids, q = cobongartz(reg, objs, mods["S1"])
+    c_ids, q = cobongartz(reg, mods["S1"])
     assert c_ids == [] and q == [1]
     lam, _, _ = direct_sum(alg, list(proj_list(alg)))
-    c_ids, q = cobongartz(reg, objs, lam)
+    c_ids, q = cobongartz(reg, lam)
     assert c_ids == [] and q == []
-    assert bongartz(reg, objs, lam) == [] == triangle_bongartz(reg, lam)
-    assert complement_correspondence(reg, objs, lam) == ([], [])
+    assert bongartz(reg, lam) == [] == triangle_bongartz(reg, lam)
+    assert complement_correspondence(reg, lam) == ([], [])
 
 
 def test_cobongartz_rejects_non_rigid_input(root2, ex2):
     _, _, mods = ex2
     with pytest.raises(DomainError):
-        cobongartz(root2.registry, root2.stt_objects, mods["I1"])
+        cobongartz(root2.registry, mods["I1"])
 
 
 def test_bongartz_oracles(root1, root3, ex1, ex3):
     _, _, mods1 = ex1
-    reg1, objs1 = root1.registry, root1.stt_objects
+    reg1 = root1.registry
     for un, bn in (("P1", "P2"), ("P2", "P1"), ("S1", "P1")):
-        b_ids = bongartz(reg1, objs1, mods1[un])
+        b_ids = bongartz(reg1, mods1[un])
         assert len(b_ids) == 1 and is_iso(reg1.module(b_ids[0]), mods1[bn])
         assert b_ids == triangle_bongartz(reg1, mods1[un])
     _, _, mods3 = ex3
     reg3 = root3.registry
-    b_ids = bongartz(reg3, root3.stt_objects, mods3["S2"])
+    b_ids = bongartz(reg3, mods3["S2"])
     assert {reg3.name(i) for i in b_ids} == {"N", "P2"}
     assert b_ids == sorted(triangle_bongartz(reg3, mods3["S2"]))
 
@@ -726,7 +749,7 @@ def test_bongartz_completion_is_tau_tilting(rootname, exname, request):
     n = alg.idempotents.shape[0]
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
-        b = [reg.module(i) for i in bongartz(reg, root.stt_objects, u)]
+        b = [reg.module(i) for i in bongartz(reg, u)]
         total, _, _ = direct_sum(alg, [u] + b)
         assert hom_dim(total, tau(total)) == 0, un
         count = sum(mult for _, mult in decompose_grouped(total))
@@ -824,7 +847,7 @@ def test_bongartz_completion_by_g_vectors_matches_the_triangle(
     _, objs, reg = indec_tau_rigid_items(alg)
     modules_only = 0
     for s in _rigid_sets(objs):
-        b_obj = completion(reg, objs, s)
+        b_obj = completion(reg, s)
         assert b_obj in objs and s <= set(b_obj)
         if all(kind == "m" for kind, _ in s):
             u, _, _ = direct_sum(alg, [reg.module(v) for _, v in s])
@@ -832,8 +855,17 @@ def test_bongartz_completion_by_g_vectors_matches_the_triangle(
             assert set(b_obj) - s == want - s
             modules_only += 1
     assert modules_only > 0
-    with pytest.raises(DomainError):
-        completion(reg, [], frozenset(objs[0][:1]))
+    # a set of 2..n items that is not support tau-rigid, such as a pair of
+    # incompatible items, has no completion at either end; a pair is also
+    # refused by the clique size or a singular g-matrix, but some sets of
+    # n items are refused only by the rigidity check
+    items = [reg.item_at(bit) for bit in range(reg.n + len(reg))]
+    for t in range(2, reg.n + 1):
+        for s in itertools.combinations(items, t):
+            if not scan_support_tau_rigid(reg, s):
+                for top in (True, False):
+                    with pytest.raises(DomainError):
+                        completion(reg, set(s), top)
 
 
 def test_correspondence_splits_nothing_but_u(ex3, monkeypatch):
@@ -855,7 +887,7 @@ def test_correspondence_splits_nothing_but_u(ex3, monkeypatch):
     for kind, v in root.level_items:
         if kind == "m":
             u = reg.module(v)
-            complement_correspondence(reg, root.stt_objects, u)
+            complement_correspondence(reg, u)
             assert all(m is u for m in split)
             split.clear()
             calls += 1
@@ -866,13 +898,13 @@ def test_correspondence_splits_nothing_but_u(ex3, monkeypatch):
 def test_correspondence_oracles(root1, root3, ex1, ex3):
     _, _, mods1 = ex1
     reg1 = root1.registry
-    _, recs = complement_correspondence(reg1, root1.stt_objects, mods1["P1"])
+    _, recs = complement_correspondence(reg1, mods1["P1"])
     assert len(recs) == 1
     assert recs[0]["case"] == "a"
     assert reg1.name(recs[0]["b"]) == "P2"
     assert reg1.display_item(recs[0]["partner"]) == "S1"
     assert is_iso(recs[0]["middle"], mods1["P1"])
-    _, recs = complement_correspondence(reg1, root1.stt_objects, mods1["S1"])
+    _, recs = complement_correspondence(reg1, mods1["S1"])
     assert len(recs) == 1
     assert recs[0]["case"] == "b"
     assert reg1.name(recs[0]["b"]) == "P1"
@@ -880,7 +912,7 @@ def test_correspondence_oracles(root1, root3, ex1, ex3):
     assert is_iso(recs[0]["middle"], mods1["S1"])
     _, _, mods3 = ex3
     reg3 = root3.registry
-    _, recs = complement_correspondence(reg3, root3.stt_objects, mods3["S2"])
+    _, recs = complement_correspondence(reg3, mods3["S2"])
     pairing = {r["partner"]: reg3.name(r["b"]) for r in recs}
     assert pairing == {("p", 0): "N", ("p", 2): "P2"}
     for r in recs:
@@ -896,7 +928,7 @@ def test_correspondence_middles_lie_in_add_u(rootname, exname, request):
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
         u_pieces = [piece for piece, _ in decompose_grouped(u)]
-        for rec in complement_correspondence(reg, root.stt_objects, u)[1]:
+        for rec in complement_correspondence(reg, u)[1]:
             mid = rec["middle"]
             if mid.dim == 0:
                 continue
@@ -941,7 +973,7 @@ def test_case_a_approximations_cover_gen_u(rootname, exname, request):
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
         u_pieces = [piece for piece, _ in decompose_grouped(u)]
-        for rec in complement_correspondence(reg, root.stt_objects, u)[1]:
+        for rec in complement_correspondence(reg, u)[1]:
             if rec["case"] != "a":
                 continue
             bi = reg.module(rec["b"])
@@ -961,7 +993,7 @@ def test_bongartz_summands_are_split_projective(rootname, exname, request):
     reg = root.registry
     for un, u in _rigid_fixture_mods(mods).items():
         tu = tau(u)
-        for bi in map(reg.module, bongartz(reg, root.stt_objects, u)):
+        for bi in map(reg.module, bongartz(reg, u)):
             for yn, y in mods.items():
                 if hom_dim(y, tu) != 0 or not in_gen(y, bi):
                     continue
