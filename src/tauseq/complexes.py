@@ -26,7 +26,7 @@ from . import linalg
 from .algebra import StructAlgebra, block_terms
 from .errors import DomainError
 from .modules import (ModuleMap, direct_sum, hom_basis, injective_module,
-                      projective_module, quotient_module, radical_rows,
+                      projective_module, quotient_module,
                       right_mult_module_map, submodule, top_quotient)
 
 
@@ -435,29 +435,31 @@ def hom_K_dim(X, Y, shift=0):
 # ---------------------------------------------------------------------------
 
 
-def _generator_rows(m):
-    """Generator vectors of m: one per top basis element, sorted by vertex.
+def _generator_rows(m, rows):
+    """Generators of the stable span of the RREF rows inside m, as (vector
+    in m, vertex), sorted by vertex: one per top basis element of the span.
 
-    The candidates are the vectors e_i b over the basis vectors b, vertex
-    by vertex (the nonzero rows of the transposed idempotent actions).  A
-    candidate at vertex i lies in e_i m, and they span m, so the greedy
-    extension of a basis of rad m picks vectors whose images form a basis
-    of top m = m / rad m, each in one e_i m.
+    The candidates are the nonzero e_i b over the rows b, by (vertex, row).
+    They span the span, so the greedy extension of a basis of its radical,
+    spanned by the g b over the generators g past the idempotents, picks a
+    basis of its top, each in one e_i of it.  A linear dependence holds in
+    m as in the span: these are the span's own generators, mapped into m.
     """
-    n = m.algebra.idempotents.shape[0]
-    idem_t = m.gen_actions()[:n].transpose(0, 2, 1)
-    verts, ks = np.nonzero(idem_t.any(axis=2))
-    cands = idem_t[verts, ks]
+    n, p = m.algebra.idempotents.shape[0], m.algebra.p
+    images = (rows @ m.gen_actions().transpose(0, 2, 1)) % p
+    verts, ks = np.nonzero(images[:n].any(axis=2))
+    cands = images[verts, ks]
     return [(cands[j], int(verts[j])) for j in linalg.extend_basis(
-        radical_rows(m), cands, m.algebra.p)]
+        linalg.row_space(np.concatenate([rows[:0], *images[n:]]), p), cands, p)]
 
 
 def min_presentation(m):
-    """Minimal projective presentation of m as a two-term complex."""
+    """Minimal projective presentation of m as a two-term complex; the
+    generators of the syzygy are read off its RREF basis in P^0."""
     alg = m.algebra
     p = alg.p
     projs = proj_list(alg)
-    gens = _generator_rows(m)
+    gens = _generator_rows(m, np.eye(m.dim, dtype=np.int64))
     zer = [i for _, i in gens]
     p0, embs, _ = direct_sum(alg, [projs[i] for i in zer])
     # column c of generator g's block is amb_basis[c] acting on g; reducing
@@ -467,16 +469,15 @@ def min_presentation(m):
                % p).reshape(-1, m.dim).T for g, i in gens]
     cover = ModuleMap(p0, m, np.concatenate(
         [np.zeros((m.dim, 0), dtype=np.int64)] + blocks, axis=1))
-    ker_rows = cover.kernel_rows()
+    ker_rows = linalg.row_space(cover.kernel_rows(), p)
     if p0.dim - len(ker_rows) != m.dim:
         raise DomainError("projective cover is not onto")
-    ker_mod, ker_incl = submodule(p0, ker_rows)
-    kgens = _generator_rows(ker_mod)
+    kgens = _generator_rows(p0, ker_rows)
     neg = [i for _, i in kgens]
     # a generator at vertex i lies in e_i K, so its component in P_vert
     # already lies in e_i A e_vert
-    kg = np.array([g for g, _ in kgens], dtype=np.int64)
-    inside = (ker_incl.matrix @ kg.reshape(len(neg), ker_mod.dim).T) % p
+    inside = np.array([g for g, _ in kgens], dtype=np.int64).reshape(
+        len(neg), p0.dim).T
     diff = tensor_zeros(alg, len(zer), len(neg))
     for r, (emb, vert) in enumerate(zip(embs, zer)):
         diff[r] = ((projs[vert].amb_basis.T @ (emb.T @ inside % p)) % p).T
@@ -545,28 +546,28 @@ def inj_list(alg):
 
 
 def tau(m):
-    """AR translate of m: the kernel of nu applied to its minimal
+    """AR translate of m: the kernel of nu applied to its cached minimal
     presentation.  nu sends the entry x in e_a A e_b of the differential to
     the map I_a -> I_b whose column w holds the coordinates of
     x * amb_rows_b[w] on I_a's RREF amb_rows, read at their pivots (each
-    row's first nonzero column).  With no P^-1 the empty sum gives the zero
-    kernel."""
+    row's first nonzero column), written in place: nu(P^0) is not built.
+    With no P^-1 the empty sum gives the zero kernel."""
     alg, p = m.algebra, m.algebra.p
     pres = presentation(m)
     neg, zer = pres.at(-1), pres.at(0)
     injs = inj_list(alg)
-    nsrc, n_embs, _ = direct_sum(alg, [injs[v] for v in neg])
-    ntgt, t_embs, _ = direct_sum(alg, [injs[v] for v in zer])
-    mat = np.zeros((ntgt.dim, nsrc.dim), dtype=np.int64)
+    nsrc = direct_sum(alg, [injs[v] for v in neg])[0]
+    ro, co = (np.cumsum([0] + [injs[v].dim for v in vs]) for vs in (zer, neg))
+    mat = np.zeros((ro[-1], co[-1]), dtype=np.int64)
     d = pres.diff(-1)
     for r, b in enumerate(zer):
         for c, a in enumerate(neg):
             if np.any(d[r, c]):
                 piv = (injs[a].amb_rows != 0).argmax(axis=1)
-                blk = ((alg.left_mult_matrix(d[r, c]) @ injs[b].amb_rows.T)
-                       % p)[piv].T
-                mat = (mat + t_embs[r] @ blk @ n_embs[c].T) % p
-    return submodule(nsrc, ModuleMap(nsrc, ntgt, mat).kernel_rows())[0]
+                mat[ro[r] : ro[r + 1], co[c] : co[c + 1]] = ((
+                    alg.left_mult_matrix(d[r, c]) @ injs[b].amb_rows.T)
+                    % p)[piv].T
+    return submodule(nsrc, linalg.kernel_basis(mat, p))[0]
 
 
 def ext1_dim(m, n):

@@ -62,7 +62,7 @@ class FdModule:
             raise DomainError("action matrices must be square")
         self._vdims = None
         self._gen_act = None
-        self._vertex_of = None
+        self._vertex_of = False  # not read yet
         self._summands = None  # set by direct_sum
         self._rad_end = None  # set by _end_radical
         self._homs = weakref.WeakKeyDictionary()  # n -> Hom(self, n) basis
@@ -101,34 +101,32 @@ class FdModule:
     def gen_actions(self):
         """(G, dim, dim) stack of the actions of the algebra's generator
         vectors, idempotents first; computed once (action is never written
-        after construction), with basis_vertices.  A direct sum takes both
-        from its summands' cached ones, as a block diagonal and a
-        concatenation."""
+        after construction).  A direct sum takes it from its summands'
+        cached ones, as a block diagonal, and submodule sets it from its
+        ambient module's."""
         if self._gen_act is None and self._summands is not None:
             self._gen_act = np.zeros((len(self.algebra.generator_vectors()),
                                       self.dim, self.dim), dtype=np.int64)
-            verts, offset = [np.zeros(0, dtype=np.int64)], 0
+            offset = 0
             for m in self._summands:
                 self._gen_act[:, offset : offset + m.dim,
                               offset : offset + m.dim] = m.gen_actions()
-                verts.append(m.basis_vertices())
                 offset += m.dim
-            if all(v is not None for v in verts):
-                self._vertex_of = np.concatenate(verts)
         elif self._gen_act is None:
             gens = np.array(self.algebra.generator_vectors())
             self._gen_act = np.einsum("gi,iab->gab", gens,
                                       self.action) % self.algebra.p
-            idem = self._gen_act[: self.algebra.idempotents.shape[0]]
-            if not (idem * ~np.eye(self.dim, dtype=bool)).any():
-                self._vertex_of = np.einsum("vii->vi", idem).argmax(axis=0)
         return self._gen_act
 
     def basis_vertices(self):
         """The vertex of each basis vector, or None unless every idempotent
         acts diagonally (then by orthogonal 0/1 matrices summing to 1, so
-        the basis is adapted)."""
-        self.gen_actions()
+        the basis is adapted); read once off gen_actions."""
+        if self._vertex_of is False:
+            idem = self.gen_actions()[: self.algebra.idempotents.shape[0]]
+            diag = np.einsum("vii->vi", idem)
+            self._vertex_of = diag.argmax(axis=0) if np.count_nonzero(
+                idem) == np.count_nonzero(diag) else None
         return self._vertex_of
 
     def vertex_dims(self):
@@ -222,7 +220,9 @@ def _close_under_action(m, rows):
 
 
 def submodule(m, rows):
-    """(submodule spanned by rows after closing under the action, inclusion)."""
+    """(submodule spanned by rows after closing under the action,
+    inclusion).  Its action and generator stack are m's read at the pivot
+    rows of the span's RREF basis: gen_actions runs no einsum on it."""
     p = m.algebra.p
     if np.asarray(rows).size == 0:
         sub = zero_module(m.algebra)
@@ -230,6 +230,7 @@ def submodule(m, rows):
     bt = _close_under_action(m, rows).T
     sub = FdModule(m.algebra, _restricted_action(
         (m.action @ bt) % p, bt, p, "span is not action-stable"), check=False)
+    sub._gen_act = ((m.gen_actions() @ bt) % p)[:, (bt != 0).argmax(axis=0)]
     return sub, ModuleMap(sub, m, bt)
 
 

@@ -24,12 +24,19 @@ replaced.
 Presentations close spans under the action by pivot residuals and pick
 generators by one greedy extension of a basis of rad m; `close_by_stacking`
 and `generator_rows_by_top` are the stacked row reduction and the
-top-quotient-and-solve route they replaced.
+top-quotient-and-solve route they replaced.  The syzygy's generators are
+read off its basis in P^0, and tau fills the matrix of nu(d) in place;
+`min_presentation_by_syzygy_module` (with `greedy_generator_rows`, the
+greedy extension in a module's own basis) and `tau_by_target_sum` are the
+routes through a syzygy module and a direct sum of the target injectives
+that they replaced.
 
 The registry answers compatibility questions with bit masks;
 `scan_support_tau_rigid`, `scan_partner` and `scan_completion` are the
 pairwise scans over `Registry.compatible` and the g-coordinate scan over
-every object that they replaced; `completion` walks on the rows instead.
+the objects containing S that they replaced; `completion` walks on the
+rows instead.  `objects_by_item` indexes the objects by item, so the scan
+reads only the interval of S.
 Only the root context keeps its objects; `context_objects` gives a child's
 by the filter that each child once applied to its parent's list.
 
@@ -78,7 +85,8 @@ from tauseq.algebra import (algebra_from_matrices, quotient_by_ideal,
 from tauseq.errors import DomainError
 from tauseq.modules import (FdModule, ModuleMap, direct_sum, end_algebra,
                             hom_basis, hom_dim, in_gen, is_local_endo,
-                            min_left_approx, quotient_module, top_quotient)
+                            min_left_approx, quotient_module, radical_rows,
+                            submodule, top_quotient)
 from tauseq.tautilt import canonical
 
 
@@ -100,14 +108,29 @@ def scan_partner(reg, items, k):
                  and scan_support_tau_rigid(reg, [y] + others)), None)
 
 
-def scan_completion(reg, objects, s, top=True):
-    """B(S) (top) or C(S) (bottom) by a containment test and the g(A) sign
-    test on every object; raises DomainError unless one object passes."""
+def objects_by_item(objects):
+    """(objects, item -> set of the objects that contain it): the index
+    that scan_completion reads an interval from."""
+    by_item = {}
+    for obj in objects:
+        for it in obj:
+            by_item.setdefault(it, set()).add(obj)
+    return objects, by_item
+
+
+def scan_completion(reg, index, s, top=True):
+    """B(S) (top) or C(S) (bottom) by the g(A) sign test on every object
+    that contains S, the intersection of the index's sets of S's items
+    (every object when S is empty), with index = objects_by_item(objects);
+    raises DomainError unless one object passes."""
+    objects, by_item = index
     sign = 1 if top else -1
     ones = [sign] * reg.alg.idempotents.shape[0]
-    hits = [obj for obj in objects if all(it in obj for it in s)
-            and all(c > 0 for it, c in zip(obj, reg.g_coords(obj, ones))
-                    if it not in s)]
+    pool = set.intersection(*sorted((by_item.get(it, set()) for it in s),
+                                    key=len)) if s else objects
+    hits = [obj for obj in pool
+            if all(c > 0 for it, c in zip(obj, reg.g_coords(obj, ones))
+                   if it not in s)]
     if len(hits) != 1:
         raise DomainError(f"{len(hits)} objects qualify")
     return hits[0]
@@ -294,6 +317,71 @@ def generator_rows_by_top(m):
             raise DomainError("projective cover lift failed")
         gens += [((ei_m[:, piv] @ c) % p, i) for c in coords]
     return gens
+
+
+def greedy_generator_rows(m):
+    """(vector, vertex) generators of m in its own basis: the greedy
+    extension of a basis of rad m by the nonzero e_i b over m's basis
+    vectors b, vertex by vertex."""
+    n = m.algebra.idempotents.shape[0]
+    idem_t = m.gen_actions()[:n].transpose(0, 2, 1)
+    verts, ks = np.nonzero(idem_t.any(axis=2))
+    cands = idem_t[verts, ks]
+    return [(cands[j], int(verts[j])) for j in linalg.extend_basis(
+        radical_rows(m), cands, m.algebra.p)]
+
+
+def min_presentation_by_syzygy_module(m):
+    """Minimal projective presentation of m with its syzygy built as a
+    submodule of P^0 and its generators read in the syzygy's own basis,
+    then mapped through the inclusion.  The syzygy is rebuilt from its
+    action tensor alone, so its generator stack is the einsum over it."""
+    alg = m.algebra
+    p = alg.p
+    projs = cxs.proj_list(alg)
+    gens = greedy_generator_rows(m)
+    zer = [i for _, i in gens]
+    p0, embs, _ = direct_sum(alg, [projs[i] for i in zer])
+    flat = m.action.reshape(alg.dim, -1)
+    blocks = [((((projs[i].amb_basis @ flat) % p).reshape(-1, m.dim) @ g)
+               % p).reshape(-1, m.dim).T for g, i in gens]
+    cover = ModuleMap(p0, m, np.concatenate(
+        [np.zeros((m.dim, 0), dtype=np.int64)] + blocks, axis=1))
+    ker_rows = cover.kernel_rows()
+    if p0.dim - len(ker_rows) != m.dim:
+        raise DomainError("projective cover is not onto")
+    ker_mod, ker_incl = submodule(p0, ker_rows)
+    ker_mod = FdModule(alg, ker_mod.action, check=False)
+    kgens = greedy_generator_rows(ker_mod)
+    neg = [i for _, i in kgens]
+    kg = np.array([g for g, _ in kgens], dtype=np.int64)
+    inside = (ker_incl.matrix @ kg.reshape(len(neg), ker_mod.dim).T) % p
+    diff = cxs.tensor_zeros(alg, len(zer), len(neg))
+    for r, (emb, vert) in enumerate(zip(embs, zer)):
+        diff[r] = ((projs[vert].amb_basis.T @ (emb.T @ inside % p)) % p).T
+    return cxs.Cx(alg, {-1: neg, 0: zer}, {-1: diff}, check=False)
+
+
+def tau_by_target_sum(m):
+    """tau m as the kernel of the module map nu(P^-1) -> nu(P^0) between
+    direct sums of injectives, each block placed by the sums' embeddings
+    and projections; the presentation is min_presentation_by_syzygy_module's."""
+    alg, p = m.algebra, m.algebra.p
+    pres = min_presentation_by_syzygy_module(m)
+    neg, zer = pres.at(-1), pres.at(0)
+    injs = cxs.inj_list(alg)
+    nsrc, n_embs, _ = direct_sum(alg, [injs[v] for v in neg])
+    ntgt, t_embs, _ = direct_sum(alg, [injs[v] for v in zer])
+    mat = np.zeros((ntgt.dim, nsrc.dim), dtype=np.int64)
+    d = pres.diff(-1)
+    for r, b in enumerate(zer):
+        for c, a in enumerate(neg):
+            if np.any(d[r, c]):
+                piv = (injs[a].amb_rows != 0).argmax(axis=1)
+                blk = ((alg.left_mult_matrix(d[r, c]) @ injs[b].amb_rows.T)
+                       % p)[piv].T
+                mat = (mat + t_embs[r] @ blk @ n_embs[c].T) % p
+    return submodule(nsrc, ModuleMap(nsrc, ntgt, mat).kernel_rows())[0]
 
 
 def bounded_path_search(qp, cap):

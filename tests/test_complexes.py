@@ -5,10 +5,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import dynkin_text, load_example, nakayama_text, rebased_algebra
-from oracles import (dense_mult, generator_rows_by_top, reduce_cx_by_loop,
-                     tau_compatible, tau_hom, tau_j_membership, tau_rigid)
+from conftest import (dynkin_text, load_example, monomial_quiver_texts,
+                      nakayama_text, rebased_algebra)
+from oracles import (dense_mult, generator_rows_by_top,
+                     min_presentation_by_syzygy_module, reduce_cx_by_loop,
+                     tau_by_target_sum, tau_compatible, tau_hom,
+                     tau_j_membership, tau_rigid)
 from tauseq import complexes as cxs
 from tauseq import linalg
 from tauseq.algebra import parse_algebra
@@ -19,13 +23,14 @@ from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain, cone,
                               min_right_approx_K, proj_list, reduce_cx,
                               shift_cx, simple_list, stalk_cx, tau,
                               tensor_zeros)
-from tauseq.errors import DomainError
+from tauseq.errors import CapExceededError, DomainError
 from tauseq.modules import (FdModule, hom_dim, is_iso, radical_rows,
-                            zero_module)
+                            submodule, zero_module)
 from tauseq.reduction import j_membership, root_context
 from tauseq.tautilt import (SignedObject, enumerate_support_tau_tilting,
                             indec_tau_rigid_items, is_tau_rigid, item_cx)
 from test_algebra import linear_quiver_text
+from test_tautilt import _SmallModules
 
 TAU_TABLE = {
     # AR meshes of the three example algebras, read off by hand
@@ -114,14 +119,21 @@ def test_min_presentation_is_already_minimal(ex3):
 @pytest.mark.parametrize("case,least", [
     ("ex1", 16), ("ex2", 22), ("ex3", 42), ("A4", 34), ("rad2-A5", 28)])
 def test_generator_rows_match_the_top_route(case, least, monkeypatch):
-    """Every module presented while enumerating and then presenting every
-    registered module (the registered modules, the modules tau is taken
-    of, and their presentation kernels) gets the same generators, vector
-    for vector, as the route through the top quotient."""
+    """Every span whose generators are read while enumerating and then
+    presenting every registered module (the registered modules, the
+    modules tau is taken of, and their syzygies in P^0) gets the same
+    generators, vector for vector, as the route through the top quotient
+    of the span built as a module, mapped through its inclusion."""
     real, seen = cxs._generator_rows, []
 
-    def both(m):
-        got, want = real(m), generator_rows_by_top(m)
+    def both(m, rows):
+        got, p = real(m, rows), m.algebra.p
+        if len(rows) == m.dim:  # the identity rows: m itself
+            want = generator_rows_by_top(m)
+        else:
+            sub, incl = submodule(m, rows)
+            want = [((incl.matrix @ g) % p, i)
+                    for g, i in generator_rows_by_top(sub)]
         assert [i for _, i in got] == [i for _, i in want]
         for (g, _), (h, _) in zip(got, want):
             assert g.dtype == h.dtype and np.array_equal(g, h)
@@ -140,6 +152,56 @@ def test_generator_rows_match_the_top_route(case, least, monkeypatch):
     for m in reg.mods:  # afresh: enumeration cached every presentation
         min_presentation(m)
     assert len(seen) >= least
+
+
+ROUTE_CASES = {
+    "A4": linear_quiver_text(4), "rad2-A5": linear_quiver_text(5, True),
+    "Lambda4^4": nakayama_text(4, 4), "D4": dynkin_text("D", 4),
+    "E6alt": dynkin_text("E", 6, alt=True)}
+
+
+def _check_module_routes(m):
+    """m's presentation and tau equal those of the routes through a
+    syzygy module and a direct sum of the target injectives."""
+    got, want = min_presentation(m), min_presentation_by_syzygy_module(m)
+    assert got.comps == want.comps and got.diffs.keys() == want.diffs.keys()
+    d, e = got.diff(-1), want.diff(-1)
+    assert d.dtype == e.dtype and np.array_equal(d, e)
+    t, u = tau(m), tau_by_target_sum(m)
+    assert t.action.dtype == u.action.dtype and np.array_equal(t.action,
+                                                               u.action)
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3"] + list(ROUTE_CASES))
+def test_presentations_and_tau_match_the_module_routes(case):
+    """Every fixture of an example, and every registered module of the
+    other cases."""
+    if case.startswith("ex"):
+        mods = list(load_example(case)[2].values())
+    else:
+        alg = parse_algebra(ROUTE_CASES[case])[1]
+        mods = enumerate_support_tau_tilting(alg)[1].mods
+    assert len(mods) >= 3
+    for m in mods:
+        _check_module_routes(m)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(case=monomial_quiver_texts())
+def test_presentations_and_tau_match_the_module_routes_on_drawn_quivers(
+        case):
+    # draws that pass 300 objects, or grow a module past dimension 16
+    # (_SmallModules), are tau-tilting infinite or too large and skipped
+    alg = parse_algebra(case[0])[1]
+    try:
+        _, reg = enumerate_support_tau_tilting(alg, cap=300,
+                                               registry=_SmallModules(alg))
+    except CapExceededError:
+        assume(False)
+    for m in reg.mods:
+        _check_module_routes(m)
 
 
 def _conjugate_by(m, g):

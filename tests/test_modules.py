@@ -18,7 +18,7 @@ from oracles import (act_radical_rows, close_by_stacking, dense_mult,
                      newton_lift, solve_restricted_action)
 from tauseq import linalg, modules
 from tauseq.algebra import algebra_invariants, parse_algebra
-from tauseq.complexes import min_presentation, simple_list
+from tauseq.complexes import min_presentation, simple_list, tau
 from tauseq.errors import DomainError, InputError
 from tauseq.modules import (FdModule, decompose, decompose_grouped,
                             direct_sum, end_algebra, hom_basis, hom_dim,
@@ -301,8 +301,8 @@ def test_is_local_endo_matches_the_top_route(monkeypatch):
 def test_direct_sum_takes_generator_actions_from_its_summands(
         ex3, monkeypatch):
     """Every direct sum that a presentation or tau builds over ex1-3 and
-    linear A5 has the generator actions and basis vertices of the einsum
-    over its own action tensor."""
+    linear A5 and A6 has the generator actions and basis vertices of the
+    einsum over its own action tensor."""
     from tauseq import complexes
 
     sums, real = [], modules.direct_sum
@@ -314,7 +314,7 @@ def test_direct_sum_takes_generator_actions_from_its_summands(
 
     monkeypatch.setattr(complexes, "direct_sum", recording)
     cases = [load_example(stem)[2].values() for stem in ("ex1", "ex2", "ex3")]
-    cases.append(_interval_modules(5)[1].values())
+    cases += [_interval_modules(n)[1].values() for n in (5, 6)]
     for mods in cases:
         for m in mods:
             min_presentation(m)
@@ -333,6 +333,55 @@ def test_direct_sum_takes_generator_actions_from_its_summands(
         assert (v is None) == (w is None)
         assert v is None or (v.dtype == w.dtype and np.array_equal(v, w))
     assert sums[-1].basis_vertices() is None
+
+
+def test_submodules_take_generator_actions_from_their_ambient(monkeypatch):
+    """Every submodule built for a trace, a tau kernel, a decompose piece
+    or the kernel of a minimal right approximation (criterion 5's
+    Wakamatsu kernels) over ex1-3 and the registry of linear A4, and over
+    an ex3 module in a basis that is not adapted, has, as soon as it is
+    built, the generator actions and basis vertices of the einsum over a
+    fresh module with its action."""
+    from tauseq import complexes
+    from test_complexes import _conjugate_by
+
+    subs, real = [], modules.submodule
+
+    def checked(m, rows):
+        out = real(m, rows)
+        s = out[0]
+        fresh = FdModule(s.algebra, s.action, check=False)
+        got, want = s.gen_actions(), fresh.gen_actions()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        v, w = s.basis_vertices(), fresh.basis_vertices()
+        assert (v is None) == (w is None)
+        assert v is None or (v.dtype == w.dtype and np.array_equal(v, w))
+        subs.append(s)
+        return out
+
+    monkeypatch.setattr(modules, "submodule", checked)
+    monkeypatch.setattr(complexes, "submodule", checked)
+    cases = [list(load_example(stem)[2].values())
+             for stem in ("ex1", "ex2", "ex3")]
+    cases.append(list(enumerate_support_tau_tilting(
+        parse_algebra(linear_quiver_text(4))[1])[1].mods))
+    big = max(cases[2], key=lambda m: m.dim)
+    mixed = _conjugate_by(big, np.triu(np.ones((big.dim, big.dim),
+                                                dtype=np.int64)))
+    assert mixed.basis_vertices() is None
+    cases[2].append(mixed)
+    for mods in cases:
+        alg = mods[0].algebra
+        decompose(direct_sum(alg, mods)[0])
+        for u in mods:
+            tau(u)
+            for x in mods:
+                trace_submodule(u, x)
+                src, alpha, _ = min_right_approx([u], x)
+                if src.dim:
+                    modules.submodule(src, alpha.kernel_rows())
+    assert len(subs) >= 400
+    assert any(s.basis_vertices() is None for s in subs)
 
 
 def test_decompose_indecomposable_is_identity(ex3):
@@ -627,9 +676,10 @@ def test_hom_basis_matches_kronecker_over_a_rebased_algebra(ex3):
 def test_restricted_action_matches_the_solve(ex1, ex2, ex3, root3,
                                              monkeypatch):
     """Every restricted action built for a projective, an injective, a
-    trace submodule or a presentation kernel equals the dense solve, over
-    ex1-3, ex3 in a random basis and the reduced algebra of ex3 at I2; and
-    rad m equals the span of the radical rows' actions on all of them."""
+    trace submodule or the kernel that tau takes equals the dense solve,
+    over ex1-3, ex3 in a random basis and the reduced algebra of ex3 at I2;
+    and rad m equals the span of the radical rows' actions on all of them
+    and on every tau."""
     real, seen = modules._restricted_action, []
 
     def both(imgs, bt, p, error):
@@ -653,9 +703,7 @@ def test_restricted_action_matches_the_solve(ex1, ex2, ex3, root3,
         built += [projective_module(alg, i) for i in range(n)]
         built += [injective_module(alg, i) for i in range(n)]
         built += [trace_submodule(u, x)[0] for u in mods for x in mods]
-        for m in mods:
-            min_presentation(m)
-        built += mods
+        built += mods + [tau(m) for m in mods]
     assert len(seen) >= 150 and len(built) >= 250
     for m in built:
         assert np.array_equal(radical_rows(m), act_radical_rows(m))

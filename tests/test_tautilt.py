@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import (FIXDIR, dynkin_text, item_of, monomial_quiver_texts,
                       nakayama_text)
 from oracles import (context_objects, end_radical_mats, g_fan_check,
-                     min_approx_by_end, scan_completion, scan_partner,
-                     scan_support_tau_rigid, tau_compatible,
+                     min_approx_by_end, objects_by_item, scan_completion,
+                     scan_partner, scan_support_tau_rigid, tau_compatible,
                      triangle_bongartz)
 from test_algebra import linear_quiver_text
 import gc
@@ -579,24 +579,26 @@ def test_completion_masks_match_the_scan(case, request):
         contexts += layer
     for ctx in contexts:
         reg, objs = ctx.registry, context_objects(ctx)
+        index = objects_by_item(objs)
         sets = {frozenset(sub) for obj in objs for r in range(len(obj) + 1)
                 for sub in itertools.combinations(obj, r)}
         for s in sorted(sets, key=sorted):
             for top in (True, False):
                 assert completion(reg, s, top) == \
-                    scan_completion(reg, objs, s, top), (s, top)
+                    scan_completion(reg, index, s, top), (s, top)
 
 
 def test_completion_walk_matches_the_scan_on_sampled_sets(request):
     # E6 alt: 2,000 seeded subsets S of random objects, both ends
     objs, reg = enumerate_support_tau_tilting(_algebra_case("E6alt", request))
+    index = objects_by_item(objs)
     rng = random.Random(37)
     for _ in range(2000):
         obj = rng.choice(objs)
         s = frozenset(rng.sample(obj, rng.randrange(len(obj) + 1)))
         for top in (True, False):
             assert completion(reg, s, top) == \
-                scan_completion(reg, objs, s, top), (s, top)
+                scan_completion(reg, index, s, top), (s, top)
 
 
 def test_decomposable_registry_entries_are_never_summands(ex1, ex3):
