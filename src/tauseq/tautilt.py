@@ -7,11 +7,11 @@ reduction level, given that level's registry.
 
 Objects live in mod A together with shifted projectives (Ae_i)[1]; internally
 a summand is an item ('m', registry id) or ('p', vertex index), and an object
-is a tuple of items (sorted for the unordered form).  Compatibility is one
-matrix of bit rows over the registry's rigid items, each pair tested once
-by one rank each way on the modules' cached presentations (cxs.hom_to_tau);
-mutation reads partners off the rows, and discovers new ones by cokernels
-in mod A, or on the right by K^b triangles.
+is a tuple of items (sorted for the unordered form).  A `Core` holds the
+items, their bit rows of compatibility and their g-vectors: all that
+mutation's lookup, the completions and the g pairing read.  Its subclass
+`Registry` adds the modules, tests each new pair once (cxs.hom_to_tau), and
+discovers new partners, on the side that the sign of g(A) gives.
 """
 
 import weakref
@@ -21,8 +21,8 @@ import numpy as np
 from . import complexes as cxs
 from . import linalg
 from .errors import CapExceededError, DomainError
-from .modules import (decompose, direct_sum, in_gen, is_iso,
-                      is_local_endo, min_left_approx, quotient_module)
+from .modules import (decompose, is_iso, is_local_endo, min_left_approx,
+                      quotient_module)
 
 
 class SignedObject:
@@ -36,29 +36,80 @@ class SignedObject:
         self.module = module
         self.vertex = vertex
 
-    @property
-    def is_shift(self):
-        return self.vertex is not None
+    is_shift = property(lambda self: self.vertex is not None)
 
 
-class Registry:
-    """Iso-class registry of indecomposable modules with stable ids.
+class Core:
+    """Items over n vertices, their compatibility rows and g-vectors, and no
+    module: shift v is bit v, module item i bit n + i, and a subclass adds
+    the modules.  A row holds the rigid items compatible with its item."""
 
-    The shift at vertex v is bit v and registry id i is bit n + i.  `rigid`
-    folds new modules in on read, each getting its row of compatible rigid
-    items (none unless rigid): every row is current whenever it returns."""
+    def __init__(self, n):
+        self.n = n
+        self._g_inv = {}  # object -> inverse of its g-matrix
+        self._signs = {}  # object -> g(A) sign masks in its g-basis
+        self._rigid = (1 << n) - 1  # every shift is rigid
+        self._rows = [self._rigid] * n  # and shifts are compatible
+
+    rigid = property(lambda self: self._rigid)  # rigid items' bits
+
+    def bits(self, items):
+        out = 0
+        for kind, val in items:
+            out |= 1 << (val if kind == "p" else self.n + val)
+        return out
+
+    def item_at(self, bit):
+        return ("p", bit) if bit < self.n else ("m", bit - self.n)
+
+    def mask(self, item):
+        """Bits of the rigid known items compatible with item: its row."""
+        kind, val = item
+        self.rigid  # a registry folds any new module, so the row is current
+        return self._rows[val if kind == "p" else self.n + val]
+
+    def g_vector(self, item):
+        """g(P_v[1]) = -e_v; a subclass gives its modules' g-vectors."""
+        return [-int(w == item[1]) for w in range(self.n)]
+
+    def g_coords(self, obj, vec):
+        """Coordinates of an integer vector vec in the basis g(obj) of a
+        support tau-tilting object, one int per summand.  The g-matrix is
+        unimodular (AIR Thm 5.1), so its inverse, cached per object, is
+        integral."""
+        if obj not in self._g_inv:
+            self._g_inv[obj] = _integer_inverse(
+                [self.g_vector(it) for it in obj])
+        return (vec @ self._g_inv[obj]).tolist()
+
+    def g_signs(self, obj):
+        """(bits of obj's summands where g(A) = sum of the g(P_v) has a
+        positive, and where a negative, coordinate in the g-basis of obj)."""
+        if obj not in self._signs:
+            coords = self.g_coords(obj, [1] * self.n)
+            self._signs[obj] = tuple(
+                self.bits(it for it, c in zip(obj, coords) if c * sign > 0)
+                for sign in (1, -1))
+        return self._signs[obj]
+
+    def discover(self, items, k):
+        """`mutate` found no known partner: a plain core has no other."""
+        raise DomainError("the exchange partner is not an item of the core")
+
+
+class Registry(Core):
+    """The core of mod A: an iso-class registry of indecomposable modules
+    with stable ids.  `rigid` folds new modules in on read, each getting
+    its row of compatible rigid items (none unless rigid): every row is
+    current whenever it returns."""
 
     def __init__(self, alg):
+        super().__init__(alg.idempotents.shape[0])
         self.alg = alg
-        self.n = alg.idempotents.shape[0]
         self.mods = []
         self.names = []
         self._buckets = {}
         self._split = weakref.WeakKeyDictionary()  # module -> summand ids
-        self._g_inv = {}  # object -> inverse of its g-matrix
-        self._signs = {}  # object -> g(A) sign masks in its g-basis
-        self._rigid = (1 << self.n) - 1  # every shift is rigid
-        self._rows = [self._rigid] * self.n  # and shifts are compatible
 
     def __len__(self):
         return len(self.mods)
@@ -133,15 +184,6 @@ class Registry:
             cxs.hom_to_tau(mb, ma) == 0 if va != vb
             else len(split) == 1 if split is not None else is_local_endo(ma))
 
-    def bits(self, items):
-        out = 0
-        for kind, val in items:
-            out |= 1 << (val if kind == "p" else self.n + val)
-        return out
-
-    def item_at(self, bit):
-        return ("p", bit) if bit < self.n else ("m", bit - self.n)
-
     @property
     def rigid(self):
         """Bits of the known items compatible with themselves, once every
@@ -160,61 +202,56 @@ class Registry:
                 self._rigid |= bit
         return self._rigid
 
-    def mask(self, item):
-        """Bits of the rigid known items compatible with item: its row."""
-        kind, val = item
-        self.rigid  # folds any new module, so the row is current
-        return self._rows[val if kind == "p" else self.n + val]
-
     def pres(self, idx):
         return cxs.presentation(self.mods[idx])
 
     def g_vector(self, item):
-        """g = [P^0] - [P^-1] of the item's minimal presentation, counted
-        per vertex (cxs.g_vector); g(P_v[1]) = -e_v."""
-        kind, val = item
-        return list(cxs.g_vector(self.mods[val])) if kind == "m" else [
-            -int(w == val) for w in range(self.n)]
+        """g = [P^0] - [P^-1] of a module's minimal presentation, counted
+        per vertex (cxs.g_vector); a shift's from the core."""
+        return list(cxs.g_vector(self.mods[item[1]])) if item[0] == "m" \
+            else super().g_vector(item)
 
-    def g_coords(self, obj, vec):
-        """Coordinates of an integer vector vec in the basis g(obj) of a
-        support tau-tilting object, one int per summand.  The g-matrix is
-        unimodular (AIR Thm 5.1), so its inverse, cached per object, is
-        integral."""
-        if obj not in self._g_inv:
-            self._g_inv[obj] = _integer_inverse(
-                [self.g_vector(it) for it in obj])
-        return (vec @ self._g_inv[obj]).tolist()
-
-    def g_signs(self, obj):
-        """(bits of obj's summands where g(A) = sum of the g(P_v) has a
-        positive, and where a negative, coordinate in the g-basis of obj)."""
-        if obj not in self._signs:
-            coords = self.g_coords(obj, [1] * self.n)
-            self._signs[obj] = tuple(
-                self.bits(it for it, c in zip(obj, coords) if c * sign > 0)
-                for sign in (1, -1))
-        return self._signs[obj]
+    def discover(self, items, k):
+        """The new module partner of the k-th summand x of a support
+        tau-tilting T = x + U.  Where g(A) is positive at x in the g-basis of
+        T (`g_signs`), x is a module outside Fac U: the partner is a summand
+        of the cokernel of x's minimal left add(U)-approximation (AIR Thm
+        2.30), else of a K^b triangle on the right approximation (AIR §2.4)."""
+        x, others = items[k], items[:k] + items[k + 1 :]
+        known = len(self)  # a partner found below must be new
+        if self.g_signs(tuple(items))[0] & self.bits([x]):
+            u_mods = [self.mods[v] for kind, v in others if kind == "m"]
+            tgt, beta, _ = min_left_approx(self.mods[x[1]], u_mods)
+            y, shifted = quotient_module(tgt, beta.image_rows())[0], []
+        else:
+            X = item_cx(self, x)
+            u_parts = [item_cx(self, it) for it in others]
+            src, cmap, _ = cxs.min_right_approx_K(u_parts, X)
+            y, shifted = cxs.cx_to_pair(
+                cxs.shift_cx(cxs.cone(src, X, cmap), -1))
+        new = [("p", v) for v in shifted]
+        new += [("m", i) for i in dict.fromkeys(self.summands(y))]
+        if len(new) != 1 or new[0][0] == "p" or new[0][1] < known \
+                or not _items_support_tau_rigid(self, new + others):
+            raise DomainError("mutation failed to produce an exchange partner")
+        return canonical(others + new)
 
     def proj_id(self, v):
         return self._indecomposable(cxs.proj_list(self.alg)[v])
 
     def display_item(self, item):
         kind, val = item
-        if kind == "m":
-            return self.name(val)
-        return f"{self.name(self.proj_id(val))}[1]"
+        return self.name(val) if kind == "m" \
+            else f"{self.name(self.proj_id(val))}[1]"
 
     def item_signed(self, item):
         kind, val = item
-        if kind == "m":
-            return SignedObject(module=self.mods[val])
-        return SignedObject(vertex=val)
+        return SignedObject(module=self.mods[val]) if kind == "m" \
+            else SignedObject(vertex=val)
 
     def signed_item(self, so):
-        if so.is_shift:
-            return ("p", so.vertex)
-        return ("m", self.ensure(so.module))
+        return ("p", so.vertex) if so.is_shift \
+            else ("m", self.ensure(so.module))
 
 
 def _integer_inverse(rows):
@@ -248,10 +285,8 @@ def item_cx(reg, item):
 
 def object_cx(reg, items):
     parts = [item_cx(reg, it) for it in items]
-    if not parts:
-        return cxs.Cx(reg.alg, {}, {}, check=False)
-    total, _ = cxs.direct_sum_cx(parts)
-    return total
+    return cxs.direct_sum_cx(parts)[0] if parts \
+        else cxs.Cx(reg.alg, {}, {}, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +338,8 @@ def mutate(reg, items, k):
 
     U has exactly two completions (AIR Thm 2.18), so a known item outside
     x + U in the row of every summand of U is the partner (modules first,
-    in registry order), and nothing is computed.  Otherwise the partner is
-    a new module: for x a module outside Fac U, the summand of the cokernel
-    of the minimal left add(U)-approximation of x (AIR Thm 2.30), else the
-    one of a K^b triangle over the minimal right approximation (AIR §2.4).
+    in registry order), read off the core.  Else `reg.discover` finds a new
+    one (a registry) or refuses (a plain core).
     """
     items = list(items)
     n = reg.n
@@ -329,25 +362,7 @@ def mutate(reg, items, k):
         items[k] = reg.item_at((h & -h).bit_length() - 1)
         items.sort()  # canonical(items), without a second copy
         return tuple(items)
-    x, others = items[k], items[:k] + items[k + 1 :]
-    known = len(reg)  # a partner found below must be new
-    u_mods = [reg.module(v) for kind, v in others if kind == "m"]
-    if x[0] == "m" and not in_gen(direct_sum(reg.alg, u_mods)[0],
-                                  reg.module(x[1])):
-        tgt, beta, _ = min_left_approx(reg.module(x[1]), u_mods)
-        y, _ = quotient_module(tgt, beta.image_rows())
-        new = [("m", i) for i in dict.fromkeys(reg.summands(y))]
-    else:
-        X = item_cx(reg, x)
-        u_parts = [item_cx(reg, it) for it in others]
-        src, cmap, _ = cxs.min_right_approx_K(u_parts, X)
-        y, shifted = cxs.cx_to_pair(cxs.shift_cx(cxs.cone(src, X, cmap), -1))
-        new = [("p", v) for v in shifted]
-        new += [("m", i) for i in reg.summands(y)]
-    if len(new) != 1 or new[0][0] == "p" or new[0][1] < known \
-            or not _items_support_tau_rigid(reg, new + others):
-        raise DomainError("mutation failed to produce an exchange partner")
-    return canonical(others + new)
+    return reg.discover(items, k)
 
 
 def enumerate_support_tau_tilting(alg, cap=10000, registry=None):

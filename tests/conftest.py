@@ -86,18 +86,28 @@ def nakayama_text(n, ell):
     return "\n".join(lines) + "\n"
 
 
-def dynkin_text(kind, n, alt=False):
-    """The hereditary path algebra of D_n or E_n, with no relations.  D_n
+def dynkin_arrows(kind, n, alt=False):
+    """The arrows (source, target) of D_n or E_n on vertices 0..n-1.  D_n
     is the path 1 -> ... -> n-2 with arrows n-2 -> n-1 and n-2 -> n; E_n
-    is the path 1 -> ... -> n-1 with an arrow 3 -> n.  alt reverses every
-    second arrow of that list."""
-    ends = [(v, v + 1) for v in range(1, n - 1)]
-    ends.append((n - 2 if kind == "D" else 3, n))
-    ends = [(t, s) if alt and a % 2 else (s, t)
+    is the path 1 -> ... -> n-1 with an arrow 3 -> n (vertices counted
+    from 1).  alt reverses every second arrow of that list."""
+    ends = [(v, v + 1) for v in range(n - 2)]
+    ends.append((n - 3 if kind == "D" else 2, n - 1))
+    return [(t, s) if alt and a % 2 else (s, t)
             for a, (s, t) in enumerate(ends)]
+
+
+def quiver_text(n, arrows):
+    """The path algebra, with no relations, of the quiver on vertices
+    1..n with these arrows (source, target) counted from 0."""
     lines = ["field 32003"] + [f"vertex {v}" for v in range(1, n + 1)]
-    lines += [f"arrow x{a} {s} {t}" for a, (s, t) in enumerate(ends)]
+    lines += [f"arrow x{a} {s + 1} {t + 1}" for a, (s, t) in enumerate(arrows)]
     return "\n".join(lines) + "\n"
+
+
+def dynkin_text(kind, n, alt=False):
+    """The hereditary path algebra of D_n or E_n (`dynkin_arrows`)."""
+    return quiver_text(n, dynkin_arrows(kind, n, alt))
 
 
 def rebased_algebra(alg, seed):

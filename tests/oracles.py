@@ -73,6 +73,12 @@ on every matrix.
 `g_fan_check` checks an enumeration with no closed form to compare with:
 the g-vector cones of the objects must tile space exactly once, by exact
 integer determinants (`int_det`).
+
+A Dynkin quiver's items and their rows need no module at all: the
+indecomposables are the positive roots (Gabriel), and compatibility and
+g-vectors are read off the Euler form.  `dynkin_roots`, `euler_rows` and
+`euler_g_vector` give them, a route that shares nothing with the module
+layer, and `RootCore` is the `tautilt.Core` they make, with no algebra.
 """
 
 import numpy as np
@@ -87,7 +93,7 @@ from tauseq.modules import (FdModule, ModuleMap, direct_sum, end_algebra,
                             hom_basis, hom_dim, in_gen, is_local_endo,
                             min_left_approx, quotient_module, radical_rows,
                             submodule, top_quotient)
-from tauseq.tautilt import canonical
+from tauseq.tautilt import Core, canonical
 
 
 def scan_support_tau_rigid(reg, items):
@@ -125,7 +131,7 @@ def scan_completion(reg, index, s, top=True):
     raises DomainError unless one object passes."""
     objects, by_item = index
     sign = 1 if top else -1
-    ones = [sign] * reg.alg.idempotents.shape[0]
+    ones = [sign] * reg.n
     pool = set.intersection(*sorted((by_item.get(it, set()) for it in s),
                                     key=len)) if s else objects
     hits = [obj for obj in pool
@@ -735,3 +741,76 @@ def g_fan_check(reg, objects):
         if all(s > 0 for s in signs):
             inside.append(obj)
     assert len(inside) == 1, ("generic vector in one cone", inside)
+
+
+def _euler_matrix(arrows, n):
+    """M with <a, b> = a M b^T = sum_v a_v b_v - sum_{arrows s->t} a_s b_t,
+    the Euler form of the path algebra of a quiver without relations."""
+    m = np.eye(n, dtype=np.int64)
+    for s, t in arrows:
+        m[s, t] -= 1
+    return m
+
+
+def dynkin_roots(arrows, n):
+    """The positive roots of a Dynkin quiver on vertices 0..n-1 with these
+    arrows (source, target): the d >= 0 with q(d) = <d, d> = 1, the
+    dimension vectors of its indecomposables (Gabriel).  Every positive
+    root is a simple root plus simple roots added one at a time through
+    roots, so a walk from the simple roots finds them all.  Tuples, by
+    height, then as tuples."""
+    m = _euler_matrix(arrows, n)
+    roots = layer = {tuple(int(v == w) for w in range(n)) for v in range(n)}
+    while layer:
+        bigger = {d[:v] + (d[v] + 1,) + d[v + 1:] for d in layer
+                  for v in range(n)}
+        layer = {d for d in bigger - roots if np.array(d) @ m @ d == 1}
+        roots = roots | layer
+    return sorted(roots, key=lambda d: (sum(d), d))
+
+
+def euler_rows(arrows, n):
+    """The compatibility rows of a Dynkin quiver's items, with no module:
+    shift v is bit v and the i-th root of `dynkin_roots` is bit n + i, and
+    every item is rigid.  The algebra is hereditary and representation
+    directed: at most one of Hom(X, Y) and Ext^1(X, Y) is nonzero,
+    ext(X, Y) = max(0, -<X, Y>), and Hom(Y, tau X) = D Ext^1(X, Y).  So two
+    modules are compatible iff <X, Y> >= 0 and <Y, X> >= 0; P_v[1] and X
+    iff (dim X)_v = 0; two shifts always."""
+    roots = np.array(dynkin_roots(arrows, n), dtype=np.int64).reshape(-1, n)
+    form = roots @ _euler_matrix(arrows, n) @ roots.T
+    bits = np.block([[np.ones((n, n), dtype=bool), roots.T == 0],
+                     [roots == 0, (form >= 0) & (form.T >= 0)]])
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in bits]
+
+
+def euler_g_vector(arrows, dims):
+    """g(X)_u = (dim X)_u - sum over arrows s -> u of (dim X)_s, read off
+    the standard resolution 0 -> sum over arrows s -> t of P_t^{(dim X)_s}
+    -> sum over v of P_v^{(dim X)_v} -> X -> 0 of a path-algebra module.
+    g = [P^0] - [P^-1] does not change when a summand common to both terms
+    cancels, so the minimal presentation gives the same vector, and
+    <g(X), dim Y> = <dim X, dim Y>."""
+    g = list(dims)
+    for s, t in arrows:
+        g[t] -= dims[s]
+    return g
+
+
+class RootCore(Core):
+    """The `tautilt.Core` of a Dynkin quiver, built from its positive roots
+    and Euler form alone: no algebra and no module.  Module item i is the
+    i-th root of `dynkin_roots`, with its row from `euler_rows` and its
+    g-vector from `euler_g_vector`."""
+
+    def __init__(self, arrows, n):
+        super().__init__(n)
+        self.arrows, self.roots = arrows, dynkin_roots(arrows, n)
+        self._rows = euler_rows(arrows, n)
+        self._rigid = (1 << len(self._rows)) - 1
+
+    def g_vector(self, item):
+        kind, val = item
+        if kind == "m":
+            return euler_g_vector(self.arrows, self.roots[val])
+        return super().g_vector(item)

@@ -601,6 +601,45 @@ def test_completion_walk_matches_the_scan_on_sampled_sets(request):
                 scan_completion(reg, index, s, top), (s, top)
 
 
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(case=monomial_quiver_texts(), data=st.data())
+def test_completion_walk_matches_the_scan_on_drawn_quivers(case, data):
+    # both ends of the interval of drawn subsets S of drawn objects
+    alg = parse_algebra(case[0])[1]
+    try:
+        objs, reg = enumerate_support_tau_tilting(
+            alg, cap=60, registry=_SmallModules(alg))
+    except CapExceededError:
+        assume(False)
+    index = objects_by_item(objs)
+    for _ in range(10):
+        obj = data.draw(st.sampled_from(objs))
+        s = frozenset(data.draw(st.lists(st.sampled_from(obj), unique=True)))
+        for top in (True, False):
+            assert completion(reg, s, top) == \
+                scan_completion(reg, index, s, top), (s, top)
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A4", "rad2-A5",
+                                  "Lambda4", "D5alt", "E6", "E6alt"])
+def test_exchange_side_is_the_sign_of_g_a(case, request):
+    # at every (object, k), the exchange of summand x of T = x + U is a left
+    # mutation (x a module outside Fac U) exactly when g(A) has a positive
+    # coordinate at x in the g-basis of T: the side Registry.discover reads
+    alg = _algebra_case(case, request)
+    objs, reg = enumerate_support_tau_tilting(alg)
+    for obj in objs:
+        positive = reg.g_signs(obj)[0]
+        for k, x in enumerate(obj):
+            u_mods = [reg.module(v) for kind, v in obj[:k] + obj[k + 1 :]
+                      if kind == "m"]
+            left = x[0] == "m" and not in_gen(
+                direct_sum(alg, u_mods)[0], reg.module(x[1]))
+            assert bool(positive & reg.bits([x])) == left, (obj, k)
+
+
 def test_decomposable_registry_entries_are_never_summands(ex1, ex3):
     # a named direct sum such as P1 + P2 is compatible with its own
     # summands, so a scan that took it would return a non-basic object
