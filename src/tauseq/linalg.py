@@ -12,6 +12,8 @@ question is a coordinate query against a row span.  Polynomials over F_p
 are evaluated only to find the roots of a minimal polynomial.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -27,14 +29,9 @@ LIST_COLS = 32
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def check_prime(p):
@@ -136,11 +133,27 @@ def row_space(a, p):
 def complement_rows(r, pivots, p):
     """(rows, free columns) of the RREF r: row k is e_c - sum_i r[i, c]
     e_{pivots[i]} for the k-th free column c.  The rows span r's null space
-    and project onto the quotient by r's row span, read at the free columns."""
-    keep = np.ones(r.shape[1], dtype=bool)
+    and project onto the quotient by r's row span, read at the free columns.
+    pivots is a list or an array; like rref, a narrow r is read as int
+    lists."""
+    cols = r.shape[1]
+    if cols <= LIST_COLS:
+        pivots = list(map(int, pivots))
+        m = r[: len(pivots)].tolist()
+        free = [c for c in range(cols) if c not in pivots]
+        rows = []
+        for c in free:
+            row = [0] * cols
+            row[c] = 1
+            for pc, prow in zip(pivots, m):
+                row[pc] = -prow[c] % p
+            rows.append(row)
+        return (np.array(rows, dtype=np.int64).reshape(len(free), cols),
+                np.array(free, dtype=np.int64))
+    keep = np.ones(cols, dtype=bool)
     keep[pivots] = False
     free = np.flatnonzero(keep)
-    rows = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    rows = np.zeros((len(free), cols), dtype=np.int64)
     rows[np.arange(len(free)), free] = 1
     rows[:, pivots] = (-r[: len(pivots), free].T) % p
     return rows, free

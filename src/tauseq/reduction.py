@@ -31,6 +31,8 @@ P_v[1] the shift P_w[1] itself) to the shifted projective at the top's
 vertex, and any other compatible module x to f_u(x).  Gamma lives only in
 chains: the `reduce` command, the Gamma invariants of the third paper
 example and sequences.validate_sequence build them; psi and phi do not.
+A child builds Gamma at once, and its registry and records on the first
+read of any of them, so the Gamma invariants reduce no item.
 """
 
 import numpy as np
@@ -123,36 +125,20 @@ class SetRecord(_Realizing):
 class WideContext(_Realizing):
     """One node of a reduction chain.
 
-    The root node (reducer None) has gamma equal to the ambient algebra and
-    a registry holding every indecomposable tau-rigid summand item; it also
+    The root node (reducer None) has gamma equal to the ambient algebra, a
+    registry holding every indecomposable tau-rigid summand item, its
+    level_items and its support tau-tilting objects (stt_objects); it also
     caches the SetRecord of each set asked of set_record.  A child node
-    reduces its parent's gamma by one compatible summand.
+    (_ChildContext) reduces its parent's gamma by one compatible summand.
     """
 
-    def __init__(self, algebra, parent, reducer_item, gamma, registry,
-                 level_items):
+    def __init__(self, algebra, parent, reducer_item, gamma):
         self.algebra = algebra  # where the reducer lives (parent level)
         self.parent = parent
         self.reducer_item = reducer_item
         self.gamma = gamma
-        self.registry = registry  # Registry over gamma
-        self.level_items = level_items
-        self.stt_objects = None  # the root's support tau-tilting objects
-        self.records = []  # {"parent": item, "reduced": ReducedObject}
-        self.record_of = {}  # level item -> its record
+        self.is_root = parent is None
         self._children = {}
-        self.u_module = None  # u, or P_v for a shifted reducer P_v[1]
-        self.partners = {}  # parent item -> the vertex of its top
-        self.tops = []  # parent items of the tops, in vertex order
-        self.b_summands = []  # their modules over the parent level
-        self.gens = []  # f_u(b_summands); gamma = End(+ gens)
-        self._end = None
-        if parent is None:
-            self.set_records = {}
-
-    @property
-    def is_root(self):
-        return self.reducer_item is None
 
     def child(self, reducer_item):
         if reducer_item not in self._children:
@@ -174,11 +160,40 @@ class WideContext(_Realizing):
         return self.record_for(item)["reduced"].root_module, kind == "p"
 
 
+class _ChildContext(WideContext):
+    """A child node.  _build_context sets gamma = End(+ gens) and u_module
+    (u, or P_v for a shifted reducer P_v[1]), tops (parent items, in vertex
+    order), b_summands (their modules over the parent level), gens =
+    f_u(b_summands) and partners (parent item -> the vertex of its top).
+
+    The registry over gamma, level_items, records ({"parent": item,
+    "reduced": ReducedObject}, in parent order) and record_of (level item
+    -> its record) are filled together on the first read of any of them.
+    A fill that raises assigns none of them, so the next read raises again.
+    """
+
+    def __getattr__(self, name):
+        if name not in ("registry", "level_items", "records", "record_of"):
+            raise AttributeError(name)
+        parent, u = self.parent, self.reducer_item
+        reg = Registry(self.gamma)
+        records = [{"parent": x, "reduced": _reduce_item(self, reg, x)}
+                   for x in parent.level_items
+                   if x != u and parent.registry.compatible(x, u)]
+        record_of = {r["reduced"].gamma_item: r for r in records}
+        if len(record_of) != len(records):
+            raise DomainError("reduction produced a repeated level item")
+        self.registry, self.records, self.record_of = reg, records, record_of
+        self.level_items = list(record_of)
+        return getattr(self, name)
+
+
 def root_context(alg, cap=10000, registry=None):
     """The chain root: ambient algebra plus the full tau-rigid registry."""
     items, objs, reg = indec_tau_rigid_items(alg, cap=cap, registry=registry)
-    ctx = WideContext(alg, None, None, alg, reg, items)
-    ctx.stt_objects = objs
+    ctx = WideContext(alg, None, None, alg)
+    ctx.registry, ctx.level_items, ctx.stt_objects = reg, items, objs
+    ctx.set_records = {}
     return ctx
 
 
@@ -268,22 +283,13 @@ def _build_context(parent, reducer_item):
     if any(g.dim == 0 for g in gens):
         raise DomainError("reduced algebra lost a Bongartz vertex")
     end = end_algebra(gens, vertex_labels=labels)
-    ctx = WideContext(a, parent, reducer_item, end.struct,
-                      Registry(end.struct), None)
+    ctx = _ChildContext(a, parent, reducer_item, end.struct)
     ctx.u_module = u
     ctx.partners = partners
     ctx.tops = tops
     ctx.b_summands = b_summands
     ctx.gens = gens
     ctx._end = end
-    for x_item in parent.level_items:
-        if x_item != reducer_item and preg.compatible(x_item, reducer_item):
-            ctx.records.append({"parent": x_item,
-                                "reduced": _reduce_item(ctx, x_item)})
-    ctx.record_of = {r["reduced"].gamma_item: r for r in ctx.records}
-    if len(ctx.record_of) != len(ctx.records):
-        raise DomainError("reduction produced a repeated level item")
-    ctx.level_items = list(ctx.record_of)
     return ctx
 
 
@@ -324,8 +330,9 @@ def transport(ctx, x):
     return FdModule(gamma, coords.transpose(0, 2, 1))
 
 
-def _reduce_item(ctx, x_item):
-    """E(reducer) on one compatible parent item; the core of e_map.  A
+def _reduce_item(ctx, reg, x_item):
+    """E(reducer) on one compatible parent item, named in reg, the
+    registry over ctx.gamma being filled; the core of e_map.  A
     partner of the top at vertex w goes to P_w[1], realized as f_u of that
     top; any other x goes to f_u(x), transported.  Under a root parent, u
     and the tops are root modules, so the realization is that f_u itself;
@@ -339,8 +346,7 @@ def _reduce_item(ctx, x_item):
         parent.realize_item(x_item if w is None else ctx.tops[w])[0])[0]
     if w is not None:
         return ReducedObject(lam, ("p", w), root_m)
-    return ReducedObject(lam, ("m", ctx.registry.ensure(transport(ctx, lam))),
-                         root_m)
+    return ReducedObject(lam, ("m", reg.ensure(transport(ctx, lam))), root_m)
 
 
 def e_map(ctx, x):

@@ -70,6 +70,11 @@ complement rows column by column, as `kernel_basis` and
 on Python int lists; `rref_by_row_loop` is the numpy row loop that it ran
 on every matrix.
 
+A child reduction context fills its registry and records on the first
+read of any of them; `eager_level` builds the same level by its own loop
+on the unfilled child, naming each compatible parent item's image in a
+fresh registry over Gamma.
+
 `g_fan_check` checks an enumeration with no closed form to compare with:
 the g-vector cones of the objects must tile space exactly once, by exact
 integer determinants (`int_det`).
@@ -92,8 +97,9 @@ from tauseq.errors import DomainError
 from tauseq.modules import (FdModule, ModuleMap, direct_sum, end_algebra,
                             hom_basis, hom_dim, in_gen, is_local_endo,
                             min_left_approx, quotient_module, radical_rows,
-                            submodule, top_quotient)
-from tauseq.tautilt import Core, canonical
+                            submodule, top_quotient, torsion_free_quotient)
+from tauseq.reduction import transport
+from tauseq.tautilt import Core, Registry, canonical
 
 
 def scan_support_tau_rigid(reg, items):
@@ -152,6 +158,28 @@ def context_objects(ctx):
     level = {r["parent"]: r["reduced"].gamma_item for r in ctx.records}
     return [canonical(level[x] for x in obj if x != ctx.reducer_item)
             for obj in context_objects(ctx.parent) if ctx.reducer_item in obj]
+
+
+def eager_level(ctx):
+    """(Gamma registry names, level items, [(parent item, Gamma item)]) of
+    an unfilled child context, from its Gamma, u, partners and transport
+    alone: in parent order, a partner of the top at vertex w goes to P_w[1]
+    and any other compatible item x to f_u(x) over Gamma, named in a fresh
+    registry."""
+    parent, u = ctx.parent, ctx.reducer_item
+    reg = Registry(ctx.gamma)
+    pairs = []
+    for x in parent.level_items:
+        if x == u or not parent.registry.compatible(x, u):
+            continue
+        w = ctx.partners.get(x)
+        if w is None:
+            fx = torsion_free_quotient(ctx.u_module,
+                                       parent.registry.module(x[1]))[0]
+            pairs.append((x, ("m", reg.ensure(transport(ctx, fx)))))
+        else:
+            pairs.append((x, ("p", w)))
+    return reg.names, [y for _, y in pairs], pairs
 
 
 def gen_scan_cobongartz(reg, u):

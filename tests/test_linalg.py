@@ -26,6 +26,14 @@ def test_is_prime_agrees_with_trial_division(n):
     assert linalg.is_prime(n) == naive
 
 
+def test_is_prime_matches_a_sieve():
+    sieve = [True] * 5000
+    sieve[:2] = [False, False]
+    for d in range(2, 71):
+        sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [linalg.is_prime(n) for n in range(-3, 5000)] == [False] * 3 + sieve
+
+
 def test_check_prime_rejects_composites():
     with pytest.raises(Exception):
         linalg.check_prime(10)
@@ -159,6 +167,25 @@ def test_kernel_basis_matches_the_column_loop():
         got = linalg.kernel_basis(a, P)
         assert got.dtype == np.int64 and np.array_equal(got, want), a.shape
         assert not ((a @ got.T) % P).any()
+
+
+@pytest.mark.parametrize("list_cols", [linalg.LIST_COLS, -1, 40],
+                         ids=["by-width", "numpy-rows", "int-lists"])
+def test_complement_rows_kernels_match_the_column_loop(list_cols):
+    """Either kernel gives the column loop's rows and the free columns as
+    int64 arrays, for pivots passed as a list or as an array."""
+    rng = np.random.default_rng(12)
+    wide = [rng.integers(0, P, (r, c)) * (rng.random((r, c)) < .3)
+            for r, c in [(3, 32), (20, 33), (1, 40), (0, 33)]]
+    for a in [*_kernel_inputs(), *wide]:
+        r, piv = linalg.rref(a, P)
+        want = kernel_basis_by_loop(a, P)
+        free = [c for c in range(a.shape[1]) if c not in piv]
+        for pivots in (piv, np.array(piv, dtype=np.int64)):
+            with mock.patch.object(linalg, "LIST_COLS", list_cols):
+                rows, got = linalg.complement_rows(r, pivots, P)
+            assert rows.dtype == got.dtype == np.int64, a.shape
+            assert np.array_equal(rows, want) and got.tolist() == free
 
 
 def _rref_input(rows, cols, p, kind, seed):

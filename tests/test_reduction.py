@@ -6,17 +6,21 @@ from collections import Counter
 
 import pytest
 
-from conftest import dynkin_text, item_of, load_example, nakayama_text
-from oracles import (approximation_pairing, context_objects,
+from conftest import (FIXDIR, dynkin_text, item_of, load_example,
+                      nakayama_text)
+from oracles import (approximation_pairing, context_objects, eager_level,
                      gen_scan_cobongartz, quotient_gamma, triangle_bongartz)
 from test_algebra import linear_quiver_text
+from tauseq import cli
 from tauseq import complexes as cxs
+from tauseq import reduction as red
 from tauseq.algebra import algebra_invariants, parse_algebra
 from tauseq.errors import DomainError
 from tauseq.modules import (direct_sum, hom_dim, in_gen, is_iso,
                             min_left_approx, simple_module, zero_module)
 from tauseq.complexes import proj_list, tau
-from tauseq.reduction import (_find_proj_vertex, e_inverse, e_map,
+from tauseq.reduction import (WideContext, _build_context,
+                              _find_proj_vertex, e_inverse, e_map,
                               j_membership, level_item_from_pair,
                               make_context, root_context, set_record,
                               transport)
@@ -526,3 +530,103 @@ def test_wide_subcategories_match_the_objects(case):
         nara = {k: math.comb(n + 1, k + 1) * math.comb(n + 1, k) // (n + 1)
                 for k in range(n + 1)}
         assert Counter(ranks.values()) == nara
+
+
+DEFERRED = ("records", "level_items", "record_of", "registry")
+
+
+def _count_reduced_items(monkeypatch):
+    calls = []
+    real = red._reduce_item
+
+    def counting(ctx, reg, x_item):
+        calls.append(x_item)
+        return real(ctx, reg, x_item)
+    monkeypatch.setattr(red, "_reduce_item", counting)
+    return calls
+
+
+def test_gamma_invariants_reduce_no_item(monkeypatch, capsys):
+    calls = _count_reduced_items(monkeypatch)
+    assert cli.main(["paper-example", "3"]) == 0
+    assert "reduced algebra invariants" in capsys.readouterr().out
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(J_TABLE) + ["P1[1]", "S3[1]"])
+def test_reduce_reduces_each_compatible_item_once(name, ex3, monkeypatch,
+                                                  capsys):
+    _, alg, mods = ex3
+    root = root_context(alg)
+    item = item_of(root, mods, name)
+    want = sum(x != item and root.registry.compatible(x, item)
+               for x in root.level_items)
+    calls = _count_reduced_items(monkeypatch)
+    assert cli.main(["reduce", "--algebra", str(FIXDIR / "ex3.alg"),
+                     "--fixtures", str(FIXDIR / "ex3.mods"),
+                     "--object", name]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == want > 0
+
+
+def _fresh_children(root):
+    """Every context below the root, each yielded right after its build,
+    before anything reads its registry or records; a layer's children are
+    built only after the whole layer above was yielded."""
+    layer = [root]
+    for _ in range(1, root.gamma.idempotents.shape[0]):
+        built = []
+        for ctx in layer:
+            for y in ctx.level_items:
+                child = ctx.child(y)
+                yield child
+                built.append(child)
+        layer = built
+
+
+@pytest.mark.parametrize("case,contexts", [
+    ("ex1", 5), ("ex2", 6), ("ex3", 65), ("A4", 630), ("rad2-A4", 439)])
+def test_filled_children_match_the_eager_build(case, contexts):
+    """A child fills its Gamma registry, level items and records on first
+    read, with the names, order and Gamma items of an eager build."""
+    alg = (load_example(case)[1] if case.startswith("ex")
+           else parse_algebra(linear_quiver_text(
+               4, rad_square_zero=case == "rad2-A4"))[1])
+    seen = 0
+    for ctx in _fresh_children(root_context(alg)):
+        assert not set(DEFERRED) & set(vars(ctx))
+        names, level_items, pairs = eager_level(ctx)
+        assert ctx.registry.names == names
+        assert ctx.level_items == level_items
+        assert [(r["parent"], r["reduced"].gamma_item)
+                for r in ctx.records] == pairs
+        assert all(ctx.record_of[y]["parent"] == x for x, y in pairs)
+        seen += 1
+    assert seen == contexts
+
+
+def test_a_repeated_level_item_raises_on_every_read(ex3, monkeypatch):
+    """The fill checks that E is injective on the records, and a failed
+    fill assigns nothing: each first read raises, and so does the next."""
+    _, alg, mods = ex3
+    root = root_context(alg)
+    item = item_of(root, mods, "P1")
+    real = red._reduce_item
+
+    def repeating(ctx, reg, x_item):
+        got = real(ctx, reg, x_item)
+        return red.ReducedObject(got.lam_module, ("p", 0), got.root_module)
+    monkeypatch.setattr(red, "_reduce_item", repeating)
+    for name in DEFERRED:
+        ctx = _build_context(root, item)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="repeated level item"):
+                getattr(ctx, name)
+            assert not set(DEFERRED) & set(vars(ctx))
+
+
+def test_the_root_reads_plain_attributes(root3):
+    # psi and phi read the root's registry and items many times per call
+    assert "__getattr__" not in vars(WideContext)
+    assert not any(isinstance(v, property) for v in vars(WideContext).values())
+    assert {"registry", "level_items", "is_root"} <= set(vars(root3))
