@@ -6,33 +6,29 @@ equivalence along a chain of single reductions.
 
 E_S in one step (set_record).  Reduction composes (Jasso 2015; Buan-Marsh,
 the E-maps), so E_S depends only on the set S of root items reduced.  With
-M_S the module part of S, E_S sends a module x outside Gen M_S to f_{M_S}(x),
-computed in mod A (J(S) is wide there).  It sends a shift, or a module in
-Gen M_S, to a shifted projective, realized by f_{M_S}(b) for the summand b
-of the Bongartz completion B(S) at which g(x), in the g-basis of B(S), has
-its one coefficient -1 outside S (Demonet-Iyama-Jasso).  psi and phi read
-these SetRecords, one per set, and build no Gamma.
+M_S the module part of S, E_S sends each item x of the bottom completion
+C(S) outside S (the shifts, and the modules in Gen M_S) to a shifted
+projective, realized by f_{M_S}(b) for the summand b of the Bongartz
+completion B(S) that tautilt.g_pairing pairs with x (Demonet-Iyama-Jasso).
+Any other x goes to f_{M_S}(x), computed in mod A (J(S) is wide there).
+psi and phi read these SetRecords, one per set, and build no Gamma.
 
 Chains of contexts.  The root context holds the ambient algebra and the
 full registry of indecomposable tau-rigid summand items; each child is cut
 out by one reducer.  A reducer has a module u (P_v for a shifted reducer
-P_v[1]) and its tops, parent items outside u: the summands of the
-Bongartz completion B(u) outside u, in registry order, or the shifts
-P_w[1], w != v, in vertex order.  The torsion-free quotients gens =
-f_u(tops) are a projective generator of J(u) (Jasso), so at both kinds
-Gamma = End(+ gens), and transport is Hom(+ gens, -) under precomposition.
-Under P_v[1] the gens are the projectives of A/<e_v>.
-
-Only the root carries stt_objects, its support tau-tilting objects, for
-listing and counting; B(u) and C(u) come from tautilt.completion, a walk
-on the rows of the level's registry, at every depth.  E sends each partner
-of a top (an item of C(u) outside u, paired by tautilt.g_pairing, or under
-P_v[1] the shift P_w[1] itself) to the shifted projective at the top's
-vertex, and any other compatible module x to f_u(x).  Gamma lives only in
-chains: the `reduce` command, the Gamma invariants of the third paper
-example and sequences.validate_sequence build them; psi and phi do not.
-A child builds Gamma at once, and its registry and records on the first
-read of any of them, so the Gamma invariants reduce no item.
+P_v[1]) and its tops, parent items outside u: the summands of B(u) outside
+u, in registry order, or the shifts P_w[1], w != v, in vertex order.  The
+torsion-free quotients gens = f_u(tops) are a projective generator of J(u)
+(Jasso), so at both kinds Gamma = End(+ gens), and transport is
+Hom(+ gens, -) under precomposition.  Under P_v[1] the gens are the
+projectives of A/<e_v>.  E sends each partner of a top (paired by
+g_pairing, or under P_v[1] the shift P_w[1] itself) to the shifted
+projective at the top's vertex, and any other compatible module x to
+f_u(x).  Gamma lives only in chains: the `reduce` command, the Gamma
+invariants of the third paper example and sequences.validate_sequence build
+them; psi and phi do not.  A child builds Gamma at once, and its registry
+and records on the first read of any of them, so the Gamma invariants
+reduce no item.
 """
 
 import numpy as np
@@ -43,8 +39,8 @@ from .errors import DomainError
 from .modules import (FdModule, end_algebra, hom_basis, is_iso,
                       quotient_module, torsion_free_quotient, trace_rows,
                       zero_module)
-from .tautilt import (Registry, SignedObject, completion, g_pairing,
-                      g_partner, indec_tau_rigid_items)
+from .tautilt import (Registry, SignedObject, g_pairing,
+                      indec_tau_rigid_items)
 
 
 def j_membership(u, x):
@@ -200,37 +196,28 @@ def root_context(alg, cap=10000, registry=None):
 def set_record(root, s):
     """E_S for a frozenset S of root items, one SetRecord cached per set on
     the root; for S empty, E is the identity and the root answers."""
-    if not s:
-        return root
-    rec = root.set_records.get(s)
-    if rec is None:
-        rec = root.set_records[s] = SetRecord(_one_step_pairs(root, s))
-    return rec
+    if s and s not in root.set_records:
+        root.set_records[s] = SetRecord(_one_step_pairs(root, s))
+    return root.set_records[s] if s else root
 
 
 def _one_step_pairs(root, s):
-    """{x: (ambient module, shift flag)} of E_S, in root item order.  The
-    trace of U = M_S + (the projectives of S's shifts) in an item x
-    compatible with S is the trace of M_S, as Hom(P_v, x) = 0 for every
-    shift P_v[1] in S; so f_U = f_{M_S} on x and on B(S)'s summands."""
-    reg = root.registry
-    u_ids = [v for kind, v in s if kind == "m"]
-    want = reg.bits(s)
-    pairs = {}
+    """{x: (ambient module, shift flag)} of E_S, in root item order, one
+    torsion-free quotient each.  The trace of U = M_S + (the projectives of
+    S's shifts) in an item x compatible with S is the trace of M_S, as
+    Hom(P_v, x) = 0 for every shift P_v[1] in S; so f_U = f_{M_S} on x and
+    on B(S)'s summands.  Outside C(S), x is a module with f_{M_S}(x) != 0."""
+    reg, u_ids = root.registry, [v for kind, v in s if kind == "m"]
+    want, partner, pairs = reg.bits(s), g_pairing(reg, s)[1], {}
     for x in root.level_items:
         if x in s or reg.mask(x) & want != want:
             continue
-        pairs[x] = None  # x in Gen M_S or a shift: filled below
-        if x[0] == "m":
-            fx = _torsion_free(root, u_ids, x[1])
-            if fx.dim:
-                pairs[x] = (fx, False)
-    shifted = [x for x, pair in pairs.items() if pair is None]
-    if shifted:
-        top = completion(reg, s)
-        for x in shifted:
-            b = g_partner(reg, top, s, x)
-            pairs[x] = (_torsion_free(root, u_ids, b), True)
+        if x in partner:
+            pairs[x] = (_torsion_free(root, u_ids, partner[x]), True)
+        elif x[0] == "m" and (fx := _torsion_free(root, u_ids, x[1])).dim:
+            pairs[x] = (fx, False)
+        else:
+            raise DomainError("a shift or a Gen M_S module lies outside C(S)")
     return pairs
 
 

@@ -1,6 +1,6 @@
 """Signed tau-exceptional sequences: the bijection with ordered support
 tau-rigid objects (both directions), independent validation of candidate
-sequences, and enumeration / counting.
+sequences, and listing and counting by the cliques of the root's rows.
 
 An ordered object is a tuple of root-level items.  A sequence entry is a
 (record, root item) pair: entry i of psi(T_1, .., T_t) is T_i with the
@@ -166,26 +166,25 @@ def _validate(ctx, pairs, total):
     return _validate(child, lifted, total)
 
 
+def _core(root, t):
+    """The root's registry, once t is a length in 1..n."""
+    reg = _as_root(root).registry
+    if not 1 <= t <= reg.n:
+        raise DomainError(f"length {t} is outside 1..{reg.n}")
+    return reg
+
+
 def enumerate_unordered(root, t):
     """All support tau-rigid objects with t summands, as sorted item tuples
-    in lexicographic registry order."""
-    root = _as_root(root)
-    n = root.gamma.idempotents.shape[0]
-    if not 1 <= t <= n:
-        raise DomainError(f"length {t} is outside 1..{n}")
-    subsets = set()
-    for obj in root.stt_objects:
-        subsets.update(itertools.combinations(obj, t))
-    return sorted(subsets)
+    in lexicographic registry order: the t-cliques of the root's rows."""
+    return _core(root, t).cliques(t)
 
 
 def enumerate_ordered(root, t):
     """All ordered support tau-rigid objects of length t, as item tuples in
     lexicographic registry order."""
-    out = [perm for sub in enumerate_unordered(root, t)
-           for perm in itertools.permutations(sub)]
-    out.sort()
-    return out
+    return sorted(perm for sub in enumerate_unordered(root, t)
+                  for perm in itertools.permutations(sub))
 
 
 def enumerate_sequences(root, t):
@@ -195,16 +194,13 @@ def enumerate_sequences(root, t):
 
 
 def count_sequences(root, t):
-    """(total, per-last-entry counts) over ordered objects of length t.
-
-    Each unordered object has t! orderings, and (t-1)! of them end in a
-    given summand, so nothing is ordered."""
-    subsets = enumerate_unordered(root, t)
-    per_last = {}
-    for sub in subsets:
-        for it in sub:
-            per_last[it] = per_last.get(it, 0) + math.factorial(t - 1)
-    return math.factorial(t) * len(subsets), per_last
+    """(total, per-last-entry counts) over ordered objects of length t:
+    t! times the t-cliques of the root's rows, and (t-1)! times the
+    (t-1)-cliques in the row of the last entry x, less x; none is listed."""
+    reg, f = _core(root, t), math.factorial
+    per_last = {x: f(t - 1) * k for (x,) in reg.cliques(1) if (k := sum(
+        reg.face_numbers(reg.mask(x) & ~reg.bits([x]))[t - 1:t]))}
+    return f(t) * sum(reg.face_numbers(reg.rigid)[t:t + 1]), per_last
 
 
 def sequence_names(root, seq):

@@ -8,12 +8,14 @@ reduction level, given that level's registry.
 Objects live in mod A together with shifted projectives (Ae_i)[1]; internally
 a summand is an item ('m', registry id) or ('p', vertex index), and an object
 is a tuple of items (sorted for the unordered form).  A `Core` holds the
-items, their bit rows of compatibility and their g-vectors: all that
-mutation's lookup, the completions and the g pairing read.  Its subclass
-`Registry` adds the modules, tests each new pair once (cxs.hom_to_tau), and
-discovers new partners, on the side that the sign of g(A) gives.
+items, their compatibility rows (whose cliques are the support tau-rigid
+sets) and g-vectors: all that lookups, completions and counts read.  Its
+subclass `Registry` adds the modules, tests each new pair once
+(cxs.hom_to_tau), and discovers new partners, on the side that the sign of
+g(A) gives.
 """
 
+import itertools
 import weakref
 
 import numpy as np
@@ -50,8 +52,42 @@ class Core:
         self._signs = {}  # object -> g(A) sign masks in its g-basis
         self._rigid = (1 << n) - 1  # every shift is rigid
         self._rows = [self._rigid] * n  # and shifts are compatible
+        self._faces = {0: [1]}  # mask -> face numbers of its cliques
 
     rigid = property(lambda self: self._rigid)  # rigid items' bits
+
+    def cliques(self, t):
+        """The sets of t rigid items, pairwise compatible (so support
+        tau-rigid, AIR §2), as canonical tuples in lexicographic order: a
+        depth-first walk takes module bits ascending, then shift bits."""
+        n, rows, out = self.n, self._rows, []
+
+        def walk(prefix, free, k):
+            while free.bit_count() >= k:
+                h = free >> n << n or free  # the module bits, if any
+                i = (h & -h).bit_length() - 1
+                free ^= 1 << i
+                if k == 1:
+                    out.append(prefix + (self.item_at(i),))
+                else:
+                    walk(prefix + (self.item_at(i),), free & rows[i], k - 1)
+        walk((), self.rigid, t)
+        return out
+
+    def face_numbers(self, mask):
+        """[the number of k-cliques inside a mask of rigid items, k = 0, 1,
+        ..]: each misses the lowest bit, or holds it and lies in its row.
+        Memoized: an entry reads only rows inside its mask, so stays valid."""
+        faces, low = self._faces, []
+        while mask not in faces:  # peel the lowest bits to a known suffix
+            low.append(mask & -mask)
+            mask ^= low[-1]
+        for b in reversed(low):
+            link = self.face_numbers(mask & self._rows[b.bit_length() - 1])
+            f, mask = faces[mask], mask | b
+            faces[mask] = [x + y for x, y in itertools.zip_longest(
+                f, [0] + link, fillvalue=0)]
+        return faces[mask]
 
     def bits(self, items):
         out = 0
@@ -432,26 +468,22 @@ def completion(reg, s, top=True):
     return obj
 
 
-def g_partner(reg, top, s, x):
-    """Registry id of the one summand b of top = B(S) outside S with a
-    nonzero coefficient in g(x), written in the basis g(B(S)); that
-    coefficient must be -1.  For x in C(S) outside S, E_S sends x to the
-    shifted projective at b."""
-    coords = reg.g_coords(top, reg.g_vector(x))
-    hits = [(it, c) for it, c in zip(top, coords) if c and it not in s]
-    if len(hits) != 1 or hits[0][1] != -1 or hits[0][0][0] != "m":
-        raise DomainError("g-vector of a shifted entry is not minus one "
-                          "Bongartz summand")
-    return hits[0][0][1]
-
-
 def g_pairing(reg, s):
-    """(ids of the summands of B(S) outside S, {x: g_partner of x} over the
-    items x of C(S) outside S), both in registry order.  The g rule must
-    pair the two sides one to one."""
-    top = completion(reg, s)
-    pairs = {x: g_partner(reg, top, s, x)
-             for x in completion(reg, s, top=False) if x not in s}
+    """(ids of the summands of B(S) outside S, {x: b} over the items x of
+    C(S) outside S), both in registry order: b is the one summand of B(S)
+    outside S with a nonzero coefficient in g(x), written in the basis
+    g(B(S)), and that coefficient must be -1; E_S sends x to the shifted
+    projective at b.  The g rule must pair the two sides one to one."""
+    top, pairs = completion(reg, s), {}
+    for x in completion(reg, s, top=False):
+        if x in s:
+            continue
+        hits = [(it, c) for it, c in zip(top, reg.g_coords(
+            top, reg.g_vector(x))) if c and it not in s]
+        if len(hits) != 1 or hits[0][1] != -1 or hits[0][0][0] != "m":
+            raise DomainError("g-vector of a shifted entry is not minus one "
+                              "Bongartz summand")
+        pairs[x] = hits[0][0][1]
     b_ids = [v for kind, v in top if (kind, v) not in s]
     if len(set(pairs.values())) != len(b_ids):
         raise DomainError("the g rule does not pair the Bongartz summands "

@@ -84,7 +84,15 @@ indecomposables are the positive roots (Gabriel), and compatibility and
 g-vectors are read off the Euler form.  `dynkin_roots`, `euler_rows` and
 `euler_g_vector` give them, a route that shares nothing with the module
 layer, and `RootCore` is the `tautilt.Core` they make, with no algebra.
+
+`sequences` lists and counts the support tau-rigid sets as the cliques of
+the core's rows; `subsets_of_objects` is the route through the subsets of
+the support tau-tilting objects that it replaced.  A psi set record takes
+its shifted entries from C(S) (`tautilt.g_pairing`); `shifted_by_quotient`
+is the rule by torsion-free quotients that it replaced.
 """
+
+import itertools
 
 import numpy as np
 
@@ -842,3 +850,24 @@ class RootCore(Core):
         if kind == "m":
             return euler_g_vector(self.arrows, self.roots[val])
         return super().g_vector(item)
+
+
+def subsets_of_objects(objects, t):
+    """Every support tau-rigid set of t items, as sorted tuples in
+    lexicographic order: the t-subsets of the support tau-tilting objects,
+    as each such set lies in one (its Bongartz completion)."""
+    return sorted({sub for obj in objects
+                   for sub in itertools.combinations(obj, t)})
+
+
+def shifted_by_quotient(root, s):
+    """The root items x compatible with S and outside S that E_S sends to a
+    shifted projective: the shifts, and the modules x with f_{M_S}(x) = 0,
+    M_S the direct sum of S's modules."""
+    reg = root.registry
+    mods = [reg.module(v) for kind, v in s if kind == "m"]
+    m_s = direct_sum(root.gamma, mods)[0] if mods else None
+    return {x for x in root.level_items
+            if x not in s and all(reg.compatible(x, y) for y in s)
+            and (x[0] == "p" or m_s is not None and not torsion_free_quotient(
+                m_s, reg.module(x[1]))[0].dim)}

@@ -9,7 +9,8 @@ import pytest
 from conftest import (FIXDIR, dynkin_text, item_of, load_example,
                       nakayama_text)
 from oracles import (approximation_pairing, context_objects, eager_level,
-                     gen_scan_cobongartz, quotient_gamma, triangle_bongartz)
+                     gen_scan_cobongartz, quotient_gamma, shifted_by_quotient,
+                     triangle_bongartz)
 from test_algebra import linear_quiver_text
 from tauseq import cli
 from tauseq import complexes as cxs
@@ -27,7 +28,7 @@ from tauseq.reduction import (WideContext, _build_context,
 from tauseq.sequences import enumerate_ordered, enumerate_unordered
 from tauseq.tautilt import (Registry, SignedObject, _items_support_tau_rigid,
                             bongartz, canonical, completion,
-                            enumerate_support_tau_tilting, g_partner,
+                            enumerate_support_tau_tilting, g_pairing,
                             is_tau_rigid)
 
 # membership of the nine bundled ex3 modules in each J(u), worked out from
@@ -453,8 +454,7 @@ def test_completions_match_the_oracles_at_every_level(case, reducers,
             c_ids, q = gen_scan_cobongartz(reg, u)
             assert [x for x in bottom if x not in s] == \
                 [("m", c) for c in c_ids] + [("p", v) for v in q]
-            assert {x: g_partner(reg, top, s, x) for x in bottom
-                    if x not in s} == approximation_pairing(reg, u)
+            assert g_pairing(reg, s)[1] == approximation_pairing(reg, u)
             got = bongartz(reg, u)
             assert got == sorted(set(b_ids))
             seen += 1
@@ -630,3 +630,62 @@ def test_the_root_reads_plain_attributes(root3):
     assert "__getattr__" not in vars(WideContext)
     assert not any(isinstance(v, property) for v in vars(WideContext).values())
     assert {"registry", "level_items", "is_root"} <= set(vars(root3))
+
+
+PSI_RULE_CASES = {
+    "ex1": None, "ex2": None, "ex3": None, "A4": linear_quiver_text(4),
+    "rad2-A4": linear_quiver_text(4, rad_square_zero=True),
+    "rad2-A5": linear_quiver_text(5, rad_square_zero=True),
+    "Lambda_4^4": nakayama_text(4, 4), "D5-alt": dynkin_text("D", 5, True)}
+
+
+def _fresh_root(case):
+    """A root with no set record read yet."""
+    text = PSI_RULE_CASES[case] or (FIXDIR / f"{case}.alg").read_text()
+    return root_context(parse_algebra(text)[1])
+
+
+@pytest.mark.parametrize("case", sorted(PSI_RULE_CASES))
+def test_set_records_shift_the_quotient_rule_entries(case, monkeypatch):
+    # over every set S with a record (1 <= |S| < n): the entries that the
+    # record shifts, read off C(S), are the shifts and the modules with
+    # f_{M_S}(x) = 0, and the record takes one torsion-free quotient per
+    # entry
+    root = _fresh_root(case)
+    calls = []
+    quotient = red._torsion_free
+
+    def counted(*args):
+        calls.append(args)
+        return quotient(*args)
+
+    monkeypatch.setattr(red, "_torsion_free", counted)
+    n = root.gamma.idempotents.shape[0]
+    for t in range(1, n):
+        for s in map(frozenset, enumerate_unordered(root, t)):
+            del calls[:]
+            pairs = red.set_record(root, s).pairs
+            assert len(calls) == len(pairs)
+            assert {x for x, (_, shift) in pairs.items() if shift} == \
+                shifted_by_quotient(root, s), s
+
+
+@pytest.mark.parametrize("case", sorted(PSI_RULE_CASES))
+def test_a_dropped_g_partner_is_refused(case, monkeypatch):
+    # with the g pairing made to lose each partner in turn, every set
+    # record raises instead of reading the lost entry as unshifted
+    root = _fresh_root(case)
+    pairing, drop = red.g_pairing, []
+
+    def dropping(reg, s):
+        b_ids, pairs = pairing(reg, s)
+        return b_ids, {x: b for x, b in pairs.items() if x not in drop}
+
+    monkeypatch.setattr(red, "g_pairing", dropping)
+    n = root.gamma.idempotents.shape[0]
+    for t in range(1, n):
+        for s in map(frozenset, enumerate_unordered(root, t)):
+            for x in pairing(root.registry, s)[1]:
+                drop[:] = [x]
+                with pytest.raises(DomainError, match="outside C"):
+                    red._one_step_pairs(root, s)

@@ -2,6 +2,7 @@
 tau-exceptional sequences, with golden tables for the two rank-2 examples."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -10,7 +11,9 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import (dynkin_text, item_of, monomial_quiver_texts,
                       nakayama_text)
+from oracles import subsets_of_objects
 from test_algebra import linear_quiver_text
+from test_core import check_h_vector
 from test_tautilt import _SmallModules
 from tauseq import algebra, modules, reduction, sequences
 from tauseq.algebra import parse_algebra
@@ -20,8 +23,9 @@ from tauseq.modules import hom_dim, zero_module
 from tauseq.reduction import (e_inverse, level_item_from_pair, root_context,
                               transport)
 from tauseq.sequences import (count_sequences, enumerate_ordered,
-                              enumerate_sequences, ordered_names, phi, psi,
-                              sequence_names, validate_sequence)
+                              enumerate_sequences, enumerate_unordered,
+                              ordered_names, phi, psi, sequence_names,
+                              validate_sequence)
 
 # ordered object -> sequence, by display name at the ambient level
 GOLDEN_EX1 = {
@@ -107,6 +111,51 @@ def test_counts_match_the_ordered_enumeration(case, request):
         ordered = enumerate_ordered(root, t)
         assert count_sequences(root, t) == (
             len(ordered), dict(Counter(tup[-1] for tup in ordered)))
+
+
+SUBSET_CASES = {
+    **{f"A{n}": linear_quiver_text(n) for n in range(3, 7)},
+    **{f"rad2-A{n}": linear_quiver_text(n, rad_square_zero=True)
+       for n in range(3, 7)},
+    "Lambda_4^4": nakayama_text(4, 4), "Lambda_5^3": nakayama_text(5, 3),
+    "D4": dynkin_text("D", 4), "E6-alt": dynkin_text("E", 6, alt=True)}
+
+
+def _check_against_the_object_subsets(root):
+    """At every length t, the listing, the total and the per-last counts
+    read off the core's cliques against the t-subsets of the objects."""
+    for t in range(1, root.gamma.idempotents.shape[0] + 1):
+        subsets = subsets_of_objects(root.stt_objects, t)
+        assert enumerate_unordered(root, t) == subsets
+        last = Counter(it for sub in subsets for it in sub)
+        assert count_sequences(root, t) == (
+            math.factorial(t) * len(subsets),
+            {it: math.factorial(t - 1) * c for it, c in last.items()})
+
+
+@pytest.mark.parametrize("case", ["root1", "root2", "root3"]
+                         + sorted(SUBSET_CASES))
+def test_listing_and_counts_match_the_object_subsets(case, request):
+    # and the h-vector of the face numbers is the g-sign histogram
+    root = request.getfixturevalue(case) if case.startswith("root") else \
+        root_context(parse_algebra(SUBSET_CASES[case])[1])
+    _check_against_the_object_subsets(root)
+    check_h_vector(root.registry, root.stt_objects)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(case=monomial_quiver_texts())
+def test_listing_and_counts_match_the_object_subsets_on_drawn_quivers(case):
+    # draws past 60 objects, or with a module past dimension 16, are
+    # skipped
+    alg = parse_algebra(case[0])[1]
+    try:
+        root = root_context(alg, cap=60, registry=_SmallModules(alg))
+    except CapExceededError:
+        assume(False)
+    _check_against_the_object_subsets(root)
 
 
 def test_worked_rows_ex3(root3, ex3):
