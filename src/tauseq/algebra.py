@@ -517,6 +517,18 @@ def parse_algebra(text):
     return qp, path_algebra(qp)
 
 
+def opposite(alg):
+    """A^op: A's basis, idempotents, unit and labels, with the terms
+    (j, i, k, c); cached both ways, so the opposite of A^op is A itself."""
+    if not hasattr(alg, "_tauseq_op"):
+        i, j, k, c = alg.terms
+        alg._tauseq_op = StructAlgebra(
+            alg.p, alg.labels, (j, i, k, c), alg.idempotents, unit=alg.unit,
+            vertex_labels=alg.vertex_labels, check=False)
+        alg._tauseq_op._tauseq_op = alg
+    return alg._tauseq_op
+
+
 # ---------------------------------------------------------------------------
 # quotients
 # ---------------------------------------------------------------------------

@@ -7,15 +7,15 @@ A e_a -> A e_b, m -> m * x (a = source summand vertex, b = target summand
 vertex).  Composition of entry maps is plain algebra multiplication with the
 first-applied entry on the left: phi_y . phi_x = phi_{x*y}.
 
-Provides Gaussian reduction to minimal complexes, cones and shifts, Hom
-spaces in the homotopy category (including shifted ones), endomorphism rings
-of two-term objects, minimal left and right approximations in the homotopy
-category, minimal presentations (cached on the module) and g-vectors,
-Hom(y, tau x) by one rank on x's presentation, the AR translate itself
-(for the tau command, read at the pivots of the injectives' RREF bases),
-and Ext^1.  An empty degree is the zero direct sum, so no route branches
-on it.  Cx alone normalizes a complex, so reduce_cx and cone build blocks
-of any size and leave dropping the empty ones to it.
+Provides Hom spaces in the homotopy category (including shifted ones),
+endomorphism rings of two-term objects, minimal left and right
+approximations in the homotopy category, minimal presentations (cached on
+the module) and g-vectors, Hom(y, tau x) by one rank on x's presentation,
+the AR translate itself (for the tau command, read at the pivots of the
+injectives' RREF bases), the transpose Tr over A^op, and Ext^1.  An empty
+degree is the zero direct sum, so no route branches on it, and Cx alone
+normalizes a complex.  Exchange partners come from module-level
+approximations (tautilt), not from triangles of these complexes.
 """
 
 import functools
@@ -23,7 +23,7 @@ import functools
 import numpy as np
 
 from . import linalg
-from .algebra import StructAlgebra, block_terms
+from .algebra import StructAlgebra, block_terms, opposite
 from .errors import DomainError
 from .modules import (ModuleMap, direct_sum, hom_basis, injective_module,
                       projective_module, quotient_module,
@@ -140,18 +140,6 @@ def entry_compose(alg, first, then):
     return out.reshape(out.shape[:-2] + (ns, nc, d))
 
 
-def shift_cx(cx, s):
-    """cx[s]: degree k holds what was in degree k + s; odd shifts flip signs."""
-    comps = {k - s: v for k, v in cx.comps.items()}
-    sign = -1 if s % 2 else 1
-    diffs = {k - s: (sign * t) % cx.algebra.p for k, t in cx.diffs.items()}
-    return Cx(cx.algebra, comps, diffs, check=False)
-
-
-def stalk_cx(alg, verts, degree=0):
-    return Cx(alg, {degree: list(verts)}, {}, check=False)
-
-
 def direct_sum_cx(cxs):
     """Direct sum; returns (sum, offsets) with offsets[i][k] the start of
     summand i inside degree k."""
@@ -237,66 +225,7 @@ class EntrySpace:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian reduction
-# ---------------------------------------------------------------------------
-
-
-def _invertible_entry(cx):
-    alg = cx.algebra
-    for k in sorted(cx.diffs):
-        t = cx.diffs[k]
-        for r, b in enumerate(cx.at(k + 1)):
-            for c, a in enumerate(cx.at(k)):
-                if not np.any(t[r, c]):
-                    continue
-                projs = proj_list(alg)
-                if projs[a].dim != projs[b].dim:
-                    continue
-                mat = right_mult_module_map(projs[a], projs[b],
-                                            t[r, c]).matrix
-                if linalg.rank(mat, alg.p) == mat.shape[0]:
-                    return k, r, c, mat
-    return None
-
-
-def _inverse_entry(alg, a, b, mat):
-    """Entry of the inverse of A e_a -> A e_b with concrete matrix mat:
-    the preimage of e_b, whose coordinates in P_b are its values at the
-    pivots of P_b's RREF basis."""
-    projs = proj_list(alg)
-    pa, pb = projs[a], projs[b]
-    gen_b = alg.idempotents[b][(pb.amb_basis != 0).argmax(axis=1)]
-    back = linalg.SpanSolver(mat.T, alg.p).coords(gen_b)
-    return (pa.amb_basis.T @ back) % alg.p
-
-
-def reduce_cx(cx):
-    """Iterated cancellation of invertible entries; the result is minimal.
-    Each step cancels one entry and leaves dropping what it empties to Cx;
-    with nothing to cancel, cx itself is returned."""
-    hit = _invertible_entry(cx)
-    if hit is None:
-        return cx
-    alg, (k, r0, c0, mat) = cx.algebra, hit
-    comps, diffs = dict(cx.comps), dict(cx.diffs)
-    ainv = _inverse_entry(alg, comps[k][c0], comps[k + 1][r0], mat)
-    t = diffs[k]
-    rest_r, rest_c = np.delete(t, r0, axis=0), np.delete(t, c0, axis=1)
-    # entry (r, c) loses t[r0, c] * ainv * t[r, c0]
-    via = entry_compose(alg, rest_c[[r0]], ainv.reshape(1, 1, -1))
-    corr = entry_compose(alg, via, rest_r[:, [c0]])
-    diffs[k] = (np.delete(rest_r, c0, axis=1) - corr) % alg.p
-    if k - 1 in diffs:
-        diffs[k - 1] = np.delete(diffs[k - 1], c0, axis=0)
-    if k + 1 in diffs:
-        diffs[k + 1] = np.delete(diffs[k + 1], r0, axis=1)
-    comps[k] = comps[k][:c0] + comps[k][c0 + 1 :]
-    comps[k + 1] = comps[k + 1][:r0] + comps[k + 1][r0 + 1 :]
-    return reduce_cx(Cx(alg, comps, diffs, check=False))
-
-
-# ---------------------------------------------------------------------------
-# chain maps and cones
+# chain maps
 # ---------------------------------------------------------------------------
 
 
@@ -307,23 +236,6 @@ def compose_chain(alg, first, then):
         if k in then:
             out[k] = entry_compose(alg, t, then[k])
     return out
-
-
-def cone(src, tgt, cmap):
-    """Mapping cone of a chain map; degree k is src^{k+1} ++ tgt^k.  Every
-    degree's block is built, and Cx drops the empty ones."""
-    alg = src.algebra
-    degs = sorted({j for k in [*src.comps, *tgt.comps] for j in (k, k - 1)})
-    comps = {k: src.at(k + 1) + tgt.at(k) for k in degs}
-    diffs = {}
-    for k in degs:
-        t = tensor_zeros(alg, len(comps.get(k + 1, ())), len(comps[k]))
-        sx1, sx0 = len(src.at(k + 2)), len(src.at(k + 1))
-        t[:sx1, :sx0] = (-src.diff(k + 1)) % alg.p
-        t[sx1:, :sx0] = cmap.get(k + 1, 0)
-        t[sx1:, sx0:] = tgt.diff(k)
-        diffs[k] = t
-    return Cx(alg, comps, diffs, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +440,15 @@ def h0(cx):
     return quo, proj, tgt
 
 
-def hminus1(cx):
-    """H^{-1} as a submodule of the concrete degree -1 module: the kernel of
-    the concrete differential, by the same route as h0."""
-    if not cx.is_two_term():
-        raise DomainError("hminus1 expects a two-term complex")
-    src, _, dmap = concrete_map(cx.algebra, cx.at(-1), cx.at(0), cx.diff(-1))
-    return submodule(src, dmap.kernel_rows())[0]
+def transpose(m):
+    """Tr m over A^op: H^0 of m's minimal presentation dualized by Hom(-, A)
+    (Auslander-Reiten-Smalø §IV.1).  Hom(A e_a, A) = e_a A = A^op e_a, and
+    m -> m x becomes right multiplication by x in A^op, so P^0's vertices
+    go to degree -1 and the entries stay, transposed.  A projective m has
+    Tr m = 0."""
+    pres = presentation(m)
+    return h0(Cx(opposite(m.algebra), {-1: pres.at(0), 0: pres.at(-1)},
+                 {-1: pres.diff(-1).transpose(1, 0, 2)}, check=False))[0]
 
 
 def inj_list(alg):
@@ -706,21 +620,3 @@ def min_left_approx_K(X, cxs):
     """Minimal left approximation of X by sums of the given two-term
     complexes: (target complex, chain map from X, list of indices used)."""
     return _min_approx_K(X, cxs, right=False)
-
-
-# ---------------------------------------------------------------------------
-# two-term complexes -> pairs (module, shifted projectives)
-# ---------------------------------------------------------------------------
-
-
-def cx_to_pair(cx):
-    """(module part H^0, shifted projective vertex list) of a two-term
-    complex, after reduction to minimal form.  The shifts are the zero
-    columns of the reduced differential; they add nothing to its image, so
-    H^0 is taken of the reduced complex itself."""
-    red = reduce_cx(cx)
-    if not red.is_two_term():
-        raise DomainError("complex is not two-term after reduction")
-    d = red.diff(-1)
-    shifted = [v for c, v in enumerate(red.at(-1)) if not d[:, c].any()]
-    return h0(red)[0], shifted

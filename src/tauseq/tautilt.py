@@ -11,8 +11,9 @@ is a tuple of items (sorted for the unordered form).  A `Core` holds the
 items, their compatibility rows (whose cliques are the support tau-rigid
 sets) and g-vectors: all that lookups, completions and counts read.  Its
 subclass `Registry` adds the modules, tests each new pair once
-(cxs.hom_to_tau), and discovers new partners, on the side that the sign of
-g(A) gives.
+(cxs.hom_to_tau), and discovers new partners by one route, the left
+mutation: on the side that the sign of g(A) gives, over A or, through the
+duality † of AIR Thm 2.14, over A^op.
 """
 
 import itertools
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import complexes as cxs
 from . import linalg
+from .algebra import opposite
 from .errors import CapExceededError, DomainError
 from .modules import (decompose, is_iso, is_local_endo, min_left_approx,
                       quotient_module)
@@ -146,6 +148,7 @@ class Registry(Core):
         self.names = []
         self._buckets = {}
         self._split = weakref.WeakKeyDictionary()  # module -> summand ids
+        self._op = None  # the registry over A^op
 
     def __len__(self):
         return len(self.mods)
@@ -238,9 +241,6 @@ class Registry(Core):
                 self._rigid |= bit
         return self._rigid
 
-    def pres(self, idx):
-        return cxs.presentation(self.mods[idx])
-
     def g_vector(self, item):
         """g = [P^0] - [P^-1] of a module's minimal presentation, counted
         per vertex (cxs.g_vector); a shift's from the core."""
@@ -252,25 +252,50 @@ class Registry(Core):
         tau-tilting T = x + U.  Where g(A) is positive at x in the g-basis of
         T (`g_signs`), x is a module outside Fac U: the partner is a summand
         of the cokernel of x's minimal left add(U)-approximation (AIR Thm
-        2.30), else of a K^b triangle on the right approximation (AIR §2.4)."""
+        2.30).  Else the exchange is a left one over A^op: the duality †
+        (`dagger`, AIR Thm 2.14) reverses the order and negates g-vectors,
+        so the partner is the image of x†'s left partner in T†, and x† must
+        read on the left side there."""
         x, others = items[k], items[:k] + items[k + 1 :]
         known = len(self)  # a partner found below must be new
         if self.g_signs(tuple(items))[0] & self.bits([x]):
             u_mods = [self.mods[v] for kind, v in others if kind == "m"]
             tgt, beta, _ = min_left_approx(self.mods[x[1]], u_mods)
-            y, shifted = quotient_module(tgt, beta.image_rows())[0], []
+            y = quotient_module(tgt, beta.image_rows())[0]
+            new = [("m", i) for i in dict.fromkeys(self.summands(y))]
         else:
-            X = item_cx(self, x)
-            u_parts = [item_cx(self, it) for it in others]
-            src, cmap, _ = cxs.min_right_approx_K(u_parts, X)
-            y, shifted = cxs.cx_to_pair(
-                cxs.shift_cx(cxs.cone(src, X, cmap), -1))
-        new = [("p", v) for v in shifted]
-        new += [("m", i) for i in dict.fromkeys(self.summands(y))]
+            op = self.opposite()
+            dual = [self.dagger(it, op) for it in items]
+            obj = canonical(dual)
+            if not op.g_signs(obj)[0] & op.bits([dual[k]]):
+                raise DomainError("the dual exchange is not a left mutation")
+            new = [op.dagger(it, self) for it in
+                   mutate(op, obj, obj.index(dual[k])) if it not in obj]
         if len(new) != 1 or new[0][0] == "p" or new[0][1] < known \
                 or not _items_support_tau_rigid(self, new + others):
             raise DomainError("mutation failed to produce an exchange partner")
         return canonical(others + new)
+
+    def opposite(self):
+        """The registry over A^op, built on first use; its opposite is this
+        one."""
+        if self._op is None:
+            self._op = Registry(opposite(self.alg))
+            self._op._op = self
+        return self._op
+
+    def dagger(self, item, other):
+        """The image of an item under † in other, the registry over A^op: Tr X
+        for a non-projective module X (cxs.transpose), P_v[1] for P_v, and
+        the projective at v for P_v[1].  Tr Tr X = X, so the same rule maps
+        back, and g(x†) = -g(x)."""
+        kind, v = item
+        if kind == "p":
+            return ("m", other.proj_id(v))
+        pres = cxs.presentation(self.mods[v])
+        if not pres.at(-1):  # P_v
+            return ("p", pres.at(0)[0])
+        return ("m", other._indecomposable(cxs.transpose(self.mods[v])))
 
     def proj_id(self, v):
         return self._indecomposable(cxs.proj_list(self.alg)[v])
@@ -310,19 +335,6 @@ def canonical(items):
     """Items ('m'|'p', int) sort in registry order as plain tuples: every
     module before every shift."""
     return tuple(sorted(items))
-
-
-def item_cx(reg, item):
-    kind, val = item
-    if kind == "m":
-        return reg.pres(val)
-    return cxs.stalk_cx(reg.alg, [val], degree=-1)
-
-
-def object_cx(reg, items):
-    parts = [item_cx(reg, it) for it in items]
-    return cxs.direct_sum_cx(parts)[0] if parts \
-        else cxs.Cx(reg.alg, {}, {}, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,14 @@ by two Fermat powers; `lagrange_split_idempotent` (g(z)/g(lambda) with
 g = mu_z/(X - lambda)) and `newton_lift` (e <- 3e^2 - 2e^3) are the
 idempotent and the lift it took before.
 
+Right mutations are left mutations over A^op, through the duality † of
+AIR Thm 2.14 (`tautilt.Registry.dagger`); the K^b triangle route is what
+it replaced: `shift_cx`, `stalk_cx`, `cone`, the Gaussian reduction
+`reduce_cx` (with `_invertible_entry` and `_inverse_entry`), `hminus1`,
+`cx_to_pair`, the item complexes `pres`, `item_cx` and `object_cx`, and
+`right_cocone`, the cocone on the minimal right approximation.  `tau_by_transpose` is tau as D Tr, a second route to
+`complexes.tau`.
+
 A complex is normalized only by `Cx`, and null spaces and quotients come
 from one RREF complement (`linalg.complement_rows`); `reduce_cx_by_loop`
 is the cancellation loop on mutable copies that `reduce_cx` replaced, and
@@ -208,15 +216,15 @@ def triangle_bongartz(reg, u):
     H^0 of the cocone of the minimal right add(u)-approximation of
     C + Q[1] in K^b(proj), split into summands."""
     c_ids, q = gen_scan_cobongartz(reg, u)
-    parts = [reg.pres(c) for c in c_ids]
+    parts = [pres(reg, c) for c in c_ids]
     if q:
-        parts.append(cxs.stalk_cx(reg.alg, q, degree=-1))
+        parts.append(stalk_cx(reg.alg, q, degree=-1))
     if not parts:
         return []
     cq, _ = cxs.direct_sum_cx(parts)
-    u_parts = [reg.pres(i) for i in reg.summands(u)]
+    u_parts = [pres(reg, i) for i in reg.summands(u)]
     src, cmap, _ = cxs.min_right_approx_K(u_parts, cq)
-    y = cxs.reduce_cx(cxs.shift_cx(cxs.cone(src, cq, cmap), -1))
+    y = reduce_cx(shift_cx(cone(src, cq, cmap), -1))
     assert y.is_two_term()
     b, _, _ = cxs.h0(y)
     return reg.summands(b) if b.dim else []
@@ -499,6 +507,12 @@ def tau_rigid(m):
     return m.dim == 0 or tau_hom(m, m) == 0
 
 
+def tau_by_transpose(m):
+    """tau m = D Tr m (Auslander-Reiten-Smalø §IV.1): D turns the A^op-module
+    Tr m (cxs.transpose) into an A-module by the transposed action."""
+    return FdModule(m.algebra, cxs.transpose(m).action.transpose(0, 2, 1))
+
+
 def tau_compatible(reg, a, b):
     """Registry.compatible by tau: Hom(a, tau b) = Hom(b, tau a) = 0 for
     modules, with an item alone also indecomposable, and Hom(P_v, a) = 0
@@ -608,6 +622,141 @@ def newton_lift(struct, e0):
     raise AssertionError("idempotent lifting did not stabilize")
 
 
+def shift_cx(cx, s):
+    """cx[s]: degree k holds what was in degree k + s; odd shifts flip signs."""
+    comps = {k - s: v for k, v in cx.comps.items()}
+    sign = -1 if s % 2 else 1
+    diffs = {k - s: (sign * t) % cx.algebra.p for k, t in cx.diffs.items()}
+    return cxs.Cx(cx.algebra, comps, diffs, check=False)
+
+
+def stalk_cx(alg, verts, degree=0):
+    return cxs.Cx(alg, {degree: list(verts)}, {}, check=False)
+
+
+def pres(reg, idx):
+    """The minimal presentation of registry module idx."""
+    return cxs.presentation(reg.module(idx))
+
+
+def item_cx(reg, item):
+    kind, val = item
+    if kind == "m":
+        return pres(reg, val)
+    return stalk_cx(reg.alg, [val], degree=-1)
+
+
+def object_cx(reg, items):
+    parts = [item_cx(reg, it) for it in items]
+    return cxs.direct_sum_cx(parts)[0] if parts \
+        else cxs.Cx(reg.alg, {}, {}, check=False)
+
+
+def _invertible_entry(cx):
+    alg = cx.algebra
+    for k in sorted(cx.diffs):
+        t = cx.diffs[k]
+        for r, b in enumerate(cx.at(k + 1)):
+            for c, a in enumerate(cx.at(k)):
+                if not np.any(t[r, c]):
+                    continue
+                projs = cxs.proj_list(alg)
+                if projs[a].dim != projs[b].dim:
+                    continue
+                mat = modules.right_mult_module_map(projs[a], projs[b],
+                                                    t[r, c]).matrix
+                if linalg.rank(mat, alg.p) == mat.shape[0]:
+                    return k, r, c, mat
+    return None
+
+
+def _inverse_entry(alg, a, b, mat):
+    """Entry of the inverse of A e_a -> A e_b with concrete matrix mat:
+    the preimage of e_b, whose coordinates in P_b are its values at the
+    pivots of P_b's RREF basis."""
+    projs = cxs.proj_list(alg)
+    pa, pb = projs[a], projs[b]
+    gen_b = alg.idempotents[b][(pb.amb_basis != 0).argmax(axis=1)]
+    back = linalg.SpanSolver(mat.T, alg.p).coords(gen_b)
+    return (pa.amb_basis.T @ back) % alg.p
+
+
+def reduce_cx(cx):
+    """Iterated cancellation of invertible entries; the result is minimal.
+    Each step cancels one entry and leaves dropping what it empties to Cx;
+    with nothing to cancel, cx itself is returned."""
+    hit = _invertible_entry(cx)
+    if hit is None:
+        return cx
+    alg, (k, r0, c0, mat) = cx.algebra, hit
+    comps, diffs = dict(cx.comps), dict(cx.diffs)
+    ainv = _inverse_entry(alg, comps[k][c0], comps[k + 1][r0], mat)
+    t = diffs[k]
+    rest_r, rest_c = np.delete(t, r0, axis=0), np.delete(t, c0, axis=1)
+    # entry (r, c) loses t[r0, c] * ainv * t[r, c0]
+    via = cxs.entry_compose(alg, rest_c[[r0]], ainv.reshape(1, 1, -1))
+    corr = cxs.entry_compose(alg, via, rest_r[:, [c0]])
+    diffs[k] = (np.delete(rest_r, c0, axis=1) - corr) % alg.p
+    if k - 1 in diffs:
+        diffs[k - 1] = np.delete(diffs[k - 1], c0, axis=0)
+    if k + 1 in diffs:
+        diffs[k + 1] = np.delete(diffs[k + 1], r0, axis=1)
+    comps[k] = comps[k][:c0] + comps[k][c0 + 1 :]
+    comps[k + 1] = comps[k + 1][:r0] + comps[k + 1][r0 + 1 :]
+    return reduce_cx(cxs.Cx(alg, comps, diffs, check=False))
+
+
+def cone(src, tgt, cmap):
+    """Mapping cone of a chain map; degree k is src^{k+1} ++ tgt^k.  Every
+    degree's block is built, and Cx drops the empty ones."""
+    alg = src.algebra
+    degs = sorted({j for k in [*src.comps, *tgt.comps] for j in (k, k - 1)})
+    comps = {k: src.at(k + 1) + tgt.at(k) for k in degs}
+    diffs = {}
+    for k in degs:
+        t = cxs.tensor_zeros(alg, len(comps.get(k + 1, ())), len(comps[k]))
+        sx1, sx0 = len(src.at(k + 2)), len(src.at(k + 1))
+        t[:sx1, :sx0] = (-src.diff(k + 1)) % alg.p
+        t[sx1:, :sx0] = cmap.get(k + 1, 0)
+        t[sx1:, sx0:] = tgt.diff(k)
+        diffs[k] = t
+    return cxs.Cx(alg, comps, diffs, check=False)
+
+
+def hminus1(cx):
+    """H^{-1} as a submodule of the concrete degree -1 module: the kernel of
+    the concrete differential, by the same route as h0."""
+    if not cx.is_two_term():
+        raise DomainError("hminus1 expects a two-term complex")
+    src, _, dmap = cxs.concrete_map(cx.algebra, cx.at(-1), cx.at(0),
+                                    cx.diff(-1))
+    return submodule(src, dmap.kernel_rows())[0]
+
+
+def cx_to_pair(cx):
+    """(module part H^0, shifted projective vertex list) of a two-term
+    complex, after reduction to minimal form.  The shifts are the zero
+    columns of the reduced differential; they add nothing to its image, so
+    H^0 is taken of the reduced complex itself."""
+    red = reduce_cx(cx)
+    if not red.is_two_term():
+        raise DomainError("complex is not two-term after reduction")
+    d = red.diff(-1)
+    shifted = [v for c, v in enumerate(red.at(-1)) if not d[:, c].any()]
+    return cxs.h0(red)[0], shifted
+
+
+def right_cocone(reg, items, k):
+    """The cocone of the minimal right add(U)-approximation of the k-th
+    summand x of the support tau-tilting object items = x + U in K^b(proj):
+    its `cx_to_pair` is x's right partner (AIR §2.4), the route right
+    exchanges took before they became left exchanges over A^op."""
+    X = item_cx(reg, items[k])
+    src, cmap, _ = cxs.min_right_approx_K(
+        [item_cx(reg, it) for it in items[:k] + items[k + 1 :]], X)
+    return shift_cx(cone(src, X, cmap), -1)
+
+
 def reduce_cx_by_loop(cx):
     """Iterated cancellation of invertible entries on mutable copies of the
     degrees and differentials, popping each block and degree it empties."""
@@ -619,11 +768,11 @@ def reduce_cx_by_loop(cx):
         return cxs.Cx(alg, comps, diffs, check=False)
 
     while True:
-        hit = cxs._invertible_entry(current())
+        hit = _invertible_entry(current())
         if hit is None:
             return current()
         k, r0, c0, mat = hit
-        ainv = cxs._inverse_entry(alg, comps[k][c0], comps[k + 1][r0], mat)
+        ainv = _inverse_entry(alg, comps[k][c0], comps[k + 1][r0], mat)
         t = diffs[k]
         keep_r = [r for r in range(t.shape[0]) if r != r0]
         keep_c = [c for c in range(t.shape[1]) if c != c0]

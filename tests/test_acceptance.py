@@ -19,16 +19,17 @@ from contextlib import redirect_stdout
 from importlib import resources
 
 from conftest import _root_with_names, item_of, load_example
+from oracles import (cone, cx_to_pair, hminus1, item_cx, object_cx,
+                     reduce_cx, shift_cx)
 from test_reduction import GAMMA_SHAPES, J_TABLE
 from test_sequences import GOLDEN_EX1, GOLDEN_EX2
 from test_tautilt import _factors_through, _has_projective_summand
 
 from tauseq import cli
 from tauseq.algebra import algebra_invariants
-from tauseq.complexes import (cone, cx_to_pair, h0, hminus1, hom_K_dim,
-                              min_left_approx_K, min_presentation,
-                              min_right_approx_K, proj_list, reduce_cx,
-                              shift_cx, tau)
+from tauseq.complexes import (h0, hom_K_dim, min_left_approx_K,
+                              min_presentation, min_right_approx_K, proj_list,
+                              tau)
 from tauseq.modules import (decompose_grouped, direct_sum, hom_basis,
                             hom_dim, in_gen, is_iso, min_left_approx,
                             min_right_approx, submodule,
@@ -38,7 +39,7 @@ from tauseq.sequences import (count_sequences, enumerate_ordered,
                               enumerate_sequences, ordered_names, phi, psi,
                               sequence_names, validate_sequence)
 from tauseq.tautilt import (bongartz, cobongartz, indec_tau_rigid_items,
-                            is_tau_rigid, item_cx, mutate, object_cx)
+                            is_tau_rigid, mutate)
 
 # reference per-last-entry counts for length-3 sequences over the third
 # example; the shift of the third projective prints as S3[1] because the

@@ -9,26 +9,26 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import (dynkin_text, load_example, monomial_quiver_texts,
                       nakayama_text, rebased_algebra)
-from oracles import (dense_mult, generator_rows_by_top,
-                     min_presentation_by_syzygy_module, reduce_cx_by_loop,
-                     tau_by_target_sum, tau_compatible, tau_hom,
+from oracles import (cone, cx_to_pair, dense_mult, generator_rows_by_top,
+                     hminus1, item_cx, min_presentation_by_syzygy_module,
+                     reduce_cx, reduce_cx_by_loop, right_cocone, shift_cx,
+                     stalk_cx, tau_by_target_sum, tau_compatible, tau_hom,
                      tau_j_membership, tau_rigid)
 from tauseq import complexes as cxs
 from tauseq import linalg
 from tauseq.algebra import parse_algebra
-from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain, cone,
-                              cx_to_pair, direct_sum_cx, entry_compose,
-                              ext1_dim, h0, hminus1, hom_K_dim, inj_list,
-                              min_left_approx_K, min_presentation,
-                              min_right_approx_K, proj_list, reduce_cx,
-                              shift_cx, simple_list, stalk_cx, tau,
-                              tensor_zeros)
+from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain,
+                              direct_sum_cx, entry_compose, ext1_dim, h0,
+                              hom_K_dim, inj_list, min_left_approx_K,
+                              min_presentation, min_right_approx_K,
+                              proj_list, simple_list, tau, tensor_zeros)
 from tauseq.errors import CapExceededError, DomainError
 from tauseq.modules import (FdModule, hom_dim, is_iso, radical_rows,
                             submodule, zero_module)
 from tauseq.reduction import j_membership, root_context
-from tauseq.tautilt import (SignedObject, enumerate_support_tau_tilting,
-                            indec_tau_rigid_items, is_tau_rigid, item_cx)
+from tauseq.tautilt import (Registry, SignedObject,
+                            enumerate_support_tau_tilting,
+                            indec_tau_rigid_items, is_tau_rigid)
 from test_algebra import linear_quiver_text
 from test_tautilt import _SmallModules
 
@@ -596,19 +596,21 @@ def _exchange_triangles(reg, objs):
 
 
 def _e6_alt_right_triangles(monkeypatch):
-    """The cocones of the right-hand triangles that enumerating E6 alt
-    builds: mutation reaches cone only there."""
-    seen = []
+    """The cocones of the K^b triangles on the minimal right
+    approximations, at the (object, k) where enumerating E6 alt discovers
+    a partner on the right side (over A^op), in discovery order."""
+    seen, real = [], Registry.discover
 
-    def recording_cone(src, tgt, cmap):
-        seen.append(cone(src, tgt, cmap))
-        return seen[-1]
+    def recording(reg, items, k):
+        if not reg.g_signs(tuple(items))[0] & reg.bits([items[k]]):
+            seen.append((reg, list(items), k))
+        return real(reg, items, k)
 
-    monkeypatch.setattr(cxs, "cone", recording_cone)
+    monkeypatch.setattr(Registry, "discover", recording)
     _, alg = parse_algebra(dynkin_text("E", 6, alt=True))
     enumerate_support_tau_tilting(alg)
     monkeypatch.undo()
-    return [shift_cx(c, -1) for c in seen]
+    return [right_cocone(reg, items, k) for reg, items, k in seen]
 
 
 REDUCE_CASES = {"ex1": None, "ex2": None, "ex3": None,

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import (FIXDIR, dynkin_text, item_of, load_example,
                       nakayama_text)
-from oracles import (approximation_pairing, context_objects, eager_level,
-                     gen_scan_cobongartz, quotient_gamma, shifted_by_quotient,
+from oracles import (approximation_pairing, cone, context_objects,
+                     eager_level, gen_scan_cobongartz, pres, quotient_gamma,
+                     reduce_cx, shift_cx, shifted_by_quotient,
                      triangle_bongartz)
 from test_algebra import linear_quiver_text
 from tauseq import cli
@@ -301,10 +302,10 @@ def _triangle_bongartz_summand(ctx, x_item):
         bx, _, _ = min_left_approx(proj_list(ctx.algebra)[val],
                                    ctx.b_summands)
         return bx
-    src, cmap, _ = cxs.min_right_approx_K([preg.pres(ctx.reducer_item[1])],
-                                          preg.pres(val))
-    cocone = cxs.shift_cx(cxs.cone(src, preg.pres(val), cmap), -1)
-    bx, _, _ = cxs.h0(cxs.reduce_cx(cocone))
+    src, cmap, _ = cxs.min_right_approx_K([pres(preg, ctx.reducer_item[1])],
+                                          pres(preg, val))
+    cocone = shift_cx(cone(src, pres(preg, val), cmap), -1)
+    bx, _, _ = cxs.h0(reduce_cx(cocone))
     return bx
 
 

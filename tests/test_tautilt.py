@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import (FIXDIR, dynkin_text, item_of, monomial_quiver_texts,
                       nakayama_text)
-from oracles import (context_objects, end_radical_mats, g_fan_check,
-                     min_approx_by_end, objects_by_item, scan_completion,
-                     scan_partner, scan_support_tau_rigid, tau_compatible,
-                     triangle_bongartz)
+from oracles import (cone, context_objects, cx_to_pair, end_radical_mats,
+                     g_fan_check, hminus1, item_cx, min_approx_by_end,
+                     object_cx, objects_by_item, reduce_cx, right_cocone,
+                     scan_completion, scan_partner, scan_support_tau_rigid,
+                     tau_by_transpose, tau_compatible, triangle_bongartz)
 from test_algebra import linear_quiver_text
 import gc
 import itertools
@@ -21,8 +22,8 @@ import weakref
 
 from tauseq import complexes as cxs
 from tauseq import cli, linalg, modules, tautilt
-from tauseq.algebra import parse_algebra
-from tauseq.complexes import (end_K, hminus1, hom_K_dim, min_presentation,
+from tauseq.algebra import opposite, parse_algebra
+from tauseq.complexes import (end_K, hom_K_dim, min_presentation,
                               proj_list, tau)
 from tauseq.errors import CapExceededError, DomainError
 from tauseq.modules import (FdModule, decompose_grouped, direct_sum,
@@ -36,7 +37,7 @@ from tauseq.tautilt import (Registry, SignedObject, _items_support_tau_rigid,
                             complement_correspondence, completion,
                             enumerate_support_tau_tilting,
                             indec_tau_rigid_items, is_support_tau_rigid,
-                            is_tau_rigid, item_cx, mutate, object_cx)
+                            is_tau_rigid, mutate)
 
 EXPECTED_COUNTS = {"root1": 5, "root2": 6, "root3": 18}
 RIGID_NAMES = {
@@ -278,19 +279,17 @@ def _check_rows(reg):
                 assert bool(rows[i] >> j & 1) == tau_compatible(reg, a, b)
 
 
-def _count_triangles(monkeypatch):
-    """Count the exchange sequences mutate runs, per side: the module-level
-    left approximations and the K^b right ones."""
-    counts = {"right": 0, "left": 0}
-    for side, owner, name in (("right", cxs, "min_right_approx_K"),
-                              ("left", tautilt, "min_left_approx")):
-        real = getattr(owner, name)
+def _count_triangles(monkeypatch, alg):
+    """Count the exchange sequences mutate runs, per side: each is a left
+    approximation, over A on the left side and over A^op on the right."""
+    counts, real = {"right": 0, "left": 0}, tautilt.min_left_approx
+    op = opposite(alg)
 
-        def counted(*args, _side=side, _real=real):
-            counts[_side] += 1
-            return _real(*args)
+    def counted(x, u_summands):
+        counts["right" if x.algebra is op else "left"] += 1
+        return real(x, u_summands)
 
-        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(tautilt, "min_left_approx", counted)
     return counts
 
 
@@ -314,12 +313,15 @@ def _algebra_case(case, request):
 @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A4", "rad2-A4"])
 def test_exchange_triangle_finds_every_partner(case, request, monkeypatch):
     # a registry holding only the object's own modules leaves every module
-    # partner unknown, so each one is found by a triangle, on both sides
+    # partner unknown, so each one is found by a triangle, on both sides,
+    # but a projective right partner P_v: over A^op it is P_v[1], an item
+    # of every core, so the lookup there finds it
     alg = _algebra_case(case, request)
     n = alg.idempotents.shape[0]
     objs, full = enumerate_support_tau_tilting(alg)
-    counts = _count_triangles(monkeypatch)
-    module_partners = 0
+    projs = {full.proj_id(v) for v in range(n)}
+    counts = _count_triangles(monkeypatch, alg)
+    module_partners = dual_shifts = 0
     for obj in objs:
         for k in range(n):
             want = [it for it in mutate(full, obj, k) if it not in obj]
@@ -335,18 +337,20 @@ def test_exchange_triangle_finds_every_partner(case, request, monkeypatch):
             assert wk == gk, (obj, k)
             if wk == "m":
                 module_partners += 1
+                dual_shifts += wv in projs and not (
+                    full.g_signs(obj)[0] & full.bits([obj[k]]))
                 assert is_iso(full.module(wv), bare.module(gv)), (obj, k)
             else:
                 assert wv == gv, (obj, k)
     assert counts["right"] > 0 and counts["left"] > 0
-    assert counts["right"] + counts["left"] == module_partners
+    assert counts["right"] + counts["left"] + dual_shifts == module_partners
 
 
 @pytest.mark.parametrize("case,triangles", [("A4", 6), ("rad2-A4", 3)])
 def test_enumeration_runs_triangles_only_to_discover_items(
         case, triangles, request, monkeypatch):
     alg = _algebra_case(case, request)
-    counts = _count_triangles(monkeypatch)
+    counts = _count_triangles(monkeypatch, alg)
     _, reg = enumerate_support_tau_tilting(alg)
     assert counts["right"] + counts["left"] == triangles
     assert triangles == len(reg) - alg.idempotents.shape[0]
@@ -375,14 +379,113 @@ def test_left_exchange_by_cokernel_matches_the_triangle(case, request):
             xc = item_cx(full, x)
             tgt, cmap, _ = cxs.min_left_approx_K(
                 xc, [item_cx(full, it) for it in others])
-            mod, shifted = cxs.cx_to_pair(cxs.reduce_cx(cxs.cone(xc, tgt,
-                                                                 cmap)))
+            mod, shifted = cx_to_pair(reduce_cx(cone(xc, tgt, cmap)))
             if kind == "m":
                 module_partners += 1
                 assert shifted == [] and is_iso(mod, bare.module(v)), (obj, k)
             else:
                 assert mod.dim == 0 and shifted == [v], (obj, k)
     assert module_partners > 0
+
+
+DUALITY_CASES = ["ex1", "ex2", "ex3", "A3", "A4", "A5", "rad2-A4", "rad2-A5",
+                 "rad2-A6", "Lambda4", "Lambda3-5", "D5alt", "E6alt"]
+
+
+@pytest.mark.parametrize("case", DUALITY_CASES)
+def test_dagger_is_a_g_negating_bijection_onto_the_opposite(case, request):
+    # AIR Thm 2.14: † is a bijection from the objects over A onto those over
+    # A^op with g(x†) = -g(x), and †† = 1 as Tr Tr X = X; and tau X is
+    # D Tr X, a second route to tau
+    alg = _algebra_case(case, request)
+    objs, full = enumerate_support_tau_tilting(alg)
+    objs_op, op = enumerate_support_tau_tilting(opposite(alg))
+    assert opposite(opposite(alg)) is alg and len(objs_op) == len(objs)
+    assert {canonical(full.dagger(it, op) for it in obj)
+            for obj in objs} == set(objs_op)
+    for it in sorted({it for obj in objs for it in obj}):
+        dual = full.dagger(it, op)
+        assert op.g_vector(dual) == [-c for c in full.g_vector(it)], it
+        assert op.dagger(dual, full) == it
+    for i in range(len(full)):
+        m = full.module(i)
+        t, dt = tau(m), tau_by_transpose(m)
+        assert t.dim == dt.dim and (t.dim == 0 or is_iso(t, dt)), i
+
+
+# (right-side pairs compared with the lookup, how many of them also with
+# the K^b triangle): every pair, or a seeded sample (D5 alt has 455 and E6
+# alt 2,499); the triangle takes about 8 ms a pair on D5 alt, and 0.02 to
+# 1.1 s on E6 alt
+RIGHT_SAMPLES = {"ex1": (None, None), "ex2": (None, None),
+                 "ex3": (None, None), "A4": (None, None),
+                 "Lambda4": (None, None), "Lambda3-5": (None, None),
+                 "D5alt": (60, 20), "E6alt": (30, 1)}
+
+
+@pytest.mark.parametrize("case", sorted(RIGHT_SAMPLES))
+def test_right_exchange_over_the_opposite_matches_the_triangle(case,
+                                                               request):
+    # with a bare registry every right-side partner (g(A) not positive at
+    # x) is discovered over A^op; it is the full registry's partner and
+    # H^0 of the K^b cocone on x's minimal right add(U)-approximation
+    alg = _algebra_case(case, request)
+    objs, full = enumerate_support_tau_tilting(alg)
+    pairs = [(obj, k) for obj in objs for k, x in enumerate(obj)
+             if not full.g_signs(obj)[0] & full.bits([x])]
+    sample, triangles = RIGHT_SAMPLES[case]
+    if sample:
+        pairs = random.Random(11).sample(pairs, sample)
+    for i, (obj, k) in enumerate(pairs):
+        (wk, wv), = [it for it in mutate(full, obj, k) if it not in obj]
+        bare = Registry(alg)
+        own = [("m", bare.add(full.module(v))) if kind == "m"
+               else (kind, v) for kind, v in obj]
+        (gk, gv), = [it for it in mutate(bare, own, k) if it not in own]
+        assert wk == gk == "m", (obj, k)
+        assert is_iso(bare.module(gv), full.module(wv)), (obj, k)
+        if triangles is None or i < triangles:
+            mod, shifted = cx_to_pair(right_cocone(full, obj, k))
+            assert shifted == [] and is_iso(mod, full.module(wv)), (obj, k)
+    assert pairs
+
+
+def _flip_opposite_signs(monkeypatch):
+    """Make each registry that `Registry.opposite` builds read g(A)'s signs
+    the other way round, so that x† reads on the right side there."""
+    real = Registry.opposite
+
+    def flipped(reg):
+        built, op = reg._op is None, real(reg)
+        if built:
+            op.g_signs = lambda obj: tautilt.Core.g_signs(op, obj)[::-1]
+        return op
+
+    monkeypatch.setattr(Registry, "opposite", flipped)
+
+
+def test_a_dual_exchange_on_the_right_is_refused(ex3, monkeypatch, capsys,
+                                                 tmp_path):
+    # x† reads on the left over A^op; if it did not, discovery would bounce
+    # between A and A^op, so it stops with a DomainError (exit 2).  The
+    # partner is not projective, so A^op's lookup cannot find it as a shift
+    _, alg, _ = ex3
+    objs, full = enumerate_support_tau_tilting(alg)
+    projs = {("m", full.proj_id(v)) for v in range(full.n)}
+    obj, k = next((obj, k) for obj in objs for k, x in enumerate(obj)
+                  if not full.g_signs(obj)[0] & full.bits([x])
+                  and not set(mutate(full, obj, k)) - set(obj) <= projs)
+    _flip_opposite_signs(monkeypatch)
+    bare = Registry(alg)
+    own = [("m", bare.add(full.module(v))) if kind == "m" else (kind, v)
+           for kind, v in obj]
+    with pytest.raises(DomainError, match="not a left mutation"):
+        mutate(bare, own, k)
+    path = tmp_path / "e6alt.alg"
+    path.write_text(dynkin_text("E", 6, alt=True))
+    assert cli.main(["indec-tau-rigid", "--algebra", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the dual exchange is not a left mutation\n")
 
 
 @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "A3", "A4", "A5",
