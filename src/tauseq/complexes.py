@@ -11,8 +11,8 @@ Provides Hom spaces in the homotopy category (including shifted ones),
 endomorphism rings of two-term objects, minimal left and right
 approximations in the homotopy category, minimal presentations (cached on
 the module) and g-vectors, Hom(y, tau x) by one rank on x's presentation,
-the AR translate itself (for the tau command, read at the pivots of the
-injectives' RREF bases), the transpose Tr over A^op, and Ext^1.  An empty
+the AR translate itself (for the tau command and for Tr = D tau, read at
+the pivots of the injectives' RREF bases), and Ext^1.  An empty
 degree is the zero direct sum, so no route branches on it, and Cx alone
 normalizes a complex.  Exchange partners come from module-level
 approximations (tautilt), not from triangles of these complexes.
@@ -23,11 +23,11 @@ import functools
 import numpy as np
 
 from . import linalg
-from .algebra import StructAlgebra, block_terms, opposite
+from .algebra import StructAlgebra, block_terms
 from .errors import DomainError
 from .modules import (ModuleMap, direct_sum, hom_basis, injective_module,
-                      projective_module, quotient_module,
-                      right_mult_module_map, submodule, top_quotient)
+                      projective_module, right_mult_module_map, submodule,
+                      top_quotient)
 
 
 def proj_list(alg):
@@ -427,28 +427,6 @@ def hom_to_tau(y, x):
     mat = mat[mat.any(axis=1)][:, mat.any(axis=0)]
     return sum(y.vertex_dims()[a] for a in neg) - (
         linalg.rank(mat, p) if mat.size else 0)
-
-
-def h0(cx):
-    """(H^0 module, projection from the concrete degree-0 module, that
-    module): the cokernel of the concrete differential.  An empty degree is
-    the zero direct sum, so a stalk or the zero complex needs no branch."""
-    if not cx.is_two_term():
-        raise DomainError("h0 expects a two-term complex")
-    _, tgt, dmap = concrete_map(cx.algebra, cx.at(-1), cx.at(0), cx.diff(-1))
-    quo, proj = quotient_module(tgt, dmap.image_rows())
-    return quo, proj, tgt
-
-
-def transpose(m):
-    """Tr m over A^op: H^0 of m's minimal presentation dualized by Hom(-, A)
-    (Auslander-Reiten-Smalø §IV.1).  Hom(A e_a, A) = e_a A = A^op e_a, and
-    m -> m x becomes right multiplication by x in A^op, so P^0's vertices
-    go to degree -1 and the entries stay, transposed.  A projective m has
-    Tr m = 0."""
-    pres = presentation(m)
-    return h0(Cx(opposite(m.algebra), {-1: pres.at(0), 0: pres.at(-1)},
-                 {-1: pres.diff(-1).transpose(1, 0, 2)}, check=False))[0]
 
 
 def inj_list(alg):

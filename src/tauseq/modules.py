@@ -6,8 +6,9 @@ once per pair of module objects: hom_basis is the one cache of Hom bases,
 a table on the source keyed weakly by the target (so a cached basis never
 keeps a module alive) holding read-only arrays.  Also endomorphism rings,
 indecomposable direct-sum decomposition by idempotents of End(M), t_u(x),
-f_u(x) and Gen u from one set of trace rows, and minimal left/right
-add(U)-approximations, with rad End(⊕U) read off the summands.
+f_u(x) and Gen u from one set of trace rows, the duality D onto
+A^op-modules, and minimal left add(U)-approximations, with rad End(⊕U)
+read off the summands; a right one is D of a left one over A^op.
 Coordinates on an RREF basis are read at its pivots.
 
 The idempotents of a split are Fermat powers.  One Berlekamp split of
@@ -25,7 +26,7 @@ import weakref
 import numpy as np
 
 from . import linalg
-from .algebra import algebra_from_matrices, quotient_by_ideal
+from .algebra import algebra_from_matrices, opposite, quotient_by_ideal
 from .errors import DomainError, InputError
 
 # seeds the random elements tried when no basis element of a noncommutative
@@ -65,6 +66,7 @@ class FdModule:
         self._vertex_of = False  # not read yet
         self._summands = None  # set by direct_sum
         self._rad_end = None  # set by _end_radical
+        self._dual = None  # set by dual
         self._homs = weakref.WeakKeyDictionary()  # n -> Hom(self, n) basis
         if check and self.dim:
             self._validate()
@@ -191,6 +193,16 @@ def direct_sum(algebra, summands):
     out = FdModule(algebra, action, check=False)
     out._summands = tuple(summands)
     return out, embs, prs
+
+
+def dual(m):
+    """D m = Hom_k(m, k) over A^op: the transposed action ((a f)(v) =
+    f(a v)) in C order, which einsum reads fastest; cached both ways."""
+    if m._dual is None:
+        m._dual = FdModule(opposite(m.algebra), np.ascontiguousarray(
+            m.action.transpose(0, 2, 1)), check=False)
+        m._dual._dual = m
+    return m._dual
 
 
 # ---------------------------------------------------------------------------
@@ -618,52 +630,40 @@ def _sum_radical(summands, embs, prs):
     return np.array(rad, dtype=np.int64).reshape(-1, t, t)
 
 
-def _min_approx(x, u_summands, right):
-    """Minimal right (sum -> x) or left (x -> sum) add(⊕u_summands)-
-    approximation of x: the maps h e_j (h in a basis of Hom, e_j a block
-    idempotent) outside the span of the h r and of the maps before them,
-    r in rad End(⊕u_i) = every map between distinct u_i plus each
-    rad End(u_i) (Auslander-Reiten-Smalø §V.7), for pairwise non-isomorphic
-    indecomposable u_i or one module, as every caller passes.  Left maps
-    are handled transposed, as x <- sum (the same permutation of every
-    candidate's entries, so no rank test changes), and turned back.
-    Returns (the sum, ModuleMap, list of summand indices used).
-    """
+def min_left_approx(x, u_summands):
+    """Minimal left add(⊕u_summands)-approximation of x: (target module,
+    ModuleMap beta from x, list of summand indices used).  Keeps the maps
+    e_j h (h in a basis of Hom(x, sum), e_j a block idempotent) outside the
+    span of the r h and of the maps before them, r in rad End(⊕u_i) =
+    every map between distinct u_i plus each rad End(u_i)
+    (Auslander-Reiten-Smalø §V.7), for pairwise non-isomorphic
+    indecomposable u_i or one module, as every caller passes."""
     alg, p = x.algebra, x.algebra.p
     u_summands = [u for u in u_summands if u.dim]
-    kept, homs = [], []  # kept: (summand index, map x <- u_j)
-    if u_summands:
-        total, embs, prs = direct_sum(alg, u_summands)
-        homs = hom_basis(total, x) if right else \
-            [h.T for h in hom_basis(x, total)]
+    total, embs, prs = direct_sum(alg, u_summands)
+    kept, homs = [], hom_basis(x, total)  # kept: (summand index, x -> u_j)
     if homs:
         homs = np.array(homs)
         rad = _sum_radical(u_summands, embs, prs)
-        rad = rad if right else rad.transpose(0, 2, 1)
         idem = np.array([e @ pr for e, pr in zip(embs, prs)])
         new = linalg.extend_basis(
-            ((homs[:, None] @ rad[None]) % p).reshape(-1, homs[0].size),
-            ((homs[None] @ idem[:, None]) % p).reshape(-1, homs[0].size), p)
+            ((rad[None] @ homs[:, None]) % p).reshape(-1, homs[0].size),
+            ((idem[:, None] @ homs[None]) % p).reshape(-1, homs[0].size), p)
         for j, f in (divmod(i, len(homs)) for i in new):
-            kept.append((j, (homs[f] @ embs[j]) % p))
+            kept.append((j, (prs[j] @ homs[f]) % p))
     used = [j for j, _ in kept]
     summ, _, _ = direct_sum(alg, [u_summands[j] for j in used])
-    mat = np.hstack([np.zeros((x.dim, 0), dtype=np.int64)] +
-                    [mp for _, mp in kept]) % p
-    return summ, (ModuleMap(summ, x, mat) if right else
-                  ModuleMap(x, summ, mat.T)), used
+    mat = np.vstack([np.zeros((0, x.dim), dtype=np.int64)] +
+                    [mp for _, mp in kept])
+    return summ, ModuleMap(x, summ, mat), used
 
 
 def min_right_approx(u_summands, x):
     """Minimal right add(⊕u_summands)-approximation of x: (source module,
-    ModuleMap alpha to x, list of summand indices used)."""
-    return _min_approx(x, u_summands, right=True)
-
-
-def min_left_approx(x, u_summands):
-    """Minimal left add(⊕u_summands)-approximation of x: (target module,
-    ModuleMap beta from x, list of summand indices used)."""
-    return _min_approx(x, u_summands, right=False)
+    ModuleMap alpha to x, list of summand indices used), D of the minimal
+    left approximation of D x by the D u_i over A^op."""
+    tgt, beta, used = min_left_approx(dual(x), [dual(u) for u in u_summands])
+    return dual(tgt), ModuleMap(dual(tgt), x, beta.matrix.T), used
 
 
 # ---------------------------------------------------------------------------

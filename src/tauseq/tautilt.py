@@ -12,8 +12,8 @@ items, their compatibility rows (whose cliques are the support tau-rigid
 sets) and g-vectors: all that lookups, completions and counts read.  Its
 subclass `Registry` adds the modules, tests each new pair once
 (cxs.hom_to_tau), and discovers new partners by one route, the left
-mutation: on the side that the sign of g(A) gives, over A or, through the
-duality † of AIR Thm 2.14, over A^op.
+mutation: on the side that the sign of g(A) gives, over A or, through
+the duality † of AIR Thm 2.14 (Tr X = D tau X), over A^op.
 """
 
 import itertools
@@ -25,8 +25,8 @@ from . import complexes as cxs
 from . import linalg
 from .algebra import opposite
 from .errors import CapExceededError, DomainError
-from .modules import (decompose, is_iso, is_local_endo, min_left_approx,
-                      quotient_module)
+from .modules import (decompose, dual, is_iso, is_local_endo,
+                      min_left_approx, quotient_module)
 
 
 class SignedObject:
@@ -149,6 +149,7 @@ class Registry(Core):
         self._buckets = {}
         self._split = weakref.WeakKeyDictionary()  # module -> summand ids
         self._op = None  # the registry over A^op
+        self._dagger = weakref.WeakKeyDictionary()  # registry -> {item: †}
 
     def __len__(self):
         return len(self.mods)
@@ -286,16 +287,22 @@ class Registry(Core):
 
     def dagger(self, item, other):
         """The image of an item under † in other, the registry over A^op: Tr X
-        for a non-projective module X (cxs.transpose), P_v[1] for P_v, and
-        the projective at v for P_v[1].  Tr Tr X = X, so the same rule maps
-        back, and g(x†) = -g(x)."""
-        kind, v = item
-        if kind == "p":
-            return ("m", other.proj_id(v))
-        pres = cxs.presentation(self.mods[v])
-        if not pres.at(-1):  # P_v
-            return ("p", pres.at(0)[0])
-        return ("m", other._indecomposable(cxs.transpose(self.mods[v])))
+        = D tau X for a non-projective module X (Auslander-Reiten-Smalø
+        §IV.1), P_v[1] for P_v, and the projective at v for P_v[1].  Tr Tr X
+        = X, so the same rule maps back, and g(x†) = -g(x).  Each item is
+        mapped once per pair of registries, and its image maps back to it."""
+        memo = self._dagger.setdefault(other, {})
+        if item not in memo:
+            kind, v = item
+            if kind == "p":
+                memo[item] = ("m", other.proj_id(v))
+            elif not cxs.presentation(self.mods[v]).at(-1):  # P_v
+                memo[item] = ("p", cxs.presentation(self.mods[v]).at(0)[0])
+            else:
+                memo[item] = ("m", other._indecomposable(
+                    dual(cxs.tau(self.mods[v]))))
+            other._dagger.setdefault(self, {})[memo[item]] = item
+        return memo[item]
 
     def proj_id(self, v):
         return self._indecomposable(cxs.proj_list(self.alg)[v])

@@ -52,6 +52,8 @@ are the definitions through the AR translate tau that they replaced.
 Minimal approximations take rad End(+ u_i) as the maps between distinct
 summands and each summand's own rad End; `end_radical_mats` and
 `min_approx_by_end` are the coordinatized End(+ u_i) route they replaced.
+It keeps both sides, and so also checks `modules.min_right_approx`, D of
+a left approximation over A^op.
 
 Locality of End(m) is read off `decompose`; `local_endo_by_top` is the
 test on the semisimple top of End(m) that it replaced.  `decompose` splits
@@ -64,8 +66,11 @@ AIR Thm 2.14 (`tautilt.Registry.dagger`); the K^b triangle route is what
 it replaced: `shift_cx`, `stalk_cx`, `cone`, the Gaussian reduction
 `reduce_cx` (with `_invertible_entry` and `_inverse_entry`), `hminus1`,
 `cx_to_pair`, the item complexes `pres`, `item_cx` and `object_cx`, and
-`right_cocone`, the cocone on the minimal right approximation.  `tau_by_transpose` is tau as D Tr, a second route to
-`complexes.tau`.
+`right_cocone`, the cocone on the minimal right approximation.  † takes
+Tr X as D tau X (`modules.dual` of `complexes.tau`); `h0` and
+`transpose` are the H^0 of a two-term complex and the Tr as H^0 of the
+presentation dualized over A^op that it replaced, and `tau_by_transpose`
+is tau as D Tr through them, a second route to `complexes.tau`.
 
 A complex is normalized only by `Cx`, and null spaces and quotients come
 from one RREF complement (`linalg.complement_rows`); `reduce_cx_by_loop`
@@ -106,8 +111,8 @@ import numpy as np
 
 from tauseq import complexes as cxs
 from tauseq import linalg, modules
-from tauseq.algebra import (algebra_from_matrices, quotient_by_ideal,
-                            quotient_by_idempotent_ideal,
+from tauseq.algebra import (algebra_from_matrices, opposite,
+                            quotient_by_ideal, quotient_by_idempotent_ideal,
                             two_sided_ideal_rows)
 from tauseq.errors import DomainError
 from tauseq.modules import (FdModule, ModuleMap, direct_sum, end_algebra,
@@ -226,7 +231,7 @@ def triangle_bongartz(reg, u):
     src, cmap, _ = cxs.min_right_approx_K(u_parts, cq)
     y = reduce_cx(shift_cx(cone(src, cq, cmap), -1))
     assert y.is_two_term()
-    b, _, _ = cxs.h0(y)
+    b, _, _ = h0(y)
     return reg.summands(b) if b.dim else []
 
 
@@ -509,8 +514,8 @@ def tau_rigid(m):
 
 def tau_by_transpose(m):
     """tau m = D Tr m (Auslander-Reiten-Smalø §IV.1): D turns the A^op-module
-    Tr m (cxs.transpose) into an A-module by the transposed action."""
-    return FdModule(m.algebra, cxs.transpose(m).action.transpose(0, 2, 1))
+    Tr m (`transpose`) into an A-module by the transposed action."""
+    return FdModule(m.algebra, transpose(m).action.transpose(0, 2, 1))
 
 
 def tau_compatible(reg, a, b):
@@ -723,6 +728,29 @@ def cone(src, tgt, cmap):
     return cxs.Cx(alg, comps, diffs, check=False)
 
 
+def h0(cx):
+    """(H^0 module, projection from the concrete degree-0 module, that
+    module): the cokernel of the concrete differential.  An empty degree is
+    the zero direct sum, so a stalk or the zero complex needs no branch."""
+    if not cx.is_two_term():
+        raise DomainError("h0 expects a two-term complex")
+    _, tgt, dmap = cxs.concrete_map(cx.algebra, cx.at(-1), cx.at(0),
+                                    cx.diff(-1))
+    quo, proj = quotient_module(tgt, dmap.image_rows())
+    return quo, proj, tgt
+
+
+def transpose(m):
+    """Tr m over A^op: H^0 of m's minimal presentation dualized by Hom(-, A)
+    (Auslander-Reiten-Smalø §IV.1).  Hom(A e_a, A) = e_a A = A^op e_a, and
+    m -> m x becomes right multiplication by x in A^op, so P^0's vertices
+    go to degree -1 and the entries stay, transposed.  A projective m has
+    Tr m = 0."""
+    pres = cxs.presentation(m)
+    return h0(cxs.Cx(opposite(m.algebra), {-1: pres.at(0), 0: pres.at(-1)},
+                     {-1: pres.diff(-1).transpose(1, 0, 2)}, check=False))[0]
+
+
 def hminus1(cx):
     """H^{-1} as a submodule of the concrete degree -1 module: the kernel of
     the concrete differential, by the same route as h0."""
@@ -743,7 +771,7 @@ def cx_to_pair(cx):
         raise DomainError("complex is not two-term after reduction")
     d = red.diff(-1)
     shifted = [v for c, v in enumerate(red.at(-1)) if not d[:, c].any()]
-    return cxs.h0(red)[0], shifted
+    return h0(red)[0], shifted
 
 
 def right_cocone(reg, items, k):

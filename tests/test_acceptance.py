@@ -19,7 +19,7 @@ from contextlib import redirect_stdout
 from importlib import resources
 
 from conftest import _root_with_names, item_of, load_example
-from oracles import (cone, cx_to_pair, hminus1, item_cx, object_cx,
+from oracles import (cone, cx_to_pair, h0, hminus1, item_cx, object_cx,
                      reduce_cx, shift_cx)
 from test_reduction import GAMMA_SHAPES, J_TABLE
 from test_sequences import GOLDEN_EX1, GOLDEN_EX2
@@ -27,9 +27,8 @@ from test_tautilt import _factors_through, _has_projective_summand
 
 from tauseq import cli
 from tauseq.algebra import algebra_invariants
-from tauseq.complexes import (h0, hom_K_dim, min_left_approx_K,
-                              min_presentation, min_right_approx_K, proj_list,
-                              tau)
+from tauseq.complexes import (hom_K_dim, min_left_approx_K, min_presentation,
+                              min_right_approx_K, proj_list, tau)
 from tauseq.modules import (decompose_grouped, direct_sum, hom_basis,
                             hom_dim, in_gen, is_iso, min_left_approx,
                             min_right_approx, submodule,

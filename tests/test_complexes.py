@@ -10,20 +10,20 @@ from hypothesis import HealthCheck, assume, given, settings
 from conftest import (dynkin_text, load_example, monomial_quiver_texts,
                       nakayama_text, rebased_algebra)
 from oracles import (cone, cx_to_pair, dense_mult, generator_rows_by_top,
-                     hminus1, item_cx, min_presentation_by_syzygy_module,
+                     h0, hminus1, item_cx, min_presentation_by_syzygy_module,
                      reduce_cx, reduce_cx_by_loop, right_cocone, shift_cx,
                      stalk_cx, tau_by_target_sum, tau_compatible, tau_hom,
-                     tau_j_membership, tau_rigid)
+                     tau_j_membership, tau_rigid, transpose)
 from tauseq import complexes as cxs
 from tauseq import linalg
 from tauseq.algebra import parse_algebra
 from tauseq.complexes import (Cx, EntrySpace, HomK, compose_chain,
-                              direct_sum_cx, entry_compose, ext1_dim, h0,
+                              direct_sum_cx, entry_compose, ext1_dim,
                               hom_K_dim, inj_list, min_left_approx_K,
                               min_presentation, min_right_approx_K,
                               proj_list, simple_list, tau, tensor_zeros)
 from tauseq.errors import CapExceededError, DomainError
-from tauseq.modules import (FdModule, hom_dim, is_iso, radical_rows,
+from tauseq.modules import (FdModule, dual, hom_dim, is_iso, radical_rows,
                             submodule, zero_module)
 from tauseq.reduction import j_membership, root_context
 from tauseq.tautilt import (Registry, SignedObject,
@@ -525,7 +525,8 @@ def test_tau_and_h0_in_a_rebased_algebra(case, seed, request):
     coordinates must be read at each row's first nonzero column.  Over it,
     hom_to_tau(y, x) = hom(y, tau x) for every projective, injective and
     simple y and x, tau x has the dimension it has over the algebra's own
-    basis, and H^0 of x's minimal presentation is x."""
+    basis, H^0 of x's minimal presentation is x, and D tau x is Tr x over
+    A^op (the transpose built from the dualized presentation)."""
     base = request.getfixturevalue(case)[1] if case == "ex3" else \
         parse_algebra(linear_quiver_text(
             int(case[-1]), rad_square_zero=case.startswith("rad2")))[1]
@@ -543,6 +544,7 @@ def test_tau_and_h0_in_a_rebased_algebra(case, seed, request):
         for y in mods:
             assert cxs.hom_to_tau(y, x) == hom_dim(y, tx)
         assert is_iso(h0(min_presentation(x))[0], x)
+        assert is_iso(dual(tx), transpose(x))
 
 
 @pytest.mark.parametrize("stem", ["ex1", "ex2", "ex3"])

@@ -17,11 +17,11 @@ from oracles import (act_radical_rows, close_by_stacking, dense_mult,
                      lagrange_split_idempotent, local_endo_by_top,
                      newton_lift, solve_restricted_action)
 from tauseq import linalg, modules
-from tauseq.algebra import algebra_invariants, parse_algebra
+from tauseq.algebra import algebra_invariants, opposite, parse_algebra
 from tauseq.complexes import min_presentation, simple_list, tau
 from tauseq.errors import DomainError, InputError
 from tauseq.modules import (FdModule, decompose, decompose_grouped,
-                            direct_sum, end_algebra, hom_basis, hom_dim,
+                            direct_sum, dual, end_algebra, hom_basis, hom_dim,
                             in_gen, injective_module, is_iso,
                             is_local_endo, min_left_approx,
                             min_right_approx, parse_modules,
@@ -651,6 +651,22 @@ def test_hom_basis_matches_kronecker_on_fixtures(ex1, ex2, ex3):
     assert len(conj) == 6
     assert all(c.basis_vertices() is None for c in conj)
     _assert_same_hom_bases(list(ex3[2].values()) + conj)
+
+
+@pytest.mark.parametrize("stem", ["ex1", "ex2", "ex3"])
+def test_dual_is_an_involution_that_reverses_hom(stem, request):
+    # D m is m's transposed action over A^op, cached both ways; D of a fresh
+    # A^op-module with D m's action has A and m's action bytes again; and
+    # Hom(D y, D x) = Hom(x, y)^T, so the dimensions agree on every pair
+    _, alg, mods = request.getfixturevalue(stem)
+    for m in mods.values():
+        dm = dual(m)
+        assert dm.algebra is opposite(alg) and dual(dm) is m
+        back = dual(FdModule(opposite(alg), dm.action))
+        assert back.algebra is alg
+        assert back.action.tobytes() == m.action.tobytes()
+    for x, y in itertools.product(mods.values(), repeat=2):
+        assert hom_dim(dual(y), dual(x)) == hom_dim(x, y)
 
 
 def test_hom_basis_matches_kronecker_over_a_reduced_algebra(root3, ex3):

@@ -9,8 +9,8 @@ import pytest
 from conftest import (FIXDIR, dynkin_text, item_of, load_example,
                       nakayama_text)
 from oracles import (approximation_pairing, cone, context_objects,
-                     eager_level, gen_scan_cobongartz, pres, quotient_gamma,
-                     reduce_cx, shift_cx, shifted_by_quotient,
+                     eager_level, gen_scan_cobongartz, h0, pres,
+                     quotient_gamma, reduce_cx, shift_cx, shifted_by_quotient,
                      triangle_bongartz)
 from test_algebra import linear_quiver_text
 from tauseq import cli
@@ -305,7 +305,7 @@ def _triangle_bongartz_summand(ctx, x_item):
     src, cmap, _ = cxs.min_right_approx_K([pres(preg, ctx.reducer_item[1])],
                                           pres(preg, val))
     cocone = shift_cx(cone(src, pres(preg, val), cmap), -1)
-    bx, _, _ = cxs.h0(reduce_cx(cocone))
+    bx, _, _ = h0(reduce_cx(cocone))
     return bx
 
 

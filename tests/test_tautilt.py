@@ -28,7 +28,8 @@ from tauseq.complexes import (end_K, hom_K_dim, min_presentation,
 from tauseq.errors import CapExceededError, DomainError
 from tauseq.modules import (FdModule, decompose_grouped, direct_sum,
                             hom_basis, hom_dim, in_gen, is_iso,
-                            min_left_approx, min_right_approx, submodule)
+                            min_left_approx, min_right_approx, submodule,
+                            trace_rows)
 from tauseq.reduction import _find_proj_vertex
 from tauseq.reduction import root_context
 from tauseq.sequences import enumerate_ordered, phi, psi
@@ -403,6 +404,7 @@ def test_dagger_is_a_g_negating_bijection_onto_the_opposite(case, request):
     assert opposite(opposite(alg)) is alg and len(objs_op) == len(objs)
     assert {canonical(full.dagger(it, op) for it in obj)
             for obj in objs} == set(objs_op)
+    op._dagger.clear()  # so op.dagger computes Tr over A^op, not the memo
     for it in sorted({it for obj in objs for it in obj}):
         dual = full.dagger(it, op)
         assert op.g_vector(dual) == [-c for c in full.g_vector(it)], it
@@ -495,7 +497,9 @@ def test_approximation_radical_matches_the_end_algebra(case, request,
                                                        monkeypatch):
     # every left approximation that enumeration and the correspondence of
     # each registry module ask for: rad End(+ U) from the blocks spans the
-    # End algebra's radical, and the approximation is the End route's
+    # End algebra's radical, and the approximation is the End route's; the
+    # right approximation of x by the same U, D of a left one over A^op,
+    # uses the End route's summands, and alpha's image is the trace of U
     alg = _algebra_case(case, request)
     p = alg.p
     calls, real = [], tautilt.min_left_approx
@@ -524,6 +528,11 @@ def test_approximation_radical_matches_the_end_algebra(case, request,
         tgt2, beta2, used2 = min_approx_by_end(x, us, right=False)
         assert np.array_equal(tgt.action, tgt2.action)
         assert np.array_equal(beta.matrix, beta2.matrix) and used == used2
+        src, alpha, used = min_right_approx(us, x)
+        src2, _, used2 = min_approx_by_end(x, us, right=True)
+        assert used == used2 and is_iso(src, src2), (case, key)
+        assert np.array_equal(linalg.row_space(alpha.matrix.T, p),
+                              linalg.row_space(trace_rows(total, x), p))
     assert seen
     # the projectives of Lambda_3^4 and Lambda_2^3 have End of dimension
     # 2, local with a nonzero radical
