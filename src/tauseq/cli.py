@@ -61,15 +61,8 @@ class Workspace:
             raise InputError("empty module name")
         if name in self.fixtures:
             return self.fixtures[name]
-        labels = self.alg.vertex_labels
-        if len(name) > 1 and name[1:] in labels:
-            v = labels.index(name[1:])
-            if name[0] == "P":
-                return cxs.proj_list(self.alg)[v]
-            if name[0] == "S":
-                return cxs.simple_list(self.alg)[v]
-            if name[0] == "I":
-                return cxs.inj_list(self.alg)[v]
+        if name in (vertex := cxs.vertex_modules(self.alg)):
+            return vertex[name]
         if name in self.registry.names:
             return self.registry.module(self.registry.names.index(name))
         self.root  # enumeration may add the name or the dims literal target
@@ -112,10 +105,7 @@ class Workspace:
                 "shift": bool(shift)}
 
     def item_json(self, item):
-        kind, val = item
-        if kind == "m":
-            return self.entry_json(self.registry.module(val), False)
-        return self.entry_json(cxs.proj_list(self.alg)[val], True)
+        return self.entry_json(*self.registry.realize(item))
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +188,11 @@ def cmd_indec_tau_rigid(ws, args):
     rows = []
     payload = []
     for item in root.level_items:
-        kind, val = item
-        m = reg.module(val) if kind == "m" else cxs.proj_list(ws.alg)[val]
+        m, shift = reg.realize(item)
         rows.append((reg.display_item(item),
-                     "shifted projective" if kind == "p" else "module",
+                     "shifted projective" if shift else "module",
                      ",".join(str(d) for d in m.vertex_dims())))
-        payload.append(ws.item_json(item))
+        payload.append(ws.entry_json(m, shift))
     return _emit(args.format, ("object", "kind", "dims"), rows, payload)
 
 

@@ -352,17 +352,18 @@ def _generator_rows(m, rows):
     in m, vertex), sorted by vertex: one per top basis element of the span.
 
     The candidates are the nonzero e_i b over the rows b, by (vertex, row).
-    They span the span, so the greedy extension of a basis of its radical,
-    spanned by the g b over the generators g past the idempotents, picks a
-    basis of its top, each in one e_i of it.  A linear dependence holds in
-    m as in the span: these are the span's own generators, mapped into m.
+    They span the span, so the greedy extension of its radical, spanned by
+    the nonzero g b over the generators g past the idempotents (unreduced:
+    only their span counts), picks a basis of its top, each in one e_i of
+    it.  A linear dependence holds in m as in the span: these are the
+    span's own generators, mapped into m.
     """
     n, p = m.algebra.idempotents.shape[0], m.algebra.p
     images = (rows @ m.gen_actions().transpose(0, 2, 1)) % p
     verts, ks = np.nonzero(images[:n].any(axis=2))
-    cands = images[verts, ks]
+    cands, rad = images[verts, ks], np.concatenate([rows[:0], *images[n:]])
     return [(cands[j], int(verts[j])) for j in linalg.extend_basis(
-        linalg.row_space(np.concatenate([rows[:0], *images[n:]]), p), cands, p)]
+        rad[rad.any(axis=1)], cands, p)]
 
 
 def min_presentation(m):
@@ -437,12 +438,22 @@ def inj_list(alg):
     return alg._tauseq_injs
 
 
+def vertex_modules(alg):
+    """{name: module}: every P<label>, then every S<label>, then every
+    I<label>, the order in which a module takes the first name it is
+    isomorphic to."""
+    return {f"{prefix}{label}": x for prefix, mods in (
+        ("P", proj_list), ("S", simple_list), ("I", inj_list))
+        for label, x in zip(alg.vertex_labels, mods(alg))}
+
+
 def tau(m):
     """AR translate of m: the kernel of nu applied to its cached minimal
     presentation.  nu sends the entry x in e_a A e_b of the differential to
     the map I_a -> I_b whose column w holds the coordinates of
     x * amb_rows_b[w] on I_a's RREF amb_rows, read at their pivots (each
     row's first nonzero column), written in place: nu(P^0) is not built.
+    amb_rows is the basis of e_a A of the A^op projective that I_a is D of.
     With no P^-1 the empty sum gives the zero kernel."""
     alg, p = m.algebra, m.algebra.p
     pres = presentation(m)

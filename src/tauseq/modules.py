@@ -8,8 +8,10 @@ keeps a module alive) holding read-only arrays.  Also endomorphism rings,
 indecomposable direct-sum decomposition by idempotents of End(M), t_u(x),
 f_u(x) and Gen u from one set of trace rows, the duality D onto
 A^op-modules, and minimal left add(U)-approximations, with rad End(⊕U)
-read off the summands; a right one is D of a left one over A^op.
-Coordinates on an RREF basis are read at its pivots.
+read off the summands; a right one is D of a left one over A^op, and an
+injective I_j = D(A^op e_j) is D of a projective over A^op.  Coordinates
+on an RREF basis are read at its pivots.  Every action is stored in C
+order, as einsum reads a strided one up to 1.8 times slower.
 
 The idempotents of a split are Fermat powers.  One Berlekamp split of
 the top of End(M) (on the whole top when that is commutative and on F_p[z]
@@ -55,7 +57,7 @@ class FdModule:
 
     def __init__(self, algebra, action, check=True):
         self.algebra = algebra
-        self.action = linalg.asmod(action, algebra.p)
+        self.action = np.ascontiguousarray(linalg.asmod(action, algebra.p))
         if self.action.ndim != 3 or self.action.shape[0] != algebra.dim:
             raise DomainError("action tensor has wrong shape")
         self.dim = self.action.shape[1]
@@ -197,10 +199,10 @@ def direct_sum(algebra, summands):
 
 def dual(m):
     """D m = Hom_k(m, k) over A^op: the transposed action ((a f)(v) =
-    f(a v)) in C order, which einsum reads fastest; cached both ways."""
+    f(a v)); cached both ways."""
     if m._dual is None:
-        m._dual = FdModule(opposite(m.algebra), np.ascontiguousarray(
-            m.action.transpose(0, 2, 1)), check=False)
+        m._dual = FdModule(opposite(m.algebra), m.action.transpose(0, 2, 1),
+                           check=False)
         m._dual._dual = m
     return m._dual
 
@@ -244,14 +246,6 @@ def submodule(m, rows):
         (m.action @ bt) % p, bt, p, "span is not action-stable"), check=False)
     sub._gen_act = ((m.gen_actions() @ bt) % p)[:, (bt != 0).argmax(axis=0)]
     return sub, ModuleMap(sub, m, bt)
-
-
-def _term_images(algebra, act, src, k, c, bt):
-    """(dim, dim, cols) images of bt's columns under the maps x = 0..dim-1
-    that send b_src to the sum of c b_k over the terms with act = x."""
-    imgs = np.zeros((algebra.dim, algebra.dim, bt.shape[1]), dtype=np.int64)
-    np.add.at(imgs, (act, k), c[:, None] * bt[src])
-    return imgs % algebra.p
 
 
 def _restricted_action(imgs, bt, p, error):
@@ -304,9 +298,11 @@ def projective_module(algebra, i):
     rows = algebra.right_mult_matrix(algebra.idempotents[i]).T  # b_k * e_i
     basis = linalg.row_space(rows, p)
     act, src, k, c = algebra.terms  # b_act sends b_src to c b_k and more
+    imgs = np.zeros((algebra.dim, algebra.dim, len(basis)), dtype=np.int64)
+    np.add.at(imgs, (act, k), c[:, None] * basis.T[src])
     out = FdModule(algebra, _restricted_action(
-        _term_images(algebra, act, src, k, c, basis.T), basis.T, p,
-        "A e_i is not closed under left multiplication"), check=False)
+        imgs % p, basis.T, p, "A e_i is not closed under left multiplication"),
+        check=False)
     out.amb_basis = basis
     return out
 
@@ -328,17 +324,12 @@ def right_mult_module_map(pa, pb, x):
 
 
 def injective_module(algebra, j):
-    """I_j = dual of the right module e_j A, with the transpose action;
-    remembers the RREF basis of e_j A inside A as amb_rows."""
-    p = algebra.p
-    rows = algebra.left_mult_matrix(algebra.idempotents[j]).T  # e_j * b_k
-    basis = linalg.row_space(rows, p)
-    src, act, k, c = algebra.terms  # b_src * b_act has c at b_k
-    right = _restricted_action(
-        _term_images(algebra, act, src, k, c, basis.T), basis.T, p,
-        "e_j A is not closed under right multiplication")
-    out = FdModule(algebra, right.transpose(0, 2, 1), check=False)
-    out.amb_rows = basis
+    """I_j = nu(P_j) = D(e_j A) = D(A^op e_j), the dual of the projective
+    at j over A^op; remembers that projective's RREF basis of e_j A inside
+    A as amb_rows."""
+    pj = projective_module(opposite(algebra), j)
+    out = dual(pj)
+    out.amb_rows = pj.amb_basis
     return out
 
 

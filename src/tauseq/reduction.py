@@ -148,12 +148,9 @@ class WideContext(_Realizing):
 
     def realize_item(self, item):
         """(root module, shift flag) for a level item of this context."""
-        kind, val = item
         if self.is_root:
-            if kind == "m":
-                return self.registry.module(val), False
-            return cxs.proj_list(self.gamma)[val], True
-        return self.record_for(item)["reduced"].root_module, kind == "p"
+            return self.registry.realize(item)
+        return self.record_for(item)["reduced"].root_module, item[0] == "p"
 
 
 class _ChildContext(WideContext):

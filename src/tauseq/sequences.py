@@ -135,23 +135,19 @@ def validate_sequence(root, pairs):
 def _validate(ctx, pairs, total):
     pos = len(pairs)
     m, shift = pairs[-1]
-    if shift:
-        try:
-            item = ("p", red._find_proj_vertex(ctx.gamma, m))
-        except DomainError:
-            return False, (f"entry {pos}: shifted entry is not an "
-                           "indecomposable projective at its level")
-    else:
+    if not shift:
         if m.dim == 0:
             return False, f"entry {pos}: zero module"
         if not is_local_endo(m):
             return False, f"entry {pos}: not indecomposable"
         if not is_tau_rigid(m):
             return False, f"entry {pos}: not tau-rigid at its level"
-        idx = ctx.registry.find(m)
-        if idx is None or ("m", idx) not in ctx.level_items:
-            return False, f"entry {pos}: not a registered tau-rigid item"
-        item = ("m", idx)
+    try:
+        item = red.level_item_from_pair(ctx, m, shift)
+    except DomainError:
+        return False, f"entry {pos}: " + (
+            "shifted entry is not an indecomposable projective at its level"
+            if shift else "not a registered tau-rigid item")
     if len(pairs) == 1:
         return True, "valid"
     child = ctx.child(item)

@@ -168,14 +168,9 @@ class Registry(Core):
         return None
 
     def _auto_name(self, m):
-        alg = self.alg
-        for prefix, modules in (("P", cxs.proj_list), ("S", cxs.simple_list),
-                                ("I", cxs.inj_list)):
-            for label, x in zip(alg.vertex_labels, modules(alg)):
-                if is_iso(m, x):
-                    return f"{prefix}{label}"
         dims = ",".join(str(d) for d in m.vertex_dims())
-        return f"M({dims})"
+        return next((name for name, x in cxs.vertex_modules(self.alg).items()
+                     if is_iso(m, x)), f"M({dims})")
 
     def add(self, m, name=None):
         idx = len(self.mods)
@@ -306,6 +301,12 @@ class Registry(Core):
 
     def proj_id(self, v):
         return self._indecomposable(cxs.proj_list(self.alg)[v])
+
+    def realize(self, item):
+        """(module, shift flag) of an item: (P_v, True) for P_v[1]."""
+        kind, val = item
+        return (self.mods[val], False) if kind == "m" \
+            else (cxs.proj_list(self.alg)[val], True)
 
     def display_item(self, item):
         kind, val = item

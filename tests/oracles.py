@@ -71,6 +71,9 @@ Tr X as D tau X (`modules.dual` of `complexes.tau`); `h0` and
 `transpose` are the H^0 of a two-term complex and the Tr as H^0 of the
 presentation dualized over A^op that it replaced, and `tau_by_transpose`
 is tau as D Tr through them, a second route to `complexes.tau`.
+An injective is D of the projective at its vertex over A^op
+(`modules.injective_module`); `injective_by_right_action` is the
+transposed action of e_j A under right multiplication that it replaced.
 
 A complex is normalized only by `Cx`, and null spaces and quotients come
 from one RREF complement (`linalg.complement_rows`); `reduce_cx_by_loop`
@@ -437,6 +440,21 @@ def tau_by_target_sum(m):
                        % p)[piv].T
                 mat = (mat + t_embs[r] @ blk @ n_embs[c].T) % p
     return submodule(nsrc, ModuleMap(nsrc, ntgt, mat).kernel_rows())[0]
+
+
+def injective_by_right_action(alg, j):
+    """I_j = D(e_j A) built on A itself: the right action of A on the RREF
+    basis of e_j A (amb_rows), transposed."""
+    p = alg.p
+    basis = linalg.row_space(alg.left_mult_matrix(alg.idempotents[j]).T, p)
+    src, act, k, c = alg.terms  # b_src * b_act has c at b_k
+    imgs = np.zeros((alg.dim, alg.dim, len(basis)), dtype=np.int64)
+    np.add.at(imgs, (act, k), c[:, None] * basis.T[src])
+    right = modules._restricted_action(
+        imgs % p, basis.T, p, "e_j A is not closed under right multiplication")
+    out = FdModule(alg, right.transpose(0, 2, 1), check=False)
+    out.amb_rows = basis
+    return out
 
 
 def bounded_path_search(qp, cap):

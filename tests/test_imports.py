@@ -18,7 +18,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tauseq"
 
 # called only from tests/ (oracles and checks) or from bench/
 TEST_AND_BENCH_HELPERS = {
-    "level_item_from_pair", "min_left_approx_K", "min_right_approx",
+    "min_left_approx_K", "min_right_approx",
     "min_right_approx_K", "ordered_names", "rep_tensor", "root_pairs",
     "sequence_names",
 }

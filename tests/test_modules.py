@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from conftest import (dynkin_text, item_of, load_example, nakayama_text,
                       rebased_algebra)
 from oracles import (act_radical_rows, close_by_stacking, dense_mult,
-                     lagrange_split_idempotent, local_endo_by_top,
-                     newton_lift, solve_restricted_action)
+                     injective_by_right_action, lagrange_split_idempotent,
+                     local_endo_by_top, newton_lift, solve_restricted_action)
 from tauseq import linalg, modules
 from tauseq.algebra import algebra_invariants, opposite, parse_algebra
 from tauseq.complexes import min_presentation, simple_list, tau
@@ -25,9 +25,11 @@ from tauseq.modules import (FdModule, decompose, decompose_grouped,
                             in_gen, injective_module, is_iso,
                             is_local_endo, min_left_approx,
                             min_right_approx, parse_modules,
-                            projective_module, radical_rows, simple_module,
-                            submodule, top_quotient, torsion_free_quotient,
+                            projective_module, quotient_module,
+                            radical_rows, simple_module, submodule,
+                            top_quotient, torsion_free_quotient,
                             trace_submodule, zero_module)
+from tauseq.reduction import transport
 from tauseq.tautilt import Registry, enumerate_support_tau_tilting
 from test_algebra import linear_quiver_text
 
@@ -667,6 +669,55 @@ def test_dual_is_an_involution_that_reverses_hom(stem, request):
         assert back.action.tobytes() == m.action.tobytes()
     for x, y in itertools.product(mods.values(), repeat=2):
         assert hom_dim(dual(y), dual(x)) == hom_dim(x, y)
+
+
+@functools.lru_cache(maxsize=None)
+def _vertex_module_algebras():
+    """ex1-3, linear A3-A6, rad^2=0 A4-A6, Lambda_4^4, D5 alt and E6 alt,
+    and ex3, linear A4 and rad^2=0 A5 in the random bases (seeds 3 and 8)
+    of test_complexes::test_tau_and_h0_in_a_rebased_algebra; built once."""
+    texts = [linear_quiver_text(n) for n in range(3, 7)] + [
+        linear_quiver_text(n, rad_square_zero=True) for n in range(4, 7)] + [
+        nakayama_text(4, 4), dynkin_text("D", 5, alt=True),
+        dynkin_text("E", 6, alt=True)]
+    algs = [load_example(stem)[1] for stem in ("ex1", "ex2", "ex3")] + [
+        parse_algebra(t)[1] for t in texts]
+    return tuple(algs + [rebased_algebra(algs[i], seed)
+                         for i in (2, 4, 8) for seed in (3, 8)])
+
+
+def test_injectives_are_duals_of_the_opposite_projectives():
+    # I_j = D(A^op e_j) has the action and the RREF basis amb_rows of e_j A
+    # that the right action of A on e_j A, transposed, gives, byte for byte
+    for alg in _vertex_module_algebras():
+        for j in range(len(alg.idempotents)):
+            got = injective_module(alg, j)
+            want = injective_by_right_action(alg, j)
+            assert got.algebra is alg
+            for a, b in ((got.action, want.action),
+                         (got.amb_rows, want.amb_rows)):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
+
+def test_every_constructor_stores_its_action_in_c_order(root3, ex3):
+    # a strided action makes einsum (hom_to_tau) read it up to 1.8 times
+    # slower; the transposes of dual, injective_module and transport are the
+    # strided views that FdModule copies
+    built = []
+    for alg in _vertex_module_algebras():
+        for v in range(len(alg.idempotents)):
+            pv, iv = projective_module(alg, v), injective_module(alg, v)
+            built += [pv, iv, simple_module(alg, v), dual(pv), dual(iv),
+                      direct_sum(alg, [pv, iv])[0],
+                      submodule(iv, radical_rows(iv))[0],
+                      quotient_module(pv, radical_rows(pv))[0]]
+    for name in ("S2", "M", "I2"):
+        ctx = root3.child(item_of(root3, ex3[2], name))
+        built += [transport(ctx, torsion_free_quotient(ctx.u_module, b)[0])
+                  for b in ctx.b_summands]
+    assert sum(m.dim > 1 for m in built) > 300
+    assert all(m.action.flags.c_contiguous for m in built)
 
 
 def test_hom_basis_matches_kronecker_over_a_reduced_algebra(root3, ex3):
