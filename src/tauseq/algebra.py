@@ -195,7 +195,6 @@ class StructAlgebra:
         self._corners = {}
         self._gens = None
         self._gen_terms = None
-        self._jk_layers = None
         if self.p <= self.dim:
             raise DomainError(
                 f"field order {self.p} must exceed algebra dimension {self.dim}"
@@ -380,27 +379,6 @@ class StructAlgebra:
             new = _run_starts(key // d)
             self._gen_terms = (key[new] // d, new.nonzero()[0], key % d, val)
         return self._gen_terms
-
-    def jk_layers(self):
-        """Layers (idx, coef) of dim^2 entries each: the coordinate at b_k
-        of x * b_j is the sum over the layers of x[idx[jk]] * coef[jk], with
-        jk = j * dim + k.  Layer l holds the l-th term of each (j, k) and
-        zeros where there is none; a monomial algebra has one layer.
-        Computed once."""
-        if self._jk_layers is None:
-            d = self.dim
-            i, j, k, c = self.terms
-            jk = j * d + k
-            order = np.argsort(jk, kind="stable")
-            jk = jk[order]
-            # layer of each term: its rank among the terms with its (j, k)
-            starts = np.searchsorted(jk, jk)
-            layer = np.arange(len(jk)) - starts
-            shape = (int(layer.max(initial=0)) + 1, d * d)
-            idx, coef = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
-            idx[layer, jk], coef[layer, jk] = i[order], c[order]
-            self._jk_layers = list(zip(idx, coef))
-        return self._jk_layers
 
     def corner(self, a, b):
         """(RREF basis, pivot columns) of e_a * A * e_b as a subspace of A."""

@@ -61,7 +61,7 @@ class Workspace:
             raise InputError("empty module name")
         if name in self.fixtures:
             return self.fixtures[name]
-        if name in (vertex := cxs.vertex_modules(self.alg)):
+        if name in (vertex := dict(cxs.vertex_modules(self.alg))):
             return vertex[name]
         if name in self.registry.names:
             return self.registry.module(self.registry.names.index(name))

@@ -12,10 +12,13 @@ endomorphism rings of two-term objects, minimal left and right
 approximations in the homotopy category, minimal presentations (cached on
 the module) and g-vectors, Hom(y, tau x) by one rank on x's presentation,
 the AR translate itself (for the tau command and for Tr = D tau, read at
-the pivots of the injectives' RREF bases), and Ext^1.  An empty
+the pivots of the injectives' RREF bases), and Ext^1 from the kernel of
+the projective cover that the presentation starts from.  Products of
+entries come from the algebra's left multiplication matrices.  An empty
 degree is the zero direct sum, so no route branches on it, and Cx alone
-normalizes a complex.  Exchange partners come from module-level
-approximations (tautilt), not from triangles of these complexes.
+normalizes a complex (it checks no corner and no d . d = 0).  Exchange
+partners come from module-level approximations (tautilt), not from
+triangles of these complexes.
 """
 
 import functools
@@ -26,8 +29,7 @@ from . import linalg
 from .algebra import StructAlgebra, block_terms
 from .errors import DomainError
 from .modules import (ModuleMap, direct_sum, hom_basis, injective_module,
-                      projective_module, right_mult_module_map, submodule,
-                      top_quotient)
+                      projective_module, submodule, top_quotient)
 
 
 def proj_list(alg):
@@ -61,7 +63,7 @@ class Cx:
             shape (len(comps[k+1]), len(comps[k]), algebra.dim).
     """
 
-    def __init__(self, algebra, comps, diffs, check=True):
+    def __init__(self, algebra, comps, diffs):
         self.algebra = algebra
         self.comps = {k: list(v) for k, v in comps.items() if v}
         self.diffs = {}
@@ -73,8 +75,6 @@ class Cx:
                 if t.shape != (nr, nc, algebra.dim):
                     raise DomainError("differential tensor shape mismatch")
                 self.diffs[k] = t
-        if check:
-            self._validate()
 
     def at(self, k):
         return self.comps.get(k, [])
@@ -93,23 +93,6 @@ class Cx:
     def total_summands(self):
         return sum(len(v) for v in self.comps.values())
 
-    def _validate(self):
-        alg = self.algebra
-        for k, t in self.diffs.items():
-            for r, b in enumerate(self.at(k + 1)):
-                for c, a in enumerate(self.at(k)):
-                    x = t[r, c]
-                    ea = alg.idempotents[a]
-                    eb = alg.idempotents[b]
-                    if not np.array_equal(alg.multiply(alg.multiply(ea, x), eb), x):
-                        raise DomainError(
-                            f"entry ({r},{c}) of d^{k} is not in its corner")
-        for k in self.diffs:
-            if (k + 1) in self.diffs:
-                comp = entry_compose(alg, self.diff(k), self.diff(k + 1))
-                if np.any(comp):
-                    raise DomainError(f"d^{k+1} . d^{k} != 0")
-
 
 def tensor_zeros(alg, nrows, ncols):
     return np.zeros((nrows, ncols, alg.dim), dtype=np.int64)
@@ -118,25 +101,20 @@ def tensor_zeros(alg, nrows, ncols):
 def entry_compose(alg, first, then):
     """Entry tensor of (then . first); first: A->B, then: B->C.
 
-    Entry (s, c) is sum_r first[r, c] * then[s, r].  Gathering first
-    through the algebra's (j, k) layers gives left[r, c, j, k], the
-    coordinate at b_k of first[r, c] * b_j, with one gather per layer and
-    no dense structure tensor; a product with `then` over (r, j) finishes.
-    Each sum has at most (inner length) * p^2 in it.  Leading axes of
+    Entry (s, c) is sum_r first[r, c] * then[s, r].  The left
+    multiplication matrices of first, with their last axis moved, give
+    left[r, j, c, k], the coordinate at b_k of first[r, c] * b_j; a product
+    with `then` over (r, j) finishes.  Each sum there has at most nr * d
+    products, each below p^2, so it stays exact in int64.  Leading axes of
     either operand are batch axes and broadcast against each other.  An
     empty axis needs no branch: the product is then zeros of its shape.
     """
-    p, d = alg.p, alg.dim
+    d = alg.dim
     *fb, nr, nc, _ = first.shape
     *tb, ns, _, _ = then.shape
-    fb, tb = tuple(fb), tuple(tb)
-    (idx, coef), *more = alg.jk_layers()
-    left = first.take(idx, -1) * coef
-    for idx, coef in more:
-        left += first.take(idx, -1) * coef
-    left = np.swapaxes((left % p).reshape(fb + (nr, nc, d, d)), -3, -2)
-    out = (then.reshape(tb + (ns, nr * d)) @
-           left.reshape(fb + (nr * d, nc * d))) % p  # r, j, c, k above
+    left = np.moveaxis(alg.left_mult_matrix(first), -1, -3)
+    out = (then.reshape(tuple(tb) + (ns, nr * d)) @
+           left.reshape(tuple(fb) + (nr * d, nc * d))) % alg.p
     return out.reshape(out.shape[:-2] + (ns, nc, d))
 
 
@@ -165,20 +143,7 @@ def direct_sum_cx(cxs):
                 d = cx.diffs[k]
                 t[r0 : r0 + d.shape[0], c0 : c0 + d.shape[1]] = d
         diffs[k] = t
-    return Cx(alg, comps, diffs, check=False), offsets
-
-
-def concrete_map(alg, src_verts, tgt_verts, tensor):
-    """Realize an entry tensor as a ModuleMap between sums of projectives."""
-    projs = proj_list(alg)
-    src, s_embs, _ = direct_sum(alg, [projs[v] for v in src_verts])
-    tgt, t_embs, _ = direct_sum(alg, [projs[v] for v in tgt_verts])
-    mat = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    for r, b in enumerate(tgt_verts):
-        for c, a in enumerate(src_verts):
-            block = right_mult_module_map(projs[a], projs[b], tensor[r, c])
-            mat = (mat + t_embs[r] @ block.matrix @ s_embs[c].T) % alg.p
-    return src, tgt, ModuleMap(src, tgt, mat)
+    return Cx(alg, comps, diffs), offsets
 
 
 class EntrySpace:
@@ -366,9 +331,9 @@ def _generator_rows(m, rows):
         rad[rad.any(axis=1)], cands, p)]
 
 
-def min_presentation(m):
-    """Minimal projective presentation of m as a two-term complex; the
-    generators of the syzygy are read off its RREF basis in P^0."""
+def _cover(m):
+    """The projective cover P^0 -> m: (P^0, its vertices, its summand
+    embeddings, the RREF basis in P^0 of its kernel, the syzygy of m)."""
     alg = m.algebra
     p = alg.p
     projs = proj_list(alg)
@@ -385,6 +350,16 @@ def min_presentation(m):
     ker_rows = linalg.row_space(cover.kernel_rows(), p)
     if p0.dim - len(ker_rows) != m.dim:
         raise DomainError("projective cover is not onto")
+    return p0, zer, embs, ker_rows
+
+
+def min_presentation(m):
+    """Minimal projective presentation of m as a two-term complex; the
+    generators of the syzygy are read off its RREF basis in P^0."""
+    alg = m.algebra
+    p = alg.p
+    projs = proj_list(alg)
+    p0, zer, embs, ker_rows = _cover(m)
     kgens = _generator_rows(p0, ker_rows)
     neg = [i for _, i in kgens]
     # a generator at vertex i lies in e_i K, so its component in P_vert
@@ -394,7 +369,7 @@ def min_presentation(m):
     diff = tensor_zeros(alg, len(zer), len(neg))
     for r, (emb, vert) in enumerate(zip(embs, zer)):
         diff[r] = ((projs[vert].amb_basis.T @ (emb.T @ inside % p)) % p).T
-    return Cx(alg, {-1: neg, 0: zer}, {-1: diff}, check=False)
+    return Cx(alg, {-1: neg, 0: zer}, {-1: diff})
 
 
 def presentation(m):
@@ -439,12 +414,13 @@ def inj_list(alg):
 
 
 def vertex_modules(alg):
-    """{name: module}: every P<label>, then every S<label>, then every
-    I<label>, the order in which a module takes the first name it is
-    isomorphic to."""
-    return {f"{prefix}{label}": x for prefix, mods in (
-        ("P", proj_list), ("S", simple_list), ("I", inj_list))
-        for label, x in zip(alg.vertex_labels, mods(alg))}
+    """(name, module) pairs: every P<label>, then every S<label>, then
+    every I<label>, the order in which a module takes the first name it is
+    isomorphic to.  Each list is built only when the walk reaches it."""
+    for prefix, mods in (("P", proj_list), ("S", simple_list),
+                         ("I", inj_list)):
+        for label, x in zip(alg.vertex_labels, mods(alg)):
+            yield f"{prefix}{label}", x
 
 
 def tau(m):
@@ -474,15 +450,15 @@ def tau(m):
 
 
 def ext1_dim(m, n):
-    """dim Ext^1(m, n), via the syzygy of a minimal presentation P^-1 ->
-    P^0, the image of its differential: the maps om -> n modulo those that
-    extend to P^0.  A zero m, n or syzygy gives no map, so 0."""
-    pres = presentation(m)
-    _, p0, d = concrete_map(m.algebra, pres.at(-1), pres.at(0), pres.diff(-1))
-    om, om_incl = submodule(p0, d.image_rows())
-    rows = [h @ om_incl.matrix for h in hom_basis(p0, n)]
-    return len(hom_basis(om, n)) - linalg.rank(
-        np.reshape(rows, (len(rows), n.dim * om.dim)), m.algebra.p)
+    """dim Ext^1(m, n) = hom(om, n) + hom(m, n) - hom(P^0, n) for the
+    projective cover 0 -> om -> P^0 -> m -> 0, whose sequence 0 -> Hom(m, n)
+    -> Hom(P^0, n) -> Hom(om, n) -> Ext^1(m, n) -> 0 is exact
+    (Auslander-Reiten-Smalø §I.3, §IV.1); hom(P_v, n) = (dim n)_v.  A zero
+    m or n gives 0."""
+    p0, zer, _, ker_rows = _cover(m)
+    dims = n.vertex_dims()
+    return (len(hom_basis(submodule(p0, ker_rows)[0], n)) +
+            len(hom_basis(m, n)) - sum(dims[v] for v in zer))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +533,7 @@ def _min_approx_K(X, cxs, right):
     """
     alg = X.algebra
     p = alg.p
-    empty = Cx(alg, {}, {}, check=False), {}, []
+    empty = Cx(alg, {}, {}), {}, []
     cxs = [c for c in cxs if c.total_summands()]
     if not cxs:
         return empty

@@ -312,17 +312,6 @@ def simple_module(algebra, i):
     return top
 
 
-def right_mult_module_map(pa, pb, x):
-    """The map A e_a -> A e_b, m -> m*x, for x in e_a A e_b.
-
-    Both modules must come from projective_module (they carry amb_basis).
-    amb_basis is in RREF, so the coordinates of amb_basis[v] * x in pb are
-    its values at pb's pivots, each row's first nonzero column.
-    """
-    imgs = (pa.algebra.right_mult_matrix(x) @ pa.amb_basis.T) % pa.algebra.p
-    return ModuleMap(pa, pb, imgs[(pb.amb_basis != 0).argmax(axis=1)])
-
-
 def injective_module(algebra, j):
     """I_j = nu(P_j) = D(e_j A) = D(A^op e_j), the dual of the projective
     at j over A^op; remembers that projective's RREF basis of e_j A inside

@@ -169,7 +169,7 @@ class Registry(Core):
 
     def _auto_name(self, m):
         dims = ",".join(str(d) for d in m.vertex_dims())
-        return next((name for name, x in cxs.vertex_modules(self.alg).items()
+        return next((name for name, x in cxs.vertex_modules(self.alg)
                      if is_iso(m, x)), f"M({dims})")
 
     def add(self, m, name=None):

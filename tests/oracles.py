@@ -70,7 +70,12 @@ it replaced: `shift_cx`, `stalk_cx`, `cone`, the Gaussian reduction
 Tr X as D tau X (`modules.dual` of `complexes.tau`); `h0` and
 `transpose` are the H^0 of a two-term complex and the Tr as H^0 of the
 presentation dualized over A^op that it replaced, and `tau_by_transpose`
-is tau as D Tr through them, a second route to `complexes.tau`.
+is tau as D Tr through them, a second route to `complexes.tau`.  They
+realize an entry tensor as a module map between sums of projectives
+(`concrete_map`, with `right_mult_module_map` for one entry).
+Ext^1(m, n) is read off the kernel of m's projective cover by the long
+exact sequence (`complexes.ext1_dim`); `ext1_by_image` is the route
+through the image of the concrete differential that it replaced.
 An injective is D of the projective at its vertex over A^op
 (`modules.injective_module`); `injective_by_right_action` is the
 transposed action of e_j A under right multiplication that it replaced.
@@ -117,6 +122,7 @@ from tauseq import linalg, modules
 from tauseq.algebra import (algebra_from_matrices, opposite,
                             quotient_by_ideal, quotient_by_idempotent_ideal,
                             two_sided_ideal_rows)
+from tauseq.complexes import proj_list
 from tauseq.errors import DomainError
 from tauseq.modules import (FdModule, ModuleMap, direct_sum, end_algebra,
                             hom_basis, hom_dim, in_gen, is_local_endo,
@@ -417,7 +423,7 @@ def min_presentation_by_syzygy_module(m):
     diff = cxs.tensor_zeros(alg, len(zer), len(neg))
     for r, (emb, vert) in enumerate(zip(embs, zer)):
         diff[r] = ((projs[vert].amb_basis.T @ (emb.T @ inside % p)) % p).T
-    return cxs.Cx(alg, {-1: neg, 0: zer}, {-1: diff}, check=False)
+    return cxs.Cx(alg, {-1: neg, 0: zer}, {-1: diff})
 
 
 def tau_by_target_sum(m):
@@ -650,11 +656,11 @@ def shift_cx(cx, s):
     comps = {k - s: v for k, v in cx.comps.items()}
     sign = -1 if s % 2 else 1
     diffs = {k - s: (sign * t) % cx.algebra.p for k, t in cx.diffs.items()}
-    return cxs.Cx(cx.algebra, comps, diffs, check=False)
+    return cxs.Cx(cx.algebra, comps, diffs)
 
 
 def stalk_cx(alg, verts, degree=0):
-    return cxs.Cx(alg, {degree: list(verts)}, {}, check=False)
+    return cxs.Cx(alg, {degree: list(verts)}, {})
 
 
 def pres(reg, idx):
@@ -672,7 +678,7 @@ def item_cx(reg, item):
 def object_cx(reg, items):
     parts = [item_cx(reg, it) for it in items]
     return cxs.direct_sum_cx(parts)[0] if parts \
-        else cxs.Cx(reg.alg, {}, {}, check=False)
+        else cxs.Cx(reg.alg, {}, {})
 
 
 def _invertible_entry(cx):
@@ -686,8 +692,7 @@ def _invertible_entry(cx):
                 projs = cxs.proj_list(alg)
                 if projs[a].dim != projs[b].dim:
                     continue
-                mat = modules.right_mult_module_map(projs[a], projs[b],
-                                                    t[r, c]).matrix
+                mat = right_mult_module_map(projs[a], projs[b], t[r, c]).matrix
                 if linalg.rank(mat, alg.p) == mat.shape[0]:
                     return k, r, c, mat
     return None
@@ -726,7 +731,7 @@ def reduce_cx(cx):
         diffs[k + 1] = np.delete(diffs[k + 1], r0, axis=1)
     comps[k] = comps[k][:c0] + comps[k][c0 + 1 :]
     comps[k + 1] = comps[k + 1][:r0] + comps[k + 1][r0 + 1 :]
-    return reduce_cx(cxs.Cx(alg, comps, diffs, check=False))
+    return reduce_cx(cxs.Cx(alg, comps, diffs))
 
 
 def cone(src, tgt, cmap):
@@ -743,7 +748,43 @@ def cone(src, tgt, cmap):
         t[sx1:, :sx0] = cmap.get(k + 1, 0)
         t[sx1:, sx0:] = tgt.diff(k)
         diffs[k] = t
-    return cxs.Cx(alg, comps, diffs, check=False)
+    return cxs.Cx(alg, comps, diffs)
+
+
+def right_mult_module_map(pa, pb, x):
+    """The map A e_a -> A e_b, m -> m*x, for x in e_a A e_b.
+
+    Both modules must come from projective_module (they carry amb_basis).
+    amb_basis is in RREF, so the coordinates of amb_basis[v] * x in pb are
+    its values at pb's pivots, each row's first nonzero column.
+    """
+    imgs = (pa.algebra.right_mult_matrix(x) @ pa.amb_basis.T) % pa.algebra.p
+    return ModuleMap(pa, pb, imgs[(pb.amb_basis != 0).argmax(axis=1)])
+
+
+def concrete_map(alg, src_verts, tgt_verts, tensor):
+    """Realize an entry tensor as a ModuleMap between sums of projectives."""
+    projs = proj_list(alg)
+    src, s_embs, _ = direct_sum(alg, [projs[v] for v in src_verts])
+    tgt, t_embs, _ = direct_sum(alg, [projs[v] for v in tgt_verts])
+    mat = np.zeros((tgt.dim, src.dim), dtype=np.int64)
+    for r, b in enumerate(tgt_verts):
+        for c, a in enumerate(src_verts):
+            block = right_mult_module_map(projs[a], projs[b], tensor[r, c])
+            mat = (mat + t_embs[r] @ block.matrix @ s_embs[c].T) % alg.p
+    return src, tgt, ModuleMap(src, tgt, mat)
+
+
+def ext1_by_image(m, n):
+    """dim Ext^1(m, n), via the syzygy of a minimal presentation P^-1 ->
+    P^0, the image of its differential: the maps om -> n modulo those that
+    extend to P^0.  A zero m, n or syzygy gives no map, so 0."""
+    pres = cxs.presentation(m)
+    _, p0, d = concrete_map(m.algebra, pres.at(-1), pres.at(0), pres.diff(-1))
+    om, om_incl = submodule(p0, d.image_rows())
+    rows = [h @ om_incl.matrix for h in hom_basis(p0, n)]
+    return len(hom_basis(om, n)) - linalg.rank(
+        np.reshape(rows, (len(rows), n.dim * om.dim)), m.algebra.p)
 
 
 def h0(cx):
@@ -752,8 +793,7 @@ def h0(cx):
     the zero direct sum, so a stalk or the zero complex needs no branch."""
     if not cx.is_two_term():
         raise DomainError("h0 expects a two-term complex")
-    _, tgt, dmap = cxs.concrete_map(cx.algebra, cx.at(-1), cx.at(0),
-                                    cx.diff(-1))
+    _, tgt, dmap = concrete_map(cx.algebra, cx.at(-1), cx.at(0), cx.diff(-1))
     quo, proj = quotient_module(tgt, dmap.image_rows())
     return quo, proj, tgt
 
@@ -766,7 +806,7 @@ def transpose(m):
     Tr m = 0."""
     pres = cxs.presentation(m)
     return h0(cxs.Cx(opposite(m.algebra), {-1: pres.at(0), 0: pres.at(-1)},
-                     {-1: pres.diff(-1).transpose(1, 0, 2)}, check=False))[0]
+                     {-1: pres.diff(-1).transpose(1, 0, 2)}))[0]
 
 
 def hminus1(cx):
@@ -774,8 +814,7 @@ def hminus1(cx):
     the concrete differential, by the same route as h0."""
     if not cx.is_two_term():
         raise DomainError("hminus1 expects a two-term complex")
-    src, _, dmap = cxs.concrete_map(cx.algebra, cx.at(-1), cx.at(0),
-                                    cx.diff(-1))
+    src, _, dmap = concrete_map(cx.algebra, cx.at(-1), cx.at(0), cx.diff(-1))
     return submodule(src, dmap.kernel_rows())[0]
 
 
@@ -811,7 +850,7 @@ def reduce_cx_by_loop(cx):
     diffs = {k: t.copy() for k, t in cx.diffs.items()}
 
     def current():
-        return cxs.Cx(alg, comps, diffs, check=False)
+        return cxs.Cx(alg, comps, diffs)
 
     while True:
         hit = _invertible_entry(current())

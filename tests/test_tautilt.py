@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (FIXDIR, dynkin_text, item_of, monomial_quiver_texts,
-                      nakayama_text)
+from conftest import (FIXDIR, dynkin_text, item_of, load_example,
+                      monomial_quiver_texts, nakayama_text)
 from oracles import (cone, context_objects, cx_to_pair, end_radical_mats,
                      g_fan_check, hminus1, item_cx, min_approx_by_end,
                      object_cx, objects_by_item, reduce_cx, right_cocone,
@@ -771,6 +771,31 @@ def test_decomposable_registry_entries_are_never_summands(ex1, ex3):
             c_ids, q = cobongartz(reg, m)
             assert [c - 1 for c in c_ids] == cobongartz(plain, m)[0]
             assert q == cobongartz(plain, m)[1]
+
+
+def test_registry_names_build_only_the_vertex_modules_they_reach(
+        monkeypatch):
+    """A registry module takes the first P, S or I name it is isomorphic
+    to, else its dimension vector, and the walk builds the injectives only
+    if it reaches them: every indecomposable of rad^2=0 A4 is a projective
+    or a simple, so enumerating it builds none."""
+    built = []
+    make = cxs.injective_module
+    monkeypatch.setattr(cxs, "injective_module",
+                        lambda alg, j: built.append(j) or make(alg, j))
+    enumerate_support_tau_tilting(
+        parse_algebra(linear_quiver_text(4, rad_square_zero=True))[1])
+    assert built == []
+    algs = [load_example(stem)[1] for stem in ("ex1", "ex2", "ex3")]
+    algs += [parse_algebra(text)[1] for text in (
+        linear_quiver_text(4), dynkin_text("D", 5, alt=True))]
+    for alg in algs:
+        reg = enumerate_support_tau_tilting(alg)[1]
+        table = dict(cxs.vertex_modules(alg))
+        for name, m in zip(reg.names, reg.mods):
+            dims = ",".join(str(d) for d in m.vertex_dims())
+            assert name == next((k for k, x in table.items() if is_iso(m, x)),
+                                f"M({dims})")
 
 
 @pytest.mark.parametrize("stem", ["root1", "root2", "root3"])
